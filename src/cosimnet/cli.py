@@ -2,7 +2,7 @@
 of CSV/JSON artifacts.
 
 Exit codes: 0 on success, 1 for a rejected scenario document (or unreadable
-file), 2 when a run fails mid-flight from a sync or network-sim fault.
+file), 2 when a run fails mid-flight, whatever the fault.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .netsim import NetSimError
 from .scenario import ConfigError, load_scenario, run_scenario
-from .sync import SyncError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +69,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         result = run_scenario(config, out, plots=args.plots)
-    except (SyncError, NetSimError) as exc:
+    except Exception as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         print(f"partial summary left in {out / 'run_summary.json'}",
               file=sys.stderr)

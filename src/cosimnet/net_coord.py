@@ -27,7 +27,7 @@ import numpy as np
 
 from . import wire
 from .netsim import NetSim
-from .sync import PeerLink, ProtocolError, Role, RunStats, SyncError, SyncPeer
+from .sync import PeerLink, ProtocolError, Role, RunStats, SyncPeer
 from .wire import MsgType, NetworkUpdate
 
 DEFAULT_EXPIRY_WINDOWS = 30_000
@@ -355,8 +355,8 @@ def run_network_coordinator(
 ) -> NetRunSummary:
     """Drive the NETWORK_SIDE of the sync protocol for a fixed duration.
 
-    Sync or transport failures propagate with the partial run attached as
-    `exc.partial_summary`.
+    Any failure, of the sync protocol, the simulator or the application,
+    propagates with the partial run attached as `exc.partial_summary`.
     """
     if duration_ns <= 0 or duration_ns % config.window_ns:
         raise ValueError(
@@ -388,7 +388,7 @@ def run_network_coordinator(
         for _ in range(n_windows):
             peer.run_window(link, coordinator)
         peer.shutdown(link)
-    except SyncError as exc:
+    except Exception as exc:
         exc.partial_summary = summarize()
         raise
     return summarize()

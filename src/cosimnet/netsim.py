@@ -6,9 +6,11 @@ wall-penetration terms.  Captured packets are serviced by a single
 shared medium, one transmission at a time, FIFO by (enqueue window,
 pkt_id) across all nodes; a packet whose link is down is skipped in
 place and keeps waiting, it never blocks a later packet with a live
-link.  Link state is evaluated once at transmission start; a
-transmission spanning a window boundary finishes under the conditions
-it started with.
+link.  Queued packets wait in one FIFO per directed agent link, each
+kept in that key order, so the next transmission is the smallest head
+among the links that are up.  Link state is evaluated once at
+transmission start; a transmission spanning a window boundary finishes
+under the conditions it started with.
 
 The medium's busy horizon and the in-flight transmission persist across
 windows, so advancing twice by W is equivalent to advancing once by 2W
@@ -17,7 +19,9 @@ when the channel does not change in between.
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Protocol
@@ -174,6 +178,10 @@ class _Queued:
     dst_ip: str
 
 
+def _key(entry: _Queued) -> tuple[int, int]:
+    return entry.enqueued_at, entry.pkt_id
+
+
 @dataclass
 class _InFlight:
     entry: _Queued
@@ -213,7 +221,8 @@ class ReferenceNetSim:
                 raise ValueError(f"address {ip} mapped to two agents")
             self._agent_of_ip[ip] = int(agent_id)
         self._links: dict[tuple[int, int], LinkState] = {}
-        self._queue: list[_Queued] = []
+        # (src, dst) -> packets in (enqueued_at, pkt_id) order; no empty FIFOs
+        self._fifos: dict[tuple[int, int], deque[_Queued]] = {}
         self._depth: dict[int, int] = {}
         self._inflight: _InFlight | None = None
         self._busy_until = 0
@@ -264,9 +273,13 @@ class ReferenceNetSim:
                 self.dropped_total += 1
                 self.dropped_ids.append(pkt_id)
                 continue
-            self._queue.append(
-                _Queued(window_start, pkt_id, length, src_agent, dst_agent, src_ip, dst_ip)
-            )
+            entry = _Queued(window_start, pkt_id, length, src_agent, dst_agent, src_ip, dst_ip)
+            fifo = self._fifos.setdefault((src_agent, dst_agent), deque())
+            if fifo and _key(fifo[-1]) > _key(entry):
+                # ids out of order within one window: keep the FIFO sorted
+                fifo.insert(bisect.bisect(fifo, _key(entry), key=_key), entry)
+            else:
+                fifo.append(entry)
             self._depth[src_agent] = self._depth.get(src_agent, 0) + 1
 
         cleared: list[_InFlight] = []
@@ -290,7 +303,10 @@ class ReferenceNetSim:
             service_ns = self.params.per_packet_overhead + int(
                 round(entry.length * 8e9 / link.phy_rate)
             )
-            self._queue.remove(entry)
+            fifo = self._fifos[(entry.src_agent, entry.dst_agent)]
+            fifo.popleft()
+            if not fifo:
+                del self._fifos[(entry.src_agent, entry.dst_agent)]
             self._depth[entry.src_agent] -= 1
             self._trace(tx_start, MediumEventKind.TX_START, entry)
             self._inflight = _InFlight(entry, link.ber, tx_start, tx_start + service_ns)
@@ -308,17 +324,20 @@ class ReferenceNetSim:
 
     @property
     def queued_count(self) -> int:
-        return len(self._queue) + (1 if self._inflight else 0)
+        return sum(self._depth.values()) + (1 if self._inflight else 0)
 
     def _next_eligible(self) -> _Queued | None:
+        """The smallest (enqueued_at, pkt_id) among the heads of the FIFOs
+        whose link is up."""
         best = None
-        for entry in self._queue:
-            link = self.link_state(entry.src_agent, entry.dst_agent)
+        for (src, dst), fifo in self._fifos.items():
+            head = fifo[0]
+            if best is not None and _key(head) > _key(best):
+                continue
+            link = self._links.get((src, dst) if src < dst else (dst, src))
             if link is None or link.is_down:
                 continue
-            key = (entry.enqueued_at, entry.pkt_id)
-            if best is None or key < (best.enqueued_at, best.pkt_id):
-                best = entry
+            best = head
         return best
 
     def _trace(self, time: int, kind: MediumEventKind, entry: _Queued) -> None:

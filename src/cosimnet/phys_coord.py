@@ -11,45 +11,11 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from enum import Enum
 
 from . import wire
 from .physics import ChannelFidelity, PhysicsSim
-from .sync import PeerLink, Role, RunStats, SyncError, SyncPeer
+from .sync import PeerLink, Role, RunStats, SyncPeer
 from .wire import MsgType, PhysicsUpdate
-
-
-class PhysicsBackendKind(Enum):
-    REFERENCE = "reference"
-    SOCKET = "socket"
-
-
-@dataclass(frozen=True)
-class PhysicsBackend:
-    """Where the world runs: in-process reference, or an external simulator
-    reachable at a TCP address."""
-
-    kind: PhysicsBackendKind
-    address: tuple[str, int] | None = None
-
-    def __post_init__(self):
-        if self.kind is PhysicsBackendKind.SOCKET:
-            if self.address is None:
-                raise ValueError("socket backend needs a (host, port) address")
-            host, port = self.address
-            if not isinstance(port, int) or not 0 < port < 65536:
-                raise ValueError(f"invalid port {port}")
-            object.__setattr__(self, "address", (str(host), port))
-        elif self.address is not None:
-            raise ValueError("address only applies to the socket backend")
-
-    @classmethod
-    def reference(cls) -> "PhysicsBackend":
-        return cls(PhysicsBackendKind.REFERENCE)
-
-    @classmethod
-    def socket(cls, host: str, port: int) -> "PhysicsBackend":
-        return cls(PhysicsBackendKind.SOCKET, (host, port))
 
 
 def substep_schedule(window_ns: int, substeps_per_window: int) -> list[int]:
@@ -70,7 +36,6 @@ def substep_schedule(window_ns: int, substeps_per_window: int) -> list[int]:
 class PhysCoordConfig:
     window_ns: int
     fidelity: ChannelFidelity
-    backend: PhysicsBackend = PhysicsBackend.reference()
     agent_address_map: tuple[tuple[int, str], ...] = ()
     substeps_per_window: int = 1
 
@@ -128,8 +93,8 @@ def run_physics_coordinator(
 ) -> PhysRunSummary:
     """Drive the PHYSICS_SIDE of the sync protocol for a fixed duration.
 
-    Sync or transport failures propagate to the caller with the partial
-    run attached as `exc.partial_summary`.
+    Any failure, of the sync protocol or of the simulator, propagates to
+    the caller with the partial run attached as `exc.partial_summary`.
     """
     if duration_ns <= 0 or duration_ns % config.window_ns:
         raise ValueError(
@@ -145,7 +110,7 @@ def run_physics_coordinator(
         for _ in range(n_windows):
             peer.run_window(link, driver)
         peer.shutdown(link)
-    except SyncError as exc:
+    except Exception as exc:
         exc.partial_summary = PhysRunSummary(
             peer.stats.windows_completed, driver.agent_count,
             driver.extractions, peer.stats,

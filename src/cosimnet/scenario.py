@@ -29,7 +29,7 @@ from .metrics import (
     smooth,
 )
 from .net_coord import InProcessBackend, NetCoordConfig, NetRunSummary, run_network_coordinator
-from .netsim import NetSimError, RadioParams, ReferenceNetSim
+from .netsim import RadioParams, ReferenceNetSim
 from .phys_coord import PhysCoordConfig, PhysRunSummary, run_physics_coordinator
 from .physics import (
     AgentTrack,
@@ -39,7 +39,7 @@ from .physics import (
     ReferencePhysicsSim,
     WorldModel,
 )
-from .sync import DEFAULT_WINDOW_NS, SyncError, queue_link_pair
+from .sync import DEFAULT_WINDOW_NS, TransportError, queue_link_pair
 
 ARTIFACT_NAMES = (
     "rate.csv",
@@ -492,25 +492,34 @@ def run_scenario(
             )
         except Exception as exc:
             phys_box["error"] = exc
+            # the network side is waiting in recv(); closing ends its run
+            phys_link.close()
 
     thread = threading.Thread(target=physics_side, name="physics-coordinator")
     thread.start()
+    net_error = None
     try:
         net_summary = run_network_coordinator(
             net_cfg, net_link, netsim, backend, config.duration_ns,
             app_tick=host.tick, on_channel=timeline,
         )
-    except (SyncError, NetSimError) as exc:
-        net_link.close()
-        thread.join(timeout=30)
-        _write_partial_summary(out, config, exc)
-        raise
+    except Exception as exc:
+        net_error = exc
     finally:
         net_link.close()
-    thread.join(timeout=30)
-    if "error" in phys_box:
-        _write_partial_summary(out, config, phys_box["error"])
-        raise phys_box["error"]
+        thread.join(timeout=30)
+    phys_error = phys_box.get("error")
+    if net_error is not None or phys_error is not None:
+        # a failing side closes its link, so the other side's TransportError
+        # only echoes the first failure
+        echo = net_error is None or isinstance(net_error, TransportError)
+        error = phys_error if phys_error is not None and echo else net_error
+        _write_partial_summary(
+            out, config, error,
+            getattr(net_error, "partial_summary", None),
+            getattr(phys_error, "partial_summary", None),
+        )
+        raise error
 
     result = _collect(config, out, host, timeline, net_summary, phys_box["summary"], netsim)
     _write_artifacts(result, plots=plots)
@@ -619,12 +628,33 @@ def _hist_rows(hist: Histogram):
         )
 
 
-def _write_partial_summary(out: Path, config: ScenarioConfig, error: Exception) -> None:
+def _write_partial_summary(
+    out: Path,
+    config: ScenarioConfig,
+    error: Exception,
+    net: NetRunSummary | None,
+    phys: PhysRunSummary | None,
+) -> None:
+    """`run_summary.json` for a failed run: the error, plus the counters of
+    the full summary that each side's partial run still has."""
+    counters = {}
+    if net is not None:
+        counters.update(
+            windows_completed=net.windows_completed,
+            captured_total=net.captured_total,
+            released_total=net.released_total,
+            expired_total=net.expired_total,
+            held_at_end=net.held_at_end,
+            pending_at_end=net.pending_at_end,
+        )
+    if phys is not None:
+        counters["physics_extractions"] = phys.extractions
     payload = {
         "partial": True,
         "error": f"{type(error).__name__}: {error}",
         "seed": config.seed,
         "config": config_as_dict(config),
+        "counters": counters,
     }
     (out / "run_summary.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from cosimnet import cli
+from cosimnet.physics import ReferencePhysicsSim
 from cosimnet.sync import SyncError
 
 from tests.test_scenario import doc
@@ -87,6 +88,22 @@ def test_runtime_faults_exit_with_code_two(scenario_file, tmp_path, capsys, monk
     )
     assert code == 2
     assert "desynchronized" in capsys.readouterr().err
+
+
+def test_any_runtime_fault_exits_with_code_two(scenario_file, tmp_path, capsys, monkeypatch):
+    def explode(self, dt_ns):
+        raise ZeroDivisionError("injected physics fault")
+
+    monkeypatch.setattr(ReferencePhysicsSim, "step", explode)
+    out = tmp_path / "x"
+    code = cli.main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ZeroDivisionError: injected physics fault" in err
+    assert "partial summary left in" in err
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["partial"] is True
+    assert summary["counters"]["windows_completed"] == 0
 
 
 def test_module_entry_point(scenario_file):

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from cosimnet import netsim
 from cosimnet.netsim import (
     MalformedChannelError,
     MalformedManifestError,
@@ -411,6 +412,131 @@ def test_causality_and_determinism():
         return outputs
 
     assert drive(new_sim()) == drive(new_sim())
+
+
+class LinearScanNetSim(ReferenceNetSim):
+    """The scheduler before per-link FIFOs, kept as their oracle: one list
+    in arrival order, scanned whole for the smallest (enqueued_at, pkt_id)
+    whose link is up, and `list.remove` on service."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._queue = []
+
+    def advance(self, window_start, window_ns, manifest):
+        self._validate_manifest(manifest, window_start, window_ns)
+        window_end = window_start + window_ns
+        for pkt_id, length, src_ip, dst_ip in zip(
+            manifest.pkt_id, manifest.pkt_lengths, manifest.src_ip, manifest.dst_ip
+        ):
+            self._seen_ids.add(pkt_id)
+            src_agent = self._agent_of_ip[src_ip]
+            dst_agent = self._agent_of_ip[dst_ip]
+            if self._depth.get(src_agent, 0) >= self.params.queue_capacity:
+                self.dropped_total += 1
+                self.dropped_ids.append(pkt_id)
+                continue
+            self._queue.append(
+                netsim._Queued(window_start, pkt_id, length, src_agent, dst_agent, src_ip, dst_ip)
+            )
+            self._depth[src_agent] = self._depth.get(src_agent, 0) + 1
+
+        cleared = []
+        while True:
+            if self._inflight is not None:
+                if self._inflight.tx_end <= window_end:
+                    done = self._inflight
+                    self._inflight = None
+                    cleared.append(done)
+                    self.cleared_total += 1
+                    self._trace(done.tx_end, MediumEventKind.TX_END, done.entry)
+                else:
+                    break
+            tx_start = max(self._busy_until, window_start)
+            if tx_start >= window_end:
+                break
+            entry = self._next_eligible()
+            if entry is None:
+                break
+            link = self.link_state(entry.src_agent, entry.dst_agent)
+            service_ns = self.params.per_packet_overhead + int(
+                round(entry.length * 8e9 / link.phy_rate)
+            )
+            self._queue.remove(entry)
+            self._depth[entry.src_agent] -= 1
+            self._trace(tx_start, MediumEventKind.TX_START, entry)
+            self._inflight = netsim._InFlight(entry, link.ber, tx_start, tx_start + service_ns)
+            self._busy_until = tx_start + service_ns
+        self._clock = window_end
+
+        return NetworkUpdate(
+            MsgType.END,
+            window_start,
+            clear_pkt_id=tuple(f.entry.pkt_id for f in cleared),
+            clear_src_ip=tuple(f.entry.src_ip for f in cleared),
+            clear_dst_ip=tuple(f.entry.dst_ip for f in cleared),
+            ber=tuple(f.ber for f in cleared),
+        )
+
+    @property
+    def queued_count(self):
+        return len(self._queue) + (1 if self._inflight else 0)
+
+    def _next_eligible(self):
+        best = None
+        for entry in self._queue:
+            link = self.link_state(entry.src_agent, entry.dst_agent)
+            if link is None or link.is_down:
+                continue
+            key = (entry.enqueued_at, entry.pkt_id)
+            if best is None or key < (best.enqueued_at, best.pkt_id):
+                best = entry
+        return best
+
+
+def random_channel(rng, n):
+    """Each pair up at a random range, down behind 60 dB of wall, or absent."""
+    positions = [(10.0 * i, 0.0, 0.0) for i in range(n)]
+    paths = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            fate = rng.random()
+            if fate < 0.45:
+                paths.append(PathDetails((i, j), True, (0,), ()))
+            elif fate < 0.85:
+                hop = (5.0 * (i + j), 0.0, 0.0, rng.choice((3.0, 60.0)))
+                paths.append(PathDetails((i, j), False, (1,), (hop,)))
+    return channel(positions, paths)
+
+
+def test_link_fifos_match_the_linear_scan():
+    ips = {i: f"10.0.1.{i + 1}" for i in range(4)}
+    params = RadioParams(queue_capacity=6)
+    for seed in range(12):
+        rng = random.Random(seed)
+        fifo = ReferenceNetSim(params, ips, trace_events=True)
+        scan = LinearScanNetSim(params, ips, trace_events=True)
+        next_id, t = 0, 0
+        for _ in range(150):
+            if rng.random() < 0.4:
+                cd = random_channel(rng, len(ips))
+                fifo.apply_channel(cd)
+                scan.apply_channel(cd)
+            entries = []
+            for _ in range(rng.choice((0, 0, 1, 2, 4, 8))):
+                src, dst = rng.sample(range(len(ips)), 2)
+                entries.append((next_id, rng.randint(40, 1500), ips[src], ips[dst]))
+                next_id += 1
+            if rng.random() < 0.3:
+                rng.shuffle(entries)  # ids out of order within the window
+            window_ns = rng.choice((0, W // 10, W, 3 * W))
+            msg = manifest(t, entries)
+            assert fifo.advance(t, window_ns, msg) == scan.advance(t, window_ns, msg)
+            assert fifo.queued_count == scan.queued_count
+            t += window_ns
+        assert fifo.dropped_ids == scan.dropped_ids
+        assert fifo.events == scan.events
+        assert fifo.cleared_total == scan.cleared_total > 0
 
 
 # -- socket-backed simulator ------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 from cosimnet import wire
 from cosimnet.phys_coord import (
     PhysCoordConfig,
-    PhysicsBackend,
     run_physics_coordinator,
     substep_schedule,
 )
@@ -60,12 +59,6 @@ def test_config_rejects_bad_ip():
         PhysCoordConfig(
             W, ChannelFidelity.los_nlos(), agent_address_map=((0, "10.0.0"),)
         )
-
-
-def test_socket_backend_needs_address():
-    with pytest.raises(ValueError, match="address"):
-        PhysicsBackend(PhysicsBackend.socket("h", 1).kind)
-    assert PhysicsBackend.socket("sim-host", 5000).address == ("sim-host", 5000)
 
 
 def flat_world():

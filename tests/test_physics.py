@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -473,3 +474,139 @@ def test_initial_agent_states_sorted_and_parked():
     assert [s.agent_id for s in states] == [0, 1]
     assert states[0].pose.position == (0.0, 0.0, 1.0)
     assert states[0].arc_position == 0.0
+
+
+# -- vector extraction against the scalar reference ---------------------------
+
+
+UNIT = Box((0, 0, 0), (1, 1, 1), penetration_loss=4.0)
+
+
+def assert_kernels_agree(boxes, positions):
+    """The vector kernel reproduces the scalar path exactly: repr tells
+    every float bit pattern apart, -0.0 from 0.0 included.  The kernel
+    must not raise floating-point warnings either."""
+    world = WorldModel(BOUNDS, tuple(boxes))
+    positions = [tuple(float(v) for v in p) for p in positions]
+    scalar = physics._los_paths_scalar(world, positions)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vector = physics._los_paths_vector(world, positions)
+    assert repr(vector) == repr(scalar)
+    return scalar
+
+
+def test_vector_kernel_without_boxes():
+    paths = assert_kernels_agree([], [(0, 0, 0), (5, 1, 2), (-3, 4, 0)])
+    assert all(p.los and p.num_hops == (0,) for p in paths)
+
+
+def test_vector_kernel_rejects_grazing_contact():
+    cases = [
+        ((-1, 1, 0.5), (2, 1, 0.5)),    # slides along the face y = 1
+        ((-1, 1, 1), (2, 1, 1)),        # slides along an edge
+        ((-1, -1, -1), (0, 0, 0)),      # ends on a corner
+        ((-1, 1, 1), (1, -1, 1)),       # crosses the top face on a diagonal
+        ((0.5, 0.5, 1), (0.5, 0.5, 3)),  # leaves from a face, outward
+    ]
+    for p0, p1 in cases:
+        (path,) = assert_kernels_agree([UNIT], [p0, p1])
+        assert path.los, (p0, p1)
+
+
+def test_vector_kernel_on_slab_planes():
+    cases = [
+        ((0, 0.5, 0.5), (3, 0.5, 0.5)),    # origin on the x = min plane, entering
+        ((1, 0.5, 0.5), (-3, 0.5, 0.5)),   # origin on x = max, t for the far plane is -0.0
+        ((0, 0.5, 0.5), (-3, 0.5, 0.5)),   # origin on x = min, leaving: zero-length
+        ((-2, 0, 0.5), (3, 0, 0.5)),       # flat y axis with its origin on y = min
+        ((-2, 1, 0.5), (3, 1, 0.5)),       # flat y axis with its origin on y = max
+        ((-2, 0.5, 0.5), (3, 0.5, 0.5)),   # flat y and z, inside both slabs
+        ((-2, 1.5, 0.5), (3, 1.5, 0.5)),   # flat y axis outside its slab
+        ((0.5, 0.5, 0.5), (0.5, 0.5, 0.7)),  # both ends inside, two flat axes
+        # t0 = max(0.0, -0.0) must stay +0.0: the entry's y is -0.0 + t0 * dy,
+        # flat y, then every axis sloped and the largest entry t -0.0
+        ((1, -0.0, 0.5), (-3, -0.0, 0.5)),
+        ((1, -0.0, 0.5), (-3, 0.3, 0.6)),
+    ]
+    straddling = Box((0, -1, 0), (1, 1, 1), penetration_loss=2.0)
+    for p0, p1 in cases:
+        assert_kernels_agree([UNIT, straddling], [p0, p1])
+
+
+def test_vector_kernel_coincident_agents_are_los():
+    # both agents strictly inside a box: a zero-length segment still crosses nothing
+    paths = assert_kernels_agree(
+        [UNIT], [(0.5, 0.5, 0.5), (0.5, 0.5, 0.5), (3, 0.5, 0.5)]
+    )
+    assert [p.los for p in paths] == [True, False, False]
+
+
+def test_vector_kernel_orders_tied_entries_by_box_index():
+    # both boxes are entered through the plane x = 1 at the same t
+    upper = Box((1, 0, 0), (2, 2, 2), penetration_loss=5.0)
+    inner = Box((1, 0.5, 0.5), (3, 1.5, 1.5), penetration_loss=9.0)
+    # face-sharing neighbours along the path, listed against the walk order
+    beyond = Box((3, 0.5, 0.5), (4, 1.5, 1.5), penetration_loss=2.0)
+    for boxes in ([upper, inner, beyond], [beyond, inner, upper]):
+        (path,) = assert_kernels_agree(boxes, [(0, 1, 1), (5, 1, 1)])
+        assert path.num_hops == (3,)
+        by_index = sorted((upper, inner), key=boxes.index)
+        assert [h[3] for h in path.hop_points] == [
+            b.penetration_loss for b in (*by_index, beyond)
+        ]
+
+
+def test_vector_kernel_keeps_hits_rounded_past_the_segment_end():
+    # a + (b - a) lands 4.7e-11 past b = 1e-3, inside a box that starts
+    # 1e-11 past b: the scalar test counts the hit, so the broad phase must
+    # not cut the box
+    box = Box((1e-3 + 1e-11, 0, 0), (1, 1, 1), penetration_loss=1.0)
+    (path,) = assert_kernels_agree([box], [(-1e6, 0.5, 0.5), (1e-3, 0.5, 0.5)])
+    assert not path.los
+
+
+def test_vector_kernel_matches_scalar_on_random_worlds():
+    rng = random.Random(2005)
+
+    def coord(lo, hi):
+        # grid values make shared planes, ties and grazing contact common
+        return float(rng.randint(lo, hi)) if rng.random() < 0.5 else rng.uniform(lo, hi)
+
+    for _ in range(300):
+        boxes = []
+        for _ in range(rng.randint(0, 40)):
+            lo = tuple(coord(-20, 15) for _ in range(3))
+            size = tuple(float(rng.randint(1, 6)) for _ in range(3))
+            boxes.append(Box(lo, tuple(a + s for a, s in zip(lo, size)), rng.uniform(0, 10)))
+        positions = [tuple(coord(-25, 25) for _ in range(3)) for _ in range(rng.randint(0, 9))]
+        if len(positions) > 2 and rng.random() < 0.3:
+            positions[2] = positions[0]
+        assert_kernels_agree(boxes, positions)
+
+
+def test_extraction_selects_the_path_by_pair_box_tests(monkeypatch):
+    calls = []
+    for name in ("_los_paths_scalar", "_los_paths_vector"):
+        kernel = getattr(physics, name)
+        monkeypatch.setattr(
+            physics, name,
+            lambda world, positions, kernel=kernel, name=name:
+                calls.append(name) or kernel(world, positions),
+        )
+    agents = two_agents((0, 0, 0), (30, 0, 0))
+    fid = ChannelFidelity.los_nlos()
+    for n_boxes, path in (
+        (physics.VECTOR_MIN_TESTS - 1, "_los_paths_scalar"),
+        (physics.VECTOR_MIN_TESTS, "_los_paths_vector"),
+    ):
+        boxes = tuple(
+            Box((1 + 0.1 * k, -1, -1), (1.05 + 0.1 * k, 1, 1), 1.0) for k in range(n_boxes)
+        )
+        calls.clear()
+        data = extract_channel_data(WorldModel(BOUNDS, boxes), agents, fid)
+        assert calls == [path]
+        assert data.path_details[0].num_hops == (n_boxes,)
+    calls.clear()
+    extract_channel_data(WorldModel(BOUNDS, boxes), agents, ChannelFidelity.disk(50.0))
+    assert calls == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,50 @@ def test_failed_run_leaves_a_flagged_partial_summary(tmp_path, monkeypatch):
     assert summary["partial"] is True
     assert "injected fault" in summary["error"]
     assert not (out / "rate.csv").exists()
+    counters = summary["counters"]
+    assert counters["windows_completed"] == 100
+    assert counters["captured_total"] >= counters["released_total"] > 0
+    assert counters["captured_total"] == (
+        counters["released_total"] + counters["expired_total"]
+        + counters["held_at_end"] + counters["pending_at_end"]
+    )
+    assert 100 <= counters["physics_extractions"] <= 101
+
+
+def test_physics_fault_ends_the_run_with_its_own_error(tmp_path, monkeypatch):
+    class ExplodingSim(scenario.ReferencePhysicsSim):
+        steps = 0
+
+        def step(self, dt_ns):
+            self.steps += 1
+            if self.steps == 50:
+                raise ValueError("injected physics fault")
+            super().step(dt_ns)
+
+    monkeypatch.setattr(scenario, "ReferencePhysicsSim", ExplodingSim)
+    config = load_scenario(
+        Path(scenario.__file__).parent / "scenarios" / "static_los_30m.json",
+        duration_ns=200_000_000,
+    )
+    out = tmp_path / "out"
+    outcome = {}
+
+    def target():
+        try:
+            run_scenario(config, out)
+        except Exception as exc:
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout=5)
+    assert not runner.is_alive(), "run_scenario hung after a physics fault"
+    assert isinstance(outcome.get("error"), ValueError)
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["partial"] is True
+    assert summary["error"] == "ValueError: injected physics fault"
+    assert 48 <= summary["counters"]["windows_completed"] <= 49
+    assert summary["counters"]["physics_extractions"] == 49
 
 
 def test_run_without_flows_is_quiet(tmp_path):
