@@ -2,9 +2,9 @@
 into per-window manifests, drives the network simulator, and releases
 cleared packets back to their destinations with bit errors applied.
 
-Pipeline for window t (inside the sync driver):
+Pipeline for window t (`NetworkCoordinator.simulate`):
 
-    apply channel from the physics END of window t-W
+    apply the channel snapshot the physics side took at the end of t-W
     build manifest: everything captured since the previous manifest
     advance the network simulator over [t, t+W)
     release clearances (BER, deliver, ledger), expire stale packets
@@ -13,6 +13,10 @@ Pipeline for window t (inside the sync driver):
 A packet captured while window t is being processed is stamped
 captured_at = t and can appear in the manifest for t+W at the earliest,
 so every delivered packet has delay >= W.
+
+In process, `scenario.run_scenario` passes each snapshot to `simulate` by
+reference.  Across processes, `run_network_coordinator` decodes it once
+from the peer's END message of the sync handshake.
 """
 
 from __future__ import annotations
@@ -185,7 +189,7 @@ class NetRunSummary:
 
 
 class NetworkCoordinator:
-    """Sync driver for the NETWORK_SIDE role; owns the capture pipeline.
+    """Network side of one window at a time; owns the capture pipeline.
 
     `app_tick(t)` runs once per window after release, so application
     responses to this window's deliveries are captured for the next
@@ -302,12 +306,15 @@ class NetworkCoordinator:
         return released
 
     def _expire(self, t: int) -> None:
+        # `_held` is in capture order (manifests move the pending FIFO in
+        # order and only release removes from the middle), so the stale
+        # packets are a prefix of it
         horizon = self.config.expiry_windows * self.config.window_ns
-        stale = [
-            pkt_id
-            for pkt_id, pkt in self._held.items()
-            if t - pkt.captured_at > horizon
-        ]
+        stale = []
+        for pkt_id, pkt in self._held.items():
+            if t - pkt.captured_at <= horizon:
+                break
+            stale.append(pkt_id)
         for pkt_id in stale:
             del self._held[pkt_id]
             self._expired_ids.add(pkt_id)
@@ -321,17 +328,18 @@ class NetworkCoordinator:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    # -- sync driver -------------------------------------------------------
+    # -- one window ----------------------------------------------------------
 
-    def simulate(self, t: int, window_ns: int, peer_end) -> NetworkUpdate:
+    def simulate(
+        self, t: int, window_ns: int, channel: wire.ChannelData | None
+    ) -> NetworkUpdate:
+        """Run window t against `channel`, the physics snapshot taken at the
+        end of window t-W (None in window zero: the links stay as they are)."""
         self.window_start = t
-        if peer_end is not None and peer_end.channel_data:
-            cd = wire.decode_channel_data(
-                wire.decompress_channel_blob(peer_end.channel_data)
-            )
-            self._netsim.apply_channel(cd)
+        if channel is not None:
+            self._netsim.apply_channel(channel)
             if self._on_channel is not None:
-                self._on_channel(t, cd)
+                self._on_channel(t, channel)
         manifest = self.build_manifest(t)
         end = self._netsim.advance(t, window_ns, manifest)
         self.release(end)
@@ -342,6 +350,38 @@ class NetworkCoordinator:
         if self._app_tick is not None:
             self._app_tick(t)
         return end
+
+    def summary(self, stats: RunStats) -> NetRunSummary:
+        return NetRunSummary(
+            windows_completed=stats.windows_completed,
+            captured_total=self.captured_total,
+            released_total=self.released_total,
+            released_bytes=self.released_bytes,
+            expired_total=self.expired_total,
+            rejected_total=self.rejected_total
+            + getattr(self._backend, "rejected_total", 0),
+            late_cleared_total=self.late_cleared_total,
+            held_at_end=self.held_count,
+            pending_at_end=self.pending_count,
+            ledger=self.ledger,
+            stats=stats,
+        )
+
+
+class _EndDecoder:
+    """Sync-peer driver: decodes the channel in the peer's END once, then
+    runs the coordinator's window on it."""
+
+    def __init__(self, coordinator: NetworkCoordinator):
+        self._coordinator = coordinator
+
+    def simulate(self, t: int, window_ns: int, peer_end) -> NetworkUpdate:
+        channel = None
+        if peer_end is not None and peer_end.channel_data:
+            channel = wire.decode_channel_data(
+                wire.decompress_channel_blob(peer_end.channel_data)
+            )
+        return self._coordinator.simulate(t, window_ns, channel)
 
 
 def run_network_coordinator(
@@ -365,33 +405,17 @@ def run_network_coordinator(
         )
     n_windows = duration_ns // config.window_ns
     coordinator = NetworkCoordinator(config, netsim, backend, app_tick, on_channel)
+    driver = _EndDecoder(coordinator)
     peer = SyncPeer(Role.NETWORK_SIDE, config.window_ns)
-
-    def summarize() -> NetRunSummary:
-        return NetRunSummary(
-            windows_completed=peer.stats.windows_completed,
-            captured_total=coordinator.captured_total,
-            released_total=coordinator.released_total,
-            released_bytes=coordinator.released_bytes,
-            expired_total=coordinator.expired_total,
-            rejected_total=coordinator.rejected_total
-            + getattr(backend, "rejected_total", 0),
-            late_cleared_total=coordinator.late_cleared_total,
-            held_at_end=coordinator.held_count,
-            pending_at_end=coordinator.pending_count,
-            ledger=coordinator.ledger,
-            stats=peer.stats,
-        )
-
     try:
         peer.start(link)
         for _ in range(n_windows):
-            peer.run_window(link, coordinator)
+            peer.run_window(link, driver)
         peer.shutdown(link)
     except Exception as exc:
-        exc.partial_summary = summarize()
+        exc.partial_summary = coordinator.summary(peer.stats)
         raise
-    return summarize()
+    return coordinator.summary(peer.stats)
 
 
 # ---------------------------------------------------------------------------

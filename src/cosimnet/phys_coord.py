@@ -1,10 +1,15 @@
 """Physics-side coordinator: owns a world simulator, steps it exactly one
-window per sync round, and ships the compressed channel snapshot on each
-END message.
+window at a time, and extracts the channel snapshot once per window.
 
-The snapshot attached to END(t) reflects agent state at t + W (the window
-just simulated); the network side applies it to its next window.  This
-one-window latency is inherent to the handshake and documented here once.
+`PhysicsStepper` is that per-window step, shared by both deployments.  In
+process, `scenario.run_scenario` hands each snapshot object to the network
+side as is.  Across processes, `run_physics_coordinator` encodes and
+compresses it into the END message of the sync handshake.
+
+The snapshot taken at the end of window t reflects agent state at t + W
+(the window just simulated); the network side applies it to its next
+window.  This one-window latency is inherent to the handshake and
+documented here once.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 from . import wire
 from .physics import ChannelFidelity, PhysicsSim
 from .sync import PeerLink, Role, RunStats, SyncPeer
-from .wire import MsgType, PhysicsUpdate
+from .wire import ChannelData, MsgType, PhysicsUpdate
 
 
 def substep_schedule(window_ns: int, substeps_per_window: int) -> list[int]:
@@ -64,23 +69,39 @@ class PhysRunSummary:
     stats: RunStats = field(default_factory=RunStats)
 
 
-class _WindowDriver:
-    """Per-window behaviour handed to the sync peer: run the substeps, then
-    extract and compress the channel once."""
+class PhysicsStepper:
+    """Runs one window's substeps, then extracts the channel once."""
 
-    def __init__(self, sim: PhysicsSim, fidelity: ChannelFidelity, schedule: list[int]):
+    def __init__(self, sim: PhysicsSim, config: PhysCoordConfig):
         self._sim = sim
-        self._fidelity = fidelity
-        self._schedule = schedule
+        self._fidelity = config.fidelity
+        self._schedule = substep_schedule(config.window_ns, config.substeps_per_window)
         self.extractions = 0
         self.agent_count = 0
 
-    def simulate(self, t: int, window_ns: int, peer_end) -> PhysicsUpdate:
+    def step_window(self) -> ChannelData:
         for dt in self._schedule:
             self._sim.step(dt)
         snapshot = self._sim.channel_snapshot(self._fidelity)
         self.extractions += 1
         self.agent_count = len(snapshot.node_list)
+        return snapshot
+
+    def summary(self, stats: RunStats) -> PhysRunSummary:
+        return PhysRunSummary(
+            stats.windows_completed, self.agent_count, self.extractions, stats
+        )
+
+
+class _EndEncoder:
+    """Sync-peer driver: each window's snapshot, encoded and compressed
+    into this side's END message."""
+
+    def __init__(self, stepper: PhysicsStepper):
+        self._stepper = stepper
+
+    def simulate(self, t: int, window_ns: int, peer_end) -> PhysicsUpdate:
+        snapshot = self._stepper.step_window()
         blob = wire.compress_channel_blob(wire.encode_channel_data(snapshot))
         return PhysicsUpdate(MsgType.END, t, blob)
 
@@ -102,8 +123,8 @@ def run_physics_coordinator(
             f"{config.window_ns} ns window"
         )
     n_windows = duration_ns // config.window_ns
-    schedule = substep_schedule(config.window_ns, config.substeps_per_window)
-    driver = _WindowDriver(sim, config.fidelity, schedule)
+    stepper = PhysicsStepper(sim, config)
+    driver = _EndEncoder(stepper)
     peer = SyncPeer(Role.PHYSICS_SIDE, config.window_ns)
     try:
         peer.start(link)
@@ -111,12 +132,6 @@ def run_physics_coordinator(
             peer.run_window(link, driver)
         peer.shutdown(link)
     except Exception as exc:
-        exc.partial_summary = PhysRunSummary(
-            peer.stats.windows_completed, driver.agent_count,
-            driver.extractions, peer.stats,
-        )
+        exc.partial_summary = stepper.summary(peer.stats)
         raise
-    return PhysRunSummary(
-        peer.stats.windows_completed, driver.agent_count,
-        driver.extractions, peer.stats,
-    )
+    return stepper.summary(peer.stats)

@@ -2,10 +2,12 @@
 
 A scenario is one strict JSON document describing the world, the agents
 (track plus network address), the radio, the traffic flows, and the
-metrics sampling.  `run_scenario` wires the physics coordinator and the
-network coordinator over an in-process link, runs them on two threads
-for the configured duration, then reduces the flow ledger to the CSV
-and JSON artifacts.  Every output byte is a function of (config, seed).
+metrics sampling.  `run_scenario` runs both sides in one loop on the
+calling thread: each window steps the physics side and extracts its
+channel snapshot, then runs the network side's window on the snapshot
+of the previous window, passed by reference.  It then reduces the flow
+ledger to the CSV and JSON artifacts.  Every output byte is a function
+of (config, seed).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import threading
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -28,9 +30,9 @@ from .metrics import (
     kde,
     smooth,
 )
-from .net_coord import InProcessBackend, NetCoordConfig, NetRunSummary, run_network_coordinator
+from .net_coord import InProcessBackend, NetCoordConfig, NetRunSummary, NetworkCoordinator
 from .netsim import RadioParams, ReferenceNetSim
-from .phys_coord import PhysCoordConfig, PhysRunSummary, run_physics_coordinator
+from .phys_coord import PhysCoordConfig, PhysicsStepper, PhysRunSummary
 from .physics import (
     AgentTrack,
     Box,
@@ -39,7 +41,7 @@ from .physics import (
     ReferencePhysicsSim,
     WorldModel,
 )
-from .sync import DEFAULT_WINDOW_NS, TransportError, queue_link_pair
+from .sync import DEFAULT_WINDOW_NS, RunStats
 
 ARTIFACT_NAMES = (
     "rate.csv",
@@ -468,7 +470,6 @@ def run_scenario(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    phys_link, net_link = queue_link_pair()
     sim = ReferencePhysicsSim(config.world, config.tracks)
     phys_cfg = PhysCoordConfig(
         config.window_ns, config.fidelity, agent_address_map=config.agent_address_map
@@ -482,46 +483,34 @@ def run_scenario(
     for flow_cfg in config.flows:
         host.add_flow(flow_cfg)
     timeline = _TimelineRecorder()
+    physics = PhysicsStepper(sim, phys_cfg)
+    coordinator = NetworkCoordinator(
+        net_cfg, netsim, backend, app_tick=host.tick, on_channel=timeline
+    )
 
-    phys_box: dict = {}
-
-    def physics_side():
-        try:
-            phys_box["summary"] = run_physics_coordinator(
-                phys_cfg, phys_link, config.duration_ns, sim
-            )
-        except Exception as exc:
-            phys_box["error"] = exc
-            # the network side is waiting in recv(); closing ends its run
-            phys_link.close()
-
-    thread = threading.Thread(target=physics_side, name="physics-coordinator")
-    thread.start()
-    net_error = None
+    # a window is completed once both sides have run it; its wall time
+    # covers both, and both summaries share these stats
+    stats = RunStats()
+    window_ns = config.window_ns
+    channel = None  # the snapshot taken at the end of the previous window
     try:
-        net_summary = run_network_coordinator(
-            net_cfg, net_link, netsim, backend, config.duration_ns,
-            app_tick=host.tick, on_channel=timeline,
-        )
+        for k in range(config.duration_ns // window_ns):
+            t0 = time.perf_counter()
+            snapshot = physics.step_window()
+            coordinator.simulate(k * window_ns, window_ns, channel)
+            channel = snapshot
+            stats.windows_completed += 1
+            stats.window_wall_seconds.append(time.perf_counter() - t0)
     except Exception as exc:
-        net_error = exc
-    finally:
-        net_link.close()
-        thread.join(timeout=30)
-    phys_error = phys_box.get("error")
-    if net_error is not None or phys_error is not None:
-        # a failing side closes its link, so the other side's TransportError
-        # only echoes the first failure
-        echo = net_error is None or isinstance(net_error, TransportError)
-        error = phys_error if phys_error is not None and echo else net_error
         _write_partial_summary(
-            out, config, error,
-            getattr(net_error, "partial_summary", None),
-            getattr(phys_error, "partial_summary", None),
+            out, config, exc, coordinator.summary(stats), physics.summary(stats)
         )
-        raise error
+        raise
 
-    result = _collect(config, out, host, timeline, net_summary, phys_box["summary"], netsim)
+    result = _collect(
+        config, out, host, timeline,
+        coordinator.summary(stats), physics.summary(stats), netsim,
+    )
     _write_artifacts(result, plots=plots)
     return result
 
@@ -632,23 +621,20 @@ def _write_partial_summary(
     out: Path,
     config: ScenarioConfig,
     error: Exception,
-    net: NetRunSummary | None,
-    phys: PhysRunSummary | None,
+    net: NetRunSummary,
+    phys: PhysRunSummary,
 ) -> None:
     """`run_summary.json` for a failed run: the error, plus the counters of
-    the full summary that each side's partial run still has."""
-    counters = {}
-    if net is not None:
-        counters.update(
-            windows_completed=net.windows_completed,
-            captured_total=net.captured_total,
-            released_total=net.released_total,
-            expired_total=net.expired_total,
-            held_at_end=net.held_at_end,
-            pending_at_end=net.pending_at_end,
-        )
-    if phys is not None:
-        counters["physics_extractions"] = phys.extractions
+    the full summary that both sides' partial runs still have."""
+    counters = {
+        "windows_completed": net.windows_completed,
+        "captured_total": net.captured_total,
+        "released_total": net.released_total,
+        "expired_total": net.expired_total,
+        "held_at_end": net.held_at_end,
+        "pending_at_end": net.pending_at_end,
+        "physics_extractions": phys.extractions,
+    }
     payload = {
         "partial": True,
         "error": f"{type(error).__name__}: {error}",

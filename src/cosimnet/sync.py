@@ -10,11 +10,17 @@ the peer END at the tail is what keeps both sides within the same window:
 neither peer can leave run_window until the other has finished simulating it.
 
 The peer END received for window t is handed to the NEXT window's simulate
-call as ``peer_payload``; channel data sampled at the end of window t is what
+call as ``peer_end``; channel data sampled at the end of window t is what
 the network side consumes while simulating window t + W.
 
 Message flow for N windows, per peer: one initial BEGIN plus one END and one
 BEGIN per window, 2N + 1 frames in total.
+
+This handshake is how two coordinators in separate processes stay in step:
+`SocketLink` carries it over a stream socket, and the wire codec frames
+every message.  A run with both sides in one process needs neither; it is
+one loop (`scenario.run_scenario`).  `QueueLink` joins two peers on
+threads of one process, which the tests use to exercise the protocol.
 """
 
 from __future__ import annotations
@@ -134,7 +140,7 @@ class SocketLink(PeerLink):
     def __init__(self, sock: socket.socket, timeout: float | None = None):
         self._sock = sock
         self._sock.settimeout(timeout)
-        self._buf = b""
+        self._buf = bytearray()
         self._closed = False
         self.sent_frames = 0
         self.received_frames = 0
@@ -152,8 +158,12 @@ class SocketLink(PeerLink):
         if self._closed:
             raise TransportError("recv on closed link")
         while True:
-            msg, self._buf = wire.decode_frame(self._buf)
-            if msg is not None:
+            # only the header is inspected until the whole frame is in, so
+            # each received byte is copied a bounded number of times
+            size = wire.frame_size(self._buf)
+            if size is not None and len(self._buf) >= size:
+                msg, _ = wire.decode_frame(bytes(self._buf[:size]))
+                del self._buf[:size]
                 self.received_frames += 1
                 return msg
             try:
@@ -188,26 +198,6 @@ class SocketLink(PeerLink):
         except OSError:
             pass
         self._sock.close()
-
-
-def tcp_listen_link(host: str, port: int, timeout: float | None = None) -> SocketLink:
-    """Accept a single inbound connection and wrap it as a link."""
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    srv.bind((host, port))
-    srv.listen(1)
-    try:
-        conn, _ = srv.accept()
-    finally:
-        srv.close()
-    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return SocketLink(conn, timeout)
-
-
-def tcp_connect_link(host: str, port: int, timeout: float | None = None) -> SocketLink:
-    sock = socket.create_connection((host, port), timeout=timeout)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return SocketLink(sock, timeout)
 
 
 @dataclass

@@ -562,6 +562,29 @@ def _decode_network_payload(payload: bytes) -> NetworkUpdate:
     return msg
 
 
+def frame_size(buf: bytes | bytearray) -> int | None:
+    """Total size of the frame at the start of ``buf``, from its header.
+
+    Returns None while the header is incomplete.  A header that can no
+    longer become valid (bad magic, even partial; oversized payload;
+    unknown tag) raises FrameError.
+    """
+    probe = min(len(buf), len(MAGIC))
+    if buf[:probe] != MAGIC[:probe]:
+        raise FrameError(f"bad magic {bytes(buf[:4])!r}, expected {MAGIC!r}")
+    if len(buf) < _HEADER.size:
+        return None
+    _, tag, length = _HEADER.unpack_from(buf)
+    if length > MAX_FRAME_PAYLOAD:
+        raise FrameError(
+            f"declared payload of {length} bytes exceeds the "
+            f"{MAX_FRAME_PAYLOAD} byte cap"
+        )
+    if tag not in (TAG_PHYSICS_UPDATE, TAG_NETWORK_UPDATE):
+        raise FrameError(f"unknown frame tag {tag:#04x}")
+    return _HEADER.size + length
+
+
 def decode_frame(buf: bytes) -> tuple[PhysicsUpdate | NetworkUpdate | None, bytes]:
     """Peel one frame off ``buf``.
 
@@ -570,26 +593,11 @@ def decode_frame(buf: bytes) -> tuple[PhysicsUpdate | NetworkUpdate | None, byte
     read more input and retry; structural problems raise FrameError and
     content problems raise InvariantViolation.
     """
-    probe = min(len(buf), len(MAGIC))
-    if buf[:probe] != MAGIC[:probe]:
-        raise FrameError(f"bad magic {buf[:4]!r}, expected {MAGIC!r}")
-    if len(buf) < _HEADER.size:
-        return None, buf
-    magic, tag, length = _HEADER.unpack_from(buf)
-    if magic != MAGIC:
-        raise FrameError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if length > MAX_FRAME_PAYLOAD:
-        raise FrameError(
-            f"declared payload of {length} bytes exceeds the "
-            f"{MAX_FRAME_PAYLOAD} byte cap"
-        )
-    if tag not in (TAG_PHYSICS_UPDATE, TAG_NETWORK_UPDATE):
-        raise FrameError(f"unknown frame tag {tag:#04x}")
-    end = _HEADER.size + length
-    if len(buf) < end:
+    end = frame_size(buf)
+    if end is None or len(buf) < end:
         return None, buf
     payload = buf[_HEADER.size : end]
-    if tag == TAG_PHYSICS_UPDATE:
+    if buf[len(MAGIC)] == TAG_PHYSICS_UPDATE:
         msg = _decode_physics_payload(payload)
     else:
         msg = _decode_network_payload(payload)

@@ -18,7 +18,7 @@ from cosimnet.flows import (
 )
 from cosimnet.net_coord import InProcessBackend, NetCoordConfig, NetworkCoordinator
 from cosimnet.netsim import RadioParams, ReferenceNetSim
-from cosimnet.wire import MsgType, PathDetails, PhysicsUpdate, Pose
+from cosimnet.wire import PathDetails, Pose
 from cosimnet import wire
 
 W = 10_000_000
@@ -27,15 +27,12 @@ AMAP = ((0, IPS[0]), (1, IPS[1]))
 NO_BER = RadioParams(ber_at_threshold=0.0)
 
 
-def channel_end(wall_loss=None):
+def channel(wall_loss=None):
     if wall_loss is None:
         pd = PathDetails((0, 1), True, (0,), ())
     else:
         pd = PathDetails((0, 1), False, (1,), ((0.5, 0.0, 0.0, wall_loss),))
-    cd = wire.ChannelData((Pose((0, 0, 0)), Pose((1.0, 0, 0))), (pd,))
-    return PhysicsUpdate(
-        MsgType.END, 0, wire.compress_channel_blob(wire.encode_channel_data(cd))
-    )
+    return wire.ChannelData((Pose((0, 0, 0)), Pose((1.0, 0, 0))), (pd,))
 
 
 # -- framing -------------------------------------------------------------------
@@ -164,9 +161,9 @@ def windowed_run(n_windows, flows, wall_loss=None, seed=0, params=NO_BER):
     for flow_cfg in flows:
         host.add_flow(flow_cfg)
     coord = NetworkCoordinator(cfg, sim, backend, app_tick=host.tick)
-    end = channel_end(wall_loss)
+    cd = channel(wall_loss)
     for k in range(n_windows):
-        coord.simulate(k * W, W, end if k else None)
+        coord.simulate(k * W, W, cd if k else None)
     return host, coord
 
 

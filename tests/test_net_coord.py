@@ -149,9 +149,9 @@ def test_app_tick_sends_ride_the_next_manifest():
     coord = NetworkCoordinator(
         cfg, sim, backend, app_tick=lambda t: ep.send(IPS[1], b"tick")
     )
-    end = channel_end(two_node_channel(1.0))
+    cd = two_node_channel(1.0)
     for k in range(4):
-        coord.simulate(k * W, W, end if k else None)
+        coord.simulate(k * W, W, cd if k else None)
     # the send during window k is listed one window later, never sooner
     assert [ids for _, ids in sim.manifests] == [(), (0,), (1,), (2,)]
 
@@ -284,6 +284,76 @@ def test_expired_packets_are_dropped_and_late_clearance_is_tolerated():
         coord.release(end)
 
 
+class FullScanCoordinator(NetworkCoordinator):
+    """Expiry as a scan of every held packet, as `_expire` did before it
+    stopped at the first packet that is not stale.  Kept as the oracle."""
+
+    def _expire(self, t):
+        horizon = self.config.expiry_windows * self.config.window_ns
+        stale = [
+            pkt_id
+            for pkt_id, pkt in self._held.items()
+            if t - pkt.captured_at > horizon
+        ]
+        for pkt_id in stale:
+            del self._held[pkt_id]
+            self._expired_ids.add(pkt_id)
+            self.expired_total += 1
+
+
+def expire_recording(coord, t):
+    """Run `coord._expire(t)`; returns the ids it expired, in held order."""
+    before = list(coord._held)
+    coord._expire(t)
+    return [pkt_id for pkt_id in before if pkt_id not in coord._held]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_expiry_from_the_oldest_end_matches_the_full_scan(seed):
+    rng = np.random.default_rng(seed)
+    cfg = config(3, expiry_windows=int(rng.integers(1, 5)))
+    pair = [
+        cls(cfg, ReferenceNetSim(NO_BER, dict(AMAP)), InProcessBackend(cfg.addresses))
+        for cls in (NetworkCoordinator, FullScanCoordinator)
+    ]
+    fast = pair[0]
+    route = {}  # pkt_id -> (src, dst)
+    expired = []  # ids given up on and not yet cleared late
+    for k in range(150):
+        t = k * W
+        for coord in pair:
+            coord.window_start = t
+        for _ in range(int(rng.integers(0, 4))):
+            src, dst = rng.choice(3, size=2, replace=False)
+            ids = {coord.capture(IPS[src], IPS[dst], b"x" * 8) for coord in pair}
+            (pkt_id,) = ids
+            route[pkt_id] = (IPS[src], IPS[dst])
+        for coord in pair:
+            coord.build_manifest(t)
+        # clear a random share of held packets, and now and then one that
+        # already expired, out of capture order
+        held = list(fast._held)
+        cleared = [i for i in held if rng.random() < 0.15]
+        cleared += [i for i in expired if rng.random() < 0.3]
+        rng.shuffle(cleared)
+        end = NetworkUpdate(
+            MsgType.END, t, clear_pkt_id=tuple(cleared),
+            clear_src_ip=tuple(route[i][0] for i in cleared),
+            clear_dst_ip=tuple(route[i][1] for i in cleared),
+            ber=(0.0,) * len(cleared),
+        )
+        for coord in pair:
+            coord.release(end)
+        expired = [i for i in expired if i not in cleared]
+        gone = [expire_recording(coord, t) for coord in pair]
+        assert gone[0] == gone[1], (seed, k)
+        expired += gone[0]
+        assert list(pair[0]._held) == list(pair[1]._held)
+    for name in ("expired_total", "late_cleared_total", "released_total"):
+        assert getattr(pair[0], name) == getattr(pair[1], name), name
+    assert fast.expired_total > 0 and fast.late_cleared_total > 0
+
+
 # -- single-window round trip ---------------------------------------------------
 
 
@@ -291,7 +361,7 @@ def test_packet_is_released_the_window_after_capture():
     coord, _, backend = rig()
     coord.simulate(0, W, None)
     pkt_id = coord.capture(IPS[0], IPS[1], b"payload-123")
-    end = coord.simulate(W, W, channel_end(two_node_channel(1.0)))
+    end = coord.simulate(W, W, two_node_channel(1.0))
     assert end.clear_pkt_id == (pkt_id,)
     assert backend.receive(IPS[1]) == b"payload-123"
     record = coord.ledger[0]

@@ -406,6 +406,46 @@ def test_physics_fault_ends_the_run_with_its_own_error(tmp_path, monkeypatch):
     assert summary["counters"]["physics_extractions"] == 49
 
 
+def test_app_tick_fault_ends_the_run_with_its_own_error(tmp_path, monkeypatch):
+    class ExplodingHost(scenario.FlowHost):
+        def tick(self, t):
+            if t == 50 * DEFAULT_WINDOW_NS:
+                raise RuntimeError("injected app fault")
+            super().tick(t)
+
+    monkeypatch.setattr(scenario, "FlowHost", ExplodingHost)
+    config = load_scenario(
+        Path(scenario.__file__).parent / "scenarios" / "static_los_30m.json",
+        duration_ns=200_000_000,
+    )
+    out = tmp_path / "out"
+    outcome = {}
+
+    def target():
+        try:
+            run_scenario(config, out)
+        except Exception as exc:
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout=5)
+    assert not runner.is_alive(), "run_scenario hung after an app fault"
+    assert isinstance(outcome.get("error"), RuntimeError)
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["partial"] is True
+    assert summary["error"] == "RuntimeError: injected app fault"
+    counters = summary["counters"]
+    # window 50 failed in the network side's tick, after its physics step
+    assert counters["windows_completed"] == 50
+    assert counters["physics_extractions"] == 51
+    assert counters["captured_total"] >= counters["released_total"] > 0
+    assert counters["captured_total"] == (
+        counters["released_total"] + counters["expired_total"]
+        + counters["held_at_end"] + counters["pending_at_end"]
+    )
+
+
 def test_run_without_flows_is_quiet(tmp_path):
     result = run(tmp_path, doc(flows=[], duration_ns=100_000_000))
     assert result.deliveries == []

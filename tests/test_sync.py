@@ -11,6 +11,7 @@ import time
 import pytest
 
 from cosimnet import sync, wire
+from tests import msggen
 from cosimnet.sync import (
     DesyncError,
     PeerState,
@@ -301,3 +302,79 @@ def test_end_payload_reaches_report():
     results, _, _ = run_pair(n, phys_driver=PayloadDriver())
     _, net_driver = results["net"]
     assert net_driver.calls[1][2].channel_data == blob
+
+
+# -- SocketLink receive buffer ------------------------------------------------------
+
+
+class OneByteSocket:
+    """A connected socket whose every recv returns at most one byte."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def recv(self, bufsize):
+        return self._sock.recv(1)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def sample_messages(seed=0, count=12):
+    rng = random.Random(seed)
+    return [msggen.random_message(rng, max_agents=6) for _ in range(count)]
+
+
+def receive_all(link, count):
+    got = [link.recv() for _ in range(count)]
+    assert len(link._buf) == 0  # every byte belonged to a frame
+    return got
+
+
+def test_socket_link_reassembles_frames_arriving_a_byte_at_a_time():
+    sock_a, sock_b = socket.socketpair()
+    sender = sync.SocketLink(sock_a, timeout=30)
+    receiver = sync.SocketLink(OneByteSocket(sock_b), timeout=30)
+    msgs = sample_messages()
+    for msg in msgs:
+        sender.send(msg)
+    assert receive_all(receiver, len(msgs)) == msgs
+    assert receiver.received_frames == len(msgs)
+
+
+def test_socket_link_splits_several_frames_from_one_write():
+    sock_a, sock_b = socket.socketpair()
+    receiver = sync.SocketLink(sock_b, timeout=30)
+    msgs = sample_messages(seed=1)
+    sock_a.sendall(b"".join(wire.encode_frame(m) for m in msgs))
+    assert receive_all(receiver, len(msgs)) == msgs
+
+
+def test_socket_link_carries_a_megabyte_physics_update():
+    rng = random.Random(2)
+    # random doubles hardly compress, so 40k hops make a blob over 1 MB
+    hops = tuple(
+        (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3), rng.uniform(0, 50),
+         rng.uniform(0, 40))
+        for _ in range(40_000)
+    )
+    cd = wire.ChannelData(
+        (wire.Pose((0, 0, 0)), wire.Pose((1, 0, 0))),
+        (wire.PathDetails((0, 1), False, (len(hops),), hops),),
+    )
+    big = PhysicsUpdate(
+        MsgType.END, 7 * W, wire.compress_channel_blob(wire.encode_channel_data(cd))
+    )
+    assert len(big.channel_data) > 1_000_000
+    msgs = [PhysicsUpdate(MsgType.BEGIN, 7 * W), big, PhysicsUpdate(MsgType.BEGIN, 8 * W)]
+    sock_a, sock_b = socket.socketpair()
+    sender = sync.SocketLink(sock_a, timeout=30)
+    receiver = sync.SocketLink(sock_b, timeout=30)
+    writer = threading.Thread(target=lambda: [sender.send(m) for m in msgs])
+    writer.start()
+    try:
+        got = receive_all(receiver, len(msgs))
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert got == msgs
