@@ -107,7 +107,7 @@ class DataFlow:
     unacked: dict = field(default_factory=dict)  # seq -> last sent, ns
     first_sent: dict = field(default_factory=dict)
     rcv_next: int = 0  # receiver's next in-order seq
-    seen: set = field(default_factory=set)
+    seen: set = field(default_factory=set)  # out-of-order seqs above rcv_next
     deliveries: list[FlowDelivery] = field(default_factory=list)
     sent_total: int = 0
     retransmit_total: int = 0
@@ -117,7 +117,9 @@ class DataFlow:
     acks_sent: int = 0
 
     def on_data(self, seq: int, t: int) -> None:
-        if seq in self.seen:
+        # everything below rcv_next has arrived, so `seen` keeps only the
+        # seqs that arrived out of order, fewer than arq_window of them
+        if seq < self.rcv_next or seq in self.seen:
             self.duplicate_total += 1
         else:
             self.seen.add(seq)
@@ -125,6 +127,7 @@ class DataFlow:
             first = self.first_sent.pop(seq, t)
             self.deliveries.append(FlowDelivery(seq, first, t))
             while self.rcv_next in self.seen:
+                self.seen.discard(self.rcv_next)
                 self.rcv_next += 1
         # acknowledge duplicates too: the previous ack may have corrupted
         self._dst_ep.send(self.config.src, encode_ack(self.flow_id, self.rcv_next))

@@ -158,19 +158,33 @@ def apply_ber(payload: bytes, ber: float, rng: np.random.Generator) -> bytes:
     """Flip each bit independently with probability ber.
 
     ber 0 and 1 take exact shortcuts (identity / complement) and consume
-    no randomness; fractional rates draw one uniform per bit from the
-    run-seeded generator, so delivery is reproducible per seed.
+    no randomness.  A fractional rate draws the number of flipped bits
+    from Binomial(n_bits, ber), then that many distinct positions
+    uniformly at random: the same distribution as one Bernoulli(ber) per
+    bit (Devroye 1986, ch. X), at a cost that follows the flips, not the
+    payload.  Draws come from the run-seeded generator, so delivery is
+    reproducible per seed.
     """
     if not 0.0 <= ber <= 1.0:
         raise ValueError(f"ber must be in [0, 1], got {ber}")
     if ber == 0.0 or not payload:
         return bytes(payload)
-    data = np.frombuffer(payload, dtype=np.uint8)
     if ber == 1.0:
-        return np.bitwise_not(data).tobytes()
-    bits = np.unpackbits(data)
-    flips = rng.random(bits.shape[0]) < ber
-    return np.packbits(np.bitwise_xor(bits, flips)).tobytes()
+        return np.bitwise_not(np.frombuffer(payload, dtype=np.uint8)).tobytes()
+    n_bits = len(payload) * 8
+    k = int(rng.binomial(n_bits, ber))
+    if k == 0:
+        return bytes(payload)
+    # draw with replacement and top up until k positions are distinct: the
+    # procedure treats every position alike, so the set is uniform over
+    # the k-subsets
+    positions: set[int] = set()
+    while len(positions) < k:
+        positions.update(rng.integers(n_bits, size=k - len(positions)).tolist())
+    out = bytearray(payload)
+    for pos in positions:
+        out[pos >> 3] ^= 0x80 >> (pos & 7)
+    return bytes(out)
 
 
 @dataclass

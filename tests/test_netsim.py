@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import threading
 
 import pytest
 
-from cosimnet import netsim
+from cosimnet import netsim, wire
 from cosimnet.netsim import (
     MalformedChannelError,
     MalformedManifestError,
@@ -27,6 +28,7 @@ from cosimnet.wire import (
     PathDetails,
     Pose,
 )
+from tests import msggen
 
 W = 10_000_000  # 10 ms
 IP = {0: "10.0.0.1", 1: "10.0.0.2", 2: "10.0.0.3"}
@@ -362,6 +364,104 @@ def test_ragged_manifest_rejected():
                         src_ip=(IP[0],), dst_ip=(IP[1],))
     with pytest.raises(MalformedManifestError):
         sim.advance(0, W, bad)
+
+
+def wire_checked_validate_manifest(sim, manifest, window_start, window_ns):
+    """`_validate_manifest` as it was when it ran the full wire check on
+    every manifest, kept as the oracle of the checks that replaced it."""
+    if not isinstance(manifest, NetworkUpdate):
+        raise MalformedManifestError("not a NetworkUpdate")
+    if manifest.msg_type is not MsgType.BEGIN:
+        raise MalformedManifestError("manifest must be a BEGIN message")
+    if manifest.time_val != window_start:
+        raise MalformedManifestError("window starts elsewhere")
+    if window_ns < 0:
+        raise MalformedManifestError("negative window")
+    if window_start < sim._clock:
+        raise MalformedManifestError("overlaps")
+    if manifest.clear_pkt_id or manifest.clear_src_ip or manifest.clear_dst_ip or manifest.ber:
+        raise MalformedManifestError("manifest must not carry clearance fields")
+    try:
+        wire.validate_network_update(manifest)
+    except wire.InvariantViolation as exc:
+        raise MalformedManifestError(str(exc)) from exc
+    for pkt_id, length, src_ip, dst_ip in zip(
+        manifest.pkt_id, manifest.pkt_lengths, manifest.src_ip, manifest.dst_ip
+    ):
+        if pkt_id in sim._seen_ids:
+            raise MalformedManifestError("already submitted")
+        if length < 1:
+            raise MalformedManifestError("empty payload")
+        for ip in (src_ip, dst_ip):
+            if ip not in sim._agent_of_ip:
+                raise MalformedManifestError("not a configured agent")
+        if sim._agent_of_ip[src_ip] == sim._agent_of_ip[dst_ip]:
+            raise MalformedManifestError("self-addressed")
+
+
+def rejects(check, *args) -> bool:
+    try:
+        check(*args)
+    except MalformedManifestError:
+        return True
+    return False
+
+
+def manifest_corpus():
+    """(address map, ids already submitted, manifest) cases: random wire
+    messages as they come, the same turned into BEGINs over their own
+    addresses, and those BEGINs broken one way each, in turn."""
+    breakers = [
+        lambda m: dataclasses.replace(m, pkt_id=(m.pkt_id[0],) * len(m.pkt_id)),
+        lambda m: dataclasses.replace(m, pkt_id=(2**64,) + m.pkt_id[1:]),
+        lambda m: dataclasses.replace(m, pkt_id=(-1,) + m.pkt_id[1:]),
+        lambda m: dataclasses.replace(m, pkt_lengths=(2**32,) + m.pkt_lengths[1:]),
+        lambda m: dataclasses.replace(m, pkt_lengths=(2**32 - 1,) + m.pkt_lengths[1:]),
+        lambda m: dataclasses.replace(m, pkt_lengths=(0,) + m.pkt_lengths[1:]),
+        lambda m: dataclasses.replace(m, pkt_lengths=m.pkt_lengths[1:]),
+        lambda m: dataclasses.replace(m, pkt_id=m.pkt_id[1:]),
+        lambda m: dataclasses.replace(m, src_ip=m.src_ip + ("10.0.0.1",)),
+        lambda m: dataclasses.replace(m, dst_ip=m.dst_ip[1:]),
+        lambda m: dataclasses.replace(m, dst_ip=("10.0.0.256",) + m.dst_ip[1:]),
+        lambda m: dataclasses.replace(m, src_ip=("::1",) + m.src_ip[1:]),
+        lambda m: dataclasses.replace(m, dst_ip=m.src_ip),
+        lambda m: dataclasses.replace(m, dst_ip=("10.255.255.255",) + m.dst_ip[1:]),
+        lambda m: dataclasses.replace(m, time_val=2**64),
+    ]
+    rng = random.Random(2024)
+    for k in range(300):
+        msg = msggen.random_network_update(rng)
+        addresses = sorted(set(msg.src_ip + msg.dst_ip + msg.clear_src_ip + msg.clear_dst_ip))
+        amap = {i: ip for i, ip in enumerate(addresses)}
+        seen = {msg.pkt_id[-1]} if msg.pkt_id and rng.random() < 0.2 else set()
+        yield amap, seen, msg
+        begin = dataclasses.replace(
+            msg, msg_type=MsgType.BEGIN,
+            clear_pkt_id=(), clear_src_ip=(), clear_dst_ip=(), ber=(),
+        )
+        yield amap, seen, begin
+        if begin.pkt_id:
+            yield amap, seen, breakers[k % len(breakers)](begin)
+
+
+def test_manifest_checks_reject_exactly_what_the_wire_check_rejected():
+    accepted = rejected = 0
+    for amap, seen, msg in manifest_corpus():
+        sim = ReferenceNetSim(DEFAULTS, amap)
+        sim._seen_ids |= seen
+        window_start = msg.time_val
+        new = rejects(sim._validate_manifest, msg, window_start, W)
+        old = rejects(wire_checked_validate_manifest, sim, msg, window_start, W)
+        assert new == old, msg
+        accepted += not new
+        rejected += new
+    assert accepted > 100 and rejected > 300
+
+
+@pytest.mark.parametrize("bad", ["not-an-ip", "10.0.0.256", "::1", "", 167772161, None])
+def test_address_map_must_hold_ipv4_strings(bad):
+    with pytest.raises(ValueError, match="IPv4"):
+        ReferenceNetSim(DEFAULTS, {0: IP[0], 1: bad})
 
 
 def test_packet_conservation_under_random_traffic():
