@@ -21,7 +21,6 @@ from the peer's END message of the sync handshake.
 
 from __future__ import annotations
 
-import ipaddress
 import socket
 from collections import deque
 from dataclasses import dataclass, field
@@ -71,19 +70,9 @@ class NetCoordConfig:
             raise ValueError(f"window must be > 0 ns, got {self.window_ns}")
         if self.expiry_windows < 1:
             raise ValueError("expiry_windows must be >= 1")
-        amap = tuple((int(a), str(ip)) for a, ip in self.agent_address_map)
-        object.__setattr__(self, "agent_address_map", amap)
-        ids = [a for a, _ in amap]
-        ips = [ip for _, ip in amap]
-        if len(set(ids)) != len(ids):
-            raise ValueError("agent_address_map repeats an agent id")
-        if len(set(ips)) != len(ips):
-            raise ValueError("agent_address_map repeats an address")
-        for ip in ips:
-            try:
-                ipaddress.IPv4Address(ip)
-            except ValueError:
-                raise ValueError(f"bad IPv4 address {ip!r} in agent_address_map") from None
+        object.__setattr__(
+            self, "agent_address_map", wire.checked_address_map(self.agent_address_map)
+        )
 
     @property
     def addresses(self) -> tuple[str, ...]:

@@ -25,6 +25,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Mapping, Protocol
 
 from . import wire
@@ -39,6 +40,8 @@ BER_CEILING = 0.5
 
 _U32 = 2**32
 _U64 = 2**64
+
+_HOP_LOSS = itemgetter(3)  # penetration loss of an (x, y, z, loss) hop
 
 DEFAULT_MCS_TABLE = (
     (5.0, 6.5e6),
@@ -142,6 +145,55 @@ class MediumEvent:
     dst: str
 
 
+def _link_budget(params: RadioParams):
+    """The radio model of `params` as a function of one pair's distance and
+    wall loss, with the constants read once.
+
+    It returns ``(phy_rate, ber, distance, wall_loss, path_loss, snr)``.
+    Every value comes from the same float operations in the same order as
+    the plain formulas, so it is bit-identical to them: ``max`` is written
+    as the comparison ``max`` makes, and the MCS is the last threshold at
+    or below the SNR.
+    """
+    ref = params.ref_distance
+    pl0 = params.pl0
+    slope = 10.0 * params.path_loss_exponent
+    tx_power = params.tx_power
+    noise_floor = params.noise_floor
+    thresholds = tuple(t for t, _ in params.mcs_table)
+    rates = tuple(r for _, r in params.mcs_table)
+    lowest = thresholds[0]
+    ber_at_threshold = params.ber_at_threshold
+    decade = params.ber_decade_per_db
+    log10 = math.log10
+    bisect_right = bisect.bisect_right
+
+    def budget(distance: float, wall_loss: float) -> tuple:
+        d = ref if ref > distance else distance
+        path_loss = pl0 + slope * log10(d / ref) + wall_loss
+        snr = tx_power - path_loss - noise_floor
+        if not snr >= lowest:  # a NaN SNR is down too
+            return None, BER_CEILING, distance, wall_loss, path_loss, snr
+        k = bisect_right(thresholds, snr) - 1
+        raw = ber_at_threshold * 10.0 ** (-(snr - thresholds[k]) / decade)
+        if raw == 0.0:
+            ber = 0.0
+        elif BER_FLOOR > raw:
+            ber = BER_FLOOR
+        elif raw > BER_CEILING:
+            ber = BER_CEILING
+        else:
+            ber = raw
+        return rates[k], ber, distance, wall_loss, path_loss, snr
+
+    return budget
+
+
+def _as_link_state(pair: tuple[int, int], budget: tuple) -> LinkState:
+    rate, ber, distance, wall_loss, path_loss, snr = budget
+    return LinkState(pair, distance, wall_loss, path_loss, snr, rate, ber)
+
+
 def compute_link_state(
     params: RadioParams, pair: tuple[int, int], distance: float, wall_loss: float
 ) -> LinkState:
@@ -150,25 +202,7 @@ def compute_link_state(
     Distances inside the reference distance saturate at pl0: the model has
     no near-field behaviour.
     """
-    d = max(distance, params.ref_distance)
-    path_loss = (
-        params.pl0
-        + 10.0 * params.path_loss_exponent * math.log10(d / params.ref_distance)
-        + wall_loss
-    )
-    snr = params.tx_power - path_loss - params.noise_floor
-    selected = None
-    for threshold, rate in params.mcs_table:
-        if snr >= threshold:
-            selected = (threshold, rate)
-        else:
-            break
-    if selected is None:
-        return LinkState(pair, distance, wall_loss, path_loss, snr, None, BER_CEILING)
-    threshold, rate = selected
-    raw = params.ber_at_threshold * 10.0 ** (-(snr - threshold) / params.ber_decade_per_db)
-    ber = 0.0 if raw == 0.0 else min(max(raw, BER_FLOOR), BER_CEILING)
-    return LinkState(pair, distance, wall_loss, path_loss, snr, rate, ber)
+    return _as_link_state(pair, _link_budget(params)(distance, wall_loss))
 
 
 @dataclass
@@ -230,7 +264,11 @@ class ReferenceNetSim:
             if ip in self._agent_of_ip:
                 raise ValueError(f"address {ip} mapped to two agents")
             self._agent_of_ip[ip] = int(agent_id)
-        self._links: dict[tuple[int, int], LinkState] = {}
+        self._budget = _link_budget(params)
+        # (i, j), i < j -> (phy_rate, ber, distance, wall_loss, path_loss, snr)
+        self._links: dict[tuple[int, int], tuple] = {}
+        # LinkState objects handed out since the last channel update
+        self._states: dict[tuple[int, int], LinkState] = {}
         # (src, dst) -> packets in (enqueued_at, pkt_id) order; no empty FIFOs
         self._fifos: dict[tuple[int, int], deque[_Queued]] = {}
         self._depth: dict[int, int] = {}
@@ -251,20 +289,34 @@ class ReferenceNetSim:
         except wire.InvariantViolation as exc:
             raise MalformedChannelError(str(exc)) from exc
         positions = [pose.position for pose in cd.node_list]
-        links: dict[tuple[int, int], LinkState] = {}
+        budget = self._budget
+        dist = math.dist
+        links = {}
         for pd in cd.path_details:
             i, j = pd.ids
-            distance = math.dist(positions[i], positions[j])
             if pd.los:
                 wall_loss = 0.0
             else:
                 first_path_hops = pd.num_hops[0] if pd.num_hops else 0
-                wall_loss = sum(h[3] for h in pd.hop_points[:first_path_hops])
-            links[(i, j)] = compute_link_state(self.params, (i, j), distance, wall_loss)
+                wall_loss = sum(map(_HOP_LOSS, pd.hop_points[:first_path_hops]))
+            links[pd.ids if i < j else (j, i)] = budget(
+                dist(positions[i], positions[j]), wall_loss
+            )
         self._links = links
+        self._states = {}
 
     def link_state(self, a: int, b: int) -> LinkState | None:
-        return self._links.get((min(a, b), max(a, b)))
+        """Radio state of the unordered pair (a, b) under the last channel
+        update, or None if that update did not list the pair.  Both orders
+        give the same object until the next update."""
+        pair = (a, b) if a < b else (b, a)
+        state = self._states.get(pair)
+        if state is None:
+            budget = self._links.get(pair)
+            if budget is None:
+                return None
+            state = self._states[pair] = _as_link_state(pair, budget)
+        return state
 
     # -- event loop --------------------------------------------------------
 
@@ -309,17 +361,18 @@ class ReferenceNetSim:
             entry = self._next_eligible()
             if entry is None:
                 break
-            link = self.link_state(entry.src_agent, entry.dst_agent)
+            src, dst = entry.src_agent, entry.dst_agent
+            phy_rate, ber = self._links[(src, dst) if src < dst else (dst, src)][:2]
             service_ns = self.params.per_packet_overhead + int(
-                round(entry.length * 8e9 / link.phy_rate)
+                round(entry.length * 8e9 / phy_rate)
             )
-            fifo = self._fifos[(entry.src_agent, entry.dst_agent)]
+            fifo = self._fifos[(src, dst)]
             fifo.popleft()
             if not fifo:
-                del self._fifos[(entry.src_agent, entry.dst_agent)]
-            self._depth[entry.src_agent] -= 1
+                del self._fifos[(src, dst)]
+            self._depth[src] -= 1
             self._trace(tx_start, MediumEventKind.TX_START, entry)
-            self._inflight = _InFlight(entry, link.ber, tx_start, tx_start + service_ns)
+            self._inflight = _InFlight(entry, ber, tx_start, tx_start + service_ns)
             self._busy_until = tx_start + service_ns
         self._clock = window_end
 
@@ -345,7 +398,7 @@ class ReferenceNetSim:
             if best is not None and _key(head) > _key(best):
                 continue
             link = self._links.get((src, dst) if src < dst else (dst, src))
-            if link is None or link.is_down:
+            if link is None or link[0] is None:
                 continue
             best = head
         return best

@@ -14,7 +14,6 @@ documented here once.
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass, field
 
 from . import wire
@@ -46,19 +45,9 @@ class PhysCoordConfig:
 
     def __post_init__(self):
         substep_schedule(self.window_ns, self.substeps_per_window)
-        amap = tuple((int(a), str(ip)) for a, ip in self.agent_address_map)
-        object.__setattr__(self, "agent_address_map", amap)
-        ids = [a for a, _ in amap]
-        ips = [ip for _, ip in amap]
-        if len(set(ids)) != len(ids):
-            raise ValueError("agent_address_map repeats an agent id")
-        if len(set(ips)) != len(ips):
-            raise ValueError("agent_address_map repeats an address")
-        for ip in ips:
-            try:
-                ipaddress.IPv4Address(ip)
-            except ValueError:
-                raise ValueError(f"bad IPv4 address {ip!r} in agent_address_map") from None
+        object.__setattr__(
+            self, "agent_address_map", wire.checked_address_map(self.agent_address_map)
+        )
 
 
 @dataclass

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import wire
 from .flows import FlowConfig, FlowHost
 from .metrics import (
     Histogram,
@@ -341,9 +342,8 @@ def parse_scenario(
         seed=seed,
         metrics=metrics,
     )
-    try:  # reuse the coordinator validations (bijection, IPv4 syntax)
-        NetCoordConfig(window_ns, address_map, seed=seed)
-        PhysCoordConfig(window_ns, fidelity, agent_address_map=address_map)
+    try:  # the coordinators' address-map check (bijection, IPv4 syntax)
+        wire.checked_address_map(address_map)
     except ValueError as exc:
         raise ConfigError("agents", str(exc)) from None
     return config

@@ -121,6 +121,24 @@ class PathDetails:
             tuple((float(x), float(y), float(z), float(l)) for x, y, z, l in self.hop_points),
         )
 
+    @classmethod
+    def _trusted(
+        cls,
+        ids: tuple[int, int],
+        los: bool,
+        num_hops: tuple[int, ...],
+        hop_points: tuple[tuple[float, float, float, float], ...],
+    ) -> "PathDetails":
+        """Build from fields that already have the types `__post_init__`
+        gives them: Python ints, a bool, tuples and 4-tuples of Python
+        floats.  For producers that build them so, it skips the conversion."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "los", los)
+        object.__setattr__(self, "num_hops", num_hops)
+        object.__setattr__(self, "hop_points", hop_points)
+        return self
+
 
 @dataclass(frozen=True)
 class ChannelData:
@@ -201,6 +219,24 @@ def _check_ipv4(addr: str, what: str) -> None:
         raise InvariantViolation(f"{what}: {addr!r} is not an IPv4 address") from None
 
 
+def checked_address_map(entries) -> tuple[tuple[int, str], ...]:
+    """`(agent id, IPv4 address)` pairs as ints and strings; raises
+    ValueError on a repeated id or address or a malformed address."""
+    amap = tuple((int(a), str(ip)) for a, ip in entries)
+    ids = [a for a, _ in amap]
+    ips = [ip for _, ip in amap]
+    if len(set(ids)) != len(ids):
+        raise ValueError("agent_address_map repeats an agent id")
+    if len(set(ips)) != len(ips):
+        raise ValueError("agent_address_map repeats an address")
+    for ip in ips:
+        try:
+            ipaddress.IPv4Address(ip)
+        except ValueError:
+            raise ValueError(f"bad IPv4 address {ip!r} in agent_address_map") from None
+    return amap
+
+
 def validate_pose(pose: Pose, what: str = "Pose") -> None:
     for v in pose.position:
         if not math.isfinite(v):
@@ -216,48 +252,82 @@ def validate_pose(pose: Pose, what: str = "Pose") -> None:
         )
 
 
+# A squared quaternion norm in this range puts the norm within 5e-7 of 1,
+# inside QUATERNION_NORM_TOL whatever the rounding of the sum of squares.
+_NORM2_SURE = (1.0 - QUATERNION_NORM_TOL, 1.0 + QUATERNION_NORM_TOL)
+
+
 def validate_channel_data(cd: ChannelData) -> None:
-    for i, pose in enumerate(cd.node_list):
-        validate_pose(pose, f"ChannelData.node_list[{i}]")
-    if len(cd.node_list) < 2 and cd.path_details:
+    """Raise InvariantViolation, naming the first bad field, unless `cd` is
+    well formed.
+
+    One pass over the data with no string work on valid input; a pose that
+    the quick test does not pass goes to `validate_pose` for the verdict.
+    A finite sum of components means every component is finite.
+    """
+    isfinite = math.isfinite
+    norm2_lo, norm2_hi = _NORM2_SURE
+    nodes = cd.node_list
+    for i, pose in enumerate(nodes):
+        x, y, z = pose.position
+        qx, qy, qz, qw = pose.orientation
+        norm2 = qx * qx + qy * qy + qz * qz + qw * qw
+        if not (isfinite(x + y + z) and norm2_lo <= norm2 <= norm2_hi):
+            validate_pose(pose, f"ChannelData.node_list[{i}]")
+    n = len(nodes)
+    if n < 2 and cd.path_details:
         raise InvariantViolation(
             "ChannelData.path_details: must be empty with fewer than two agents"
         )
     seen_pairs = set()
-    n = len(cd.node_list)
+    add_pair = seen_pairs.add
     for k, pd in enumerate(cd.path_details):
-        what = f"ChannelData.path_details[{k}]"
         a, b = pd.ids
         if a == b:
-            raise InvariantViolation(f"{what}.ids: pair ({a}, {b}) must be distinct")
-        for v in (a, b):
-            if not 0 <= v < n:
-                raise InvariantViolation(
-                    f"{what}.ids: {v} does not index the node_list (size {n})"
-                )
-        pair = (min(a, b), max(a, b))
-        if pair in seen_pairs:
-            raise InvariantViolation(f"{what}.ids: duplicate entry for pair {pair}")
-        seen_pairs.add(pair)
-        for h in pd.num_hops:
-            if h < 0:
-                raise InvariantViolation(f"{what}.num_hops: negative count {h}")
-            _check_u32(h, f"{what}.num_hops")
-        if sum(pd.num_hops) != len(pd.hop_points):
             raise InvariantViolation(
-                f"{what}: sum(num_hops)={sum(pd.num_hops)} does not match "
-                f"{len(pd.hop_points)} hop points"
+                f"ChannelData.path_details[{k}].ids: pair ({a}, {b}) must be distinct"
             )
-        for j, (x, y, z, loss) in enumerate(pd.hop_points):
-            for v in (x, y, z, loss):
-                if not math.isfinite(v):
+        if not (0 <= a < n and 0 <= b < n):
+            raise InvariantViolation(
+                f"ChannelData.path_details[{k}].ids: {a if not 0 <= a < n else b} "
+                f"does not index the node_list (size {n})"
+            )
+        pair = (a, b) if a < b else (b, a)
+        if pair in seen_pairs:
+            raise InvariantViolation(
+                f"ChannelData.path_details[{k}].ids: duplicate entry for pair {pair}"
+            )
+        add_pair(pair)
+        total = 0
+        for h in pd.num_hops:
+            if not 0 <= h < 2**32:
+                if h < 0:
                     raise InvariantViolation(
-                        f"{what}.hop_points[{j}]: component {v!r} not finite"
+                        f"ChannelData.path_details[{k}].num_hops: negative count {h}"
                     )
-            if loss < 0:
-                raise InvariantViolation(
-                    f"{what}.hop_points[{j}]: penetration loss {loss!r} negative"
-                )
+                _check_u32(h, f"ChannelData.path_details[{k}].num_hops")
+            total += h
+        hops = pd.hop_points
+        if total != len(hops):
+            raise InvariantViolation(
+                f"ChannelData.path_details[{k}]: sum(num_hops)={total} does not match "
+                f"{len(hops)} hop points"
+            )
+        for x, y, z, loss in hops:
+            if not (isfinite(x + y + z + loss) and loss >= 0):
+                _check_hops(hops, f"ChannelData.path_details[{k}]")
+
+
+def _check_hops(hops, what: str) -> None:
+    """Raise for the first hop that is not finite or has a negative loss."""
+    for j, (x, y, z, loss) in enumerate(hops):
+        for v in (x, y, z, loss):
+            if not math.isfinite(v):
+                raise InvariantViolation(f"{what}.hop_points[{j}]: component {v!r} not finite")
+        if loss < 0:
+            raise InvariantViolation(
+                f"{what}.hop_points[{j}]: penetration loss {loss!r} negative"
+            )
 
 
 def validate_physics_update(msg: PhysicsUpdate) -> None:

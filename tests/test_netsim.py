@@ -205,6 +205,135 @@ def test_apply_channel_replaces_link_table():
     assert sim.link_state(0, 2) is None
 
 
+def oracle_link_state(params, pair, distance, wall_loss):
+    """`compute_link_state` as it was before the link budget was shared with
+    `apply_channel`: the plain formulas and an MCS scan.  Kept as the oracle
+    the link table must match bit for bit."""
+    d = max(distance, params.ref_distance)
+    path_loss = (
+        params.pl0
+        + 10.0 * params.path_loss_exponent * math.log10(d / params.ref_distance)
+        + wall_loss
+    )
+    snr = params.tx_power - path_loss - params.noise_floor
+    selected = None
+    for threshold, rate in params.mcs_table:
+        if snr >= threshold:
+            selected = (threshold, rate)
+        else:
+            break
+    if selected is None:
+        return netsim.LinkState(pair, distance, wall_loss, path_loss, snr, None, netsim.BER_CEILING)
+    threshold, rate = selected
+    raw = params.ber_at_threshold * 10.0 ** (-(snr - threshold) / params.ber_decade_per_db)
+    ber = 0.0 if raw == 0.0 else min(max(raw, netsim.BER_FLOOR), netsim.BER_CEILING)
+    return netsim.LinkState(pair, distance, wall_loss, path_loss, snr, rate, ber)
+
+
+def assert_link_table_matches_oracle(sim, cd):
+    """Every listed pair reads the oracle's LinkState (repr tells every float
+    bit pattern apart) in both orders, as one object; every other pair reads
+    None."""
+    sim.apply_channel(cd)
+    positions = [pose.position for pose in cd.node_list]
+    listed = set()
+    for pd in cd.path_details:
+        a, b = pd.ids
+        pair = (min(a, b), max(a, b))
+        listed.add(pair)
+        if pd.los:
+            wall_loss = 0.0
+        else:
+            first_path_hops = pd.num_hops[0] if pd.num_hops else 0
+            wall_loss = sum(h[3] for h in pd.hop_points[:first_path_hops])
+        distance = math.dist(positions[a], positions[b])
+        expected = oracle_link_state(sim.params, pair, distance, wall_loss)
+        link = sim.link_state(a, b)
+        assert repr(link) == repr(expected)
+        assert sim.link_state(b, a) is link
+    n = len(positions)
+    for a in range(n + 1):
+        for b in range(n + 1):
+            if (min(a, b), max(a, b)) not in listed:
+                assert sim.link_state(a, b) is None
+
+
+def test_link_table_matches_the_oracle_on_random_channels():
+    rng = random.Random(4049)
+    amap = {i: f"10.0.2.{i + 1}" for i in range(16)}
+    sims = [ReferenceNetSim(p, amap) for p in (DEFAULTS, RadioParams(ber_at_threshold=0.0))]
+    for _ in range(300):
+        cd = msggen.random_channel_data(rng)
+        for sim in sims:
+            assert_link_table_matches_oracle(sim, cd)
+
+
+def test_link_table_matches_the_oracle_on_swarm16_windows():
+    from benchmarks import swarm
+    from cosimnet.physics import ReferencePhysicsSim
+    from cosimnet.scenario import parse_scenario
+
+    config = parse_scenario(swarm.generate(921, 250))
+    physics = ReferencePhysicsSim(config.world, config.tracks)
+    sim = ReferenceNetSim(config.radio, dict(config.agent_address_map))
+    down = nlos = 0
+    for _ in range(400):
+        for _ in range(3):
+            physics.step(config.window_ns)
+        cd = physics.channel_snapshot(config.fidelity)
+        assert_link_table_matches_oracle(sim, cd)
+        down += sum(sim.link_state(*pd.ids).is_down for pd in cd.path_details)
+        nlos += sum(not pd.los for pd in cd.path_details)
+    assert down > 0 and nlos > 0
+
+
+def test_link_table_matches_the_oracle_on_edge_cases():
+    # At 1 m (the reference distance) the SNR is 70 dB minus the wall loss,
+    # exactly: 44, 47 and 65 dB of wall put it on the 26, 23 and 5 dB MCS
+    # thresholds, 66 dB below the lowest.
+    assert compute_link_state(DEFAULTS, (0, 1), 1.0, 47.0).snr == 23.0
+    cases = [
+        two_node_channel(0.25),
+        two_node_channel(0.25, wall_loss=3.0),
+        *(two_node_channel(1.0, wall_loss=w) for w in (44.0, 47.0, 65.0, 66.0, 64.5)),
+        two_node_channel(1.0, wall_loss=0.0),
+        channel(
+            [(0, 0, 0), (100, 0, 0), (0, 30, 0)],
+            [
+                PathDetails((1, 0), False, (2, 1), (
+                    (30.0, 0.0, 0.0, 8.0), (60.0, 0.0, 0.0, 5.0), (50.0, 0.0, 0.0, 99.0),
+                )),
+                PathDetails((0, 2), False, (0, 2), ((0.0, 5.0, 0.0, 7.0), (0.0, 9.0, 0.0, 1.0))),
+                PathDetails((2, 1), False, (), ()),
+            ],
+        ),
+    ]
+    for params in (DEFAULTS, RadioParams(ber_at_threshold=0.0)):
+        sim = new_sim(agents=3, params=params)
+        for cd in cases:
+            assert_link_table_matches_oracle(sim, cd)
+
+
+def test_link_state_memo_lasts_until_the_next_channel():
+    sim = new_sim()
+    cd = two_node_channel(30.0)
+    sim.apply_channel(cd)
+    link = sim.link_state(0, 1)
+    assert sim.link_state(1, 0) is link
+    sim.apply_channel(cd)
+    assert sim.link_state(0, 1) is not link
+    assert sim.link_state(0, 1) == link
+
+
+def test_reversed_pair_carries_traffic():
+    sim = new_sim()
+    cd = channel([(0, 0, 0), (20, 0, 0)], [PathDetails((1, 0), True, (0,), ())])
+    sim.apply_channel(cd)
+    assert sim.link_state(0, 1).pair == (0, 1)
+    end = sim.advance(0, W, manifest(0, [(0, 500, IP[1], IP[0])]))
+    assert end.clear_pkt_id == (0,)
+
+
 # -- event loop --------------------------------------------------------------
 
 

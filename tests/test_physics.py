@@ -28,7 +28,7 @@ from cosimnet.physics import (
     track_pose,
 )
 from cosimnet.sync import ProtocolError, queue_link_pair
-from cosimnet.wire import MsgType, NetworkUpdate, PhysicsUpdate, Pose
+from cosimnet.wire import MsgType, NetworkUpdate, PathDetails, PhysicsUpdate, Pose
 
 BOUNDS = Box((-500.0, -500.0, -500.0), (500.0, 500.0, 500.0))
 EMPTY_WORLD = WorldModel(BOUNDS)
@@ -485,7 +485,9 @@ UNIT = Box((0, 0, 0), (1, 1, 1), penetration_loss=4.0)
 def assert_kernels_agree(boxes, positions):
     """The vector kernel reproduces the scalar path exactly: repr tells
     every float bit pattern apart, -0.0 from 0.0 included.  The kernel
-    must not raise floating-point warnings either."""
+    must not raise floating-point warnings either, and its paths, built
+    without the public constructor's conversion, must hold the types that
+    constructor gives: no numpy scalars, no lists."""
     world = WorldModel(BOUNDS, tuple(boxes))
     positions = [tuple(float(v) for v in p) for p in positions]
     scalar = physics._los_paths_scalar(world, positions)
@@ -493,6 +495,15 @@ def assert_kernels_agree(boxes, positions):
         warnings.simplefilter("error")
         vector = physics._los_paths_vector(world, positions)
     assert repr(vector) == repr(scalar)
+    for path in vector:
+        assert type(path.ids) is tuple and [type(v) for v in path.ids] == [int, int]
+        assert type(path.los) is bool
+        assert type(path.num_hops) is tuple
+        assert all(type(h) is int for h in path.num_hops)
+        assert type(path.hop_points) is tuple
+        for hop in path.hop_points:
+            assert type(hop) is tuple and [type(v) for v in hop] == [float] * 4
+        assert path == PathDetails(path.ids, path.los, path.num_hops, path.hop_points)
     return scalar
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cosimnet import scenario
+from cosimnet import scenario, wire
 from cosimnet.netsim import NetSimError, RadioParams, ReferenceNetSim
 from cosimnet.physics import FidelityKind
 from cosimnet.scenario import (
@@ -328,6 +328,19 @@ def test_timeline_records_one_sample_per_window_after_the_first(tmp_path):
     assert sample.los is True
     assert sample.distance == pytest.approx(30.0)
     assert sample.wall_count == 0
+
+
+def test_each_snapshot_is_validated_once(tmp_path, monkeypatch):
+    calls = []
+    check = wire.validate_channel_data
+    monkeypatch.setattr(wire, "validate_channel_data", lambda cd: calls.append(cd) or check(cd))
+    config = load_scenario(
+        Path(scenario.__file__).parent / "scenarios" / "static_los_30m.json",
+        duration_ns=400 * DEFAULT_WINDOW_NS,
+    )
+    run_scenario(config, tmp_path / "out")
+    assert len(calls) == 399  # window 0 applies no snapshot
+    assert len({id(cd) for cd in calls}) == 399
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path):

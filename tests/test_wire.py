@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 import zlib
@@ -217,6 +218,175 @@ def test_encode_rejects_paths_without_enough_agents():
     )
     with pytest.raises(wire.InvariantViolation, match="fewer than two"):
         wire.encode_channel_data(cd)
+
+
+def oracle_validate_pose(pose, what="Pose"):
+    for v in pose.position:
+        if not math.isfinite(v):
+            raise wire.InvariantViolation(f"{what}.position: component {v!r} not finite")
+    for v in pose.orientation:
+        if not math.isfinite(v):
+            raise wire.InvariantViolation(f"{what}.orientation: component {v!r} not finite")
+    norm = math.sqrt(sum(v * v for v in pose.orientation))
+    if abs(norm - 1.0) > wire.QUATERNION_NORM_TOL:
+        raise wire.InvariantViolation(
+            f"{what}.orientation: quaternion norm {norm!r} not within "
+            f"{wire.QUATERNION_NORM_TOL} of 1"
+        )
+
+
+def oracle_validate_channel_data(cd):
+    """`wire.validate_channel_data` as it was before its single pass: a
+    message string built for every agent and pair.  Kept as the oracle of
+    what the check accepts and of every message it raises."""
+    for i, pose in enumerate(cd.node_list):
+        oracle_validate_pose(pose, f"ChannelData.node_list[{i}]")
+    if len(cd.node_list) < 2 and cd.path_details:
+        raise wire.InvariantViolation(
+            "ChannelData.path_details: must be empty with fewer than two agents"
+        )
+    seen_pairs = set()
+    n = len(cd.node_list)
+    for k, pd in enumerate(cd.path_details):
+        what = f"ChannelData.path_details[{k}]"
+        a, b = pd.ids
+        if a == b:
+            raise wire.InvariantViolation(f"{what}.ids: pair ({a}, {b}) must be distinct")
+        for v in (a, b):
+            if not 0 <= v < n:
+                raise wire.InvariantViolation(
+                    f"{what}.ids: {v} does not index the node_list (size {n})"
+                )
+        pair = (min(a, b), max(a, b))
+        if pair in seen_pairs:
+            raise wire.InvariantViolation(f"{what}.ids: duplicate entry for pair {pair}")
+        seen_pairs.add(pair)
+        for h in pd.num_hops:
+            if h < 0:
+                raise wire.InvariantViolation(f"{what}.num_hops: negative count {h}")
+            if not 0 <= h < 2**32:
+                raise wire.InvariantViolation(f"{what}.num_hops: {h} out of u32 range")
+        if sum(pd.num_hops) != len(pd.hop_points):
+            raise wire.InvariantViolation(
+                f"{what}: sum(num_hops)={sum(pd.num_hops)} does not match "
+                f"{len(pd.hop_points)} hop points"
+            )
+        for j, (x, y, z, loss) in enumerate(pd.hop_points):
+            for v in (x, y, z, loss):
+                if not math.isfinite(v):
+                    raise wire.InvariantViolation(
+                        f"{what}.hop_points[{j}]: component {v!r} not finite"
+                    )
+            if loss < 0:
+                raise wire.InvariantViolation(
+                    f"{what}.hop_points[{j}]: penetration loss {loss!r} negative"
+                )
+
+
+def _validation_outcome(validate, cd):
+    try:
+        validate(cd)
+    except Exception as exc:  # the type and the message are compared
+        return type(exc), str(exc)
+    return None
+
+
+def _validator_corpus():
+    """A valid three-agent channel, then that channel with one invariant
+    broken at a time (a few with two), then random valid channels."""
+    q = (0.5, -0.5, 0.5, 0.5)
+    nodes = (
+        wire.Pose((0.0, 0.0, 1.0), q),
+        wire.Pose((30.0, -4.0, 2.0)),
+        wire.Pose((12.5, 40.0, 0.0), (0.0, 0.0, math.sin(0.3), math.cos(0.3))),
+    )
+    paths = (
+        wire.PathDetails((0, 1), True, (0,), ()),
+        wire.PathDetails((0, 2), False, (2,), ((3.0, 9.0, 0.5, 4.0), (6.0, 18.0, 0.7, 2.5))),
+        wire.PathDetails((2, 1), False, (1, 1), ((20.0, 10.0, 1.0, 6.0), (22.0, 9.0, 1.0, 0.0))),
+    )
+    base = wire.ChannelData(nodes, paths)
+    yield base
+
+    def with_node(i, pose):
+        return wire.ChannelData(nodes[:i] + (pose,) + nodes[i + 1:], paths)
+
+    def with_path(k, pd):
+        return wire.ChannelData(nodes, paths[:k] + (pd,) + paths[k + 1:])
+
+    def with_hop(k, j, hop):
+        pd = paths[k]
+        hops = pd.hop_points[:j] + (hop,) + pd.hop_points[j + 1:]
+        return with_path(k, wire.PathDetails(pd.ids, pd.los, pd.num_hops, hops))
+
+    nan, inf = float("nan"), float("inf")
+    for i in range(3):
+        for axis in range(3):
+            for v in (nan, inf, -inf):
+                position = list(nodes[i].position)
+                position[axis] = v
+                yield with_node(i, wire.Pose(position, nodes[i].orientation))
+        for axis in range(4):
+            for v in (nan, inf, -inf):
+                orientation = list(nodes[i].orientation)
+                orientation[axis] = v
+                yield with_node(i, wire.Pose(nodes[i].position, orientation))
+    # quaternion norms on both sides of 1 +- tol, down to single ulps
+    tol = wire.QUATERNION_NORM_TOL
+    for edge in (1.0 + tol, 1.0 - tol):
+        for offset in (-1e-12, 1e-12):
+            scale = edge + offset
+            yield with_node(0, wire.Pose((0, 0, 1), tuple(scale * v for v in q)))
+        w = edge
+        for _ in range(4):
+            w = math.nextafter(w, 0.0)
+        for _ in range(8):
+            yield with_node(1, wire.Pose((30, -4, 2), (0.0, 0.0, 0.0, w)))
+            w = math.nextafter(w, 2.0)
+    yield with_node(2, wire.Pose((0, 0, 0), (0.0, 0.0, 0.0, 1.01)))
+    # finite but large enough that a sum of components overflows
+    yield with_node(1, wire.Pose((1e308, 1e308, -1e308)))
+    yield with_hop(1, 0, (1e308, 1e308, 1e308, 1e308))
+    yield with_path(0, wire.PathDetails((1, 1), True, (0,), ()))
+    for ids in ((-1, 1), (0, -1), (0, 3), (3, 0), (-1, 3)):
+        yield with_path(0, wire.PathDetails(ids, True, (0,), ()))
+    for ids in ((0, 2), (2, 0), (1, 2)):
+        yield with_path(0, wire.PathDetails(ids, True, (0,), ()))  # duplicate pair
+    yield wire.ChannelData(nodes, paths + (wire.PathDetails((1, 0), True, (0,), ()),))
+    yield wire.ChannelData(nodes, paths + (wire.PathDetails((0, 1), True, (0,), ()),))
+    for num_hops in ((-1,), (2**32,), (2**32 - 1,), (1, -1), (3, 2**32), (-5, 2**40)):
+        yield with_path(1, wire.PathDetails((0, 2), False, num_hops, ()))
+    for num_hops in ((1,), (3,), (1, 0), (0, 0, 1), (0, 3)):
+        yield with_path(1, wire.PathDetails((0, 2), False, num_hops, paths[1].hop_points))
+    for loss in (-1.0, -1e-300, -0.0, 0.0, -inf, inf, nan):
+        yield with_hop(2, 1, (22.0, 9.0, 1.0, loss))
+    for axis in range(3):
+        for v in (nan, inf, -inf):
+            hop = [3.0, 9.0, 0.5, 4.0]
+            hop[axis] = v
+            yield with_hop(1, 1, tuple(hop))
+    yield with_hop(1, 1, (nan, 0.0, 0.0, -1.0))  # non-finite before negative
+    for n_nodes in (0, 1):
+        yield wire.ChannelData(nodes[:n_nodes], paths[:1])
+        yield wire.ChannelData(nodes[:n_nodes], ())
+    # two faults: the first in check order is the one reported
+    yield wire.ChannelData(
+        (wire.Pose((nan, 0, 0)),) + nodes[1:], (wire.PathDetails((1, 1), True, (0,), ()),)
+    )
+    yield wire.ChannelData(nodes, (paths[0], paths[0], wire.PathDetails((2, 2), True)))
+    rng = random.Random(1219)
+    for _ in range(300):
+        yield msggen.random_channel_data(rng)
+
+
+def test_channel_check_matches_the_oracle():
+    accepted = rejected = 0
+    for cd in _validator_corpus():
+        expected = _validation_outcome(oracle_validate_channel_data, cd)
+        assert _validation_outcome(wire.validate_channel_data, cd) == expected, cd
+        accepted += expected is None
+        rejected += expected is not None
+    assert accepted > 300 and rejected > 80
 
 
 def test_physics_update_requires_valid_compressed_channel():
