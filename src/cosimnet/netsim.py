@@ -305,6 +305,14 @@ class ReferenceNetSim:
         self._links = links
         self._states = {}
 
+    @property
+    def link_table(self) -> Mapping[tuple[int, int], tuple]:
+        """The last channel update's links, in the order it listed them:
+        ordered pair (i < j) -> ``(phy_rate, ber, distance, wall_loss,
+        path_loss, snr)``.  The update rejects a pair listed twice, so the
+        table has one row per entry of its ``path_details``."""
+        return self._links
+
     def link_state(self, a: int, b: int) -> LinkState | None:
         """Radio state of the unordered pair (a, b) under the last channel
         update, or None if that update did not list the pair.  Both orders

@@ -16,7 +16,9 @@ import csv
 import json
 import math
 import time
+from array import array
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +423,74 @@ class PairSample:
     wall_loss: float
 
 
+class Timeline:
+    """Channel state of every listed agent pair at every window after the
+    first, as the netsim saw it, one typed column per field.
+
+    The columns are numpy views: ``t`` (ns, the window that applied the
+    snapshot), ``a`` and ``b`` (the pair as the snapshot listed it),
+    ``los``, ``distance`` (m), ``wall_count`` (walls on the first path)
+    and ``wall_loss`` (dB over those walls).  ``len()`` counts samples;
+    indexing and iteration build `PairSample`s on demand.
+    """
+
+    def __init__(self):
+        self._t = array("q")
+        self._a = array("q")
+        self._b = array("q")
+        self._los = array("b")
+        self._distance = array("d")
+        self._wall_count = array("q")
+        self._wall_loss = array("d")
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __getitem__(self, i: int) -> PairSample:
+        los = bool(self._los[i])
+        walls = self._wall_count[i]
+        # an NLOS pair with no hops sums no losses: the int 0, as `sum` gives
+        loss = 0 if not (los or walls) else self._wall_loss[i]
+        return PairSample(
+            self._t[i], (self._a[i], self._b[i]), los, self._distance[i], walls, loss
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    t = property(lambda self: np.frombuffer(self._t, dtype=np.int64))
+    a = property(lambda self: np.frombuffer(self._a, dtype=np.int64))
+    b = property(lambda self: np.frombuffer(self._b, dtype=np.int64))
+    los = property(lambda self: np.frombuffer(self._los, dtype=np.bool_))
+    distance = property(lambda self: np.frombuffer(self._distance, dtype=np.float64))
+    wall_count = property(lambda self: np.frombuffer(self._wall_count, dtype=np.int64))
+    wall_loss = property(lambda self: np.frombuffer(self._wall_loss, dtype=np.float64))
+
+
+class _TimelineRecorder:
+    """`on_channel` hook that appends each applied snapshot to a `Timeline`,
+    one extend per column per window.  Distance and wall loss come from the
+    row `netsim.apply_channel` has just filled for the pair."""
+
+    def __init__(self, netsim: ReferenceNetSim):
+        self._netsim = netsim
+        self.timeline = Timeline()
+
+    def __call__(self, t: int, cd) -> None:
+        tl = self.timeline
+        paths = cd.path_details
+        rows = self._netsim.link_table.values()  # one per path, in its order
+        tl._t.extend(repeat(t, len(paths)))
+        tl._a.extend([pd.ids[0] for pd in paths])
+        tl._b.extend([pd.ids[1] for pd in paths])
+        tl._los.extend([pd.los for pd in paths])
+        tl._wall_count.extend([
+            0 if pd.los else pd.num_hops[0] if pd.num_hops else 0 for pd in paths
+        ])
+        tl._distance.extend([row[2] for row in rows])
+        tl._wall_loss.extend([row[3] for row in rows])
+
+
 @dataclass
 class RunResult:
     config: ScenarioConfig
@@ -433,7 +503,7 @@ class RunResult:
     rate_hist: Histogram
     delay_hist: Histogram
     deliveries: list
-    timeline: list[PairSample]
+    timeline: Timeline
     net_summary: NetRunSummary
     phys_summary: PhysRunSummary
     flow_stats: list[dict]
@@ -441,30 +511,14 @@ class RunResult:
     artifacts: dict[str, Path] = field(default_factory=dict)
 
 
-class _TimelineRecorder:
-    def __init__(self):
-        self.samples: list[PairSample] = []
-
-    def __call__(self, t: int, cd) -> None:
-        positions = [pose.position for pose in cd.node_list]
-        for pd in cd.path_details:
-            i, j = pd.ids
-            if pd.los:
-                walls, loss = 0, 0.0
-            else:
-                walls = pd.num_hops[0] if pd.num_hops else 0
-                loss = sum(h[3] for h in pd.hop_points[:walls])
-            self.samples.append(
-                PairSample(
-                    t, (i, j), pd.los,
-                    math.dist(positions[i], positions[j]), walls, loss,
-                )
-            )
-
-
 def run_scenario(
-    config: ScenarioConfig, out_dir, *, plots: bool = False
+    config: ScenarioConfig, out_dir, *, plots: bool = False, timeline: bool = False
 ) -> RunResult:
+    """Run `config` and write its artifacts to `out_dir`.
+
+    With `timeline`, `RunResult.timeline` holds the channel state of every
+    pair at every window; otherwise it is empty and nothing is recorded.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -480,10 +534,10 @@ def run_scenario(
     host = FlowHost(backend)
     for flow_cfg in config.flows:
         host.add_flow(flow_cfg)
-    timeline = _TimelineRecorder()
+    recorder = _TimelineRecorder(netsim) if timeline else None
     physics = PhysicsStepper(sim, phys_cfg)
     coordinator = NetworkCoordinator(
-        net_cfg, netsim, backend, app_tick=host.tick, on_channel=timeline
+        net_cfg, netsim, backend, app_tick=host.tick, on_channel=recorder
     )
 
     # a window is completed once both sides have run it; its wall time
@@ -506,14 +560,14 @@ def run_scenario(
         raise
 
     result = _collect(
-        config, out, host, timeline,
+        config, out, host, recorder,
         coordinator.summary(stats), physics.summary(stats), netsim,
     )
     _write_artifacts(result, plots=plots)
     return result
 
 
-def _collect(config, out, host, timeline, net_summary, phys_summary, netsim) -> RunResult:
+def _collect(config, out, host, recorder, net_summary, phys_summary, netsim) -> RunResult:
     period = config.metrics.sample_period_ns
     width = config.metrics.smoothing_window_ns // period
     n = config.duration_ns // period
@@ -568,7 +622,7 @@ def _collect(config, out, host, timeline, net_summary, phys_summary, netsim) -> 
         rate_hist=histogram(goodput, bins),
         delay_hist=histogram(per_delivery_delay, bins),
         deliveries=host.deliveries,
-        timeline=timeline.samples,
+        timeline=Timeline() if recorder is None else recorder.timeline,
         net_summary=net_summary,
         phys_summary=phys_summary,
         flow_stats=flow_stats,

@@ -57,16 +57,17 @@ def _classify_bins(result):
     all_los = np.ones(n, dtype=bool)
     nlos_any = np.zeros(n, dtype=bool)
     deep_any = np.zeros(n, dtype=bool)
-    for s in result.timeline:
-        b = s.t // period
-        if b >= n:
-            continue
-        seen[b] = True
-        all_los[b] &= s.los
-        if s.wall_count >= 1:
-            nlos_any[b] = True
-        if s.distance > 100.0 and s.wall_count >= 2:
-            deep_any[b] = True
+    timeline = result.timeline
+    b = timeline.t // period
+    keep = b < n
+    b = b[keep]
+    los = timeline.los[keep]
+    walls = timeline.wall_count[keep]
+    distance = timeline.distance[keep]
+    seen[b] = True
+    all_los[b[~los]] = False
+    nlos_any[b[walls >= 1]] = True
+    deep_any[b[(distance > 100.0) & (walls >= 2)]] = True
     return all_los & seen, nlos_any, deep_any
 
 
@@ -132,10 +133,12 @@ def patrol_runs(tmp_path_factory):
     out = tmp_path_factory.mktemp("patrol")
     config = load_scenario(SCENARIO_DIR / "patrol.json")
     t0 = time.perf_counter()
-    first = run_scenario(config, out / "first")
+    first = run_scenario(config, out / "first", timeline=True)
     first_wall = time.perf_counter() - t0
     repeat = run_scenario(config, out / "repeat")
-    alt = run_scenario(load_scenario(SCENARIO_DIR / "patrol.json", seed=8), out / "alt")
+    alt = run_scenario(
+        load_scenario(SCENARIO_DIR / "patrol.json", seed=8), out / "alt", timeline=True
+    )
     return {"first": first, "first_wall": first_wall, "repeat": repeat, "alt": alt}
 
 

@@ -117,7 +117,7 @@ def two_peer_run(config, phys_link, net_link, out):
     host = FlowHost(backend)
     for flow_cfg in config.flows:
         host.add_flow(flow_cfg)
-    timeline = scenario._TimelineRecorder()
+    timeline = scenario._TimelineRecorder(netsim)
     box = {}
 
     def physics_side():
@@ -162,7 +162,7 @@ def test_single_loop_matches_the_two_peer_runs(tmp_path, name):
     pair_box_tests = agents * (agents - 1) // 2 * len(config.world.obstacles)
     assert (pair_box_tests >= VECTOR_MIN_TESTS) == (name == "swarm6")
 
-    expected = facts(run_scenario(config, tmp_path / "loop"))
+    expected = facts(run_scenario(config, tmp_path / "loop", timeline=True))
     assert expected["ledger"], "the corpus run delivers nothing"
     assert expected["counters"]["windows_completed"] == n
     assert len(expected["timeline"]) == (n - 1) * agents * (agents - 1) // 2

@@ -321,7 +321,7 @@ def test_histogram_artifacts_have_unit_mass(tmp_path):
 
 
 def test_timeline_records_one_sample_per_window_after_the_first(tmp_path):
-    result = run(tmp_path, doc())
+    result = run(tmp_path, doc(), timeline=True)
     assert len(result.timeline) == 399  # window 0 has no peer END yet
     sample = result.timeline[0]
     assert sample.pair == (0, 1)
