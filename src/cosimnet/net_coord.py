@@ -372,18 +372,14 @@ class NetworkCoordinator:
 
 
 class _EndDecoder:
-    """Sync-peer driver: decodes the channel in the peer's END once, then
-    runs the coordinator's window on it."""
+    """Sync-peer driver: runs the coordinator's window on the channel in
+    the peer's END, which `wire.channel_of` decodes at most once."""
 
     def __init__(self, coordinator: NetworkCoordinator):
         self._coordinator = coordinator
 
     def simulate(self, t: int, window_ns: int, peer_end) -> NetworkUpdate:
-        channel = None
-        if peer_end is not None and peer_end.channel_data:
-            channel = wire.decode_channel_data(
-                wire.decompress_channel_blob(peer_end.channel_data)
-            )
+        channel = None if peer_end is None else wire.channel_of(peer_end)
         return self._coordinator.simulate(t, window_ns, channel)
 
 

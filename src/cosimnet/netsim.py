@@ -29,8 +29,7 @@ from operator import itemgetter
 from typing import Mapping, Protocol
 
 from . import wire
-from .sync import PeerLink, ProtocolError, TransportError
-from .wire import ChannelData, MsgType, NetworkUpdate, PhysicsUpdate
+from .wire import ChannelData, MsgType, NetworkUpdate
 
 # Clamp floor for the BER model.  An exactly-zero base rate stays zero so
 # corruption-free runs are expressible; otherwise the floor keeps the
@@ -463,64 +462,3 @@ class ReferenceNetSim:
                     raise MalformedManifestError(f"address {ip} is not a configured agent")
             if agent_of_ip[src_ip] == agent_of_ip[dst_ip]:
                 raise MalformedManifestError(f"pkt_id {pkt_id} is self-addressed")
-
-
-class SocketNetSim:
-    """Client half of the external network-simulator protocol.
-
-    Channel updates travel as PhysicsUpdate frames carrying compressed
-    channel data; each advance forwards the manifest BEGIN and expects the
-    END reply.  The window length is fixed when the server starts, so
-    `advance` must always be called with that same length.
-    """
-
-    def __init__(self, link: PeerLink, window_ns: int):
-        self._link = link
-        self._window_ns = window_ns
-
-    def apply_channel(self, cd: ChannelData) -> None:
-        blob = wire.compress_channel_blob(wire.encode_channel_data(cd))
-        self._link.send(PhysicsUpdate(MsgType.BEGIN, 0, blob))
-
-    def advance(
-        self, window_start: int, window_ns: int, manifest: NetworkUpdate
-    ) -> NetworkUpdate:
-        if window_ns != self._window_ns:
-            raise ProtocolError(
-                f"external simulator serves {self._window_ns} ns windows, "
-                f"advance asked for {window_ns}"
-            )
-        self._link.send(manifest)
-        reply = self._link.recv()
-        if not isinstance(reply, NetworkUpdate) or reply.msg_type is not MsgType.END:
-            raise ProtocolError(f"expected clearance END, got {reply!r}")
-        if reply.time_val != window_start:
-            raise ProtocolError(
-                f"clearance is for t={reply.time_val}, expected {window_start}"
-            )
-        return reply
-
-    def close(self) -> None:
-        self._link.close()
-
-
-def serve_netsim_link(link: PeerLink, sim: NetSim, window_ns: int) -> int:
-    """Expose a simulator to a remote SocketNetSim until the peer
-    disconnects.  Returns the number of windows served."""
-    windows = 0
-    while True:
-        try:
-            msg = link.recv()
-        except TransportError:
-            return windows
-        if isinstance(msg, PhysicsUpdate):
-            if msg.channel_data:
-                cd = wire.decode_channel_data(
-                    wire.decompress_channel_blob(msg.channel_data)
-                )
-                sim.apply_channel(cd)
-        elif isinstance(msg, NetworkUpdate) and msg.msg_type is MsgType.BEGIN:
-            link.send(sim.advance(msg.time_val, window_ns, msg))
-            windows += 1
-        else:
-            raise ProtocolError(f"unexpected message {msg!r}")

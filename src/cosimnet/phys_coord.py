@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from . import wire
 from .physics import ChannelFidelity, PhysicsSim
 from .sync import PeerLink, Role, RunStats, SyncPeer
-from .wire import ChannelData, MsgType, PhysicsUpdate
+from .wire import ChannelData, PhysicsUpdate
 
 
 def substep_schedule(window_ns: int, substeps_per_window: int) -> list[int]:
@@ -90,9 +90,7 @@ class _EndEncoder:
         self._stepper = stepper
 
     def simulate(self, t: int, window_ns: int, peer_end) -> PhysicsUpdate:
-        snapshot = self._stepper.step_window()
-        blob = wire.compress_channel_blob(wire.encode_channel_data(snapshot))
-        return PhysicsUpdate(MsgType.END, t, blob)
+        return wire.channel_update(t, self._stepper.step_window())
 
 
 def run_physics_coordinator(

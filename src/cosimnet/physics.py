@@ -21,9 +21,7 @@ the vector path is tested against.  Disk fidelity takes neither path.
 
 The simulator contract is two methods, `step(dt_ns)` and
 `channel_snapshot(fidelity)`.  `ReferencePhysicsSim` implements it
-in-process; `SocketPhysicsSim` speaks the same contract to an external
-simulator over a peer link, one BEGIN(dt) request and one END reply
-carrying the compressed post-step snapshot per step.
+in-process.
 """
 
 from __future__ import annotations
@@ -36,9 +34,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from . import wire
-from .sync import PeerLink, ProtocolError, TransportError
-from .wire import ChannelData, MsgType, PathDetails, PhysicsUpdate, Pose
+from .wire import ChannelData, PathDetails, Pose
 
 Vec3 = tuple[float, float, float]
 
@@ -539,59 +535,3 @@ class ReferencePhysicsSim:
 
     def channel_snapshot(self, fidelity: ChannelFidelity) -> ChannelData:
         return extract_channel_data(self.world, self._agents, fidelity)
-
-
-class SocketPhysicsSim:
-    """Client half of the external-simulator protocol.
-
-    Each step sends BEGIN(dt) over the link and expects END(dt) carrying
-    the compressed post-step channel snapshot; `channel_snapshot` returns
-    the decoded reply.  The fidelity argument is ignored here: an external
-    simulator's extraction tier is configured on its own side.
-    """
-
-    def __init__(self, link: PeerLink):
-        self._link = link
-        self._snapshot: ChannelData | None = None
-
-    def step(self, dt_ns: int) -> None:
-        self._link.send(PhysicsUpdate(MsgType.BEGIN, dt_ns))
-        reply = self._link.recv()
-        if not isinstance(reply, PhysicsUpdate) or reply.msg_type is not MsgType.END:
-            raise ProtocolError(f"expected step reply END, got {reply!r}")
-        if reply.time_val != dt_ns:
-            raise ProtocolError(
-                f"step reply echoes dt={reply.time_val}, requested {dt_ns}"
-            )
-        if not reply.channel_data:
-            raise ProtocolError("step reply carries no channel snapshot")
-        blob = wire.decompress_channel_blob(reply.channel_data)
-        self._snapshot = wire.decode_channel_data(blob)
-
-    def channel_snapshot(self, fidelity: ChannelFidelity) -> ChannelData:
-        if self._snapshot is None:
-            raise ProtocolError("channel_snapshot before first step")
-        return self._snapshot
-
-    def close(self) -> None:
-        self._link.close()
-
-
-def serve_physics_link(
-    link: PeerLink, sim: PhysicsSim, fidelity: ChannelFidelity
-) -> int:
-    """Expose a simulator to a remote SocketPhysicsSim until the peer
-    disconnects.  Returns the number of steps served."""
-    steps = 0
-    while True:
-        try:
-            msg = link.recv()
-        except TransportError:
-            return steps
-        if not isinstance(msg, PhysicsUpdate) or msg.msg_type is not MsgType.BEGIN:
-            raise ProtocolError(f"expected step request BEGIN, got {msg!r}")
-        sim.step(msg.time_val)
-        snapshot = sim.channel_snapshot(fidelity)
-        blob = wire.compress_channel_blob(wire.encode_channel_data(snapshot))
-        link.send(PhysicsUpdate(MsgType.END, msg.time_val, blob))
-        steps += 1

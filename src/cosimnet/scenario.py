@@ -523,9 +523,7 @@ def run_scenario(
     out.mkdir(parents=True, exist_ok=True)
 
     sim = ReferencePhysicsSim(config.world, config.tracks)
-    phys_cfg = PhysCoordConfig(
-        config.window_ns, config.fidelity, agent_address_map=config.agent_address_map
-    )
+    phys_cfg = PhysCoordConfig(config.window_ns, config.fidelity)
     net_cfg = NetCoordConfig(
         config.window_ns, config.agent_address_map, seed=config.seed
     )

@@ -336,7 +336,7 @@ def validate_physics_update(msg: PhysicsUpdate) -> None:
     _check_u64(msg.time_val, "PhysicsUpdate.time_val")
     if msg.channel_data:
         try:
-            decode_channel_data(decompress_channel_blob(msg.channel_data))
+            channel_of(msg)
         except WireError as exc:
             raise InvariantViolation(
                 f"PhysicsUpdate.channel_data: does not hold a valid compressed "
@@ -512,6 +512,30 @@ def decode_channel_data(data: bytes) -> ChannelData:
     r.finish()
     cd = ChannelData(node_list=tuple(nodes), path_details=tuple(paths))
     validate_channel_data(cd)
+    return cd
+
+
+def channel_update(t: int, cd: ChannelData) -> PhysicsUpdate:
+    """The END message for window `t` carrying `cd`, encoded (which
+    validates it) and compressed once.  The message keeps `cd` as its
+    decoded channel for `channel_of`."""
+    msg = PhysicsUpdate(MsgType.END, t, compress_channel_blob(encode_channel_data(cd)))
+    object.__setattr__(msg, "_channel", cd)
+    return msg
+
+
+def channel_of(msg: PhysicsUpdate) -> ChannelData | None:
+    """The channel that `msg` carries, or None if it carries no blob.
+
+    The blob is decompressed and decoded at most once per message, and the
+    result kept on it; the message and its bytes are immutable, so the
+    kept value cannot go stale.  Raises WireError for a blob that does not
+    hold a valid compressed channel description.
+    """
+    cd = msg.__dict__.get("_channel")
+    if cd is None and msg.channel_data:
+        cd = decode_channel_data(decompress_channel_blob(msg.channel_data))
+        object.__setattr__(msg, "_channel", cd)
     return cd
 
 

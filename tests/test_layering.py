@@ -1,0 +1,46 @@
+"""Module boundaries that keep one cross-process protocol and one owner of
+the channel-blob format."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import cosimnet
+
+PACKAGE = Path(cosimnet.__file__).parent
+BLOB_FORMAT = {"compress_channel_blob", "decompress_channel_blob", "decode_channel_data"}
+
+
+def parse(name: str) -> ast.Module:
+    path = PACKAGE / f"{name}.py"
+    return ast.parse(path.read_text(), str(path))
+
+
+def imported_names(tree: ast.Module):
+    """Every dotted name an import statement in `tree` mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            yield base
+            for alias in node.names:
+                yield f"{base}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+
+
+def test_simulators_import_nothing_from_sync():
+    for name in ("physics", "netsim"):
+        for imported in imported_names(parse(name)):
+            assert "sync" not in imported.split("."), (name, imported)
+
+
+def test_only_wire_knows_the_channel_blob_format():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "wire":
+            continue
+        tree = parse(path.stem)
+        used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {name.rsplit(".", 1)[-1] for name in imported_names(tree)}
+        assert not used & BLOB_FORMAT, (path.stem, sorted(used & BLOB_FORMAT))

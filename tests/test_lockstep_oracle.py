@@ -10,6 +10,7 @@ stats, the netsim totals and the channel timeline.
 
 from __future__ import annotations
 
+import collections
 import random
 import socket
 import threading
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from cosimnet import scenario
+from cosimnet import scenario, wire
 from cosimnet.flows import FlowHost
 from cosimnet.net_coord import InProcessBackend, NetCoordConfig, run_network_coordinator
 from cosimnet.netsim import ReferenceNetSim
@@ -174,6 +175,44 @@ def test_single_loop_matches_the_two_peer_runs(tmp_path, name):
         for key in expected:
             assert got[key] == expected[key], (make_links.__name__, key)
 
+
+def test_socket_split_decodes_each_channel_blob_once(tmp_path, monkeypatch):
+    """The physics side validates each snapshot once, as it encodes it, and
+    decodes nothing.  The network side decodes each END once, in
+    `decode_frame`, and validates it there and once more in `apply_channel`,
+    which sees every END but the last."""
+    config = CORPUS["static"]()
+    n = config.duration_ns // config.window_ns
+    expected = facts(run_scenario(config, tmp_path / "loop", timeline=True))
+
+    calls = collections.Counter()
+    network_thread = threading.get_ident()
+
+    def counted(name, fn):
+        def call(*args):
+            side = "network" if threading.get_ident() == network_thread else "physics"
+            calls[side, name] += 1
+            return fn(*args)
+        return call
+
+    for name in ("decode_channel_data", "validate_channel_data"):
+        monkeypatch.setattr(wire, name, counted(name, getattr(wire, name)))
+    phys_link, net_link = socket_link_pair()
+    got = facts(two_peer_run(config, phys_link, net_link, tmp_path))
+    monkeypatch.undo()
+
+    assert {
+        (side, name): calls[side, name]
+        for side in ("physics", "network")
+        for name in ("decode_channel_data", "validate_channel_data")
+    } == {
+        ("physics", "decode_channel_data"): 0,
+        ("physics", "validate_channel_data"): n,
+        ("network", "decode_channel_data"): n,
+        ("network", "validate_channel_data"): 2 * n - 1,
+    }
+    assert (phys_link.sent_frames, net_link.sent_frames) == (2 * n + 1, 2 * n + 1)
+    assert got == expected
 
 def test_physics_peer_close_ends_the_network_side():
     """The physics side's socket closes at window 50 of 400 over a socket

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-import threading
 
 import pytest
 
@@ -16,11 +15,8 @@ from cosimnet.netsim import (
     MediumEventKind,
     RadioParams,
     ReferenceNetSim,
-    SocketNetSim,
     compute_link_state,
-    serve_netsim_link,
 )
-from cosimnet.sync import ProtocolError, queue_link_pair
 from cosimnet.wire import (
     ChannelData,
     MsgType,
@@ -766,42 +762,3 @@ def test_link_fifos_match_the_linear_scan():
         assert fifo.dropped_ids == scan.dropped_ids
         assert fifo.events == scan.events
         assert fifo.cleared_total == scan.cleared_total > 0
-
-
-# -- socket-backed simulator ------------------------------------------------
-
-
-def test_socket_netsim_echoes_reference():
-    server_link, client_link = queue_link_pair()
-    server_sim = new_sim()
-    server = threading.Thread(
-        target=serve_netsim_link, args=(server_link, server_sim, W)
-    )
-    server.start()
-    try:
-        remote = SocketNetSim(client_link, W)
-        local = new_sim()
-        rng = random.Random(3)
-        next_id = 0
-        for k in range(30):
-            if k % 5 == 0:
-                cd = two_node_channel(10.0 + 30.0 * (k % 4))
-                remote.apply_channel(cd)
-                local.apply_channel(cd)
-            entries = []
-            for _ in range(rng.randint(0, 4)):
-                entries.append((next_id, rng.randint(100, 1200), IP[0], IP[1]))
-                next_id += 1
-            m = manifest(k * W, entries)
-            assert remote.advance(k * W, W, m) == local.advance(k * W, W, m)
-    finally:
-        client_link.close()
-        server.join(timeout=10)
-    assert not server.is_alive()
-
-
-def test_socket_netsim_rejects_other_window_sizes():
-    _, client_link = queue_link_pair()
-    remote = SocketNetSim(client_link, W)
-    with pytest.raises(ProtocolError, match="window"):
-        remote.advance(0, 2 * W, manifest(0))

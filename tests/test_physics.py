@@ -4,31 +4,27 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from cosimnet import physics, sync, wire
+from cosimnet import physics, wire
 from cosimnet.physics import (
     AgentState,
     AgentTrack,
     Box,
     ChannelFidelity,
     ReferencePhysicsSim,
-    SocketPhysicsSim,
     WorldModel,
     extract_channel_data,
     initial_agent_states,
     segment_box_crossings,
-    serve_physics_link,
     step_world,
     track_length,
     track_pose,
 )
-from cosimnet.sync import ProtocolError, queue_link_pair
-from cosimnet.wire import MsgType, NetworkUpdate, PathDetails, PhysicsUpdate, Pose
+from cosimnet.wire import PathDetails, Pose
 
 BOUNDS = Box((-500.0, -500.0, -500.0), (500.0, 500.0, 500.0))
 EMPTY_WORLD = WorldModel(BOUNDS)
@@ -416,56 +412,6 @@ def test_reference_sim_snapshot_tracks_steps():
     after = sim.channel_snapshot(fid)
     assert after != before
     assert after.node_list[0].position == pytest.approx((4.0, 0.0, 1.0), abs=1e-9)
-
-
-def test_socket_sim_echoes_reference():
-    world, tracks = patrol_world()
-    fid = ChannelFidelity.los_nlos()
-    server_link, client_link = queue_link_pair()
-    server = threading.Thread(
-        target=serve_physics_link,
-        args=(server_link, ReferencePhysicsSim(world, tracks), fid),
-    )
-    server.start()
-    try:
-        remote = SocketPhysicsSim(client_link)
-        local = ReferencePhysicsSim(world, tracks)
-        rng = random.Random(5)
-        for _ in range(20):
-            dt = rng.randint(10_000_000, 500_000_000)
-            remote.step(dt)
-            local.step(dt)
-            assert remote.channel_snapshot(fid) == local.channel_snapshot(fid)
-    finally:
-        client_link.close()
-        server.join(timeout=10)
-    assert not server.is_alive()
-
-
-def test_socket_sim_rejects_snapshot_before_step():
-    _, client_link = queue_link_pair()
-    remote = SocketPhysicsSim(client_link)
-    with pytest.raises(ProtocolError, match="before first step"):
-        remote.channel_snapshot(ChannelFidelity.los_nlos())
-
-
-def test_socket_sim_validates_step_echo():
-    server_link, client_link = queue_link_pair()
-    remote = SocketPhysicsSim(client_link)
-    blob = wire.compress_channel_blob(wire.encode_channel_data(wire.ChannelData()))
-    server_link.send(PhysicsUpdate(MsgType.END, 999, blob))
-    with pytest.raises(ProtocolError, match="echoes"):
-        remote.step(1000)
-
-
-def test_serve_rejects_non_step_requests():
-    world, tracks = patrol_world()
-    server_link, client_link = queue_link_pair()
-    client_link.send(NetworkUpdate(MsgType.BEGIN, 0))
-    with pytest.raises(ProtocolError, match="step request"):
-        serve_physics_link(
-            server_link, ReferencePhysicsSim(world, tracks), ChannelFidelity.los_nlos()
-        )
 
 
 def test_initial_agent_states_sorted_and_parked():

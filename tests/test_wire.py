@@ -399,6 +399,53 @@ def test_physics_update_requires_valid_compressed_channel():
         wire.decode_frame(forged)
 
 
+def _count_decodes(monkeypatch) -> list:
+    calls = []
+    decode = wire.decode_channel_data
+
+    def counted(data):
+        calls.append(len(data))
+        return decode(data)
+
+    monkeypatch.setattr(wire, "decode_channel_data", counted)
+    return calls
+
+
+def test_channel_update_is_the_hand_built_end_and_never_decodes(monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    rng = random.Random(0xE11D)
+    for k in range(100):
+        cd = msggen.random_channel_data(rng)
+        blob = wire.compress_channel_blob(wire.encode_channel_data(cd))
+        hand_built = wire.PhysicsUpdate(wire.MsgType.END, k, blob)
+        msg = wire.channel_update(k, cd)
+        assert msg == hand_built and repr(msg) == repr(hand_built)
+        assert wire.encode_frame(msg) == wire.encode_frame(hand_built)
+        assert wire.channel_of(msg) is cd
+    # only the hand-built messages' frames decoded their blobs
+    assert len(calls) == 100
+
+
+def test_channel_of_decodes_a_received_blob_once(monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    rng = random.Random(0xD1CE)
+    for _ in range(100):
+        cd = msggen.random_channel_data(rng)
+        blob = wire.compress_channel_blob(wire.encode_channel_data(cd))
+        msg = wire.PhysicsUpdate(wire.MsgType.END, 3, blob)
+        del calls[:]
+        first = wire.channel_of(msg)
+        assert first == cd
+        assert wire.channel_of(msg) is first
+        assert len(calls) == 1
+        received, _ = wire.decode_frame(wire.encode_frame(msg))
+        assert wire.channel_of(received) == cd
+        assert len(calls) == 2
+    del calls[:]
+    assert wire.channel_of(wire.PhysicsUpdate(wire.MsgType.END, 3)) is None
+    assert calls == []
+
+
 def test_network_update_rejects_ragged_manifest():
     msg = wire.NetworkUpdate(
         wire.MsgType.BEGIN, 0, pkt_id=(1,), pkt_lengths=(10, 20), src_ip=("10.0.0.1",),
