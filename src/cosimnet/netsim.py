@@ -20,7 +20,6 @@ when the channel does not change in between.
 from __future__ import annotations
 
 import bisect
-import ipaddress
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -36,9 +35,6 @@ from .wire import ChannelData, MsgType, NetworkUpdate
 # model away from denormals and log-scale plots finite.
 BER_FLOOR = 1e-9
 BER_CEILING = 0.5
-
-_U32 = 2**32
-_U64 = 2**64
 
 _HOP_LOSS = itemgetter(3)  # penetration loss of an (x, y, z, loss) hop
 
@@ -241,9 +237,11 @@ class ReferenceNetSim:
     """Single-collision-domain queueing simulator over the radio model.
 
     `address_map` ties agent ids to the IPv4 addresses used in manifests;
-    it is checked once here, so a manifest address that is in the map is
-    a valid IPv4 string.  Until the first channel update every link is
-    down and packets simply wait in their queues.
+    `wire.checked_address_map` checks it once here, so a manifest address
+    that is in the map is a valid IPv4 string.  A manifest's structure is
+    checked by `wire.validate_network_update`; the simulator adds only the
+    checks that need its own state.  Until the first channel update every
+    link is down and packets simply wait in their queues.
     """
 
     def __init__(
@@ -253,16 +251,9 @@ class ReferenceNetSim:
         trace_events: bool = False,
     ):
         self.params = params
-        self._agent_of_ip: dict[str, int] = {}
-        for agent_id, ip in address_map.items():
-            ip = str(ip)
-            try:
-                ipaddress.IPv4Address(ip)
-            except ValueError:
-                raise ValueError(f"bad IPv4 address {ip!r} in address_map") from None
-            if ip in self._agent_of_ip:
-                raise ValueError(f"address {ip} mapped to two agents")
-            self._agent_of_ip[ip] = int(agent_id)
+        self._agent_of_ip: dict[str, int] = {
+            ip: agent_id for agent_id, ip in wire.checked_address_map(address_map.items())
+        }
         self._budget = _link_budget(params)
         # (i, j), i < j -> (phy_rate, ber, distance, wall_loss, path_loss, snr)
         self._links: dict[tuple[int, int], tuple] = {}
@@ -435,30 +426,26 @@ class ReferenceNetSim:
             )
         if manifest.clear_pkt_id or manifest.clear_src_ip or manifest.clear_dst_ip or manifest.ber:
             raise MalformedManifestError("manifest must not carry clearance fields")
-        # the wire decoder is the trust boundary for manifests from outside;
-        # this loop adds only what `wire.validate_network_update` checks
-        # beyond it.  Map membership implies a valid IPv4 string.
-        ids = manifest.pkt_id
-        if not len(ids) == len(manifest.pkt_lengths) == len(manifest.src_ip) == len(manifest.dst_ip):
-            raise MalformedManifestError("manifest lists must share one length")
-        if not 0 <= manifest.time_val < _U64:
-            raise MalformedManifestError(f"time {manifest.time_val} out of u64 range")
-        if len(set(ids)) != len(ids):
-            raise MalformedManifestError("duplicate packet id in manifest")
+        # the manifest's structure (aligned lists, u64/u32 ranges, unique
+        # ids) is the wire check's; what follows needs this simulator's
+        # state.  Map membership implies a valid IPv4 string.
+        try:
+            wire.validate_network_update(manifest)
+        except wire.InvariantViolation as exc:
+            raise MalformedManifestError(str(exc)) from exc
+        seen = self._seen_ids
         agent_of_ip = self._agent_of_ip
         for pkt_id, length, src_ip, dst_ip in zip(
-            ids, manifest.pkt_lengths, manifest.src_ip, manifest.dst_ip
+            manifest.pkt_id, manifest.pkt_lengths, manifest.src_ip, manifest.dst_ip
         ):
-            if not 0 <= pkt_id < _U64:
-                raise MalformedManifestError(f"pkt_id {pkt_id} out of u64 range")
-            if pkt_id in self._seen_ids:
+            if pkt_id in seen:
                 raise MalformedManifestError(f"pkt_id {pkt_id} was already submitted")
             if length < 1:
                 raise MalformedManifestError(f"pkt_id {pkt_id} has empty payload")
-            if length >= _U32:
-                raise MalformedManifestError(f"pkt_id {pkt_id} length {length} out of u32 range")
-            for ip in (src_ip, dst_ip):
-                if ip not in agent_of_ip:
-                    raise MalformedManifestError(f"address {ip} is not a configured agent")
-            if agent_of_ip[src_ip] == agent_of_ip[dst_ip]:
+            src = agent_of_ip.get(src_ip)
+            dst = agent_of_ip.get(dst_ip)
+            if src is None or dst is None:
+                ip = src_ip if src is None else dst_ip
+                raise MalformedManifestError(f"address {ip} is not a configured agent")
+            if src == dst:
                 raise MalformedManifestError(f"pkt_id {pkt_id} is self-addressed")

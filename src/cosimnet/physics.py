@@ -510,25 +510,14 @@ class PhysicsSim(Protocol):
 class ReferencePhysicsSim:
     """In-process simulator over step_world/extract_channel_data."""
 
-    def __init__(
-        self,
-        world: WorldModel,
-        tracks: Iterable[AgentTrack],
-        agents: Sequence[AgentState] | None = None,
-    ):
+    def __init__(self, world: WorldModel, tracks: Iterable[AgentTrack]):
         self.world = world
         self.tracks: dict[int, AgentTrack] = {}
         for track in tracks:
             if track.agent_id in self.tracks:
                 raise ValueError(f"duplicate track for agent {track.agent_id}")
             self.tracks[track.agent_id] = track
-        if agents is None:
-            agents = initial_agent_states(self.tracks.values())
-        self._agents = list(agents)
-
-    @property
-    def agents(self) -> list[AgentState]:
-        return list(self._agents)
+        self._agents = initial_agent_states(self.tracks.values())
 
     def step(self, dt_ns: int) -> None:
         self._agents = step_world(self.world, self.tracks, self._agents, dt_ns)

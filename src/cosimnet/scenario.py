@@ -348,6 +348,9 @@ def parse_scenario(
         wire.checked_address_map(address_map)
     except ValueError as exc:
         raise ConfigError("agents", str(exc)) from None
+    ids = sorted(agent_id for agent_id, _ in address_map)
+    if ids != list(range(len(ids))):  # the channel snapshot indexes agents by id
+        raise ConfigError("agents", f"agent ids must be dense 0..n-1, got {ids}")
     return config
 
 
@@ -552,9 +555,10 @@ def run_scenario(
             stats.windows_completed += 1
             stats.window_wall_seconds.append(time.perf_counter() - t0)
     except Exception as exc:
-        _write_partial_summary(
-            out, config, exc, coordinator.summary(stats), physics.summary(stats)
+        counters = _counters(
+            coordinator.summary(stats), physics.summary(stats), _netsim_stats(netsim, host)
         )
+        _write_partial_summary(out, config, exc, counters)
         raise
 
     result = _collect(
@@ -624,13 +628,34 @@ def _collect(config, out, host, recorder, net_summary, phys_summary, netsim) -> 
         net_summary=net_summary,
         phys_summary=phys_summary,
         flow_stats=flow_stats,
-        netsim_stats={
-            "cleared_total": netsim.cleared_total,
-            "dropped_total": netsim.dropped_total,
-            "corrupt_received": host.corrupt_total,
-            "stray_received": host.stray_total,
-        },
+        netsim_stats=_netsim_stats(netsim, host),
     )
+
+
+def _netsim_stats(netsim, host) -> dict:
+    return {
+        "cleared_total": netsim.cleared_total,
+        "dropped_total": netsim.dropped_total,
+        "corrupt_received": host.corrupt_total,
+        "stray_received": host.stray_total,
+    }
+
+
+def _counters(net: NetRunSummary, phys: PhysRunSummary, netsim_stats: dict) -> dict:
+    """The `counters` of `run_summary.json`, for a full run or a failed one."""
+    return {
+        "windows_completed": net.windows_completed,
+        "physics_extractions": phys.extractions,
+        "captured_total": net.captured_total,
+        "released_total": net.released_total,
+        "released_bytes": net.released_bytes,
+        "expired_total": net.expired_total,
+        "rejected_total": net.rejected_total,
+        "late_cleared_total": net.late_cleared_total,
+        "held_at_end": net.held_at_end,
+        "pending_at_end": net.pending_at_end,
+        **netsim_stats,
+    }
 
 
 # -- artifacts ---------------------------------------------------------------------
@@ -666,23 +691,10 @@ def _hist_rows(hist: Histogram):
 
 
 def _write_partial_summary(
-    out: Path,
-    config: ScenarioConfig,
-    error: Exception,
-    net: NetRunSummary,
-    phys: PhysRunSummary,
+    out: Path, config: ScenarioConfig, error: Exception, counters: dict
 ) -> None:
-    """`run_summary.json` for a failed run: the error, plus the counters of
-    the full summary that both sides' partial runs still have."""
-    counters = {
-        "windows_completed": net.windows_completed,
-        "captured_total": net.captured_total,
-        "released_total": net.released_total,
-        "expired_total": net.expired_total,
-        "held_at_end": net.held_at_end,
-        "pending_at_end": net.pending_at_end,
-        "physics_extractions": phys.extractions,
-    }
+    """`run_summary.json` for a failed run: the error, plus the counters a
+    full run reports, as they stood when it failed."""
     payload = {
         "partial": True,
         "error": f"{type(error).__name__}: {error}",
@@ -738,19 +750,9 @@ def _write_artifacts(result: RunResult, *, plots: bool) -> None:
             "delay_hist.csv": "per-delivery delay histogram (ns bins)",
             "scatter.csv": "per-sample goodput against smoothed delay",
         },
-        "counters": {
-            "windows_completed": result.net_summary.windows_completed,
-            "physics_extractions": result.phys_summary.extractions,
-            "captured_total": result.net_summary.captured_total,
-            "released_total": result.net_summary.released_total,
-            "released_bytes": result.net_summary.released_bytes,
-            "expired_total": result.net_summary.expired_total,
-            "rejected_total": result.net_summary.rejected_total,
-            "late_cleared_total": result.net_summary.late_cleared_total,
-            "held_at_end": result.net_summary.held_at_end,
-            "pending_at_end": result.net_summary.pending_at_end,
-            **result.netsim_stats,
-        },
+        "counters": _counters(
+            result.net_summary, result.phys_summary, result.netsim_stats
+        ),
         "flows": result.flow_stats,
         "metrics": {
             "samples": int(result.goodput_bps.size),

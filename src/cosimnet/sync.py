@@ -214,14 +214,6 @@ class RunStats:
     windows_completed: int = 0
     window_wall_seconds: list[float] = field(default_factory=list)
 
-    @property
-    def total_wall_seconds(self) -> float:
-        return sum(self.window_wall_seconds)
-
-    @property
-    def max_window_wall_seconds(self) -> float:
-        return max(self.window_wall_seconds) if self.window_wall_seconds else 0.0
-
 
 DEFAULT_WINDOW_NS = 1_000_000
 

@@ -11,7 +11,8 @@ Tag 0x00 carries a PhysicsUpdate, tag 0x01 a NetworkUpdate.  Payload fields
 are packed in declaration order: enums as one byte, integers little-endian
 fixed width, floats as IEEE-754 doubles (little-endian), IPv4 addresses as
 four bytes in network order.  Every list is prefixed with a u32 element
-count and byte strings with a u32 length.
+count and byte strings with a u32 length.  Address syntax is checked where
+an address is encoded, once; four decoded bytes are always an address.
 
 Channel descriptions (ChannelData) have their own flat encoding and are
 carried inside PhysicsUpdate frames as a raw-DEFLATE-compressed byte string:
@@ -37,6 +38,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
+from socket import inet_ntoa
 
 MAGIC = b"RNS1"
 TAG_PHYSICS_UPDATE = 0x00
@@ -50,7 +52,6 @@ QUATERNION_NORM_TOL = 1e-6
 _HEADER = struct.Struct("<4sBI")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
 _POSE = struct.Struct("<7d")
 _HOP = struct.Struct("<4d")
 
@@ -58,6 +59,9 @@ _HOP = struct.Struct("<4d")
 class MsgType(IntEnum):
     BEGIN = 0x00
     END = 0x01
+
+
+_MSG_TYPES = (MsgType.BEGIN, MsgType.END)
 
 
 class WireError(Exception):
@@ -212,13 +216,6 @@ def _check_u64(value: int, what: str) -> None:
         raise InvariantViolation(f"{what}: {value} out of u64 range")
 
 
-def _check_ipv4(addr: str, what: str) -> None:
-    try:
-        ipaddress.IPv4Address(addr)
-    except (ipaddress.AddressValueError, ValueError):
-        raise InvariantViolation(f"{what}: {addr!r} is not an IPv4 address") from None
-
-
 def checked_address_map(entries) -> tuple[tuple[int, str], ...]:
     """`(agent id, IPv4 address)` pairs as ints and strings; raises
     ValueError on a repeated id or address or a malformed address."""
@@ -331,7 +328,7 @@ def _check_hops(hops, what: str) -> None:
 
 
 def validate_physics_update(msg: PhysicsUpdate) -> None:
-    if msg.msg_type not in (MsgType.BEGIN, MsgType.END):
+    if msg.msg_type not in _MSG_TYPES:
         raise InvariantViolation(f"PhysicsUpdate.msg_type: unknown value {msg.msg_type}")
     _check_u64(msg.time_val, "PhysicsUpdate.time_val")
     if msg.channel_data:
@@ -344,51 +341,47 @@ def validate_physics_update(msg: PhysicsUpdate) -> None:
             ) from exc
 
 
+def _ragged(msg: NetworkUpdate, lists: str, names) -> InvariantViolation:
+    lens = {name: len(getattr(msg, name)) for name in names}
+    return InvariantViolation(f"NetworkUpdate {lists} lists must share one length, got {lens}")
+
+
 def validate_network_update(msg: NetworkUpdate) -> None:
-    if msg.msg_type not in (MsgType.BEGIN, MsgType.END):
+    """Raise InvariantViolation, naming the first bad field, unless `msg` is
+    well formed: aligned lists, ids in u64 range and unique within their
+    list, lengths in u32 range, bit error rates in [0, 1].
+
+    No string work on valid input.  Address syntax is the codec's:
+    `encode_frame` parses each address once, and a decoded address is
+    valid by construction.
+    """
+    if msg.msg_type not in _MSG_TYPES:
         raise InvariantViolation(f"NetworkUpdate.msg_type: unknown value {msg.msg_type}")
-    _check_u64(msg.time_val, "NetworkUpdate.time_val")
-    manifest_lens = {
-        "pkt_id": len(msg.pkt_id),
-        "pkt_lengths": len(msg.pkt_lengths),
-        "src_ip": len(msg.src_ip),
-        "dst_ip": len(msg.dst_ip),
-    }
-    if len(set(manifest_lens.values())) != 1:
-        raise InvariantViolation(
-            f"NetworkUpdate manifest lists must share one length, got {manifest_lens}"
-        )
-    clear_lens = {
-        "clear_pkt_id": len(msg.clear_pkt_id),
-        "clear_src_ip": len(msg.clear_src_ip),
-        "clear_dst_ip": len(msg.clear_dst_ip),
-        "ber": len(msg.ber),
-    }
-    if len(set(clear_lens.values())) != 1:
-        raise InvariantViolation(
-            f"NetworkUpdate clearance lists must share one length, got {clear_lens}"
-        )
-    for pid in msg.pkt_id:
-        _check_u64(pid, "NetworkUpdate.pkt_id")
-    if len(set(msg.pkt_id)) != len(msg.pkt_id):
+    if not 0 <= msg.time_val < 2**64:
+        _check_u64(msg.time_val, "NetworkUpdate.time_val")
+    ids, lengths, clear_ids, ber = msg.pkt_id, msg.pkt_lengths, msg.clear_pkt_id, msg.ber
+    n = len(ids)
+    if not n == len(lengths) == len(msg.src_ip) == len(msg.dst_ip):
+        raise _ragged(msg, "manifest", ("pkt_id", "pkt_lengths", "src_ip", "dst_ip"))
+    m = len(clear_ids)
+    if not m == len(msg.clear_src_ip) == len(msg.clear_dst_ip) == len(ber):
+        raise _ragged(msg, "clearance", ("clear_pkt_id", "clear_src_ip", "clear_dst_ip", "ber"))
+    for pid in ids:
+        if not 0 <= pid < 2**64:
+            _check_u64(pid, "NetworkUpdate.pkt_id")
+    if n > 1 and len(set(ids)) != n:
         raise InvariantViolation("NetworkUpdate.pkt_id: duplicate packet id in manifest")
-    for length in msg.pkt_lengths:
-        _check_u32(length, "NetworkUpdate.pkt_lengths")
-    for pid in msg.clear_pkt_id:
-        _check_u64(pid, "NetworkUpdate.clear_pkt_id")
-    if len(set(msg.clear_pkt_id)) != len(msg.clear_pkt_id):
+    for length in lengths:
+        if not 0 <= length < 2**32:
+            _check_u32(length, "NetworkUpdate.pkt_lengths")
+    for pid in clear_ids:
+        if not 0 <= pid < 2**64:
+            _check_u64(pid, "NetworkUpdate.clear_pkt_id")
+    if m > 1 and len(set(clear_ids)) != m:
         raise InvariantViolation(
             "NetworkUpdate.clear_pkt_id: duplicate packet id in clearances"
         )
-    for addr in msg.src_ip:
-        _check_ipv4(addr, "NetworkUpdate.src_ip")
-    for addr in msg.dst_ip:
-        _check_ipv4(addr, "NetworkUpdate.dst_ip")
-    for addr in msg.clear_src_ip:
-        _check_ipv4(addr, "NetworkUpdate.clear_src_ip")
-    for addr in msg.clear_dst_ip:
-        _check_ipv4(addr, "NetworkUpdate.clear_dst_ip")
-    for b in msg.ber:
+    for b in ber:
         if not (0.0 <= b <= 1.0):
             raise InvariantViolation(f"NetworkUpdate.ber: {b!r} outside [0, 1]")
 
@@ -445,15 +438,28 @@ class _Reader:
     def u64(self, fieldname: str) -> int:
         return _U64.unpack(self._take(8, fieldname))[0]
 
-    def f64(self, fieldname: str) -> float:
-        return _F64.unpack(self._take(8, fieldname))[0]
-
-    def ipv4(self, fieldname: str) -> str:
-        raw = self._take(4, fieldname)
-        return str(ipaddress.IPv4Address(raw))
-
     def raw(self, n: int, fieldname: str) -> bytes:
         return self._take(n, fieldname)
+
+    def _items(self, size: int, fieldname: str) -> tuple[int, bytes]:
+        """A u32 count, then the bytes of that many `size`-byte items.  A
+        truncated list names the first item that does not fit."""
+        count = self.u32(f"{fieldname}.count")
+        if self.pos + count * size > len(self.data):
+            first = (len(self.data) - self.pos) // size
+            raise FrameError(f"{self.what}.{fieldname}[{first}]: payload truncated")
+        return count, self._take(count * size, fieldname)
+
+    def array(self, code: str, fieldname: str) -> tuple:
+        """A counted list of little-endian values of struct code `code`."""
+        count, raw = self._items(struct.calcsize(code), fieldname)
+        return struct.unpack(f"<{count}{code}", raw)
+
+    def ipv4_list(self, fieldname: str) -> tuple[str, ...]:
+        """A counted list of IPv4 addresses, four bytes each in network
+        order; any four bytes are a valid address."""
+        _, raw = self._items(4, fieldname)
+        return tuple(inet_ntoa(raw[i : i + 4]) for i in range(0, len(raw), 4))
 
     def finish(self) -> None:
         if self.pos != len(self.data):
@@ -553,32 +559,37 @@ def _encode_physics_payload(msg: PhysicsUpdate) -> bytes:
     )
 
 
-def _encode_ip_list(addrs) -> bytes:
+def _encode_array(code: str, values) -> bytes:
+    return _U32.pack(len(values)) + struct.pack(f"<{len(values)}{code}", *values)
+
+
+def _encode_ip_list(addrs, what: str) -> bytes:
+    """A counted list of IPv4 addresses.  This is the one check of address
+    syntax on the wire: each address is parsed once, here."""
     parts = [_U32.pack(len(addrs))]
     for addr in addrs:
-        parts.append(ipaddress.IPv4Address(addr).packed)
+        try:
+            parts.append(ipaddress.IPv4Address(addr).packed)
+        except ValueError:
+            raise InvariantViolation(f"{what}: {addr!r} is not an IPv4 address") from None
     return b"".join(parts)
 
 
 def _encode_network_payload(msg: NetworkUpdate) -> bytes:
-    parts = [bytes([int(msg.msg_type)]), _U64.pack(msg.time_val)]
-    parts.append(_U32.pack(len(msg.pkt_id)))
-    for v in msg.pkt_id:
-        parts.append(_U64.pack(v))
-    parts.append(_U32.pack(len(msg.pkt_lengths)))
-    for v in msg.pkt_lengths:
-        parts.append(_U32.pack(v))
-    parts.append(_encode_ip_list(msg.src_ip))
-    parts.append(_encode_ip_list(msg.dst_ip))
-    parts.append(_U32.pack(len(msg.clear_pkt_id)))
-    for v in msg.clear_pkt_id:
-        parts.append(_U64.pack(v))
-    parts.append(_encode_ip_list(msg.clear_src_ip))
-    parts.append(_encode_ip_list(msg.clear_dst_ip))
-    parts.append(_U32.pack(len(msg.ber)))
-    for v in msg.ber:
-        parts.append(_F64.pack(v))
-    return b"".join(parts)
+    return b"".join(
+        [
+            bytes([int(msg.msg_type)]),
+            _U64.pack(msg.time_val),
+            _encode_array("Q", msg.pkt_id),
+            _encode_array("I", msg.pkt_lengths),
+            _encode_ip_list(msg.src_ip, "NetworkUpdate.src_ip"),
+            _encode_ip_list(msg.dst_ip, "NetworkUpdate.dst_ip"),
+            _encode_array("Q", msg.clear_pkt_id),
+            _encode_ip_list(msg.clear_src_ip, "NetworkUpdate.clear_src_ip"),
+            _encode_ip_list(msg.clear_dst_ip, "NetworkUpdate.clear_dst_ip"),
+            _encode_array("d", msg.ber),
+        ]
+    )
 
 
 def encode_frame(msg: PhysicsUpdate | NetworkUpdate) -> bytes:
@@ -618,27 +629,18 @@ def _decode_physics_payload(payload: bytes) -> PhysicsUpdate:
     return msg
 
 
-def _decode_ip_list(r: _Reader, fieldname: str) -> tuple[str, ...]:
-    count = r.u32(f"{fieldname}.count")
-    return tuple(r.ipv4(f"{fieldname}[{i}]") for i in range(count))
-
-
 def _decode_network_payload(payload: bytes) -> NetworkUpdate:
     r = _Reader(payload, "NetworkUpdate")
     msg_type = _decode_msg_type(r, "NetworkUpdate")
     time_val = r.u64("time_val")
-    n = r.u32("pkt_id.count")
-    pkt_id = tuple(r.u64(f"pkt_id[{i}]") for i in range(n))
-    n = r.u32("pkt_lengths.count")
-    pkt_lengths = tuple(r.u32(f"pkt_lengths[{i}]") for i in range(n))
-    src_ip = _decode_ip_list(r, "src_ip")
-    dst_ip = _decode_ip_list(r, "dst_ip")
-    n = r.u32("clear_pkt_id.count")
-    clear_pkt_id = tuple(r.u64(f"clear_pkt_id[{i}]") for i in range(n))
-    clear_src_ip = _decode_ip_list(r, "clear_src_ip")
-    clear_dst_ip = _decode_ip_list(r, "clear_dst_ip")
-    n = r.u32("ber.count")
-    ber = tuple(r.f64(f"ber[{i}]") for i in range(n))
+    pkt_id = r.array("Q", "pkt_id")
+    pkt_lengths = r.array("I", "pkt_lengths")
+    src_ip = r.ipv4_list("src_ip")
+    dst_ip = r.ipv4_list("dst_ip")
+    clear_pkt_id = r.array("Q", "clear_pkt_id")
+    clear_src_ip = r.ipv4_list("clear_src_ip")
+    clear_dst_ip = r.ipv4_list("clear_dst_ip")
+    ber = r.array("d", "ber")
     r.finish()
     msg = NetworkUpdate(
         msg_type=msg_type,

@@ -5,14 +5,17 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cosimnet import cli
+from cosimnet import cli, scenario
 from cosimnet.physics import ReferencePhysicsSim
 from cosimnet.sync import SyncError
 
 from tests.test_scenario import doc
+
+SCENARIOS = Path(scenario.__file__).parent / "scenarios"
 
 
 @pytest.fixture
@@ -34,6 +37,18 @@ def test_validate_rejects_unknown_keys(tmp_path, capsys):
     p.write_text(json.dumps(doc(bogus=1)))
     assert cli.main(["validate", "--scenario", str(p)]) == 1
     assert "$.bogus" in capsys.readouterr().err
+
+
+def test_validate_rejects_non_dense_agent_ids(tmp_path, capsys):
+    document = json.loads((SCENARIOS / "static_los_30m.json").read_text())
+    document["agents"][1]["id"] = 5
+    p = tmp_path / "sparse.json"
+    p.write_text(json.dumps(document))
+    assert cli.main(["validate", "--scenario", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "agents" in err and "dense" in err
+    assert cli.main(["run", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o" / "run_summary.json").exists()
 
 
 def test_validate_reports_missing_files(tmp_path, capsys):

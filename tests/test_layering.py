@@ -1,5 +1,5 @@
-"""Module boundaries that keep one cross-process protocol and one owner of
-the channel-blob format."""
+"""Module boundaries that keep one cross-process protocol, one owner of
+the channel-blob format and one parser of IPv4 addresses."""
 
 from __future__ import annotations
 
@@ -44,3 +44,11 @@ def test_only_wire_knows_the_channel_blob_format():
         used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         used |= {name.rsplit(".", 1)[-1] for name in imported_names(tree)}
         assert not used & BLOB_FORMAT, (path.stem, sorted(used & BLOB_FORMAT))
+
+
+def test_only_wire_parses_ipv4_addresses():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "wire":
+            continue
+        imported = {name.split(".")[0] for name in imported_names(parse(path.stem))}
+        assert "ipaddress" not in imported, path.stem

@@ -11,6 +11,7 @@ stats, the netsim totals and the channel timeline.
 from __future__ import annotations
 
 import collections
+import ipaddress
 import random
 import socket
 import threading
@@ -213,6 +214,52 @@ def test_socket_split_decodes_each_channel_blob_once(tmp_path, monkeypatch):
     }
     assert (phys_link.sent_frames, net_link.sent_frames) == (2 * n + 1, 2 * n + 1)
     assert got == expected
+
+
+def test_socket_split_parses_each_address_once(tmp_path, monkeypatch):
+    """Over the socket pair, `encode_frame` parses each address it encodes
+    once, and `decode_frame` builds addresses from their bytes without
+    parsing any."""
+    config = CORPUS["static"]()
+    n = config.duration_ns // config.window_ns
+    phase = threading.local()
+    calls = collections.Counter()
+    addresses = collections.Counter()
+
+    def address_count(msg):
+        if not isinstance(msg, wire.NetworkUpdate):
+            return 0
+        return len(msg.src_ip + msg.dst_ip + msg.clear_src_ip + msg.clear_dst_ip)
+
+    def in_phase(name, fn):
+        def call(arg):
+            phase.name = name
+            try:
+                result = fn(arg)
+            finally:
+                phase.name = None
+            addresses[name] += address_count(arg if name == "encode" else result[0])
+            return result
+        return call
+
+    parse = ipaddress.IPv4Address
+
+    def counted_parse(addr):
+        calls[getattr(phase, "name", None)] += 1
+        return parse(addr)
+
+    monkeypatch.setattr(ipaddress, "IPv4Address", counted_parse)
+    monkeypatch.setattr(wire, "encode_frame", in_phase("encode", wire.encode_frame))
+    monkeypatch.setattr(wire, "decode_frame", in_phase("decode", wire.decode_frame))
+    phys_link, net_link = socket_link_pair()
+    two_peer_run(config, phys_link, net_link, tmp_path)
+    monkeypatch.undo()
+
+    assert (phys_link.sent_frames, net_link.sent_frames) == (2 * n + 1, 2 * n + 1)
+    assert addresses["encode"] == addresses["decode"] > 2 * n
+    assert calls["encode"] == addresses["encode"]
+    assert calls["decode"] == 0
+
 
 def test_physics_peer_close_ends_the_network_side():
     """The physics side's socket closes at window 50 of 400 over a socket

@@ -24,7 +24,7 @@ from cosimnet.wire import (
     PathDetails,
     Pose,
 )
-from tests import msggen
+from tests import msggen, wire_oracles
 
 W = 10_000_000  # 10 ms
 IP = {0: "10.0.0.1", 1: "10.0.0.2", 2: "10.0.0.3"}
@@ -507,7 +507,7 @@ def wire_checked_validate_manifest(sim, manifest, window_start, window_ns):
     if manifest.clear_pkt_id or manifest.clear_src_ip or manifest.clear_dst_ip or manifest.ber:
         raise MalformedManifestError("manifest must not carry clearance fields")
     try:
-        wire.validate_network_update(manifest)
+        wire_oracles.validate_network_update(manifest)
     except wire.InvariantViolation as exc:
         raise MalformedManifestError(str(exc)) from exc
     for pkt_id, length, src_ip, dst_ip in zip(
@@ -521,6 +521,48 @@ def wire_checked_validate_manifest(sim, manifest, window_start, window_ns):
             if ip not in sim._agent_of_ip:
                 raise MalformedManifestError("not a configured agent")
         if sim._agent_of_ip[src_ip] == sim._agent_of_ip[dst_ip]:
+            raise MalformedManifestError("self-addressed")
+
+
+def inline_validate_manifest(sim, manifest, window_start, window_ns):
+    """`_validate_manifest` as it was when it kept its own copy of the
+    structural checks beside the wire's, kept as the oracle of the one
+    that calls `wire.validate_network_update` for them."""
+    if not isinstance(manifest, NetworkUpdate):
+        raise MalformedManifestError("not a NetworkUpdate")
+    if manifest.msg_type is not MsgType.BEGIN:
+        raise MalformedManifestError("manifest must be a BEGIN message")
+    if manifest.time_val != window_start:
+        raise MalformedManifestError("window starts elsewhere")
+    if window_ns < 0:
+        raise MalformedManifestError("negative window")
+    if window_start < sim._clock:
+        raise MalformedManifestError("overlaps")
+    if manifest.clear_pkt_id or manifest.clear_src_ip or manifest.clear_dst_ip or manifest.ber:
+        raise MalformedManifestError("manifest must not carry clearance fields")
+    ids = manifest.pkt_id
+    if not len(ids) == len(manifest.pkt_lengths) == len(manifest.src_ip) == len(manifest.dst_ip):
+        raise MalformedManifestError("manifest lists must share one length")
+    if not 0 <= manifest.time_val < 2**64:
+        raise MalformedManifestError("time out of u64 range")
+    if len(set(ids)) != len(ids):
+        raise MalformedManifestError("duplicate packet id in manifest")
+    agent_of_ip = sim._agent_of_ip
+    for pkt_id, length, src_ip, dst_ip in zip(
+        ids, manifest.pkt_lengths, manifest.src_ip, manifest.dst_ip
+    ):
+        if not 0 <= pkt_id < 2**64:
+            raise MalformedManifestError("pkt_id out of u64 range")
+        if pkt_id in sim._seen_ids:
+            raise MalformedManifestError("already submitted")
+        if length < 1:
+            raise MalformedManifestError("empty payload")
+        if length >= 2**32:
+            raise MalformedManifestError("length out of u32 range")
+        for ip in (src_ip, dst_ip):
+            if ip not in agent_of_ip:
+                raise MalformedManifestError("not a configured agent")
+        if agent_of_ip[src_ip] == agent_of_ip[dst_ip]:
             raise MalformedManifestError("self-addressed")
 
 
@@ -578,6 +620,18 @@ def test_manifest_checks_reject_exactly_what_the_wire_check_rejected():
         new = rejects(sim._validate_manifest, msg, window_start, W)
         old = rejects(wire_checked_validate_manifest, sim, msg, window_start, W)
         assert new == old, msg
+        accepted += not new
+        rejected += new
+    assert accepted > 100 and rejected > 300
+
+
+def test_manifest_check_rejects_exactly_what_its_inline_copy_rejected():
+    accepted = rejected = 0
+    for amap, seen, msg in manifest_corpus():
+        sim = ReferenceNetSim(DEFAULTS, amap)
+        sim._seen_ids |= seen
+        new = rejects(sim._validate_manifest, msg, msg.time_val, W)
+        assert new == rejects(inline_validate_manifest, sim, msg, msg.time_val, W), msg
         accepted += not new
         rejected += new
     assert accepted > 100 and rejected > 300

@@ -200,6 +200,20 @@ def test_duplicate_addresses_are_rejected():
     assert err.value.path == "agents"
 
 
+def test_agent_ids_must_be_dense():
+    agents = [
+        {"id": 0, "address": "10.0.0.1", "waypoints": [[10, 50, 2]]},
+        {"id": 5, "address": "10.0.0.2", "waypoints": [[40, 50, 2]]},
+    ]
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc(agents=agents))
+    assert err.value.path == "agents"
+    assert "dense" in str(err.value)
+    # listed out of order is fine: the ids still cover 0..n-1
+    shuffled = [dict(agents[1], id=1), agents[0]]
+    assert len(parse_scenario(doc(agents=shuffled)).tracks) == 2
+
+
 def test_malformed_addresses_are_rejected():
     agents = [
         {"id": 0, "address": "999.0.0.1", "waypoints": [[10, 50, 2]]},
@@ -381,6 +395,26 @@ def test_failed_run_leaves_a_flagged_partial_summary(tmp_path, monkeypatch):
         + counters["held_at_end"] + counters["pending_at_end"]
     )
     assert 100 <= counters["physics_extractions"] <= 101
+
+
+def test_partial_summary_has_the_full_summary_counters(tmp_path, monkeypatch):
+    full = run(tmp_path, doc(), "full")
+    full_counters = json.loads(full.artifacts["run_summary.json"].read_text())["counters"]
+
+    class ExplodingNetSim(ReferenceNetSim):
+        def advance(self, window_start, window_ns, manifest):
+            if window_start >= 100_000_000:
+                raise NetSimError("injected fault")
+            return super().advance(window_start, window_ns, manifest)
+
+    monkeypatch.setattr(scenario, "ReferenceNetSim", ExplodingNetSim)
+    out = tmp_path / "partial"
+    with pytest.raises(NetSimError):
+        run_scenario(parse_scenario(doc()), out)
+    counters = json.loads((out / "run_summary.json").read_text())["counters"]
+    assert set(counters) == set(full_counters)
+    assert len(counters) == 14
+    assert counters["cleared_total"] > 0
 
 
 def test_physics_fault_ends_the_run_with_its_own_error(tmp_path, monkeypatch):
