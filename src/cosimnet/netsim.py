@@ -321,14 +321,12 @@ class ReferenceNetSim:
     def advance(
         self, window_start: int, window_ns: int, manifest: NetworkUpdate
     ) -> NetworkUpdate:
-        self._validate_manifest(manifest, window_start, window_ns)
+        agents = self._validate_manifest(manifest, window_start, window_ns)
         window_end = window_start + window_ns
-        for pkt_id, length, src_ip, dst_ip in zip(
-            manifest.pkt_id, manifest.pkt_lengths, manifest.src_ip, manifest.dst_ip
+        for pkt_id, length, src_ip, dst_ip, (src_agent, dst_agent) in zip(
+            manifest.pkt_id, manifest.pkt_lengths, manifest.src_ip, manifest.dst_ip, agents
         ):
             self._seen_ids.add(pkt_id)
-            src_agent = self._agent_of_ip[src_ip]
-            dst_agent = self._agent_of_ip[dst_ip]
             if self._depth.get(src_agent, 0) >= self.params.queue_capacity:
                 self.dropped_total += 1
                 self.dropped_ids.append(pkt_id)
@@ -409,7 +407,9 @@ class ReferenceNetSim:
 
     def _validate_manifest(
         self, manifest: NetworkUpdate, window_start: int, window_ns: int
-    ) -> None:
+    ) -> list[tuple[int, int]]:
+        """Raise MalformedManifestError unless `manifest` is a well-formed
+        BEGIN for this window; return each packet's (src, dst) agents."""
         if not isinstance(manifest, NetworkUpdate):
             raise MalformedManifestError(f"manifest must be a NetworkUpdate, got {manifest!r}")
         if manifest.msg_type is not MsgType.BEGIN:
@@ -435,6 +435,7 @@ class ReferenceNetSim:
             raise MalformedManifestError(str(exc)) from exc
         seen = self._seen_ids
         agent_of_ip = self._agent_of_ip
+        agents = []
         for pkt_id, length, src_ip, dst_ip in zip(
             manifest.pkt_id, manifest.pkt_lengths, manifest.src_ip, manifest.dst_ip
         ):
@@ -449,3 +450,5 @@ class ReferenceNetSim:
                 raise MalformedManifestError(f"address {ip} is not a configured agent")
             if src == dst:
                 raise MalformedManifestError(f"pkt_id {pkt_id} is self-addressed")
+            agents.append((src, dst))
+        return agents

@@ -483,12 +483,11 @@ def _los_paths_vector(world: WorldModel, positions: Sequence[Vec3]) -> list[Path
     order = np.lexsort((t0, pair))
     hops = tuple(zip(*entry.take(order, axis=1).tolist(), losses.take(box.take(order)).tolist()))
     counts = np.bincount(pair, minlength=len(los_paths)).tolist()
-    nlos = PathDetails._trusted
     paths = []
     k = 0
     for los_path, count in zip(los_paths, counts):
         if count:
-            paths.append(nlos(los_path.ids, False, (count,), hops[k:k + count]))
+            paths.append(PathDetails(los_path.ids, False, (count,), hops[k:k + count]))
             k += count
         else:
             paths.append(los_path)

@@ -14,6 +14,13 @@ four bytes in network order.  Every list is prefixed with a u32 element
 count and byte strings with a u32 length.  Address syntax is checked where
 an address is encoded, once; four decoded bytes are always an address.
 
+The message records store their fields as given, with one constructor
+each and no conversion.  Their producers pass the declared types (tuples
+of ints, floats and strings, a bool, `MsgType` members): the physics side
+computes from what the scenario parser typed, and the decoders build
+records from `struct` and `inet_ntoa` values.  The one conversion left is
+`PhysicsUpdate.channel_data` to bytes.
+
 Channel descriptions (ChannelData) have their own flat encoding and are
 carried inside PhysicsUpdate frames as a raw-DEFLATE-compressed byte string:
 
@@ -36,7 +43,7 @@ import ipaddress
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from socket import inet_ntoa
 
@@ -80,24 +87,13 @@ class CompressionError(WireError):
     """Corrupt DEFLATE stream or decompressed size over the cap."""
 
 
-def _f3(values) -> tuple[float, float, float]:
-    x, y, z = values
-    return (float(x), float(y), float(z))
-
-
 @dataclass(frozen=True)
 class Pose:
-    """Agent position (meters) and orientation as a unit quaternion."""
+    """Agent position (meters) and orientation as a unit quaternion, as
+    tuples of floats."""
 
     position: tuple[float, float, float]
     orientation: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 1.0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", _f3(self.position))
-        qx, qy, qz, qw = self.orientation
-        object.__setattr__(
-            self, "orientation", (float(qx), float(qy), float(qz), float(qw))
-        )
 
 
 @dataclass(frozen=True)
@@ -107,41 +103,16 @@ class PathDetails:
     ``num_hops`` holds one entry per reported path; ``hop_points`` holds the
     concatenated hop tuples (x, y, z, penetration loss in dB) for all paths
     in order.  A direct line-of-sight path is a single entry with zero hops.
+
+    The fields are stored as given, so producers pass Python ints, a bool
+    and 4-tuples of floats: a record of ints compares equal to one of
+    floats but has a different `repr`, which the timeline oracle compares.
     """
 
     ids: tuple[int, int]
     los: bool
     num_hops: tuple[int, ...] = ()
     hop_points: tuple[tuple[float, float, float, float], ...] = ()
-
-    def __post_init__(self):
-        a, b = self.ids
-        object.__setattr__(self, "ids", (int(a), int(b)))
-        object.__setattr__(self, "los", bool(self.los))
-        object.__setattr__(self, "num_hops", tuple(int(n) for n in self.num_hops))
-        object.__setattr__(
-            self,
-            "hop_points",
-            tuple((float(x), float(y), float(z), float(l)) for x, y, z, l in self.hop_points),
-        )
-
-    @classmethod
-    def _trusted(
-        cls,
-        ids: tuple[int, int],
-        los: bool,
-        num_hops: tuple[int, ...],
-        hop_points: tuple[tuple[float, float, float, float], ...],
-    ) -> "PathDetails":
-        """Build from fields that already have the types `__post_init__`
-        gives them: Python ints, a bool, tuples and 4-tuples of Python
-        floats.  For producers that build them so, it skips the conversion."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "los", los)
-        object.__setattr__(self, "num_hops", num_hops)
-        object.__setattr__(self, "hop_points", hop_points)
-        return self
 
 
 @dataclass(frozen=True)
@@ -151,22 +122,22 @@ class ChannelData:
     node_list: tuple[Pose, ...] = ()
     path_details: tuple[PathDetails, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "node_list", tuple(self.node_list))
-        object.__setattr__(self, "path_details", tuple(self.path_details))
-
 
 @dataclass(frozen=True)
 class PhysicsUpdate:
-    """Window marker from the physics side; END frames carry channel data."""
+    """Window marker from the physics side; END frames carry channel data.
+
+    `channel_data` is always `bytes`: `channel_of` keeps the decoded
+    channel on the message, which is sound only while the blob cannot
+    change, and a frame decoded from a `bytearray` buffer would otherwise
+    hold a mutable slice of it.
+    """
 
     msg_type: MsgType
     time_val: int
     channel_data: bytes = b""
 
     def __post_init__(self):
-        object.__setattr__(self, "msg_type", MsgType(self.msg_type))
-        object.__setattr__(self, "time_val", int(self.time_val))
         object.__setattr__(self, "channel_data", bytes(self.channel_data))
 
 
@@ -189,18 +160,6 @@ class NetworkUpdate:
     clear_src_ip: tuple[str, ...] = ()
     clear_dst_ip: tuple[str, ...] = ()
     ber: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "msg_type", MsgType(self.msg_type))
-        object.__setattr__(self, "time_val", int(self.time_val))
-        object.__setattr__(self, "pkt_id", tuple(int(v) for v in self.pkt_id))
-        object.__setattr__(self, "pkt_lengths", tuple(int(v) for v in self.pkt_lengths))
-        object.__setattr__(self, "src_ip", tuple(str(v) for v in self.src_ip))
-        object.__setattr__(self, "dst_ip", tuple(str(v) for v in self.dst_ip))
-        object.__setattr__(self, "clear_pkt_id", tuple(int(v) for v in self.clear_pkt_id))
-        object.__setattr__(self, "clear_src_ip", tuple(str(v) for v in self.clear_src_ip))
-        object.__setattr__(self, "clear_dst_ip", tuple(str(v) for v in self.clear_dst_ip))
-        object.__setattr__(self, "ber", tuple(float(v) for v in self.ber))
 
 
 # ---------------------------------------------------------------------------

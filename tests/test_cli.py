@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -122,10 +123,14 @@ def test_any_runtime_fault_exits_with_code_two(scenario_file, tmp_path, capsys, 
 
 
 def test_module_entry_point(scenario_file):
+    # the child finds the package where this process imported it from
+    src = str(Path(cli.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     proc = subprocess.run(
         [sys.executable, "-m", "cosimnet", "validate",
          "--scenario", str(scenario_file)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "is valid" in proc.stdout

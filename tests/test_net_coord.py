@@ -102,9 +102,11 @@ def test_capture_rejects_bad_sends():
     assert coord.capture(IPS[0], IPS[1], b"") is None
     assert coord.rejected_total == 4
     assert coord.captured_total == 0
-    # the backend screens the same conditions before the sink sees them
+    # the backend forwards the send, and the coordinator's check counts the
+    # rejection once
     assert backend.send(IPS[0], "10.9.9.9", b"x") is False
-    assert backend.rejected_total == 1
+    assert coord.rejected_total == 5
+    assert backend.rejected_total == 0
 
 
 def test_endpoint_round_trip_order():
