@@ -30,7 +30,7 @@ import numpy as np
 
 from . import wire
 from .netsim import NetSim
-from .sync import PeerLink, ProtocolError, Role, RunStats, SyncPeer
+from .sync import ProtocolError, Role, RunStats, SocketLink, run_lockstep
 from .wire import MsgType, NetworkUpdate
 
 DEFAULT_EXPIRY_WINDOWS = 30_000
@@ -365,21 +365,9 @@ class NetworkCoordinator:
         )
 
 
-class _EndDecoder:
-    """Sync-peer driver: runs the coordinator's window on the channel in
-    the peer's END, which `wire.channel_of` decodes at most once."""
-
-    def __init__(self, coordinator: NetworkCoordinator):
-        self._coordinator = coordinator
-
-    def simulate(self, t: int, window_ns: int, peer_end) -> NetworkUpdate:
-        channel = None if peer_end is None else wire.channel_of(peer_end)
-        return self._coordinator.simulate(t, window_ns, channel)
-
-
 def run_network_coordinator(
     config: NetCoordConfig,
-    link: PeerLink,
+    link: SocketLink,
     netsim: NetSim,
     backend,
     duration_ns: int,
@@ -388,27 +376,26 @@ def run_network_coordinator(
 ) -> NetRunSummary:
     """Drive the NETWORK_SIDE of the sync protocol for a fixed duration.
 
-    Any failure, of the sync protocol, the simulator or the application,
+    Each window runs on the channel in the peer's previous END, which
+    `wire.channel_of` decodes at most once.  Any failure, of the sync
+    protocol, the simulator or the application, closes the link and
     propagates with the partial run attached as `exc.partial_summary`.
     """
-    if duration_ns <= 0 or duration_ns % config.window_ns:
-        raise ValueError(
-            f"duration {duration_ns} ns must be a positive multiple of the "
-            f"{config.window_ns} ns window"
-        )
-    n_windows = duration_ns // config.window_ns
     coordinator = NetworkCoordinator(config, netsim, backend, app_tick, on_channel)
-    driver = _EndDecoder(coordinator)
-    peer = SyncPeer(Role.NETWORK_SIDE, config.window_ns)
+    stats = RunStats()
+
+    def simulate(t, peer_end):
+        channel = None if peer_end is None else wire.channel_of(peer_end)
+        return coordinator.simulate(t, config.window_ns, channel)
+
     try:
-        peer.start(link)
-        for _ in range(n_windows):
-            peer.run_window(link, driver)
-        peer.shutdown(link)
+        run_lockstep(
+            Role.NETWORK_SIDE, link, config.window_ns, duration_ns, simulate, stats
+        )
     except Exception as exc:
-        exc.partial_summary = coordinator.summary(peer.stats)
+        exc.partial_summary = coordinator.summary(stats)
         raise
-    return coordinator.summary(peer.stats)
+    return coordinator.summary(stats)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from . import wire
 from .physics import ChannelFidelity, PhysicsSim
-from .sync import PeerLink, Role, RunStats, SyncPeer
-from .wire import ChannelData, PhysicsUpdate
+from .sync import Role, RunStats, SocketLink, run_lockstep
+from .wire import ChannelData
 
 
 def substep_schedule(window_ns: int, substeps_per_window: int) -> list[int]:
@@ -82,43 +82,30 @@ class PhysicsStepper:
         )
 
 
-class _EndEncoder:
-    """Sync-peer driver: each window's snapshot, encoded and compressed
-    into this side's END message."""
-
-    def __init__(self, stepper: PhysicsStepper):
-        self._stepper = stepper
-
-    def simulate(self, t: int, window_ns: int, peer_end) -> PhysicsUpdate:
-        return wire.channel_update(t, self._stepper.step_window())
-
-
 def run_physics_coordinator(
     config: PhysCoordConfig,
-    link: PeerLink,
+    link: SocketLink,
     duration_ns: int,
     sim: PhysicsSim,
 ) -> PhysRunSummary:
     """Drive the PHYSICS_SIDE of the sync protocol for a fixed duration.
 
-    Any failure, of the sync protocol or of the simulator, propagates to
-    the caller with the partial run attached as `exc.partial_summary`.
+    Each window's snapshot is encoded and compressed into this side's END.
+    Any failure, of the sync protocol or of the simulator, closes the link
+    and propagates to the caller with the partial run attached as
+    `exc.partial_summary`.
     """
-    if duration_ns <= 0 or duration_ns % config.window_ns:
-        raise ValueError(
-            f"duration {duration_ns} ns must be a positive multiple of the "
-            f"{config.window_ns} ns window"
-        )
-    n_windows = duration_ns // config.window_ns
     stepper = PhysicsStepper(sim, config)
-    driver = _EndEncoder(stepper)
-    peer = SyncPeer(Role.PHYSICS_SIDE, config.window_ns)
+    stats = RunStats()
+
+    def simulate(t, peer_end):
+        return wire.channel_update(t, stepper.step_window())
+
     try:
-        peer.start(link)
-        for _ in range(n_windows):
-            peer.run_window(link, driver)
-        peer.shutdown(link)
+        run_lockstep(
+            Role.PHYSICS_SIDE, link, config.window_ns, duration_ns, simulate, stats
+        )
     except Exception as exc:
-        exc.partial_summary = stepper.summary(peer.stats)
+        exc.partial_summary = stepper.summary(stats)
         raise
-    return stepper.summary(peer.stats)
+    return stepper.summary(stats)

@@ -10,6 +10,7 @@ repeat, alternate seed) are shared through a session fixture.
 from __future__ import annotations
 
 import random
+import socket
 import struct
 import threading
 import time
@@ -34,7 +35,7 @@ from cosimnet.physics import (
     extract_channel_data,
 )
 from cosimnet.scenario import load_scenario, parse_scenario, run_scenario
-from cosimnet.sync import Role, SyncPeer, queue_link_pair
+from cosimnet.sync import DEFAULT_WINDOW_NS, Role, RunStats, SocketLink, run_lockstep
 from cosimnet.wire import MsgType, NetworkUpdate, PhysicsUpdate, Pose
 from tests import msggen
 
@@ -156,8 +157,10 @@ class _JitteryDriver:
     def __init__(self, msg_cls, seed):
         self._msg_cls = msg_cls
         self._rng = random.Random(seed)
+        self.times = []
 
-    def simulate(self, t, window_ns, peer_end):
+    def simulate(self, t, peer_end):
+        self.times.append(t)
         if self._rng.random() < 0.2:
             time.sleep(self._rng.uniform(0.0, 0.002))
         return self._msg_cls(MsgType.END, t)
@@ -165,32 +168,32 @@ class _JitteryDriver:
 
 def test_01_lockstep_soundness_under_jitter():
     windows = 10_000
-    link_a, link_b = queue_link_pair()
-    phys = SyncPeer(Role.PHYSICS_SIDE)
-    net = SyncPeer(Role.NETWORK_SIDE)
+    window_ns = DEFAULT_WINDOW_NS
+    sock_a, sock_b = socket.socketpair()
+    link_a, link_b = SocketLink(sock_a, timeout=30), SocketLink(sock_b, timeout=30)
+    phys_driver, phys_stats = _JitteryDriver(PhysicsUpdate, seed=51), RunStats()
+    net_driver, net_stats = _JitteryDriver(NetworkUpdate, seed=52), RunStats()
     failures = []
 
-    def drive(peer, link, driver):
+    def drive(role, link, driver, stats):
         try:
-            peer.start(link)
-            for _ in range(windows):
-                peer.run_window(link, driver)
+            run_lockstep(role, link, window_ns, windows * window_ns, driver.simulate, stats)
         except Exception as exc:  # desync/protocol/transport all count
             failures.append(exc)
 
     t0 = time.perf_counter()
     thread = threading.Thread(
-        target=drive, args=(phys, link_a, _JitteryDriver(PhysicsUpdate, seed=51))
+        target=drive, args=(Role.PHYSICS_SIDE, link_a, phys_driver, phys_stats)
     )
     thread.start()
-    drive(net, link_b, _JitteryDriver(NetworkUpdate, seed=52))
+    drive(Role.NETWORK_SIDE, link_b, net_driver, net_stats)
     thread.join(timeout=60)
     elapsed = time.perf_counter() - t0
 
     assert failures == []
     assert not thread.is_alive()
-    assert phys.t == net.t == windows * phys.window_ns
-    assert phys.stats.windows_completed == net.stats.windows_completed == windows
+    assert phys_driver.times == net_driver.times == [k * window_ns for k in range(windows)]
+    assert phys_stats.windows_completed == net_stats.windows_completed == windows
     assert link_a.sent_frames == 2 * windows + 1
     assert link_b.sent_frames == 2 * windows + 1
     assert elapsed < 10.0

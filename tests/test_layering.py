@@ -1,5 +1,6 @@
 """Module boundaries that keep one cross-process protocol, one owner of
-the channel-blob format and one parser of IPv4 addresses."""
+the channel-blob format, one parser of IPv4 addresses and one way to run
+each side: a loop on the calling thread."""
 
 from __future__ import annotations
 
@@ -52,3 +53,10 @@ def test_only_wire_parses_ipv4_addresses():
             continue
         imported = {name.split(".")[0] for name in imported_names(parse(path.stem))}
         assert "ipaddress" not in imported, path.stem
+
+
+def test_no_module_imports_threading_or_queue():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {name.split(".")[0] for name in imported_names(tree)}
+        assert not imported & {"threading", "queue"}, path.relative_to(PACKAGE)

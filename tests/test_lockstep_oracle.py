@@ -1,11 +1,11 @@
 """`run_scenario`'s single loop against the two-peer composition it replaced.
 
 The oracle runs `run_physics_coordinator` and `run_network_coordinator` on
-two threads, joined once by an in-process `QueueLink` pair and once by
-`SocketLink`s over a socket pair, where every END goes through the frame
-codec and its validation.  Both must give what the in-process loop gives
-for the same config and seed: the ledger, the run counters, per-flow
-stats, the netsim totals and the channel timeline.
+two threads joined by `SocketLink`s over a socket pair, where every END goes
+through the frame codec and its validation.  It must give what the
+in-process loop gives for the same config and seed: the ledger, the run
+counters, per-flow stats, the netsim totals and the channel timeline.  A
+fault on either side of the split must end the other side too.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from cosimnet.netsim import ReferenceNetSim
 from cosimnet.phys_coord import PhysCoordConfig, run_physics_coordinator
 from cosimnet.physics import VECTOR_MIN_TESTS, ReferencePhysicsSim
 from cosimnet.scenario import load_scenario, parse_scenario, run_scenario
-from cosimnet.sync import SocketLink, TransportError, queue_link_pair
+from cosimnet.sync import SocketLink, TransportError
 
 SCENARIOS = Path(scenario.__file__).parent / "scenarios"
 W = 1_000_000
@@ -129,7 +129,6 @@ def two_peer_run(config, phys_link, net_link, out):
             )
         except Exception as exc:  # surfaced by the assertion below
             box["error"] = exc
-            phys_link.close()
 
     thread = threading.Thread(target=physics_side)
     thread.start()
@@ -139,7 +138,6 @@ def two_peer_run(config, phys_link, net_link, out):
             app_tick=host.tick, on_channel=timeline,
         )
     finally:
-        net_link.close()
         thread.join(timeout=LINK_TIMEOUT_S)
     assert not thread.is_alive() and "error" not in box, box.get("error")
     return scenario._collect(
@@ -169,12 +167,11 @@ def test_single_loop_matches_the_two_peer_runs(tmp_path, name):
     assert expected["counters"]["windows_completed"] == n
     assert len(expected["timeline"]) == (n - 1) * agents * (agents - 1) // 2
 
-    for make_links in (queue_link_pair, socket_link_pair):
-        phys_link, net_link = make_links()
-        got = facts(two_peer_run(config, phys_link, net_link, tmp_path))
-        assert (phys_link.sent_frames, net_link.sent_frames) == (2 * n + 1, 2 * n + 1)
-        for key in expected:
-            assert got[key] == expected[key], (make_links.__name__, key)
+    phys_link, net_link = socket_link_pair()
+    got = facts(two_peer_run(config, phys_link, net_link, tmp_path))
+    assert (phys_link.sent_frames, net_link.sent_frames) == (2 * n + 1, 2 * n + 1)
+    for key in expected:
+        assert got[key] == expected[key], key
 
 
 def test_socket_split_decodes_each_channel_blob_once(tmp_path, monkeypatch):
@@ -261,6 +258,14 @@ def test_socket_split_parses_each_address_once(tmp_path, monkeypatch):
     assert calls["decode"] == 0
 
 
+def assert_counters_balance(summary):
+    assert summary.captured_total == (
+        summary.released_total + summary.expired_total
+        + summary.held_at_end + summary.pending_at_end
+    )
+    assert summary.released_total > 0
+
+
 def test_physics_peer_close_ends_the_network_side():
     """The physics side's socket closes at window 50 of 400 over a socket
     pair; the network side must fail fast with a partial summary."""
@@ -315,14 +320,107 @@ def test_physics_peer_close_ends_the_network_side():
     assert not threads[1].is_alive(), "the network side hung after its peer closed"
     threads[0].join(timeout=5)
     assert not threads[0].is_alive(), "the physics side hung after closing its socket"
-    net_link.close()
 
     assert isinstance(outcome.get("network"), TransportError)
     summary = outcome["network"].partial_summary
     assert summary.windows_completed == 50 < n
-    assert summary.captured_total == (
-        summary.released_total + summary.expired_total
-        + summary.held_at_end + summary.pending_at_end
-    )
-    assert summary.released_total > 0
+    assert_counters_balance(summary)
     assert isinstance(outcome.get("physics"), TransportError)
+
+
+class ApplicationFault(Exception):
+    pass
+
+
+class PhysicsFault(Exception):
+    pass
+
+
+def split_with_fault(config, sim, tick_fault_at=None):
+    """Both coordinators of `config` on daemon threads over a socket pair
+    with no socket timeout, so only a closed link can end a side whose peer
+    failed.  The application tick raises at window start `tick_fault_at`,
+    if given.  Each side must end within 5 s; returns the exception each
+    side raised."""
+    phys_sock, net_sock = socket.socketpair()
+    phys_link, net_link = SocketLink(phys_sock, None), SocketLink(net_sock, None)
+    phys_cfg = PhysCoordConfig(config.window_ns, config.fidelity)
+    net_cfg = NetCoordConfig(config.window_ns, config.agent_address_map, seed=config.seed)
+    netsim = ReferenceNetSim(config.radio, dict(config.agent_address_map))
+    backend = InProcessBackend(net_cfg.addresses)
+    host = FlowHost(backend)
+    for flow_cfg in config.flows:
+        host.add_flow(flow_cfg)
+    outcome = {}
+
+    def app_tick(t):
+        if t == tick_fault_at:
+            raise ApplicationFault(f"tick at {t}")
+        host.tick(t)
+
+    def physics_side():
+        try:
+            run_physics_coordinator(phys_cfg, phys_link, config.duration_ns, sim)
+        except Exception as exc:
+            outcome["physics"] = exc
+
+    def network_side():
+        try:
+            run_network_coordinator(
+                net_cfg, net_link, netsim, backend, config.duration_ns, app_tick=app_tick
+            )
+        except Exception as exc:
+            outcome["network"] = exc
+
+    threads = {
+        "physics": threading.Thread(target=physics_side, daemon=True),
+        "network": threading.Thread(target=network_side, daemon=True),
+    }
+    for thread in threads.values():
+        thread.start()
+    for side, thread in threads.items():
+        thread.join(timeout=5)
+        assert not thread.is_alive(), f"the {side} side hung after its peer failed"
+    return outcome
+
+
+def test_physics_fault_ends_the_network_side():
+    """The physics `step` raises in window 51 of 400: the physics side closes
+    its link, and the network side, waiting for that window's END, fails
+    with `TransportError` and the partial run of 50 windows."""
+    config = CORPUS["static"]()
+
+    class FailingSim(ReferencePhysicsSim):
+        steps = 0
+
+        def step(self, dt_ns):
+            self.steps += 1
+            if self.steps == 51:
+                raise PhysicsFault("step in window 51")
+            super().step(dt_ns)
+
+    outcome = split_with_fault(config, FailingSim(config.world, config.tracks))
+
+    assert isinstance(outcome.get("physics"), PhysicsFault)
+    assert outcome["physics"].partial_summary.windows_completed == 50
+    assert isinstance(outcome.get("network"), TransportError)
+    summary = outcome["network"].partial_summary
+    assert summary.windows_completed == 50
+    assert_counters_balance(summary)
+
+
+def test_network_fault_ends_the_physics_side():
+    """The application tick raises in window 51 of 400: the network side
+    closes its link, and the physics side, waiting for that window's END,
+    fails with `TransportError`."""
+    config = CORPUS["static"]()
+    sim = ReferencePhysicsSim(config.world, config.tracks)
+
+    outcome = split_with_fault(config, sim, tick_fault_at=50 * config.window_ns)
+
+    assert isinstance(outcome.get("network"), ApplicationFault)
+    summary = outcome["network"].partial_summary
+    assert summary.windows_completed == 50
+    assert_counters_balance(summary)
+    assert isinstance(outcome.get("physics"), TransportError)
+    assert outcome["physics"].partial_summary.windows_completed == 50

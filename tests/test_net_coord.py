@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import socket
 import threading
 
 import numpy as np
@@ -20,7 +21,7 @@ from cosimnet.net_coord import (
     run_network_coordinator,
 )
 from cosimnet.netsim import RadioParams, ReferenceNetSim
-from cosimnet.sync import ProtocolError, Role, SyncPeer, queue_link_pair
+from cosimnet.sync import ProtocolError, Role, RunStats, SocketLink, run_lockstep
 from cosimnet.wire import MsgType, NetworkUpdate, PathDetails, PhysicsUpdate, Pose
 
 W = 10_000_000  # 10 ms
@@ -451,21 +452,15 @@ def test_packet_is_released_the_window_after_capture():
 
 
 def run_physics_stub(link, cd, n_windows):
-    peer = SyncPeer(Role.PHYSICS_SIDE, W)
+    def simulate(t, peer_end):
+        return channel_end(cd, t)
 
-    class Driver:
-        def simulate(self, t, window_ns, peer_end):
-            return channel_end(cd, t)
-
-    peer.start(link)
-    driver = Driver()
-    for _ in range(n_windows):
-        peer.run_window(link, driver)
-    peer.shutdown(link)
+    run_lockstep(Role.PHYSICS_SIDE, link, W, n_windows * W, simulate, RunStats())
 
 
 def full_run(n_windows, cd, netsim, cfg, backend, app_tick=None):
-    phys_link, net_link = queue_link_pair()
+    sock_p, sock_n = socket.socketpair()
+    phys_link, net_link = SocketLink(sock_p, timeout=30), SocketLink(sock_n, timeout=30)
     errors = []
 
     def phys():
@@ -481,7 +476,6 @@ def full_run(n_windows, cd, netsim, cfg, backend, app_tick=None):
             cfg, net_link, netsim, backend, n_windows * W, app_tick=app_tick
         )
     finally:
-        net_link.close()
         thread.join(timeout=10)
     assert not thread.is_alive() and not errors, errors
     return summary

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import socket
 import threading
 
 import pytest
@@ -20,12 +21,7 @@ from cosimnet.physics import (
     ReferencePhysicsSim,
     WorldModel,
 )
-from cosimnet.sync import (
-    DesyncError,
-    Role,
-    SyncPeer,
-    queue_link_pair,
-)
+from cosimnet.sync import DesyncError, Role, RunStats, SocketLink, run_lockstep
 from cosimnet.wire import MsgType, NetworkUpdate
 
 W = 1_000_000  # 1 ms
@@ -70,34 +66,39 @@ def flat_world():
     return world, tracks
 
 
+class RecordingLink(SocketLink):
+    """Keeps the channel blob of every END it receives."""
+
+    def __init__(self, sock):
+        super().__init__(sock, timeout=30)
+        self.payloads = []
+
+    def recv(self):
+        msg = super().recv()
+        if msg.msg_type is MsgType.END:
+            self.payloads.append(msg.channel_data)
+        return msg
+
+
 class NetworkStub:
     """Minimal NETWORK_SIDE peer collecting the physics END payloads."""
 
-    def __init__(self, link, n_windows, window_ns=W):
-        self.link = link
+    def __init__(self, sock, n_windows, window_ns=W):
+        self.link = RecordingLink(sock)
         self.n_windows = n_windows
         self.window_ns = window_ns
-        self.payloads = []
         self.error = None
         self.thread = threading.Thread(target=self._run)
 
     def _run(self):
+        def simulate(t, peer_end):
+            return NetworkUpdate(MsgType.END, t)
+
         try:
-            peer = SyncPeer(Role.NETWORK_SIDE, self.window_ns)
-            peer.start(self.link)
-            stub = self
-
-            class Driver:
-                def simulate(self, t, window_ns, peer_end):
-                    if peer_end is not None:
-                        stub.payloads.append(peer_end.channel_data)
-                    return NetworkUpdate(MsgType.END, t)
-
-            driver = Driver()
-            for _ in range(self.n_windows):
-                report = peer.run_window(self.link, driver)
-            self.payloads.append(report.peer_end.channel_data)
-            peer.shutdown(self.link)
+            run_lockstep(
+                Role.NETWORK_SIDE, self.link, self.window_ns,
+                self.n_windows * self.window_ns, simulate, RunStats(),
+            )
         except Exception as exc:  # surfaced by the test thread join
             self.error = exc
 
@@ -111,14 +112,34 @@ class NetworkStub:
 
 
 def run_coordinator(config, n_windows, sim):
-    link_p, link_n = queue_link_pair()
-    with NetworkStub(link_n, n_windows, config.window_ns) as stub:
+    sock_p, sock_n = socket.socketpair()
+    with NetworkStub(sock_n, n_windows, config.window_ns) as stub:
         summary = run_physics_coordinator(
-            config, link_p, n_windows * config.window_ns, sim
+            config, SocketLink(sock_p, timeout=30), n_windows * config.window_ns, sim
         )
     if stub.error is not None:
         raise stub.error
-    return summary, stub.payloads
+    return summary, stub.link.payloads
+
+
+@pytest.fixture
+def scripted_network():
+    """`scripted_network(*msgs)` gives a link to a network side that has
+    already sent `msgs` and then half-closed its side."""
+    peers = []
+
+    def make(*msgs):
+        sock_p, sock_n = socket.socketpair()
+        peers.append(sock_n)
+        peer = SocketLink(sock_n, timeout=30)
+        for msg in msgs:
+            peer.send(msg)
+        sock_n.shutdown(socket.SHUT_WR)
+        return SocketLink(sock_p, timeout=30)
+
+    yield make
+    for sock in peers:
+        sock.close()
 
 
 def test_window_count_matches_duration():
@@ -131,10 +152,10 @@ def test_window_count_matches_duration():
     assert len(payloads) == 20
 
 
-def test_duration_must_be_multiple_of_window():
+def test_duration_must_be_multiple_of_window(scripted_network):
     config = PhysCoordConfig(W, ChannelFidelity.los_nlos())
     world, tracks = flat_world()
-    link_p, _ = queue_link_pair()
+    link_p = scripted_network()
     with pytest.raises(ValueError, match="multiple"):
         run_physics_coordinator(
             config, link_p, W + 1, ReferencePhysicsSim(world, tracks)
@@ -189,24 +210,17 @@ def test_substeps_advance_physics_in_equal_slices():
     assert summary.extractions == 6
 
 
-def test_desync_aborts_with_partial_summary():
+def test_desync_aborts_with_partial_summary(scripted_network):
     world, tracks = flat_world()
     config = PhysCoordConfig(W, ChannelFidelity.los_nlos())
-    link_p, link_n = queue_link_pair()
-
-    def rogue_network():
-        link_n.recv()  # BEGIN(0)
-        link_n.send(NetworkUpdate(MsgType.BEGIN, 0))
-        link_n.send(NetworkUpdate(MsgType.END, 0))
-        link_n.recv()  # END(0)
-        link_n.recv()  # BEGIN(W)
-        link_n.send(NetworkUpdate(MsgType.BEGIN, 5 * W))  # jumps ahead
-
-    rogue = threading.Thread(target=rogue_network)
-    rogue.start()
+    # the network side runs window 0, then jumps ahead
+    link_p = scripted_network(
+        NetworkUpdate(MsgType.BEGIN, 0),
+        NetworkUpdate(MsgType.END, 0),
+        NetworkUpdate(MsgType.BEGIN, 5 * W),
+    )
     with pytest.raises(DesyncError) as excinfo:
         run_physics_coordinator(
             config, link_p, 10 * W, ReferencePhysicsSim(world, tracks)
         )
-    rogue.join(timeout=10)
     assert excinfo.value.partial_summary.windows_completed == 1

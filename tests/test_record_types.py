@@ -139,7 +139,7 @@ def test_in_process_producers_build_exact_types(tmp_path, monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["static_los_30m", "vector"])
 def test_socket_split_frames_carry_exact_types(tmp_path, monkeypatch, name):
-    """Both sides' BEGINs (`SyncPeer._make_begin`), the physics ENDs
+    """Both sides' BEGINs (`sync.run_lockstep`), the physics ENDs
     (`channel_update`) and the netsim's ENDs as sent, and every message
     `decode_frame` builds from them."""
     config = WORLDS[name]()

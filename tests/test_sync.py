@@ -1,8 +1,7 @@
-"""Lockstep synchronization: handshake, desync detection, jitter, shutdown."""
+"""Lockstep synchronization: handshake, desync detection, jitter, teardown."""
 
 from __future__ import annotations
 
-import queue
 import random
 import socket
 import threading
@@ -14,12 +13,11 @@ from cosimnet import sync, wire
 from tests import msggen
 from cosimnet.sync import (
     DesyncError,
-    PeerState,
     ProtocolError,
     Role,
-    SyncPeer,
+    RunStats,
     TransportError,
-    queue_link_pair,
+    run_lockstep,
 )
 from cosimnet.wire import MsgType, NetworkUpdate, PhysicsUpdate
 
@@ -29,109 +27,136 @@ W = 1_000_000
 class StubDriver:
     """Returns empty END messages and records every simulate call."""
 
-    def __init__(self, role, delay_fn=None, on_simulate=None):
+    def __init__(self, role, delay_fn=None):
         self.role = role
         self.calls = []
         self.delay_fn = delay_fn
-        self.on_simulate = on_simulate
 
-    def simulate(self, t, window_ns, peer_end):
-        self.calls.append((t, window_ns, peer_end))
+    def simulate(self, t, peer_end):
+        self.calls.append((t, peer_end))
         if self.delay_fn is not None:
             d = self.delay_fn()
             if d > 0:
                 time.sleep(d)
-        if self.on_simulate is not None:
-            self.on_simulate(t)
         if self.role is Role.PHYSICS_SIDE:
             return PhysicsUpdate(MsgType.END, t)
         return NetworkUpdate(MsgType.END, t)
 
 
-def run_peer(role, link, windows, driver=None, ledger=None, lock=None, label=""):
-    peer = SyncPeer(role, W)
-    driver = driver or StubDriver(role)
-    peer.start(link)
-    for _ in range(windows):
-        report = peer.run_window(link, driver)
-        if ledger is not None:
-            with lock:
-                ledger.append((label, report.t))
-    peer.shutdown(link)
-    return peer, driver
+def socket_link_pair():
+    sock_a, sock_b = socket.socketpair()
+    return sync.SocketLink(sock_a, timeout=30), sync.SocketLink(sock_b, timeout=30)
+
+
+@pytest.fixture
+def scripted_peer():
+    """`scripted_peer(*msgs)` gives a link whose peer has already sent
+    `msgs` and then half-closed its side, and the peer's link, for reading
+    back what the local side sent."""
+    peers = []
+
+    def make(*msgs):
+        local, peer = socket_link_pair()
+        for msg in msgs:
+            peer.send(msg)
+        peer._sock.shutdown(socket.SHUT_WR)
+        peers.append(peer)
+        return local, peer
+
+    yield make
+    for peer in peers:
+        peer._sock.close()
+
+
+def run_physics_side(link, duration_ns, simulate=None, stats=None, window_ns=W):
+    simulate = simulate or StubDriver(Role.PHYSICS_SIDE).simulate
+    run_lockstep(
+        Role.PHYSICS_SIDE, link, window_ns, duration_ns, simulate, stats or RunStats()
+    )
+
+
+def sent_by(peer, count):
+    msgs = [peer.recv() for _ in range(count)]
+    with pytest.raises(TransportError, match="closed by peer"):
+        peer.recv()
+    return msgs
 
 
 def run_pair(windows, phys_driver=None, net_driver=None, links=None):
-    link_a, link_b = links or queue_link_pair()
+    """Both sides on two threads; the ledger logs each simulate call as it
+    starts, labelled by side."""
+    link_a, link_b = links or socket_link_pair()
     ledger, lock = [], threading.Lock()
-    results = {}
+    results, errors = {}, []
 
-    def physics():
-        results["phys"] = run_peer(
-            Role.PHYSICS_SIDE, link_a, windows, phys_driver, ledger, lock, "P"
-        )
+    def side(role, link, driver, label):
+        driver = driver or StubDriver(role)
+        stats = RunStats()
 
-    def network():
-        results["net"] = run_peer(
-            Role.NETWORK_SIDE, link_b, windows, net_driver, ledger, lock, "N"
-        )
+        def simulate(t, peer_end):
+            with lock:
+                ledger.append((label, t))
+            return driver.simulate(t, peer_end)
 
-    t_phys = threading.Thread(target=physics)
-    t_net = threading.Thread(target=network)
-    t_phys.start()
-    t_net.start()
-    t_phys.join(timeout=60)
-    t_net.join(timeout=60)
-    assert not t_phys.is_alive() and not t_net.is_alive(), "peers deadlocked"
+        try:
+            run_lockstep(role, link, W, windows * W, simulate, stats)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+        results[label] = stats, driver
+
+    threads = [
+        threading.Thread(target=side, args=(Role.PHYSICS_SIDE, link_a, phys_driver, "P")),
+        threading.Thread(target=side, args=(Role.NETWORK_SIDE, link_b, net_driver, "N")),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads), "peers deadlocked"
+    assert errors == []
     return results, ledger, (link_a, link_b)
 
 
-def test_start_sends_begin_zero():
-    link_a, link_b = queue_link_pair()
-    peer = SyncPeer(Role.PHYSICS_SIDE, W)
-    peer.start(link_a)
-    msg = link_b.recv()
-    assert isinstance(msg, PhysicsUpdate)
-    assert msg.msg_type is MsgType.BEGIN and msg.time_val == 0
-    assert peer.state is PeerState.AWAIT_PEER_BEGIN
-
-
-def test_start_twice_rejected():
-    link_a, _ = queue_link_pair()
-    peer = SyncPeer(Role.PHYSICS_SIDE, W)
-    peer.start(link_a)
-    with pytest.raises(ProtocolError, match="start"):
-        peer.start(link_a)
-
-
-def test_two_peers_advance_in_lockstep():
-    n = 50
-    results, ledger, _ = run_pair(n)
-    phys_peer, phys_driver = results["phys"]
-    net_peer, net_driver = results["net"]
-    assert phys_peer.t == net_peer.t == n * W
-    assert phys_peer.stats.windows_completed == n
-    assert len(phys_driver.calls) == len(net_driver.calls) == n
-    # window times are exact multiples of W, in order
-    assert [c[0] for c in phys_driver.calls] == [k * W for k in range(n)]
-    # no peer ever runs a full window ahead of the other
+def assert_lockstep(ledger, n):
+    # no side ever starts a window more than one ahead of the other
     counts = {"P": 0, "N": 0}
     for label, _ in ledger:
         counts[label] += 1
         assert abs(counts["P"] - counts["N"]) <= 1
-    # per-window completion times agree across the two peers
+    # both sides run the same windows, exact multiples of W, in order
     times_p = [t for label, t in ledger if label == "P"]
     times_n = [t for label, t in ledger if label == "N"]
     assert times_p == times_n == [k * W for k in range(n)]
 
 
+def test_start_sends_begin_zero(scripted_peer):
+    link, peer = scripted_peer()
+    with pytest.raises(TransportError):
+        run_physics_side(link, W)
+    [msg] = sent_by(peer, 1)
+    assert isinstance(msg, PhysicsUpdate)
+    assert msg.msg_type is MsgType.BEGIN and msg.time_val == 0
+
+
+def test_two_peers_advance_in_lockstep():
+    n = 50
+    results, ledger, _ = run_pair(n)
+    phys_stats, phys_driver = results["P"]
+    net_stats, net_driver = results["N"]
+    assert phys_stats.windows_completed == net_stats.windows_completed == n
+    assert len(phys_stats.window_wall_seconds) == len(net_stats.window_wall_seconds) == n
+    assert len(phys_driver.calls) == len(net_driver.calls) == n
+    assert [c[0] for c in phys_driver.calls] == [k * W for k in range(n)]
+    assert_lockstep(ledger, n)
+
+
 def test_peer_payload_is_previous_window_end():
     n = 5
     results, _, _ = run_pair(n)
-    _, net_driver = results["net"]
-    assert net_driver.calls[0][2] is None
+    _, net_driver = results["N"]
+    assert net_driver.calls[0][1] is None
     for k in range(1, n):
-        peer_end = net_driver.calls[k][2]
+        peer_end = net_driver.calls[k][1]
         assert isinstance(peer_end, PhysicsUpdate)
         assert peer_end.msg_type is MsgType.END
         assert peer_end.time_val == (k - 1) * W
@@ -157,129 +182,67 @@ def test_jitter_does_not_desync():
         phys_driver=StubDriver(Role.PHYSICS_SIDE, delay_fn=jitter(rng_a)),
         net_driver=StubDriver(Role.NETWORK_SIDE, delay_fn=jitter(rng_b)),
     )
-    phys_peer, _ = results["phys"]
-    net_peer, _ = results["net"]
-    assert phys_peer.t == net_peer.t == n * W
-    counts = {"P": 0, "N": 0}
-    for label, _ in ledger:
-        counts[label] += 1
-        assert abs(counts["P"] - counts["N"]) <= 1
+    assert results["P"][0].windows_completed == results["N"][0].windows_completed == n
+    assert_lockstep(ledger, n)
 
 
-def test_desync_reports_both_timestamps():
-    link_a, link_b = queue_link_pair()
-    peer = SyncPeer(Role.PHYSICS_SIDE, W)
-    peer.start(link_a)
-    link_b.recv()  # swallow BEGIN(0)
-    # peer skips ahead: announces window 2W when 0 is expected... drive local
-    # clock to W first so both timestamps in the error text are nonzero
-    link_b.send(NetworkUpdate(MsgType.BEGIN, 0))
-    driver = StubDriver(Role.PHYSICS_SIDE)
-    link_b.send(NetworkUpdate(MsgType.END, 0))
-    peer.run_window(link_a, driver)
-    link_b.send(NetworkUpdate(MsgType.BEGIN, 2 * W))
+def test_desync_reports_both_timestamps(scripted_peer):
+    # the peer runs window 0, then skips ahead: it announces 2W when W is
+    # expected, so both timestamps in the error text are nonzero
+    link, _ = scripted_peer(
+        NetworkUpdate(MsgType.BEGIN, 0),
+        NetworkUpdate(MsgType.END, 0),
+        NetworkUpdate(MsgType.BEGIN, 2 * W),
+    )
+    stats = RunStats()
     with pytest.raises(DesyncError, match="expected 1000000, got 2000000"):
-        peer.run_window(link_a, driver)
+        run_physics_side(link, 5 * W, stats=stats)
+    assert stats.windows_completed == 1
 
 
-def test_wrong_message_class_for_role():
-    link_a, link_b = queue_link_pair()
-    peer = SyncPeer(Role.PHYSICS_SIDE, W)
-    peer.start(link_a)
-    link_b.send(PhysicsUpdate(MsgType.BEGIN, 0))  # physics expects NetworkUpdate
+def test_wrong_message_class_for_role(scripted_peer):
+    # the physics side expects a NetworkUpdate
+    link, _ = scripted_peer(PhysicsUpdate(MsgType.BEGIN, 0))
     with pytest.raises(ProtocolError, match="NetworkUpdate"):
-        peer.run_window(link_a, StubDriver(Role.PHYSICS_SIDE))
+        run_physics_side(link, W)
 
 
-def test_end_when_begin_expected_is_protocol_error():
-    link_a, link_b = queue_link_pair()
-    peer = SyncPeer(Role.PHYSICS_SIDE, W)
-    peer.start(link_a)
-    link_b.send(NetworkUpdate(MsgType.END, 0))
+def test_end_when_begin_expected_is_protocol_error(scripted_peer):
+    link, _ = scripted_peer(NetworkUpdate(MsgType.END, 0))
     with pytest.raises(ProtocolError, match="BEGIN"):
-        peer.run_window(link_a, StubDriver(Role.PHYSICS_SIDE))
+        run_physics_side(link, W)
 
 
-def test_driver_end_message_validated():
-    link_a, link_b = queue_link_pair()
-    peer = SyncPeer(Role.PHYSICS_SIDE, W)
-    peer.start(link_a)
-    link_b.send(NetworkUpdate(MsgType.BEGIN, 0))
+def test_driver_end_message_validated(scripted_peer):
+    link, _ = scripted_peer(NetworkUpdate(MsgType.BEGIN, 0))
 
-    class BadDriver:
-        def simulate(self, t, window_ns, peer_end):
-            return PhysicsUpdate(MsgType.END, t + 1)
+    def bad_simulate(t, peer_end):
+        return PhysicsUpdate(MsgType.END, t + 1)
 
     with pytest.raises(ProtocolError, match="END at t=0"):
-        peer.run_window(link_a, BadDriver())
+        run_physics_side(link, W, bad_simulate)
 
 
-def test_shutdown_idempotent():
-    link_a, _ = queue_link_pair()
-    peer = SyncPeer(Role.PHYSICS_SIDE, W)
-    peer.start(link_a)
-    peer.shutdown(link_a)
-    assert peer.state is PeerState.DONE
-    peer.shutdown(link_a)  # no-op
-    assert peer.state is PeerState.DONE
-
-
-def test_shutdown_mid_window_completes_window_first():
-    link_a, link_b = queue_link_pair()
-    peer = SyncPeer(Role.PHYSICS_SIDE, W)
-
-    def request_shutdown(t):
-        peer.shutdown(link_a)
-        assert peer.state is PeerState.LOCAL_SIMULATING  # deferred, not closed
-
-    driver = StubDriver(Role.PHYSICS_SIDE, on_simulate=request_shutdown)
-    peer.start(link_a)
-    link_b.recv()
-    link_b.send(NetworkUpdate(MsgType.BEGIN, 0))
-    link_b.send(NetworkUpdate(MsgType.END, 0))
-    report = peer.run_window(link_a, driver)
-    assert report.t == 0
-    assert peer.state is PeerState.DONE
-    # the in-flight window's END and the next BEGIN both went out before close
-    end = link_b.recv()
-    assert end.msg_type is MsgType.END and end.time_val == 0
-    begin = link_b.recv()
-    assert begin.msg_type is MsgType.BEGIN and begin.time_val == W
-    with pytest.raises(TransportError):
-        link_b.recv()
-
-
-def test_recv_after_peer_close_raises_transport_error():
-    link_a, link_b = queue_link_pair()
-    link_a.close()
-    with pytest.raises(TransportError):
-        link_b.recv()
-    with pytest.raises(TransportError):
-        link_a.recv()
-
-
-def test_run_window_before_start_rejected():
-    link_a, _ = queue_link_pair()
-    peer = SyncPeer(Role.PHYSICS_SIDE, W)
-    with pytest.raises(ProtocolError, match="run_window"):
-        peer.run_window(link_a, StubDriver(Role.PHYSICS_SIDE))
-
-
-def test_window_ns_must_be_positive():
-    with pytest.raises(ValueError):
-        SyncPeer(Role.PHYSICS_SIDE, 0)
+def test_window_ns_must_be_positive(scripted_peer):
+    link, peer = scripted_peer()
+    with pytest.raises(ValueError, match="window_ns"):
+        run_physics_side(link, W, window_ns=0)
+    sent_by(peer, 0)
 
 
 def test_socket_links_run_the_same_protocol():
-    sock_a, sock_b = socket.socketpair()
+    """Over a loopback TCP connection, as a split deployment runs, rather
+    than the socket pair the other tests use."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        sock_a = socket.create_connection(server.getsockname(), timeout=30)
+        sock_b, _ = server.accept()
     link_a = sync.SocketLink(sock_a, timeout=30)
     link_b = sync.SocketLink(sock_b, timeout=30)
     n = 25
-    results, _, _ = run_pair(n, links=(link_a, link_b))
-    phys_peer, _ = results["phys"]
-    net_peer, _ = results["net"]
-    assert phys_peer.t == net_peer.t == n * W
-    assert link_a.sent_frames == 2 * n + 1
+    results, ledger, _ = run_pair(n, links=(link_a, link_b))
+    assert results["P"][0].windows_completed == results["N"][0].windows_completed == n
+    assert_lockstep(ledger, n)
+    assert link_a.sent_frames == link_b.sent_frames == 2 * n + 1
 
 
 def test_socket_link_surfaces_peer_close():
@@ -295,13 +258,13 @@ def test_end_payload_reaches_report():
     blob = wire.compress_channel_blob(wire.encode_channel_data(wire.ChannelData()))
 
     class PayloadDriver:
-        def simulate(self, t, window_ns, peer_end):
+        def simulate(self, t, peer_end):
             return PhysicsUpdate(MsgType.END, t, blob)
 
     n = 3
     results, _, _ = run_pair(n, phys_driver=PayloadDriver())
-    _, net_driver = results["net"]
-    assert net_driver.calls[1][2].channel_data == blob
+    _, net_driver = results["N"]
+    assert net_driver.calls[1][1].channel_data == blob
 
 
 # -- SocketLink receive buffer ------------------------------------------------------
