@@ -255,7 +255,11 @@ class ReferenceNetSim:
             ip: agent_id for agent_id, ip in wire.checked_address_map(address_map.items())
         }
         self._budget = _link_budget(params)
-        # (i, j), i < j -> (phy_rate, ber, distance, wall_loss, path_loss, snr)
+        # the last channel update and its listed pairs (i < j) -> row
+        self._channel: ChannelData | None = None
+        self._rows: Mapping[tuple[int, int], int] = {}
+        # (i, j), i < j -> (phy_rate, ber, distance, wall_loss, path_loss, snr),
+        # for the rows computed so far
         self._links: dict[tuple[int, int], tuple] = {}
         # LinkState objects handed out since the last channel update
         self._states: dict[tuple[int, int], LinkState] = {}
@@ -274,33 +278,49 @@ class ReferenceNetSim:
     # -- channel ---------------------------------------------------------
 
     def apply_channel(self, cd: ChannelData) -> None:
+        """Take `cd` as the channel from now on.  Only its check runs here:
+        a pair's link is computed the first time it is asked for."""
         try:
             wire.validate_channel_data(cd)
         except wire.InvariantViolation as exc:
             raise MalformedChannelError(str(exc)) from exc
-        positions = [pose.position for pose in cd.node_list]
-        budget = self._budget
-        dist = math.dist
-        links = {}
-        for pd in cd.path_details:
-            i, j = pd.ids
-            if pd.los:
+        self._channel = cd
+        self._rows = cd.pair_rows
+        self._links = {}
+        self._states = {}
+
+    def _link(self, pair: tuple[int, int]) -> tuple | None:
+        """The budget tuple of the ordered pair (i < j) under the last
+        channel update, computed on first use; None if it is not listed."""
+        link = self._links.get(pair)
+        if link is None:
+            k = self._rows.get(pair)
+            if k is None:
+                return None
+            cd = self._channel
+            if cd.los[k]:
                 wall_loss = 0.0
             else:
-                first_path_hops = pd.num_hops[0] if pd.num_hops else 0
-                wall_loss = sum(map(_HOP_LOSS, pd.hop_points[:first_path_hops]))
-            links[pd.ids if i < j else (j, i)] = budget(
-                dist(positions[i], positions[j]), wall_loss
+                # the first path's walls, summed left to right as `sum` does:
+                # no walls at all sum to the int 0
+                p0 = cd.path_start[k]
+                walls = cd.num_hops[p0] if cd.path_start[k + 1] > p0 else 0
+                h0 = cd.hop_start[k]
+                wall_loss = sum(map(_HOP_LOSS, cd.hops[h0:h0 + walls]))
+            i, j = pair  # the distance is the same in either order
+            link = self._links[pair] = self._budget(
+                math.dist(cd.poses[i][:3], cd.poses[j][:3]), wall_loss
             )
-        self._links = links
-        self._states = {}
+        return link
 
     @property
     def link_table(self) -> Mapping[tuple[int, int], tuple]:
         """The last channel update's links, in the order it listed them:
         ordered pair (i < j) -> ``(phy_rate, ber, distance, wall_loss,
         path_loss, snr)``.  The update rejects a pair listed twice, so the
-        table has one row per entry of its ``path_details``."""
+        table has one row per listed pair.  Reading it computes every row
+        not yet asked for; a row computed before is the same object."""
+        self._links = {pair: self._link(pair) for pair in self._rows}
         return self._links
 
     def link_state(self, a: int, b: int) -> LinkState | None:
@@ -310,7 +330,7 @@ class ReferenceNetSim:
         pair = (a, b) if a < b else (b, a)
         state = self._states.get(pair)
         if state is None:
-            budget = self._links.get(pair)
+            budget = self._link(pair)
             if budget is None:
                 return None
             state = self._states[pair] = _as_link_state(pair, budget)
@@ -358,6 +378,7 @@ class ReferenceNetSim:
             if entry is None:
                 break
             src, dst = entry.src_agent, entry.dst_agent
+            # `_next_eligible` has computed the link it found up
             phy_rate, ber = self._links[(src, dst) if src < dst else (dst, src)][:2]
             service_ns = self.params.per_packet_overhead + int(
                 round(entry.length * 8e9 / phy_rate)
@@ -389,11 +410,13 @@ class ReferenceNetSim:
         """The smallest (enqueued_at, pkt_id) among the heads of the FIFOs
         whose link is up."""
         best = None
+        links = self._links
         for (src, dst), fifo in self._fifos.items():
             head = fifo[0]
             if best is not None and _key(head) > _key(best):
                 continue
-            link = self._links.get((src, dst) if src < dst else (dst, src))
+            pair = (src, dst) if src < dst else (dst, src)
+            link = links.get(pair) or self._link(pair)
             if link is None or link[0] is None:
                 continue
             best = head

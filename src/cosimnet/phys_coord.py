@@ -73,7 +73,7 @@ class PhysicsStepper:
             self._sim.step(dt)
         snapshot = self._sim.channel_snapshot(self._fidelity)
         self.extractions += 1
-        self.agent_count = len(snapshot.node_list)
+        self.agent_count = len(snapshot.poses)
         return snapshot
 
     def summary(self, stats: RunStats) -> PhysRunSummary:

@@ -3,10 +3,13 @@ world, with channel extraction at disk or LOS/NLOS fidelity.
 
 Tracks are piecewise linear and walked at constant speed.  Loop tracks
 close implicitly from the last waypoint back to the first; non-loop
-tracks clamp at the final waypoint.  Channel extraction reduces the
+tracks clamp at the final waypoint.  Each segment's length and yaw
+quaternion are worked out once per track.  Channel extraction reduces the
 world to the wire-level ChannelData: agent poses plus, per unordered
 agent pair, either a disk-range LOS verdict or the list of obstacle
-crossings with their penetration losses.
+crossings with their penetration losses.  The kernels write the
+snapshot's columns directly (LOS flags, hop counts, hop rows); no
+per-pair record is built.
 
 LOS/NLOS extraction has two paths that give bit-identical output.  The
 scalar path runs one slab test per pair and box in Python.  The vector
@@ -19,6 +22,13 @@ fixed cost of a few dozen array operations outweighs what it saves, as
 in worlds of two agents and a handful of boxes; and it is the reference
 the vector path is tested against.  Disk fidelity takes neither path.
 
+The vector path's broad phase is kept across extractions by a
+`BroadPhase`, one per simulator: its candidates are built with segment
+bounds widened by `BROAD_PHASE_SKIN` and reused until some agent has
+moved further than that along an axis.  They stay a superset of what an
+unwidened broad phase would pass, so the exact narrow phase gives the
+same hops.
+
 The simulator contract is two methods, `step(dt_ns)` and
 `channel_snapshot(fidelity)`.  `ReferencePhysicsSim` implements it
 in-process.
@@ -30,11 +40,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import itemgetter, not_
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .wire import ChannelData, PathDetails, Pose
+from .wire import ChannelData, Pose, all_pairs, one_path_each
 
 Vec3 = tuple[float, float, float]
 
@@ -199,7 +211,8 @@ class ChannelFidelity:
 
 @lru_cache(maxsize=512)
 def _segment_table(waypoints: tuple[Vec3, ...], loop: bool):
-    """Per-segment (start, end, length, cumulative start arc)."""
+    """Per-segment (start, end, length, cumulative start arc, yaw
+    quaternion), and the total length."""
     pts = list(waypoints)
     if loop and len(pts) >= 2:
         pts.append(pts[0])
@@ -207,7 +220,8 @@ def _segment_table(waypoints: tuple[Vec3, ...], loop: bool):
     cum = 0.0
     for a, b in zip(pts, pts[1:]):
         length = math.dist(a, b)
-        table.append((a, b, length, cum))
+        direction = tuple(pb - pa for pa, pb in zip(a, b))
+        table.append((a, b, length, cum, _yaw_quaternion(direction)))
         cum += length
     return tuple(table), cum
 
@@ -235,16 +249,14 @@ def track_pose(track: AgentTrack, arc: float) -> Pose:
             arc += total
     else:
         arc = min(max(arc, 0.0), total)
-    for a, b, length, cum in table:
+    for a, b, length, cum, yaw in table:
         if arc <= cum + length:
             u = (arc - cum) / length
-            position = tuple(pa + u * (pb - pa) for pa, pb in zip(a, b))
-            direction = tuple(pb - pa for pa, pb in zip(a, b))
-            return Pose(position, _yaw_quaternion(direction))
+            return Pose(tuple(pa + u * (pb - pa) for pa, pb in zip(a, b)), yaw)
     # arc == total on a non-loop track lands past the last cum + length only
     # through rounding; pin it to the final waypoint
-    a, b, _, _ = table[-1]
-    return Pose(b, _yaw_quaternion(tuple(pb - pa for pa, pb in zip(a, b))))
+    _, b, _, _, yaw = table[-1]
+    return Pose(b, yaw)
 
 
 def initial_agent_states(tracks: Iterable[AgentTrack]) -> list[AgentState]:
@@ -357,11 +369,21 @@ VECTOR_MIN_TESTS = 64
 # among the candidates.
 _BROAD_SLACK = 1e-12
 
+# Metres by which `BroadPhase` widens each pair's segment bounds, so that
+# its candidates hold while no agent has moved further than this along any
+# axis.  Measured on swarm16 (16 agents at 1-6 m/s, 50 boxes, 1 ms windows)
+# on a 2-vCPU host: a rebuild costs 66 us, about two thirds of one window's
+# narrow phase, whose 100-110 us hardly moves as the skin grows from 0 to
+# 4 m (631 to 796 candidates).  At 1 m the fastest agent forces a rebuild
+# every 170 windows, under 0.5 us a window.
+BROAD_PHASE_SKIN = 1.0
+
 
 def extract_channel_data(
     world: WorldModel,
     agents: Sequence[AgentState],
     fidelity: ChannelFidelity,
+    broad_phase: "BroadPhase | None" = None,
 ) -> ChannelData:
     """Reduce world geometry to ChannelData for the current agent set.
 
@@ -369,32 +391,51 @@ def extract_channel_data(
     LOS/NLOS fidelity emits one aggregate path per pair whose hops are the
     obstacle entry points in crossing order, each carrying that obstacle's
     penetration loss.  Coincident agents see each other LOS: a zero-length
-    segment crosses nothing.
+    segment crosses nothing.  Pairs are listed as `wire.all_pairs`.  The
+    vector kernel keeps its broad phase in `broad_phase` from one call to
+    the next; without one it builds a fresh one.
     """
     states = sorted(agents, key=lambda s: s.agent_id)
     ids = [s.agent_id for s in states]
     if ids != list(range(len(states))):
         raise ValueError(f"agent ids must be dense 0..n-1, got {ids}")
-    node_list = tuple(s.pose for s in states)
+    n = len(states)
+    poses = tuple([s.pose.position + s.pose.orientation for s in states])
     positions = [s.pose.position for s in states]
-    n = len(positions)
     if fidelity.kind is FidelityKind.DISK:
-        paths = [
-            PathDetails((i, j), math.dist(positions[i], positions[j]) <= fidelity.radius)
+        los = tuple(
+            math.dist(positions[i], positions[j]) <= fidelity.radius
             for i in range(n)
             for j in range(i + 1, n)
-        ]
-    elif n * (n - 1) // 2 * len(world.obstacles) >= VECTOR_MIN_TESTS:
-        paths = _los_paths_vector(world, positions)
+        )
+        no_paths = (0,) * (len(los) + 1)
+        return ChannelData.from_columns(poses, all_pairs(n), los, no_paths, (), no_paths, ())
+    if n * (n - 1) // 2 * len(world.obstacles) >= VECTOR_MIN_TESTS:
+        paths = _los_paths_vector(
+            world, positions, BroadPhase() if broad_phase is None else broad_phase
+        )
     else:
         paths = _los_paths_scalar(world, positions)
-    return ChannelData(node_list, tuple(paths))
+    return _one_path_snapshot(poses, *paths)
 
 
-def _los_paths_scalar(world: WorldModel, positions: Sequence[Vec3]) -> list[PathDetails]:
-    """LOS/NLOS paths by one slab test per pair and box; the reference the
-    vector kernel is tested against."""
-    paths = []
+def _one_path_snapshot(poses: tuple, los: tuple, counts: tuple, hops: tuple) -> ChannelData:
+    """The snapshot over `poses` whose pairs, listed as `wire.all_pairs`,
+    report one path each: the LOS/NLOS kernels' three columns."""
+    return ChannelData.from_columns(
+        poses, all_pairs(len(poses)), los, one_path_each(len(counts)), counts,
+        tuple(accumulate(counts, initial=0)), hops,
+    )
+
+
+_ENTRY_ORDER = itemgetter(0, 1)  # a hit's entry t, then its box index
+
+
+def _los_paths_scalar(world: WorldModel, positions: Sequence[Vec3]):
+    """Each pair's LOS verdict, hop count and hops, as three column tuples,
+    by one slab test per pair and box; the reference the vector kernel is
+    tested against."""
+    los, counts, hops = [], [], []
     for i, pi in enumerate(positions):
         for j in range(i + 1, len(positions)):
             pj = positions[j]
@@ -407,31 +448,73 @@ def _los_paths_scalar(world: WorldModel, positions: Sequence[Vec3]) -> list[Path
                             a + interval[0] * (b - a) for a, b in zip(pi, pj)
                         )
                         hits.append((interval[0], box_idx, entry, box.penetration_loss))
-            if not hits:
-                paths.append(PathDetails((i, j), True, (0,), ()))
-            else:
-                hits.sort(key=lambda h: (h[0], h[1]))
-                hops = tuple((*entry, loss) for _, _, entry, loss in hits)
-                paths.append(PathDetails((i, j), False, (len(hops),), hops))
-    return paths
+            los.append(not hits)
+            counts.append(len(hits))
+            if hits:
+                hits.sort(key=_ENTRY_ORDER)
+                hops += [(*entry, loss) for _, _, entry, loss in hits]
+    return tuple(los), tuple(counts), tuple(hops)
 
 
 @lru_cache(maxsize=8)
-def _pair_index(n: int):
-    """Both ends of every unordered pair i < j, in the scalar loop's order,
-    and the pair's LOS path, which is the same object in every window."""
-    first, second = np.triu_indices(n, 1)
-    first.setflags(write=False)
-    second.setflags(write=False)
-    los = tuple(
-        PathDetails(ij, True, (0,), ()) for ij in zip(first.tolist(), second.tolist())
-    )
-    return first, second, los
+def _pair_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two ends of every pair of `wire.all_pairs(n)`, as two arrays."""
+    ends = np.array(all_pairs(n), dtype=np.intp).reshape(-1, 2).T.copy()
+    ends.setflags(write=False)
+    return ends[0], ends[1]
 
 
-def _los_paths_vector(world: WorldModel, positions: Sequence[Vec3]) -> list[PathDetails]:
-    """`_los_paths_scalar` over whole arrays: an AABB broad phase, then the
-    slab test on the surviving (pair, box) candidates.
+class BroadPhase:
+    """The vector kernel's (pair, box) candidates, kept across extractions.
+
+    The candidates are the boxes whose bounds overlap a pair's segment
+    bounds, widened by `BROAD_PHASE_SKIN` plus a rounding slack, at the
+    positions they were built for.  While no agent is further than the
+    skin from those positions along any axis, every box the exact test
+    can hit, and every box the unwidened test would pass, is still among
+    them; the narrow phase rejects the rest, so the hops come out the same
+    as from candidates rebuilt every time.  Otherwise, or for another world
+    or agent count, they are rebuilt.
+    """
+
+    def __init__(self):
+        self._world = None
+        self._anchor = None  # (3, n) positions the candidates were built for
+        self._candidates = None
+
+    def candidates(self, world: WorldModel, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(pair, box) candidates for axis-major positions `pos`, (3, n),
+        listed by pair, then box index."""
+        anchor = self._anchor
+        if (
+            world is not self._world
+            or anchor is None
+            or anchor.shape != pos.shape
+            or not np.abs(pos - anchor).max(initial=0.0) <= BROAD_PHASE_SKIN
+        ):
+            self._build(world, pos)
+        return self._candidates
+
+    def _build(self, world: WorldModel, pos: np.ndarray) -> None:
+        mins, maxs, _ = world._slabs
+        first, second = _pair_ends(pos.shape[1])
+        p0 = pos.take(first, axis=1)
+        p1 = pos.take(second, axis=1)
+        # the slack covers the largest coordinate any position within the
+        # skin can have
+        reach = float(np.abs(pos).max(initial=0.0)) + BROAD_PHASE_SKIN
+        widen = BROAD_PHASE_SKIN + _BROAD_SLACK * reach
+        seg_lo = np.minimum(p0, p1)[:, :, None] - widen
+        seg_hi = np.maximum(p0, p1)[:, :, None] + widen
+        near = ((seg_lo <= maxs[:, None, :]) & (seg_hi >= mins[:, None, :])).all(axis=0)
+        self._candidates = np.nonzero(near)
+        self._world = world
+        self._anchor = pos.copy()
+
+
+def _los_paths_vector(world: WorldModel, positions: Sequence[Vec3], broad_phase: BroadPhase):
+    """`_los_paths_scalar` over whole arrays: the candidates of
+    `broad_phase`, then the slab test on them.
 
     Every verdict and hop coordinate is bit-identical to the scalar path:
     the slab parameters, the midpoint and the entry point come from the
@@ -441,23 +524,18 @@ def _los_paths_vector(world: WorldModel, positions: Sequence[Vec3]) -> list[Path
     (3, ...), so that every step is an elementwise operation on whole rows.
     """
     mins, maxs, losses = world._slabs
-    first, second, los_paths = _pair_index(len(positions))
+    first, second = _pair_ends(len(positions))
     pos = np.array(positions, dtype=np.float64).reshape(-1, 3).T
-    p0 = pos.take(first, axis=1)
-    p1 = pos.take(second, axis=1)
-    delta = p1 - p0
-
-    # broad phase: segment bounds against box bounds, inclusive
-    slack = _BROAD_SLACK * float(np.abs(pos).max(initial=0.0))
-    seg_lo = np.minimum(p0, p1)[:, :, None] - slack
-    seg_hi = np.maximum(p0, p1)[:, :, None] + slack
-    near = ((seg_lo <= maxs[:, None, :]) & (seg_hi >= mins[:, None, :])).all(axis=0)
-    near &= delta.any(axis=0)[:, None]  # coincident agents are LOS
-    pair, box = np.nonzero(near)
+    pair, box = broad_phase.candidates(world, pos)
 
     # narrow phase: the slab test per candidate
-    origin = p0.take(pair, axis=1)
-    step = delta.take(pair, axis=1)
+    origin = pos.take(first.take(pair), axis=1)
+    step = pos.take(second.take(pair), axis=1) - origin
+    moving = step.any(axis=0)
+    if not moving.all():  # coincident agents are LOS
+        pair, box, origin, step = (
+            pair[moving], box[moving], origin[:, moving], step[:, moving]
+        )
     lo = mins.take(box, axis=1)
     hi = maxs.take(box, axis=1)
     # An axis with zero delta takes no part in t0, t1 and divides by 1.0, not
@@ -478,20 +556,12 @@ def _los_paths_vector(world: WorldModel, positions: Sequence[Vec3]) -> list[Path
     pair, box, t0 = pair.take(hit), box.take(hit), t0.take(hit)
     entry = origin.take(hit, axis=1) + t0 * step.take(hit, axis=1)
 
-    # np.nonzero lists each pair's boxes in index order and lexsort is
+    # candidates list each pair's boxes in index order and lexsort is
     # stable, so hops come out by (pair, entry t, box index)
     order = np.lexsort((t0, pair))
     hops = tuple(zip(*entry.take(order, axis=1).tolist(), losses.take(box.take(order)).tolist()))
-    counts = np.bincount(pair, minlength=len(los_paths)).tolist()
-    paths = []
-    k = 0
-    for los_path, count in zip(los_paths, counts):
-        if count:
-            paths.append(PathDetails(los_path.ids, False, (count,), hops[k:k + count]))
-            k += count
-        else:
-            paths.append(los_path)
-    return paths
+    counts = tuple(np.bincount(pair, minlength=len(first)).tolist())
+    return tuple(map(not_, counts)), counts, hops
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +581,7 @@ class ReferencePhysicsSim:
 
     def __init__(self, world: WorldModel, tracks: Iterable[AgentTrack]):
         self.world = world
+        self._broad_phase = BroadPhase()
         self.tracks: dict[int, AgentTrack] = {}
         for track in tracks:
             if track.agent_id in self.tracks:
@@ -522,4 +593,4 @@ class ReferencePhysicsSim:
         self._agents = step_world(self.world, self.tracks, self._agents, dt_ns)
 
     def channel_snapshot(self, fidelity: ChannelFidelity) -> ChannelData:
-        return extract_channel_data(self.world, self._agents, fidelity)
+        return extract_channel_data(self.world, self._agents, fidelity, self._broad_phase)

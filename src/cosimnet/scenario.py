@@ -481,14 +481,15 @@ class _TimelineRecorder:
 
     def __call__(self, t: int, cd) -> None:
         tl = self.timeline
-        paths = cd.path_details
-        rows = self._netsim.link_table.values()  # one per path, in its order
-        tl._t.extend(repeat(t, len(paths)))
-        tl._a.extend([pd.ids[0] for pd in paths])
-        tl._b.extend([pd.ids[1] for pd in paths])
-        tl._los.extend([pd.los for pd in paths])
-        tl._wall_count.extend([
-            0 if pd.los else pd.num_hops[0] if pd.num_hops else 0 for pd in paths
+        rows = self._netsim.link_table.values()  # one per listed pair, in order
+        num_hops, path_start = cd.num_hops, cd.path_start
+        tl._t.extend(repeat(t, len(cd.ids)))
+        tl._a.extend([a for a, _ in cd.ids])
+        tl._b.extend([b for _, b in cd.ids])
+        tl._los.extend(cd.los)
+        tl._wall_count.extend([  # walls on the first path
+            0 if los or p0 == p1 else num_hops[p0]
+            for los, p0, p1 in zip(cd.los, path_start, path_start[1:])
         ])
         tl._distance.extend([row[2] for row in rows])
         tl._wall_loss.extend([row[3] for row in rows])

@@ -21,8 +21,12 @@ computes from what the scenario parser typed, and the decoders build
 records from `struct` and `inet_ntoa` values.  The one conversion left is
 `PhysicsUpdate.channel_data` to bytes.
 
-Channel descriptions (ChannelData) have their own flat encoding and are
-carried inside PhysicsUpdate frames as a raw-DEFLATE-compressed byte string:
+A channel snapshot (ChannelData) is held as columns: a tuple of pose rows,
+the listed pairs, their LOS flags, and their paths' hop counts and hop rows
+in CSR form.  The physics kernels, the channel decoder and the netsim work
+on the columns; the `Pose` and `PathDetails` records are built from them
+only when read.  Snapshots have their own flat encoding and are carried
+inside PhysicsUpdate frames as a raw-DEFLATE-compressed byte string:
 
     u32 agent count
     per agent: 7 doubles (position x, y, z; orientation x, y, z, w)
@@ -45,6 +49,8 @@ import struct
 import zlib
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
+from itertools import accumulate, starmap
 from socket import inet_ntoa
 
 MAGIC = b"RNS1"
@@ -115,12 +121,143 @@ class PathDetails:
     hop_points: tuple[tuple[float, float, float, float], ...] = ()
 
 
-@dataclass(frozen=True)
-class ChannelData:
-    """Poses of all agents plus per-pair propagation paths."""
+@lru_cache(maxsize=16)
+def all_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Every unordered pair i < j of `n` agents in row-major order, as one
+    tuple per `n`: the pair column of every snapshot the physics kernels
+    take."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
-    node_list: tuple[Pose, ...] = ()
-    path_details: tuple[PathDetails, ...] = ()
+
+@lru_cache(maxsize=16)
+def one_path_each(m: int) -> tuple[int, ...]:
+    """The `path_start` column of `m` pairs that report one path each, as
+    one tuple per `m`."""
+    return tuple(range(m + 1))
+
+
+@lru_cache(maxsize=16)
+def _all_pair_rows(n: int) -> dict[tuple[int, int], int]:
+    return {pair: k for k, pair in enumerate(all_pairs(n))}
+
+
+class ChannelData:
+    """Poses of all agents plus per-pair propagation paths, held as columns.
+
+    The columns are tuples, each of one kind of field:
+
+    - ``poses``: one (x, y, z, qx, qy, qz, qw) row per agent, the position
+      and the orientation quaternion;
+    - ``ids``: each listed pair, in the order listed;
+    - ``los``: each pair's line-of-sight flag;
+    - ``path_start`` (m + 1 offsets): pair k's paths are
+      ``num_hops[path_start[k]:path_start[k + 1]]``;
+    - ``num_hops``: the hop count of each path;
+    - ``hop_start`` (m + 1 offsets): pair k's hops are
+      ``hops[hop_start[k]:hop_start[k + 1]]``;
+    - ``hops``: one (x, y, z, penetration loss in dB) row per hop.
+
+    `ChannelData(node_list, path_details)` builds the columns from records;
+    `ChannelData.from_columns` takes them as they are.  ``node_list`` and
+    ``path_details`` are the records a snapshot was built from, or records
+    built from its columns when first read, with the field types `Pose`
+    and `PathDetails` document.  Equality, hashing and `repr` go by the
+    records.
+    """
+
+    __slots__ = (
+        "poses", "ids", "los", "path_start", "num_hops", "hop_start", "hops",
+        "_node_list", "_path_details", "_rows", "_checked",
+    )
+
+    def __init__(self, node_list: tuple = (), path_details: tuple = ()):
+        self._fill(
+            tuple((*pose.position, *pose.orientation) for pose in node_list),
+            _pair_column(tuple(tuple(pd.ids) for pd in path_details), len(node_list)),
+            tuple(pd.los for pd in path_details),
+            tuple(accumulate((len(pd.num_hops) for pd in path_details), initial=0)),
+            tuple(h for pd in path_details for h in pd.num_hops),
+            tuple(accumulate((len(pd.hop_points) for pd in path_details), initial=0)),
+            tuple(tuple(hop) for pd in path_details for hop in pd.hop_points),
+        )
+        self._node_list = tuple(node_list)
+        self._path_details = tuple(path_details)
+
+    @classmethod
+    def from_columns(cls, poses, ids, los, path_start, num_hops, hop_start, hops):
+        """A snapshot over the given column tuples, shaped as the class
+        documents."""
+        cd = cls.__new__(cls)
+        cd._fill(poses, ids, los, path_start, num_hops, hop_start, hops)
+        return cd
+
+    def _fill(self, poses, ids, los, path_start, num_hops, hop_start, hops):
+        # a snapshot is never changed once built: its columns are tuples,
+        # and the records, pair index and check verdict are kept for it
+        self.poses = poses
+        self.ids = ids
+        self.los = los
+        self.path_start = path_start
+        self.num_hops = num_hops
+        self.hop_start = hop_start
+        self.hops = hops
+        self._node_list = None
+        self._path_details = None
+        self._rows = None
+        self._checked = False
+
+    @property
+    def node_list(self) -> tuple[Pose, ...]:
+        nodes = self._node_list
+        if nodes is None:
+            nodes = self._node_list = tuple(Pose(row[:3], row[3:]) for row in self.poses)
+        return nodes
+
+    @property
+    def path_details(self) -> tuple[PathDetails, ...]:
+        paths = self._path_details
+        if paths is None:
+            num_hops, hops = self.num_hops, self.hops
+            paths = self._path_details = tuple(
+                PathDetails(pair, los, num_hops[p0:p1], hops[h0:h1])
+                for pair, los, p0, p1, h0, h1 in zip(
+                    self.ids, self.los,
+                    self.path_start, self.path_start[1:],
+                    self.hop_start, self.hop_start[1:],
+                )
+            )
+        return paths
+
+    @property
+    def pair_rows(self) -> dict[tuple[int, int], int]:
+        """Each listed pair, smaller id first, -> its row, in listed order.
+        Snapshots over one `all_pairs` column share it; read only."""
+        rows = self._rows
+        if rows is None:
+            if self.ids is all_pairs(len(self.poses)):
+                rows = _all_pair_rows(len(self.poses))
+            else:
+                rows = {(a, b) if a < b else (b, a): k for k, (a, b) in enumerate(self.ids)}
+            self._rows = rows
+        return rows
+
+    def __eq__(self, other):
+        if not isinstance(other, ChannelData):
+            return NotImplemented
+        return (self.node_list, self.path_details) == (other.node_list, other.path_details)
+
+    def __hash__(self):
+        return hash((self.node_list, self.path_details))
+
+    def __repr__(self):
+        return f"ChannelData(node_list={self.node_list!r}, path_details={self.path_details!r})"
+
+
+def _pair_column(ids: tuple, n: int) -> tuple:
+    """`ids`, or the shared `all_pairs(n)` tuple when they list exactly its
+    pairs, so that snapshots over it share their pair index and its check."""
+    canonical = all_pairs(n)
+    return canonical if ids == canonical else ids
 
 
 @dataclass(frozen=True)
@@ -208,35 +345,76 @@ def validate_pose(pose: Pose, what: str = "Pose") -> None:
         )
 
 
+def validate_channel_data(cd: ChannelData) -> None:
+    """Raise InvariantViolation, naming the first bad field, unless `cd` is
+    well formed.  A snapshot that passes is not checked again.
+
+    The columns are checked one pass each, with no string work; snapshots
+    over one shared `all_pairs` column skip the pair checks, which that
+    column passes by construction.  Only when a quick test fails are the
+    records scanned one by one (`_scan_channel_data`), to name the first
+    bad field; a pose near the quaternion norm tolerance goes to that scan
+    for the exact verdict.
+    """
+    if cd._checked:
+        return
+    if not _columns_pass(cd):
+        _scan_channel_data(cd)
+    cd._checked = True
+
+
+def _columns_pass(cd: ChannelData) -> bool:
+    """Whether every invariant certainly holds.  A finite sum of values
+    means each one is finite."""
+    isfinite = math.isfinite
+    norm2_lo, norm2_hi = _NORM2_SURE
+    for x, y, z, qx, qy, qz, qw in cd.poses:
+        norm2 = qx * qx + qy * qy + qz * qz + qw * qw
+        if not (isfinite(x + y + z) and norm2_lo <= norm2 <= norm2_hi):
+            return False
+    n, m = len(cd.poses), len(cd.ids)
+    if not m:
+        return True
+    if n < 2:
+        return False
+    if cd.ids is not all_pairs(n) and len({
+        (a, b) if a < b else (b, a)
+        for a, b in cd.ids
+        if a != b and 0 <= a < n and 0 <= b < n
+    }) != m:
+        return False
+    num_hops = cd.num_hops
+    if num_hops and not (min(num_hops) >= 0 and max(num_hops) < 2**32):
+        return False
+    # each pair's hops end where the running count of its paths' hops does
+    ends = tuple(accumulate(num_hops, initial=0))
+    if cd.path_start is not one_path_each(m):
+        ends = tuple(map(ends.__getitem__, cd.path_start))
+    if ends != cd.hop_start:
+        return False
+    for x, y, z, loss in cd.hops:
+        if not (isfinite(x + y + z + loss) and loss >= 0):
+            return False
+    return True
+
+
 # A squared quaternion norm in this range puts the norm within 5e-7 of 1,
 # inside QUATERNION_NORM_TOL whatever the rounding of the sum of squares.
 _NORM2_SURE = (1.0 - QUATERNION_NORM_TOL, 1.0 + QUATERNION_NORM_TOL)
 
 
-def validate_channel_data(cd: ChannelData) -> None:
-    """Raise InvariantViolation, naming the first bad field, unless `cd` is
-    well formed.
-
-    One pass over the data with no string work on valid input; a pose that
-    the quick test does not pass goes to `validate_pose` for the verdict.
-    A finite sum of components means every component is finite.
-    """
-    isfinite = math.isfinite
-    norm2_lo, norm2_hi = _NORM2_SURE
-    nodes = cd.node_list
-    for i, pose in enumerate(nodes):
-        x, y, z = pose.position
-        qx, qy, qz, qw = pose.orientation
-        norm2 = qx * qx + qy * qy + qz * qz + qw * qw
-        if not (isfinite(x + y + z) and norm2_lo <= norm2 <= norm2_hi):
-            validate_pose(pose, f"ChannelData.node_list[{i}]")
-    n = len(nodes)
+def _scan_channel_data(cd: ChannelData) -> None:
+    """The record-by-record check: raise InvariantViolation for the first
+    bad field, in the order poses, then per path entry its ids, counts and
+    hops."""
+    for i, pose in enumerate(cd.node_list):
+        validate_pose(pose, f"ChannelData.node_list[{i}]")
+    n = len(cd.node_list)
     if n < 2 and cd.path_details:
         raise InvariantViolation(
             "ChannelData.path_details: must be empty with fewer than two agents"
         )
     seen_pairs = set()
-    add_pair = seen_pairs.add
     for k, pd in enumerate(cd.path_details):
         a, b = pd.ids
         if a == b:
@@ -253,25 +431,20 @@ def validate_channel_data(cd: ChannelData) -> None:
             raise InvariantViolation(
                 f"ChannelData.path_details[{k}].ids: duplicate entry for pair {pair}"
             )
-        add_pair(pair)
-        total = 0
+        seen_pairs.add(pair)
         for h in pd.num_hops:
-            if not 0 <= h < 2**32:
-                if h < 0:
-                    raise InvariantViolation(
-                        f"ChannelData.path_details[{k}].num_hops: negative count {h}"
-                    )
-                _check_u32(h, f"ChannelData.path_details[{k}].num_hops")
-            total += h
-        hops = pd.hop_points
-        if total != len(hops):
+            if h < 0:
+                raise InvariantViolation(
+                    f"ChannelData.path_details[{k}].num_hops: negative count {h}"
+                )
+            _check_u32(h, f"ChannelData.path_details[{k}].num_hops")
+        total = sum(pd.num_hops)
+        if total != len(pd.hop_points):
             raise InvariantViolation(
                 f"ChannelData.path_details[{k}]: sum(num_hops)={total} does not match "
-                f"{len(hops)} hop points"
+                f"{len(pd.hop_points)} hop points"
             )
-        for x, y, z, loss in hops:
-            if not (isfinite(x + y + z + loss) and loss >= 0):
-                _check_hops(hops, f"ChannelData.path_details[{k}]")
+        _check_hops(pd.hop_points, f"ChannelData.path_details[{k}]")
 
 
 def _check_hops(hops, what: str) -> None:
@@ -404,10 +577,15 @@ class _Reader:
         """A u32 count, then the bytes of that many `size`-byte items.  A
         truncated list names the first item that does not fit."""
         count = self.u32(f"{fieldname}.count")
+        return count, self.rows(count, size, fieldname)
+
+    def rows(self, count: int, size: int, fieldname: str) -> bytes:
+        """The bytes of `count` items of `size` bytes each.  A truncated
+        list names the first item that does not fit."""
         if self.pos + count * size > len(self.data):
             first = (len(self.data) - self.pos) // size
             raise FrameError(f"{self.what}.{fieldname}[{first}]: payload truncated")
-        return count, self._take(count * size, fieldname)
+        return self._take(count * size, fieldname)
 
     def array(self, code: str, fieldname: str) -> tuple:
         """A counted list of little-endian values of struct code `code`."""
@@ -432,50 +610,54 @@ class _Reader:
 
 def encode_channel_data(cd: ChannelData) -> bytes:
     validate_channel_data(cd)
-    parts = [_U32.pack(len(cd.node_list))]
-    for pose in cd.node_list:
-        parts.append(_POSE.pack(*pose.position, *pose.orientation))
-    parts.append(_U32.pack(len(cd.path_details)))
-    for pd in cd.path_details:
-        parts.append(_U32.pack(pd.ids[0]))
-        parts.append(_U32.pack(pd.ids[1]))
-        parts.append(bytes([1 if pd.los else 0]))
-        parts.append(_U32.pack(len(pd.num_hops)))
-        for h in pd.num_hops:
-            parts.append(_U32.pack(h))
-        for hop in pd.hop_points:
-            parts.append(_HOP.pack(*hop))
+    num_hops = cd.num_hops
+    hops = b"".join(starmap(_HOP.pack, cd.hops))
+    parts = [
+        _U32.pack(len(cd.poses)), *starmap(_POSE.pack, cd.poses), _U32.pack(len(cd.ids))
+    ]
+    for (a, b), los, p0, p1, h0, h1 in zip(
+        cd.ids, cd.los, cd.path_start, cd.path_start[1:], cd.hop_start, cd.hop_start[1:]
+    ):
+        parts.append(_path_head(p1 - p0).pack(a, b, los, p1 - p0, *num_hops[p0:p1]))
+        parts.append(hops[_HOP.size * h0 : _HOP.size * h1])
     return b"".join(parts)
+
+
+@lru_cache(maxsize=64)
+def _path_head(paths: int) -> struct.Struct:
+    """A path entry's ids, LOS byte, path count and per-path hop counts."""
+    return struct.Struct(f"<II?I{paths}I")
 
 
 def decode_channel_data(data: bytes) -> ChannelData:
     r = _Reader(data, "ChannelData")
     n_agents = r.u32("agent_count")
-    nodes = []
-    for i in range(n_agents):
-        vals = _POSE.unpack(r.raw(_POSE.size, f"node_list[{i}]"))
-        nodes.append(Pose(position=vals[:3], orientation=vals[3:]))
+    poses = tuple(_POSE.iter_unpack(r.rows(n_agents, _POSE.size, "node_list")))
     n_paths = r.u32("path_count")
-    paths = []
+    ids, los, path_start, num_hops, hop_start, hops = [], [], [0], [], [0], []
     for k in range(n_paths):
         what = f"path_details[{k}]"
-        id0 = r.u32(f"{what}.ids[0]")
-        id1 = r.u32(f"{what}.ids[1]")
+        ids.append((r.u32(f"{what}.ids[0]"), r.u32(f"{what}.ids[1]")))
         los_raw = r.u8(f"{what}.los")
         if los_raw not in (0, 1):
             raise FrameError(f"ChannelData.{what}.los: invalid boolean byte {los_raw}")
+        los.append(los_raw == 1)
         n_sub = r.u32(f"{what}.path_count")
-        num_hops = tuple(r.u32(f"{what}.num_hops[{j}]") for j in range(n_sub))
-        total_hops = sum(num_hops)
-        hops = tuple(
-            _HOP.unpack(r.raw(_HOP.size, f"{what}.hop_points[{j}]"))
-            for j in range(total_hops)
-        )
-        paths.append(
-            PathDetails(ids=(id0, id1), los=bool(los_raw), num_hops=num_hops, hop_points=hops)
-        )
+        counts = [r.u32(f"{what}.num_hops[{j}]") for j in range(n_sub)]
+        num_hops += counts
+        path_start.append(len(num_hops))
+        hops.append(r.rows(sum(counts), _HOP.size, f"{what}.hop_points"))
+        hop_start.append(hop_start[-1] + sum(counts))
     r.finish()
-    cd = ChannelData(node_list=tuple(nodes), path_details=tuple(paths))
+    cd = ChannelData.from_columns(
+        poses,
+        _pair_column(tuple(ids), n_agents),
+        tuple(los),
+        tuple(path_start),
+        tuple(num_hops),
+        tuple(hop_start),
+        tuple(_HOP.iter_unpack(b"".join(hops))),
+    )
     validate_channel_data(cd)
     return cd
 

@@ -816,3 +816,146 @@ def test_link_fifos_match_the_linear_scan():
         assert fifo.dropped_ids == scan.dropped_ids
         assert fifo.events == scan.events
         assert fifo.cleared_total == scan.cleared_total > 0
+
+
+# -- the link table, computed a row at a time -------------------------------
+
+
+def eager_link_table(params, cd):
+    """The link table as `apply_channel` built it before rows were computed
+    on demand: one pass over every listed pair, kept as the oracle."""
+    budget = netsim._link_budget(params)
+    positions = [pose.position for pose in cd.node_list]
+    links = {}
+    for pd in cd.path_details:
+        i, j = pd.ids
+        if pd.los:
+            wall_loss = 0.0
+        else:
+            first_path_hops = pd.num_hops[0] if pd.num_hops else 0
+            wall_loss = sum(h[3] for h in pd.hop_points[:first_path_hops])
+        links[pd.ids if i < j else (j, i)] = budget(
+            math.dist(positions[i], positions[j]), wall_loss
+        )
+    return links
+
+
+def world_snapshots(name):
+    """A world's config and physics snapshots spread over its run."""
+    from benchmarks import swarm
+    from cosimnet.physics import ChannelFidelity, ReferencePhysicsSim
+    from cosimnet.scenario import load_scenario, parse_scenario
+    from tests.test_lockstep_oracle import SCENARIOS, swarm_document
+
+    if name == "disk":  # 40 m disks: NLOS pairs that report no paths
+        config = dataclasses.replace(
+            parse_scenario(swarm_document()), fidelity=ChannelFidelity.disk(40.0)
+        )
+        stride, count = 5, 40
+    elif name == "swarm16":
+        config = parse_scenario(swarm.generate(921, 250))
+        stride, count = 3, 100
+    else:  # patrol's whole minute, through its occlusion trough
+        config = load_scenario(SCENARIOS / f"{name}.json")
+        stride, count = config.duration_ns // config.window_ns // 60, 60
+    physics = ReferencePhysicsSim(config.world, config.tracks)
+    snapshots = []
+    for _ in range(count):
+        physics.step(stride * config.window_ns)
+        snapshots.append(physics.channel_snapshot(config.fidelity))
+    return config, snapshots
+
+
+@pytest.mark.parametrize("name", ["disk", "patrol", "static_los_30m", "swarm16"])
+def test_link_table_matches_the_eager_pass(name):
+    config, snapshots = world_snapshots(name)
+    sim = ReferenceNetSim(config.radio, dict(config.agent_address_map))
+    wall_loss_types = set()
+    for cd in snapshots:
+        sim.apply_channel(cd)
+        expected = eager_link_table(config.radio, cd)
+        a, b = cd.path_details[0].ids
+        state = sim.link_state(b, a)  # computed before the table is read
+        table = sim.link_table
+        assert repr(table) == repr(expected)  # rows, their order and types
+        assert sim.link_state(a, b) is state
+        assert netsim._as_link_state((a, b), table[(a, b)]) == state
+        wall_loss_types |= {(row[3] == 0, type(row[3])) for row in table.values()}
+    if name == "disk":
+        assert (True, int) in wall_loss_types  # an NLOS pair with no hops
+    if name in ("patrol", "swarm16"):
+        assert (False, float) in wall_loss_types
+
+
+def test_rows_computed_before_the_table_is_read_are_kept():
+    sim = new_sim(agents=3)
+    cd = channel(
+        [(0, 0, 0), (10, 0, 0), (20, 0, 0)],
+        [
+            PathDetails((0, 1), True, (0,), ()),
+            PathDetails((2, 0), True, (0,), ()),
+            PathDetails((1, 2), False, (1,), ((15.0, 0.0, 0.0, 3.0),)),
+        ],
+    )
+    sim.apply_channel(cd)
+    end = sim.advance(0, W, manifest(0, [(0, 500, IP[2], IP[0])]))
+    assert end.clear_pkt_id == (0,)
+    computed = dict(sim._links)
+    assert list(computed) == [(0, 2)]  # advance asked for its one link only
+    table = sim.link_table
+    assert list(table) == [(0, 1), (0, 2), (1, 2)]
+    assert table[(0, 2)] is computed[(0, 2)]
+    assert sim.link_table[(1, 2)] is table[(1, 2)]
+
+
+NAN = float("nan")
+TWO_AGENTS = (Pose((0.0, 0.0, 0.0)), Pose((10.0, 0.0, 0.0)))
+MALFORMED_CHANNELS = {
+    "non-finite pose": (
+        ChannelData((TWO_AGENTS[0], Pose((NAN, 0.0, 0.0)))),
+        "ChannelData.node_list[1].position: component nan not finite",
+    ),
+    "quaternion norm": (
+        ChannelData((Pose((0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 2.0)), TWO_AGENTS[1])),
+        "ChannelData.node_list[0].orientation: quaternion norm 2.0 not within 1e-06 of 1",
+    ),
+    "duplicate pair": (
+        ChannelData(
+            TWO_AGENTS,
+            (PathDetails((0, 1), True, (0,), ()), PathDetails((1, 0), True, (0,), ())),
+        ),
+        "ChannelData.path_details[1].ids: duplicate entry for pair (0, 1)",
+    ),
+    "out-of-range id": (
+        ChannelData(TWO_AGENTS, (PathDetails((0, 2), True, (0,), ()),)),
+        "ChannelData.path_details[0].ids: 2 does not index the node_list (size 2)",
+    ),
+    "hop count": (
+        ChannelData(TWO_AGENTS, (PathDetails((0, 1), False, (2,), ((5.0, 0.0, 0.0, 3.0),)),)),
+        "ChannelData.path_details[0]: sum(num_hops)=2 does not match 1 hop points",
+    ),
+    "negative loss": (
+        ChannelData(TWO_AGENTS, (PathDetails((0, 1), False, (1,), ((5.0, 0.0, 0.0, -1.0),)),)),
+        "ChannelData.path_details[0].hop_points[0]: penetration loss -1.0 negative",
+    ),
+}
+
+
+@pytest.mark.parametrize("built", ["records", "columns"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHANNELS))
+def test_malformed_channel_is_named_by_field(case, built):
+    """Both the check and `apply_channel` name the first bad field, for a
+    snapshot built from records and for one built from columns, whose
+    records the check builds to name it."""
+    cd, message = MALFORMED_CHANNELS[case]
+    if built == "columns":
+        cd = ChannelData.from_columns(
+            cd.poses, cd.ids, cd.los, cd.path_start, cd.num_hops, cd.hop_start, cd.hops
+        )
+    with pytest.raises(wire.InvariantViolation) as raised:
+        wire.validate_channel_data(cd)
+    assert str(raised.value) == message
+    sim = new_sim()
+    with pytest.raises(MalformedChannelError) as raised:
+        sim.apply_channel(cd)
+    assert str(raised.value) == message

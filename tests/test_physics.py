@@ -25,6 +25,7 @@ from cosimnet.physics import (
     track_pose,
 )
 from cosimnet.wire import Pose
+from tests import physics_oracles
 
 BOUNDS = Box((-500.0, -500.0, -500.0), (500.0, 500.0, 500.0))
 EMPTY_WORLD = WorldModel(BOUNDS)
@@ -377,6 +378,10 @@ def test_randomized_worlds_match_sampling_oracle():
             for i in range(n_agents)
         ]
         data = extract_channel_data(world, agents, ChannelFidelity.los_nlos())
+        positions = [a.pose.position for a in agents]
+        assert repr(data.path_details) == repr(
+            tuple(physics_oracles.los_paths_vector(world, positions))
+        )
         for path in data.path_details:
             i, j = path.ids
             oracle = sampled_blocked(
@@ -428,19 +433,29 @@ def test_initial_agent_states_sorted_and_parked():
 UNIT = Box((0, 0, 0), (1, 1, 1), penetration_loss=4.0)
 
 
+def kernel_paths(kernel, world, positions, *args):
+    """The path records of the snapshot a kernel's columns make, over agents
+    at `positions` with the default orientation."""
+    poses = tuple((*p, 0.0, 0.0, 0.0, 1.0) for p in positions)
+    return physics._one_path_snapshot(poses, *kernel(world, positions, *args)).path_details
+
+
 def assert_kernels_agree(boxes, positions):
-    """The vector kernel reproduces the scalar path exactly: repr tells
-    every float bit pattern apart, -0.0 from 0.0 included.  The kernel
-    must not raise floating-point warnings either, and its paths must hold
-    the exact field types: no numpy scalars, no lists."""
+    """Both kernels' snapshots reproduce the object-building oracle exactly:
+    repr tells every float bit pattern apart, -0.0 from 0.0 included.  The
+    vector kernel must not raise floating-point warnings either, and the
+    records built from the columns must hold the exact field types: no
+    numpy scalars, no lists."""
     world = WorldModel(BOUNDS, tuple(boxes))
     positions = [tuple(float(v) for v in p) for p in positions]
-    scalar = physics._los_paths_scalar(world, positions)
+    oracle = tuple(physics_oracles.los_paths_vector(world, positions))
+    scalar = kernel_paths(physics._los_paths_scalar, world, positions)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vector = physics._los_paths_vector(world, positions)
-    assert repr(vector) == repr(scalar)
-    for path in vector:
+        vector = kernel_paths(physics._los_paths_vector, world, positions, physics.BroadPhase())
+    assert repr(vector) == repr(oracle)
+    assert repr(scalar) == repr(oracle)
+    for path in vector + scalar:
         assert type(path.ids) is tuple and [type(v) for v in path.ids] == [int, int]
         assert type(path.los) is bool
         assert type(path.num_hops) is tuple
@@ -448,7 +463,7 @@ def assert_kernels_agree(boxes, positions):
         assert type(path.hop_points) is tuple
         for hop in path.hop_points:
             assert type(hop) is tuple and [type(v) for v in hop] == [float] * 4
-    return scalar
+    return vector
 
 
 def test_vector_kernel_without_boxes():
@@ -546,8 +561,7 @@ def test_extraction_selects_the_path_by_pair_box_tests(monkeypatch):
         kernel = getattr(physics, name)
         monkeypatch.setattr(
             physics, name,
-            lambda world, positions, kernel=kernel, name=name:
-                calls.append(name) or kernel(world, positions),
+            lambda *args, kernel=kernel, name=name: calls.append(name) or kernel(*args),
         )
     agents = two_agents((0, 0, 0), (30, 0, 0))
     fid = ChannelFidelity.los_nlos()
@@ -565,3 +579,108 @@ def test_extraction_selects_the_path_by_pair_box_tests(monkeypatch):
     calls.clear()
     extract_channel_data(WorldModel(BOUNDS, boxes), agents, ChannelFidelity.disk(50.0))
     assert calls == []
+
+
+# -- the broad phase kept across windows -------------------------------------
+
+
+SKIN = physics.BROAD_PHASE_SKIN
+
+
+class CountingBroadPhase(physics.BroadPhase):
+    rebuilds = 0
+
+    def _build(self, world, pos):
+        self.rebuilds += 1
+        super()._build(world, pos)
+
+
+def assert_kept_broad_phase_matches_rebuilds(boxes, walk) -> CountingBroadPhase:
+    """Over `walk`, one position set per window, a `BroadPhase` kept across
+    windows gives the same paths as a fresh one every window, and as the
+    object-building oracle."""
+    world = WorldModel(BOUNDS, tuple(boxes))
+    kept = CountingBroadPhase()
+    for positions in walk:
+        positions = [tuple(float(v) for v in p) for p in positions]
+        fresh = kernel_paths(physics._los_paths_vector, world, positions, physics.BroadPhase())
+        cached = kernel_paths(physics._los_paths_vector, world, positions, kept)
+        oracle = tuple(physics_oracles.los_paths_vector(world, positions))
+        assert repr(cached) == repr(fresh) == repr(oracle), positions
+    return kept
+
+
+def test_broad_phase_rebuilds_when_an_agent_moves_past_the_skin():
+    # the box sits beside the first segment; one step of 4 skins swings the
+    # segment through it
+    box = Box((4, 1.2 * SKIN, 0), (6, 3 * SKIN, 1), penetration_loss=3.0)
+    walk = [
+        [(0, 0, 0.5), (10, 0, 0.5)],
+        [(0, 0, 0.5), (10, 4 * SKIN, 0.5)],
+    ]
+    kept = assert_kept_broad_phase_matches_rebuilds([box], walk)
+    assert kept.rebuilds == 2
+    assert not kernel_paths(
+        physics._los_paths_vector, WorldModel(BOUNDS, (box,)), walk[1], kept
+    )[0].los
+
+
+def test_broad_phase_keeps_candidates_while_agents_stay_within_the_skin():
+    # agent 1 swings the 0-1 segment into a box beside it, and agent 2 walks
+    # into a box, in steps that add up to less than the skin: no rebuild
+    beside = Box((4, 0.2 * SKIN, 0), (6, 0.6 * SKIN, 1), penetration_loss=3.0)
+    ahead = Box((20, -1, 0), (22, 1, 1), penetration_loss=5.0)
+    walk = [
+        [(0, 0, 0.5), (10, 0.1 * k * SKIN, 0.5), (19.5 + 0.1 * k * SKIN, 0, 0.5)]
+        for k in range(10)
+    ]
+    kept = assert_kept_broad_phase_matches_rebuilds([beside, ahead], walk)
+    assert kept.rebuilds == 1
+    world = WorldModel(BOUNDS, (beside, ahead))
+    first, last = (kernel_paths(physics._los_paths_vector, world, p, kept) for p in walk[::9])
+    assert [p.los for p in first] == [True, True, True]
+    assert [p.los for p in last] == [False, False, False]
+
+
+def test_broad_phase_keeps_coincident_agents_los():
+    # agents 0 and 1 meet inside a box and part again within the skin
+    walk = [
+        [(0.5, 0.5, 0.5), (0.5 + 0.05 * abs(k) * SKIN, 0.5, 0.5), (3, 0.5, 0.5)]
+        for k in range(-3, 4)
+    ]
+    kept = assert_kept_broad_phase_matches_rebuilds([UNIT], walk)
+    assert kept.rebuilds == 1
+
+
+def test_broad_phase_keeps_hits_rounded_past_the_segment_end():
+    # the rounded-past-the-end hit of the kernel test above, reached by a
+    # walk that starts half a skin short of it
+    box = Box((1e-3 + 1e-11, 0, 0), (1, 1, 1), penetration_loss=1.0)
+    walk = [
+        [(-1e6, 0.5, 0.5), (1e-3 - 0.5 * SKIN + 0.1 * k * SKIN, 0.5, 0.5)] for k in range(6)
+    ]
+    kept = assert_kept_broad_phase_matches_rebuilds([box], walk)
+    assert kept.rebuilds == 1
+
+
+def test_broad_phase_matches_rebuilds_on_random_walks():
+    rng = random.Random(1105)
+    rebuilds = windows = 0
+    for _ in range(40):
+        boxes = []
+        for _ in range(rng.randint(1, 25)):
+            lo = tuple(float(rng.randint(-20, 15)) for _ in range(3))
+            size = tuple(float(rng.randint(1, 6)) for _ in range(3))
+            boxes.append(Box(lo, tuple(a + s for a, s in zip(lo, size)), rng.uniform(0, 10)))
+        positions = [[rng.uniform(-25, 25) for _ in range(3)] for _ in range(rng.randint(2, 7))]
+        walk = []
+        for _ in range(30):
+            for p in positions:
+                # mostly small steps, sometimes a jump past the skin
+                step = SKIN * (3.0 if rng.random() < 0.05 else 0.2)
+                for axis in range(3):
+                    p[axis] += rng.uniform(-step, step)
+            walk.append([tuple(p) for p in positions])
+        rebuilds += assert_kept_broad_phase_matches_rebuilds(boxes, walk).rebuilds
+        windows += len(walk)
+    assert 40 < rebuilds < windows / 2

@@ -23,6 +23,13 @@ from cosimnet.wire import MsgType, NetworkUpdate, PhysicsUpdate
 
 W = 1_000_000
 
+# a socket left open warns when it is collected; raised as an error there,
+# the warning reaches pytest as an unraisable exception, which fails the test
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
+
 
 class StubDriver:
     """Returns empty END messages and records every simulate call."""
@@ -46,6 +53,15 @@ class StubDriver:
 def socket_link_pair():
     sock_a, sock_b = socket.socketpair()
     return sync.SocketLink(sock_a, timeout=30), sync.SocketLink(sock_b, timeout=30)
+
+
+@pytest.fixture
+def socket_pair():
+    """Both ends of a connected socket pair, closed when the test ends."""
+    sock_a, sock_b = socket.socketpair()
+    yield sock_a, sock_b
+    sock_a.close()
+    sock_b.close()
 
 
 @pytest.fixture
@@ -245,8 +261,8 @@ def test_socket_links_run_the_same_protocol():
     assert link_a.sent_frames == link_b.sent_frames == 2 * n + 1
 
 
-def test_socket_link_surfaces_peer_close():
-    sock_a, sock_b = socket.socketpair()
+def test_socket_link_surfaces_peer_close(socket_pair):
+    sock_a, sock_b = socket_pair
     link_a = sync.SocketLink(sock_a, timeout=5)
     link_b = sync.SocketLink(sock_b, timeout=5)
     link_a.close()
@@ -294,8 +310,8 @@ def receive_all(link, count):
     return got
 
 
-def test_socket_link_reassembles_frames_arriving_a_byte_at_a_time():
-    sock_a, sock_b = socket.socketpair()
+def test_socket_link_reassembles_frames_arriving_a_byte_at_a_time(socket_pair):
+    sock_a, sock_b = socket_pair
     sender = sync.SocketLink(sock_a, timeout=30)
     receiver = sync.SocketLink(OneByteSocket(sock_b), timeout=30)
     msgs = sample_messages()
@@ -305,15 +321,15 @@ def test_socket_link_reassembles_frames_arriving_a_byte_at_a_time():
     assert receiver.received_frames == len(msgs)
 
 
-def test_socket_link_splits_several_frames_from_one_write():
-    sock_a, sock_b = socket.socketpair()
+def test_socket_link_splits_several_frames_from_one_write(socket_pair):
+    sock_a, sock_b = socket_pair
     receiver = sync.SocketLink(sock_b, timeout=30)
     msgs = sample_messages(seed=1)
     sock_a.sendall(b"".join(wire.encode_frame(m) for m in msgs))
     assert receive_all(receiver, len(msgs)) == msgs
 
 
-def test_socket_link_carries_a_megabyte_physics_update():
+def test_socket_link_carries_a_megabyte_physics_update(socket_pair):
     rng = random.Random(2)
     # random doubles hardly compress, so 40k hops make a blob over 1 MB
     hops = tuple(
@@ -330,7 +346,7 @@ def test_socket_link_carries_a_megabyte_physics_update():
     )
     assert len(big.channel_data) > 1_000_000
     msgs = [PhysicsUpdate(MsgType.BEGIN, 7 * W), big, PhysicsUpdate(MsgType.BEGIN, 8 * W)]
-    sock_a, sock_b = socket.socketpair()
+    sock_a, sock_b = socket_pair
     sender = sync.SocketLink(sock_a, timeout=30)
     receiver = sync.SocketLink(sock_b, timeout=30)
     writer = threading.Thread(target=lambda: [sender.send(m) for m in msgs])

@@ -391,6 +391,78 @@ def test_channel_check_matches_the_oracle():
     assert accepted > 300 and rejected > 80
 
 
+def columns(cd):
+    return (cd.poses, cd.ids, cd.los, cd.path_start, cd.num_hops, cd.hop_start, cd.hops)
+
+
+def test_channel_check_matches_the_oracle_on_columns():
+    """The same corpus built from columns: the check names the same field
+    in records it builds from them."""
+    for cd in _validator_corpus():
+        expected = _validation_outcome(oracle_validate_channel_data, cd)
+        from_columns = wire.ChannelData.from_columns(*columns(cd))
+        assert _validation_outcome(wire.validate_channel_data, from_columns) == expected, cd
+
+
+def test_channel_check_runs_once_per_snapshot(monkeypatch):
+    calls = []
+    check = wire._columns_pass
+    monkeypatch.setattr(wire, "_columns_pass", lambda cd: calls.append(cd) or check(cd))
+    cd = msggen.random_channel_data(random.Random(5))
+    for _ in range(3):
+        wire.validate_channel_data(cd)
+    bad = wire.ChannelData((wire.Pose((float("nan"), 0.0, 0.0)),))
+    for _ in range(2):
+        with pytest.raises(wire.InvariantViolation):
+            wire.validate_channel_data(bad)
+    assert calls == [cd, bad, bad]  # a snapshot that fails is checked again
+
+
+def snapshot_corpus():
+    """Random channels, then physics snapshots of all three kinds: disk,
+    and LOS/NLOS from the scalar and the vector kernel."""
+    from cosimnet.physics import ChannelFidelity, ReferencePhysicsSim
+    from cosimnet.scenario import parse_scenario
+    from tests.test_lockstep_oracle import swarm_document
+
+    rng = random.Random(0xC011)
+    for _ in range(200):
+        yield msggen.random_channel_data(rng)
+    for agents, boxes in ((2, 3), (6, 8)):
+        config = parse_scenario(swarm_document(agents=agents, boxes=boxes))
+        physics = ReferencePhysicsSim(config.world, config.tracks)
+        for k in range(60):
+            physics.step(7 * config.window_ns)
+            fidelity = ChannelFidelity.disk(40.0) if k % 3 == 0 else config.fidelity
+            yield physics.channel_snapshot(fidelity)
+
+
+def test_channel_codec_matches_the_record_codec():
+    """The codec over columns writes the bytes the record codec wrote, and
+    decodes them to the records it decoded."""
+    nlos = 0
+    for cd in snapshot_corpus():
+        data = wire.encode_channel_data(cd)
+        assert data == wire_oracles.encode_channel_data(cd)
+        decoded = wire.decode_channel_data(data)
+        assert repr(decoded) == repr(wire_oracles.decode_channel_data(data))
+        assert columns(decoded) == columns(cd)
+        nlos += sum(not los for los in cd.los)
+    assert nlos > 100
+
+
+def test_records_and_columns_build_one_snapshot():
+    for cd in snapshot_corpus():
+        again = wire.ChannelData.from_columns(*columns(cd))
+        assert repr(again) == repr(cd) and again == cd and hash(again) == hash(cd)
+        rebuilt = wire.ChannelData(cd.node_list, cd.path_details)
+        assert columns(rebuilt) == columns(cd)
+        # the pair index lists each pair once, in order, smaller id first
+        assert list(cd.pair_rows.items()) == [
+            ((min(pd.ids), max(pd.ids)), k) for k, pd in enumerate(cd.path_details)
+        ]
+
+
 def test_physics_update_requires_valid_compressed_channel():
     with pytest.raises(wire.InvariantViolation, match="channel_data"):
         wire.encode_frame(wire.PhysicsUpdate(wire.MsgType.END, 0, b"not deflate"))

@@ -1,5 +1,6 @@
 """The `NetworkUpdate` check and frame codec as they were when the check
-parsed every address, kept as oracles of the codec-side address check.
+parsed every address, kept as oracles of the codec-side address check;
+and the channel codec as it was when channel data were records.
 
 `validate_network_update` is the old wire check: every structural rule
 plus `_check_ipv4` on each of the four address lists.  `encode_frame` and
@@ -13,7 +14,9 @@ import ipaddress
 import struct
 
 from cosimnet import wire
-from cosimnet.wire import InvariantViolation, MsgType, NetworkUpdate
+from cosimnet.wire import (
+    ChannelData, InvariantViolation, MsgType, NetworkUpdate, PathDetails, Pose,
+)
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -160,3 +163,45 @@ def decode_frame(frame: bytes) -> NetworkUpdate:
     )
     validate_network_update(msg)
     return msg
+
+
+# -- the channel codec over records ----------------------------------------------
+
+_POSE = struct.Struct("<7d")
+_HOP = struct.Struct("<4d")
+
+
+def encode_channel_data(cd: ChannelData) -> bytes:
+    """The channel blob, one record field at a time."""
+    parts = [_U32.pack(len(cd.node_list))]
+    for pose in cd.node_list:
+        parts.append(_POSE.pack(*pose.position, *pose.orientation))
+    parts.append(_U32.pack(len(cd.path_details)))
+    for pd in cd.path_details:
+        parts.append(_U32.pack(pd.ids[0]))
+        parts.append(_U32.pack(pd.ids[1]))
+        parts.append(bytes([1 if pd.los else 0]))
+        parts.append(_U32.pack(len(pd.num_hops)))
+        for h in pd.num_hops:
+            parts.append(_U32.pack(h))
+        for hop in pd.hop_points:
+            parts.append(_HOP.pack(*hop))
+    return b"".join(parts)
+
+
+def decode_channel_data(data: bytes) -> ChannelData:
+    """The records of a well-formed channel blob."""
+    r = _Reader(data)
+    nodes = []
+    for _ in range(_U32.unpack(r.take(4))[0]):
+        vals = _POSE.unpack(r.take(_POSE.size))
+        nodes.append(Pose(vals[:3], vals[3:]))
+    paths = []
+    for _ in range(_U32.unpack(r.take(4))[0]):
+        ids = (_U32.unpack(r.take(4))[0], _U32.unpack(r.take(4))[0])
+        los = r.take(1)[0] == 1
+        num_hops = tuple(_U32.unpack(r.take(4))[0] for _ in range(_U32.unpack(r.take(4))[0]))
+        hops = tuple(_HOP.unpack(r.take(_HOP.size)) for _ in range(sum(num_hops)))
+        paths.append(PathDetails(ids, los, num_hops, hops))
+    assert r.pos == len(r.data), "trailing bytes"
+    return ChannelData(tuple(nodes), tuple(paths))
