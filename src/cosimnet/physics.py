@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .wire import ChannelData, Pose, all_pairs, one_path_each
+from .wire import ChannelData, Pose, all_pairs
 
 Vec3 = tuple[float, float, float]
 
@@ -423,7 +423,7 @@ def _one_path_snapshot(poses: tuple, los: tuple, counts: tuple, hops: tuple) -> 
     """The snapshot over `poses` whose pairs, listed as `wire.all_pairs`,
     report one path each: the LOS/NLOS kernels' three columns."""
     return ChannelData.from_columns(
-        poses, all_pairs(len(poses)), los, one_path_each(len(counts)), counts,
+        poses, all_pairs(len(poses)), los, tuple(range(len(counts) + 1)), counts,
         tuple(accumulate(counts, initial=0)), hops,
     )
 

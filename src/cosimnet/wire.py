@@ -47,7 +47,7 @@ import ipaddress
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import IntEnum
 from functools import lru_cache
 from itertools import accumulate, starmap
@@ -121,24 +121,12 @@ class PathDetails:
     hop_points: tuple[tuple[float, float, float, float], ...] = ()
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)
 def all_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """Every unordered pair i < j of `n` agents in row-major order, as one
-    tuple per `n`: the pair column of every snapshot the physics kernels
-    take."""
+    """Every unordered pair i < j of `n` agents in row-major order: the
+    pair column of every snapshot the physics kernels take, built once for
+    the agent count of a run."""
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
-
-
-@lru_cache(maxsize=16)
-def one_path_each(m: int) -> tuple[int, ...]:
-    """The `path_start` column of `m` pairs that report one path each, as
-    one tuple per `m`."""
-    return tuple(range(m + 1))
-
-
-@lru_cache(maxsize=16)
-def _all_pair_rows(n: int) -> dict[tuple[int, int], int]:
-    return {pair: k for k, pair in enumerate(all_pairs(n))}
 
 
 class ChannelData:
@@ -158,11 +146,13 @@ class ChannelData:
     - ``hops``: one (x, y, z, penetration loss in dB) row per hop.
 
     `ChannelData(node_list, path_details)` builds the columns from records;
-    `ChannelData.from_columns` takes them as they are.  ``node_list`` and
-    ``path_details`` are the records a snapshot was built from, or records
-    built from its columns when first read, with the field types `Pose`
-    and `PathDetails` document.  Equality, hashing and `repr` go by the
-    records.
+    `ChannelData.from_columns` takes them as they are.  The columns are the
+    one source of truth: ``node_list`` and ``path_details`` are records
+    built from them when first read, with the field types `Pose` and
+    `PathDetails` document.  Equality, hashing and `repr` go by the
+    records.  A snapshot is immutable, like the frozen records: assigning
+    a field raises `dataclasses.FrozenInstanceError`, so the records, pair
+    index and check verdict kept for it cannot go stale.
     """
 
     __slots__ = (
@@ -173,15 +163,13 @@ class ChannelData:
     def __init__(self, node_list: tuple = (), path_details: tuple = ()):
         self._fill(
             tuple((*pose.position, *pose.orientation) for pose in node_list),
-            _pair_column(tuple(tuple(pd.ids) for pd in path_details), len(node_list)),
+            tuple(tuple(pd.ids) for pd in path_details),
             tuple(pd.los for pd in path_details),
             tuple(accumulate((len(pd.num_hops) for pd in path_details), initial=0)),
             tuple(h for pd in path_details for h in pd.num_hops),
             tuple(accumulate((len(pd.hop_points) for pd in path_details), initial=0)),
             tuple(tuple(hop) for pd in path_details for hop in pd.hop_points),
         )
-        self._node_list = tuple(node_list)
-        self._path_details = tuple(path_details)
 
     @classmethod
     def from_columns(cls, poses, ids, los, path_start, num_hops, hop_start, hops):
@@ -192,25 +180,37 @@ class ChannelData:
         return cd
 
     def _fill(self, poses, ids, los, path_start, num_hops, hop_start, hops):
-        # a snapshot is never changed once built: its columns are tuples,
-        # and the records, pair index and check verdict are kept for it
-        self.poses = poses
-        self.ids = ids
-        self.los = los
-        self.path_start = path_start
-        self.num_hops = num_hops
-        self.hop_start = hop_start
-        self.hops = hops
-        self._node_list = None
-        self._path_details = None
-        self._rows = None
-        self._checked = False
+        init = object.__setattr__  # the one place a snapshot's fields are set
+        init(self, "poses", poses)
+        init(self, "ids", ids)
+        init(self, "los", los)
+        init(self, "path_start", path_start)
+        init(self, "num_hops", num_hops)
+        init(self, "hop_start", hop_start)
+        init(self, "hops", hops)
+        init(self, "_node_list", None)
+        init(self, "_path_details", None)
+        init(self, "_rows", None)
+        init(self, "_checked", False)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ChannelData.from_columns, (
+            self.poses, self.ids, self.los, self.path_start, self.num_hops,
+            self.hop_start, self.hops,
+        )
 
     @property
     def node_list(self) -> tuple[Pose, ...]:
         nodes = self._node_list
         if nodes is None:
-            nodes = self._node_list = tuple(Pose(row[:3], row[3:]) for row in self.poses)
+            nodes = tuple(Pose(row[:3], row[3:]) for row in self.poses)
+            object.__setattr__(self, "_node_list", nodes)
         return nodes
 
     @property
@@ -218,7 +218,7 @@ class ChannelData:
         paths = self._path_details
         if paths is None:
             num_hops, hops = self.num_hops, self.hops
-            paths = self._path_details = tuple(
+            paths = tuple(
                 PathDetails(pair, los, num_hops[p0:p1], hops[h0:h1])
                 for pair, los, p0, p1, h0, h1 in zip(
                     self.ids, self.los,
@@ -226,19 +226,17 @@ class ChannelData:
                     self.hop_start, self.hop_start[1:],
                 )
             )
+            object.__setattr__(self, "_path_details", paths)
         return paths
 
     @property
     def pair_rows(self) -> dict[tuple[int, int], int]:
-        """Each listed pair, smaller id first, -> its row, in listed order.
-        Snapshots over one `all_pairs` column share it; read only."""
+        """Each listed pair, smaller id first, -> its row, in listed order;
+        read only."""
         rows = self._rows
         if rows is None:
-            if self.ids is all_pairs(len(self.poses)):
-                rows = _all_pair_rows(len(self.poses))
-            else:
-                rows = {(a, b) if a < b else (b, a): k for k, (a, b) in enumerate(self.ids)}
-            self._rows = rows
+            rows = {(a, b) if a < b else (b, a): k for k, (a, b) in enumerate(self.ids)}
+            object.__setattr__(self, "_rows", rows)
         return rows
 
     def __eq__(self, other):
@@ -251,13 +249,6 @@ class ChannelData:
 
     def __repr__(self):
         return f"ChannelData(node_list={self.node_list!r}, path_details={self.path_details!r})"
-
-
-def _pair_column(ids: tuple, n: int) -> tuple:
-    """`ids`, or the shared `all_pairs(n)` tuple when they list exactly its
-    pairs, so that snapshots over it share their pair index and its check."""
-    canonical = all_pairs(n)
-    return canonical if ids == canonical else ids
 
 
 @dataclass(frozen=True)
@@ -349,18 +340,17 @@ def validate_channel_data(cd: ChannelData) -> None:
     """Raise InvariantViolation, naming the first bad field, unless `cd` is
     well formed.  A snapshot that passes is not checked again.
 
-    The columns are checked one pass each, with no string work; snapshots
-    over one shared `all_pairs` column skip the pair checks, which that
-    column passes by construction.  Only when a quick test fails are the
-    records scanned one by one (`_scan_channel_data`), to name the first
-    bad field; a pose near the quaternion norm tolerance goes to that scan
-    for the exact verdict.
+    The columns are checked one pass each, with no string work, in time
+    linear in their size.  Only when a quick test fails are the records
+    scanned one by one (`_scan_channel_data`), to name the first bad field;
+    a pose near the quaternion norm tolerance goes to that scan for the
+    exact verdict.
     """
     if cd._checked:
         return
     if not _columns_pass(cd):
         _scan_channel_data(cd)
-    cd._checked = True
+    object.__setattr__(cd, "_checked", True)
 
 
 def _columns_pass(cd: ChannelData) -> bool:
@@ -377,7 +367,7 @@ def _columns_pass(cd: ChannelData) -> bool:
         return True
     if n < 2:
         return False
-    if cd.ids is not all_pairs(n) and len({
+    if len({
         (a, b) if a < b else (b, a)
         for a, b in cd.ids
         if a != b and 0 <= a < n and 0 <= b < n
@@ -388,9 +378,7 @@ def _columns_pass(cd: ChannelData) -> bool:
         return False
     # each pair's hops end where the running count of its paths' hops does
     ends = tuple(accumulate(num_hops, initial=0))
-    if cd.path_start is not one_path_each(m):
-        ends = tuple(map(ends.__getitem__, cd.path_start))
-    if ends != cd.hop_start:
+    if tuple(map(ends.__getitem__, cd.path_start)) != cd.hop_start:
         return False
     for x, y, z, loss in cd.hops:
         if not (isfinite(x + y + z + loss) and loss >= 0):
@@ -651,7 +639,7 @@ def decode_channel_data(data: bytes) -> ChannelData:
     r.finish()
     cd = ChannelData.from_columns(
         poses,
-        _pair_column(tuple(ids), n_agents),
+        tuple(ids),
         tuple(los),
         tuple(path_start),
         tuple(num_hops),

@@ -463,6 +463,61 @@ def test_records_and_columns_build_one_snapshot():
         ]
 
 
+def test_records_are_always_built_from_the_columns():
+    """Records given with list fields come back as the tuples the columns
+    hold: equality, hashing, `repr` and the check read one representation."""
+    cd = wire.ChannelData(
+        [wire.Pose([0.0, 0.0, 0.0]), wire.Pose([3.0, 4.0, 0.0], [0.0, 0.0, 0.0, 1.0])],
+        [wire.PathDetails([1, 0], False, [1], [[1.0, 2.0, 0.0, 6.0]])],
+    )
+    twin = wire.ChannelData.from_columns(*columns(cd))
+    assert repr(cd) == repr(twin) and cd == twin and hash(cd) == hash(twin)
+    assert cd.node_list[1] == wire.Pose((3.0, 4.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+    assert cd.path_details == (wire.PathDetails((1, 0), False, (1,), ((1.0, 2.0, 0.0, 6.0),)),)
+
+
+def test_snapshot_fields_cannot_be_reassigned():
+    cd = msggen.random_channel_data(random.Random(11))
+    wire.validate_channel_data(cd)
+    rows, records = cd.pair_rows, cd.path_details
+    bad_poses = ((float("nan"),) * 7,) * len(cd.poses)
+    for name, value in (("poses", bad_poses), ("ids", ()), ("_checked", False), ("extra", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cd, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del cd.hops
+    assert cd.pair_rows is rows and cd.path_details is records
+    # copies and pickles are snapshots over the same columns
+    import copy
+    import pickle
+
+    for again in (copy.copy(cd), pickle.loads(pickle.dumps(cd))):
+        assert columns(again) == columns(cd) and repr(again) == repr(cd)
+
+
+def test_decode_of_many_poses_and_no_paths_is_linear():
+    """A small blob can declare many agents and list no pairs.  Decoding
+    and checking it costs memory in proportion to the blob, not to the
+    n(n-1)/2 pairs its agents could form."""
+    import tracemalloc
+
+    n = 3000
+    row = struct.pack("<7d", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    data = struct.pack("<I", n) + row * n + struct.pack("<I", 0)
+    blob = wire.compress_channel_blob(data)
+    assert len(blob) < len(data) // 100
+    tracemalloc.start()
+    try:
+        cd = wire.channel_of(wire.PhysicsUpdate(wire.MsgType.END, 0, blob))
+        assert cd.pair_rows == {}
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cd.poses) == n and cd.ids == ()
+    # the raw bytes and one 7-tuple of floats per pose: about 7 times the data
+    assert peak < 10 * len(data), peak
+
+
 def test_physics_update_requires_valid_compressed_channel():
     with pytest.raises(wire.InvariantViolation, match="channel_data"):
         wire.encode_frame(wire.PhysicsUpdate(wire.MsgType.END, 0, b"not deflate"))
