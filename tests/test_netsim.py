@@ -938,6 +938,15 @@ MALFORMED_CHANNELS = {
         ChannelData(TWO_AGENTS, (PathDetails((0, 1), False, (1,), ((5.0, 0.0, 0.0, -1.0),)),)),
         "ChannelData.path_details[0].hop_points[0]: penetration loss -1.0 negative",
     ),
+    # no hop rows at all: the check's zero-hop shortcut
+    "hop count, no hops": (
+        ChannelData(TWO_AGENTS, (PathDetails((0, 1), False, (2,), ()),)),
+        "ChannelData.path_details[0]: sum(num_hops)=2 does not match 0 hop points",
+    ),
+    "negative count, no hops": (
+        ChannelData(TWO_AGENTS, (PathDetails((0, 1), False, (-1,), ()),)),
+        "ChannelData.path_details[0].num_hops: negative count -1",
+    ),
 }
 
 
