@@ -278,8 +278,10 @@ class ReferenceNetSim:
     # -- channel ---------------------------------------------------------
 
     def apply_channel(self, cd: ChannelData) -> None:
-        """Take `cd` as the channel from now on.  Only its check runs here:
-        a pair's link is computed the first time it is asked for."""
+        """Take `cd` as the channel from now on.  Only its check runs here,
+        and only if `cd` has not passed it (a decoded snapshot and a physics
+        kernel's have): a pair's link is computed the first time it is
+        asked for."""
         try:
             wire.validate_channel_data(cd)
         except wire.InvariantViolation as exc:

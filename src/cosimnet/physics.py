@@ -11,32 +11,44 @@ crossings with their penetration losses.  The kernels write the
 snapshot's columns directly (LOS flags, hop counts, hop rows); no
 per-pair record is built.
 
+`step_world`, `track_pose` and `extract_channel_data` work on
+`AgentState` records and are the reference.  `ReferencePhysicsSim` gives
+the same poses and snapshots bit for bit from tracks it resolved once,
+with one arc and one pose row per agent and no records.
+
 LOS/NLOS extraction has two paths that give bit-identical output.  The
 scalar path runs one slab test per pair and box in Python.  The vector
-path culls (pair, box) candidates with an axis-aligned bounding-box broad
-phase and runs the slab test on the survivors as numpy array operations.
-The choice depends only on the input size: the vector path runs from
-`VECTOR_MIN_TESTS` pair-box tests (pairs x obstacles) per extraction.
-The scalar path stays for two reasons: below that size the vector path's
-fixed cost of a few dozen array operations outweighs what it saves, as
-in worlds of two agents and a handful of boxes; and it is the reference
-the vector path is tested against.  Disk fidelity takes neither path.
+path culls (pair, box) candidates with a broad phase and runs the slab
+test on the survivors as numpy array operations.  The choice depends
+only on the input size: the vector path runs from `VECTOR_MIN_TESTS`
+pair-box tests (pairs x obstacles) per extraction.  The scalar path stays
+for two reasons: below that size the vector path's fixed cost of a few
+dozen array operations outweighs what it saves, as in worlds of two
+agents and a handful of boxes; and it is the reference the vector path is
+tested against.  Disk fidelity takes neither path.
 
 The vector path's broad phase is kept across extractions by a
-`BroadPhase`, one per simulator: its candidates are built with segment
-bounds widened by `BROAD_PHASE_SKIN` and reused until some agent has
-moved further than that along an axis.  They stay a superset of what an
-unwidened broad phase would pass, so the exact narrow phase gives the
-same hops.
+`BroadPhase`, one per simulator: its candidates are the (pair, box) whose
+box, widened by `BROAD_PHASE_SKIN`, the pair's segment crosses, and they
+are reused until some agent has moved further than the skin along an
+axis.  They stay a superset of what an unwidened test would pass, so the
+exact narrow phase gives the same hops.
+
+Who checks a snapshot: the kernels build well-formed columns from finite
+poses, and `ReferencePhysicsSim` poses come from tracks it checked at
+construction (inside world bounds of finite extent), so its snapshots
+come marked checked and `wire.validate_channel_data` passes them without
+a scan.  `extract_channel_data`, whose agents may hold any pose, leaves
+its snapshots to that check.
 
 The simulator contract is two methods, `step(dt_ns)` and
 `channel_snapshot(fidelity)`.  `ReferencePhysicsSim` implements it
 in-process.
 """
-
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -74,11 +86,15 @@ class Box:
         object.__setattr__(self, "min_corner", _vec3(self.min_corner, "min_corner"))
         object.__setattr__(self, "max_corner", _vec3(self.max_corner, "max_corner"))
         object.__setattr__(self, "penetration_loss", float(self.penetration_loss))
-        for lo, hi in zip(self.min_corner, self.max_corner):
+        for axis, (lo, hi) in enumerate(zip(self.min_corner, self.max_corner)):
             if not lo < hi:
                 raise ValueError(
                     f"box corners must satisfy min < max componentwise, "
                     f"got {self.min_corner} / {self.max_corner}"
+                )
+            if not math.isfinite(hi - lo):
+                raise ValueError(
+                    f"box extent along axis {axis} overflows: {hi!r} - {lo!r}"
                 )
         if not (math.isfinite(self.penetration_loss) and self.penetration_loss >= 0):
             raise ValueError(f"penetration_loss must be >= 0, got {self.penetration_loss}")
@@ -363,19 +379,19 @@ def segment_box_crossings(
 # 56-60, where the scalar path's per-pair overhead adds up.
 VECTOR_MIN_TESTS = 64
 
-# Relative widening of the broad phase's segment bounds.  The narrow phase
-# tests a computed midpoint, which rounding can put a few ulps of the
-# coordinate magnitudes past the segment's end; the slack keeps such boxes
-# among the candidates.
+# Relative widening of the broad phase's bounds, as a share of the largest
+# coordinate in reach.  It covers the rounding of three float computations,
+# each within a few ulps of that coordinate (see `BroadPhase`), with a
+# margin of several hundred.
 _BROAD_SLACK = 1e-12
 
-# Metres by which `BroadPhase` widens each pair's segment bounds, so that
-# its candidates hold while no agent has moved further than this along any
-# axis.  Measured on swarm16 (16 agents at 1-6 m/s, 50 boxes, 1 ms windows)
-# on a 2-vCPU host: a rebuild costs 66 us, about two thirds of one window's
-# narrow phase, whose 100-110 us hardly moves as the skin grows from 0 to
-# 4 m (631 to 796 candidates).  At 1 m the fastest agent forces a rebuild
-# every 170 windows, under 0.5 us a window.
+# Metres by which `BroadPhase` widens each box, so that its candidates hold
+# while no agent has moved further than this along any axis.  Measured on
+# swarm16 (16 agents at 1-6 m/s, 50 boxes, 1 ms windows) on a 2-vCPU host:
+# a rebuild costs 66 us, about two thirds of one window's narrow phase,
+# whose 100-110 us hardly moves as the skin grows from 0 to 4 m (631 to 796
+# candidates).  At 1 m the fastest agent forces a rebuild every 170
+# windows, under 0.5 us a window.
 BROAD_PHASE_SKIN = 1.0
 
 
@@ -394,14 +410,29 @@ def extract_channel_data(
     segment crosses nothing.  Pairs are listed as `wire.all_pairs`.  The
     vector kernel keeps its broad phase in `broad_phase` from one call to
     the next; without one it builds a fresh one.
+
+    The agents may hold any pose, so the snapshot is left for
+    `wire.validate_channel_data` to check; `ReferencePhysicsSim`, whose
+    poses come from checked tracks, makes the same snapshot checked.
     """
     states = sorted(agents, key=lambda s: s.agent_id)
     ids = [s.agent_id for s in states]
     if ids != list(range(len(states))):
         raise ValueError(f"agent ids must be dense 0..n-1, got {ids}")
-    n = len(states)
     poses = tuple([s.pose.position + s.pose.orientation for s in states])
-    positions = [s.pose.position for s in states]
+    return _snapshot(
+        world, poses, fidelity, BroadPhase() if broad_phase is None else broad_phase, False
+    )
+
+
+def _snapshot(
+    world: WorldModel, poses: tuple, fidelity: ChannelFidelity,
+    broad_phase: "BroadPhase", checked: bool,
+) -> ChannelData:
+    """The snapshot over pose rows `poses`, one per agent in id order;
+    `checked` as `wire.ChannelData.of_all_pairs` takes it."""
+    n = len(poses)
+    positions = [row[:3] for row in poses]
     if fidelity.kind is FidelityKind.DISK:
         los = tuple(
             math.dist(positions[i], positions[j]) <= fidelity.radius
@@ -409,23 +440,29 @@ def extract_channel_data(
             for j in range(i + 1, n)
         )
         no_paths = (0,) * (len(los) + 1)
-        return ChannelData.from_columns(poses, all_pairs(n), los, no_paths, (), no_paths, ())
+        return ChannelData.of_all_pairs(poses, los, no_paths, (), no_paths, (), checked)
     if n * (n - 1) // 2 * len(world.obstacles) >= VECTOR_MIN_TESTS:
-        paths = _los_paths_vector(
-            world, positions, BroadPhase() if broad_phase is None else broad_phase
-        )
+        paths = _los_paths_vector(world, positions, broad_phase)
     else:
         paths = _los_paths_scalar(world, positions)
-    return _one_path_snapshot(poses, *paths)
+    return _one_path_snapshot(poses, *paths, checked)
 
 
-def _one_path_snapshot(poses: tuple, los: tuple, counts: tuple, hops: tuple) -> ChannelData:
+def _one_path_snapshot(
+    poses: tuple, los: tuple, counts: tuple, hops: tuple, checked: bool = False
+) -> ChannelData:
     """The snapshot over `poses` whose pairs, listed as `wire.all_pairs`,
     report one path each: the LOS/NLOS kernels' three columns."""
-    return ChannelData.from_columns(
-        poses, all_pairs(len(poses)), los, tuple(range(len(counts) + 1)), counts,
-        tuple(accumulate(counts, initial=0)), hops,
+    return ChannelData.of_all_pairs(
+        poses, los, _path_starts(len(counts)), counts,
+        tuple(accumulate(counts, initial=0)), hops, checked,
     )
+
+
+@lru_cache(maxsize=4)
+def _path_starts(pairs: int) -> tuple[int, ...]:
+    """The path offsets of `pairs` pairs with one path each."""
+    return tuple(range(pairs + 1))
 
 
 _ENTRY_ORDER = itemgetter(0, 1)  # a hit's entry t, then its box index
@@ -467,14 +504,30 @@ def _pair_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
 class BroadPhase:
     """The vector kernel's (pair, box) candidates, kept across extractions.
 
-    The candidates are the boxes whose bounds overlap a pair's segment
-    bounds, widened by `BROAD_PHASE_SKIN` plus a rounding slack, at the
-    positions they were built for.  While no agent is further than the
-    skin from those positions along any axis, every box the exact test
-    can hit, and every box the unwidened test would pass, is still among
-    them; the narrow phase rejects the rest, so the hops come out the same
-    as from candidates rebuilt every time.  Otherwise, or for another world
-    or agent count, they are rebuilt.
+    The candidates are the (pair, box) whose box, widened by
+    `BROAD_PHASE_SKIN` plus a rounding slack, the pair's segment crosses
+    (a closed slab test), at the positions they were built for: the
+    anchor.  While no agent is further than the skin from its anchor along
+    any axis, each point of a pair's segment is within the skin of the
+    anchor segment's point at the same parameter, since it moves no further
+    (in L-infinity) than the farther of the segment's two ends.  So every
+    box the segment touches, and every box the exact test can hit, is
+    still among the candidates, and the narrow phase rejects the rest: the
+    hops come out the same as from candidates rebuilt every time.
+    Otherwise, or for another world or agent count, they are rebuilt.
+
+    The slack, `_BROAD_SLACK` times the largest anchor coordinate plus the
+    skin (`reach`), covers three roundings, each at most a few ulps of
+    `reach`: the skin check's differences, so an agent may be a few ulps
+    more than the skin from its anchor; the narrow phase's computed
+    midpoint, which may lie that far off the exact segment (the
+    rounded-past-the-end hit); and the anchor's own slab test, whose
+    parameters carry a relative error of a few ulps, moving each face it
+    tests by a few ulps of `reach`.  Together that is under 16 ulps, or
+    2e-15 `reach`, against the 1e-12 the slack allows.
+
+    Along with the candidates it keeps their gathers: each pair's two ends
+    and each box's corners, until the next rebuild.
     """
 
     def __init__(self):
@@ -482,9 +535,11 @@ class BroadPhase:
         self._anchor = None  # (3, n) positions the candidates were built for
         self._candidates = None
 
-    def candidates(self, world: WorldModel, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(pair, box) candidates for axis-major positions `pos`, (3, n),
-        listed by pair, then box index."""
+    def candidates(self, world: WorldModel, pos: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(pair, box, pair's first end, pair's second end, box min
+        corners, box max corners) per candidate for axis-major positions
+        `pos`, (3, n), listed by pair, then box index; the corners are
+        (3, candidates)."""
         anchor = self._anchor
         if (
             world is not self._world
@@ -500,14 +555,35 @@ class BroadPhase:
         first, second = _pair_ends(pos.shape[1])
         p0 = pos.take(first, axis=1)
         p1 = pos.take(second, axis=1)
-        # the slack covers the largest coordinate any position within the
-        # skin can have
         reach = float(np.abs(pos).max(initial=0.0)) + BROAD_PHASE_SKIN
         widen = BROAD_PHASE_SKIN + _BROAD_SLACK * reach
-        seg_lo = np.minimum(p0, p1)[:, :, None] - widen
-        seg_hi = np.maximum(p0, p1)[:, :, None] + widen
-        near = ((seg_lo <= maxs[:, None, :]) & (seg_hi >= mins[:, None, :])).all(axis=0)
-        self._candidates = np.nonzero(near)
+        lo_all = mins - widen
+        hi_all = maxs + widen
+        # the segments' bounds overlap the widened boxes: a cheap first cut
+        near = (
+            (np.minimum(p0, p1)[:, :, None] <= hi_all[:, None, :])
+            & (np.maximum(p0, p1)[:, :, None] >= lo_all[:, None, :])
+        ).all(axis=0)
+        pair, box = np.nonzero(near)
+        # then the closed slab test of each anchor segment against its
+        # widened box
+        origin = p0.take(pair, axis=1)
+        step = p1.take(pair, axis=1) - origin
+        lo = lo_all.take(box, axis=1)
+        hi = hi_all.take(box, axis=1)
+        flat = step == 0.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ta = (lo - origin) / step
+            tb = (hi - origin) / step
+            t0 = np.where(flat, 0.0, np.minimum(ta, tb)).max(axis=0, initial=0.0)
+            t1 = np.where(flat, 1.0, np.maximum(ta, tb)).min(axis=0, initial=1.0)
+        inside = ~flat | ((lo <= origin) & (origin <= hi))
+        keep = np.flatnonzero((t0 <= t1) & inside.all(axis=0))
+        pair, box = pair.take(keep), box.take(keep)
+        self._candidates = (
+            pair, box, first.take(pair), second.take(pair),
+            mins.take(box, axis=1), maxs.take(box, axis=1),
+        )
         self._world = world
         self._anchor = pos.copy()
 
@@ -523,21 +599,19 @@ def _los_paths_vector(world: WorldModel, positions: Sequence[Vec3], broad_phase:
     +0.0 as the scalar `max(0.0, ...)` keeps it.  Arrays are axis-major,
     (3, ...), so that every step is an elementwise operation on whole rows.
     """
-    mins, maxs, losses = world._slabs
-    first, second = _pair_ends(len(positions))
+    losses = world._slabs[2]
     pos = np.array(positions, dtype=np.float64).reshape(-1, 3).T
-    pair, box = broad_phase.candidates(world, pos)
+    pair, box, first, second, lo, hi = broad_phase.candidates(world, pos)
 
     # narrow phase: the slab test per candidate
-    origin = pos.take(first.take(pair), axis=1)
-    step = pos.take(second.take(pair), axis=1) - origin
+    origin = pos.take(first, axis=1)
+    step = pos.take(second, axis=1) - origin
     moving = step.any(axis=0)
     if not moving.all():  # coincident agents are LOS
-        pair, box, origin, step = (
-            pair[moving], box[moving], origin[:, moving], step[:, moving]
+        pair, box, origin, step, lo, hi = (
+            pair[moving], box[moving], origin[:, moving], step[:, moving],
+            lo[:, moving], hi[:, moving],
         )
-    lo = mins.take(box, axis=1)
-    hi = maxs.take(box, axis=1)
     # An axis with zero delta takes no part in t0, t1 and divides by 1.0, not
     # 0.0.  Its scalar check, origin outside the slab, needs no code here:
     # the midpoint's coordinate on that axis is the origin's, so the strict
@@ -560,7 +634,7 @@ def _los_paths_vector(world: WorldModel, positions: Sequence[Vec3], broad_phase:
     # stable, so hops come out by (pair, entry t, box index)
     order = np.lexsort((t0, pair))
     hops = tuple(zip(*entry.take(order, axis=1).tolist(), losses.take(box.take(order)).tolist()))
-    counts = tuple(np.bincount(pair, minlength=len(first)).tolist())
+    counts = tuple(np.bincount(pair, minlength=len(positions) * (len(positions) - 1) // 2).tolist())
     return tuple(map(not_, counts)), counts, hops
 
 
@@ -576,21 +650,94 @@ class PhysicsSim(Protocol):
     def channel_snapshot(self, fidelity: ChannelFidelity) -> ChannelData: ...
 
 
+def _walk(track: AgentTrack) -> tuple:
+    """A moving track resolved for `ReferencePhysicsSim`: its speed, total
+    length, loop flag, segment end arcs, and segments as (start x, y, z,
+    delta x, y, z, start arc, length, yaw quaternion).
+
+    The last end arc is the total length, by the same sum, so every arc a
+    step makes (up to the total, or below it on a loop) falls in a segment:
+    `track_pose`'s pin to the final waypoint is never reached from a step.
+    """
+    table, total = _segment_table(track.waypoints, track.loop)
+    ends = [cum + length for _, _, length, cum, _ in table]
+    segments = [
+        (*a, *(pb - pa for pa, pb in zip(a, b)), cum, length, *yaw)
+        for a, b, length, cum, yaw in table
+    ]
+    return track.speed, total, track.loop, ends, segments
+
+
 class ReferencePhysicsSim:
-    """In-process simulator over step_world/extract_channel_data."""
+    """In-process simulator: agents walked on their tracks, and the
+    snapshot extracted from their poses.
+
+    Each track is resolved once, at construction: its segment table, total
+    length, loop flag and speed.  A step then updates one arc and one
+    7-float pose row (position, orientation quaternion) per agent, by the
+    float operations `step_world` and `track_pose` make, in the same order,
+    so the poses are bit-identical to theirs; those two, and
+    `extract_channel_data` over their states, are its reference.
+
+    Its snapshots come checked (`wire.ChannelData.of_all_pairs`): its
+    tracks lie inside the world bounds, checked here, and the kernels
+    build well-formed columns from finite poses.  A pose lies on its
+    track's segment up to rounding, which puts it no more than three
+    segment lengths past the segment's end.  So with R the largest bound
+    coordinate plus the longest track, every pose is within 4R of the
+    origin, every pair's segment shorter than 8R, and every hop, which
+    lies between a segment's start and a midpoint inside a box, within
+    12R: all finite while 16R is.  Where 16R overflows, the snapshots are
+    left to be checked downstream instead.
+    """
 
     def __init__(self, world: WorldModel, tracks: Iterable[AgentTrack]):
         self.world = world
         self._broad_phase = BroadPhase()
-        self.tracks: dict[int, AgentTrack] = {}
+        by_id: dict[int, AgentTrack] = {}
         for track in tracks:
-            if track.agent_id in self.tracks:
+            if track.agent_id in by_id:
                 raise ValueError(f"duplicate track for agent {track.agent_id}")
-            self.tracks[track.agent_id] = track
-        self._agents = initial_agent_states(self.tracks.values())
+            for j, w in enumerate(track.waypoints):
+                if not world.bounds.contains(w):
+                    raise ValueError(
+                        f"agent {track.agent_id} waypoint {j} {w} is outside the world bounds"
+                    )
+            by_id[track.agent_id] = track
+        ids = sorted(by_id)
+        if ids != list(range(len(ids))):
+            raise ValueError(f"agent ids must be dense 0..n-1, got {ids}")
+        bounds = world.bounds
+        reach = max(map(abs, bounds.min_corner + bounds.max_corner)) + max(
+            (track_length(t) for t in by_id.values()), default=0.0
+        )
+        self._checked = math.isfinite(16.0 * reach)
+        self._arcs = [0.0] * len(ids)
+        self._rows = [
+            s.pose.position + s.pose.orientation for s in initial_agent_states(by_id.values())
+        ]
+        # parked agents (one waypoint) keep their first row
+        self._walks = [
+            (k, _walk(by_id[k])) for k in ids if track_length(by_id[k]) != 0.0
+        ]
 
     def step(self, dt_ns: int) -> None:
-        self._agents = step_world(self.world, self.tracks, self._agents, dt_ns)
+        if dt_ns <= 0:
+            raise ValueError(f"dt must be > 0 ns, got {dt_ns}")
+        dt = dt_ns * 1e-9
+        arcs, rows, fmod = self._arcs, self._rows, math.fmod
+        for k, (speed, total, loop, ends, segments) in self._walks:
+            # step_world's new arc, then track_pose's segment: the first
+            # whose end arc is not below it
+            arc = arcs[k] + speed * dt
+            arcs[k] = arc = fmod(arc, total) if loop else min(arc, total)
+            ax, ay, az, dx, dy, dz, cum, length, qx, qy, qz, qw = segments[
+                bisect_left(ends, arc)
+            ]
+            u = (arc - cum) / length
+            rows[k] = (ax + u * dx, ay + u * dy, az + u * dz, qx, qy, qz, qw)
 
     def channel_snapshot(self, fidelity: ChannelFidelity) -> ChannelData:
-        return extract_channel_data(self.world, self._agents, fidelity, self._broad_phase)
+        return _snapshot(
+            self.world, tuple(self._rows), fidelity, self._broad_phase, self._checked
+        )

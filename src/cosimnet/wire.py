@@ -52,6 +52,8 @@ from enum import IntEnum
 from functools import lru_cache
 from itertools import accumulate, starmap
 from socket import inet_ntoa
+from types import MappingProxyType
+from typing import Mapping
 
 MAGIC = b"RNS1"
 TAG_PHYSICS_UPDATE = 0x00
@@ -129,9 +131,16 @@ def all_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
+@lru_cache(maxsize=4)
+def _all_pairs_rows(n: int) -> Mapping[tuple[int, int], int]:
+    """The pair index (`ChannelData.pair_rows`) of `all_pairs(n)`, read
+    only, built once for the agent count of a run."""
+    return MappingProxyType({pair: k for k, pair in enumerate(all_pairs(n))})
+
+
 class _Fields:
     """A channel snapshot's fields, assignable only while
-    `ChannelData.from_columns` fills them."""
+    `ChannelData._filled` fills them."""
 
     __slots__ = (
         "poses", "ids", "los", "path_start", "num_hops", "hop_start", "hops",
@@ -182,6 +191,23 @@ class ChannelData(_Fields):
     def from_columns(cls, poses, ids, los, path_start, num_hops, hop_start, hops):
         """A snapshot over the given column tuples, shaped as the class
         documents."""
+        return cls._filled(poses, ids, los, path_start, num_hops, hop_start, hops, None, False)
+
+    @classmethod
+    def of_all_pairs(cls, poses, los, path_start, num_hops, hop_start, hops, checked):
+        """The snapshot over `poses` that lists `all_pairs(len(poses))`,
+        with that list's cached, read-only pair index.  `checked` is the
+        caller's word that the other columns are well formed too: such a
+        snapshot passes `validate_channel_data` without a scan.  The
+        physics kernels give it where their inputs were checked."""
+        n = len(poses)
+        return cls._filled(
+            poses, all_pairs(n), los, path_start, num_hops, hop_start, hops,
+            _all_pairs_rows(n), checked,
+        )
+
+    @classmethod
+    def _filled(cls, poses, ids, los, path_start, num_hops, hop_start, hops, rows, checked):
         # Filled as plain slots, then given this class, whose fields cannot
         # be assigned.  Filling through object.__setattr__, as frozen
         # dataclasses do, took 1.9 us a snapshot against 0.45 us, which
@@ -194,8 +220,9 @@ class ChannelData(_Fields):
         cd.num_hops = num_hops
         cd.hop_start = hop_start
         cd.hops = hops
-        cd._node_list = cd._path_details = cd._rows = None
-        cd._checked = False
+        cd._node_list = cd._path_details = None
+        cd._rows = rows
+        cd._checked = checked
         cd.__class__ = cls
         return cd
 
@@ -236,7 +263,7 @@ class ChannelData(_Fields):
         return paths
 
     @property
-    def pair_rows(self) -> dict[tuple[int, int], int]:
+    def pair_rows(self) -> Mapping[tuple[int, int], int]:
         """Each listed pair, smaller id first, -> its row, in listed order;
         read only."""
         rows = self._rows
@@ -347,6 +374,14 @@ def validate_pose(pose: Pose, what: str = "Pose") -> None:
 def validate_channel_data(cd: ChannelData) -> None:
     """Raise InvariantViolation, naming the first bad field, unless `cd` is
     well formed.  A snapshot that passes is not checked again.
+
+    Who checks what: the channel decoder checks every snapshot it decodes,
+    the trust boundary between the two sides.  The physics kernels'
+    snapshots come checked (`ChannelData.of_all_pairs`), because the
+    simulator checked their inputs, its tracks and world, once at
+    construction; in process and in the encoder this call then returns at
+    once.  Any other snapshot, built from records or columns, is checked by
+    the first call, from `apply_channel` or the encoder.
 
     The columns are checked one pass each, with no string work, in time
     linear in their size.  Only when a quick test fails are the records

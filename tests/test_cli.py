@@ -52,6 +52,19 @@ def test_validate_rejects_non_dense_agent_ids(tmp_path, capsys):
     assert not (tmp_path / "o" / "run_summary.json").exists()
 
 
+def test_validate_rejects_a_world_whose_extent_overflows(tmp_path, capsys):
+    # each bound is finite, but max - min is not: the agent's first pose
+    # would be NaN
+    document = json.loads((SCENARIOS / "static_los_30m.json").read_text())
+    document["world"]["bounds"] = {"min": [-1.7e308, 0, 0], "max": [1.7e308, 60, 10]}
+    document["agents"][0]["waypoints"] = [[-1.6e308, 30, 2], [1.6e308, 30, 2]]
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(document))
+    assert cli.main(["validate", "--scenario", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "world.bounds" in err and "overflows" in err
+
+
 def test_validate_reports_missing_files(tmp_path, capsys):
     assert cli.main(["validate", "--scenario", str(tmp_path / "nope.json")]) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -213,6 +213,30 @@ def test_socket_split_decodes_each_channel_blob_once(tmp_path, monkeypatch):
     assert got == expected
 
 
+def test_kernel_snapshots_are_scanned_only_after_decoding(tmp_path, monkeypatch):
+    """The physics kernels' snapshots arrive checked: in process nothing
+    scans a column of them, and over the socket pair only the network side
+    does, once per decoded blob."""
+    calls = collections.Counter()
+    network_thread = threading.get_ident()
+    check = wire._columns_pass
+
+    def counted(cd):
+        side = "network" if threading.get_ident() == network_thread else "physics"
+        calls[side] += 1
+        return check(cd)
+
+    monkeypatch.setattr(wire, "_columns_pass", counted)
+    for name in ("swarm6", "patrol"):
+        run_scenario(CORPUS[name](), tmp_path / name)
+    assert calls == {}
+
+    config = CORPUS["static"]()
+    n = config.duration_ns // config.window_ns
+    two_peer_run(config, *socket_link_pair(), tmp_path)
+    assert calls == {"network": n}
+
+
 def test_socket_split_parses_each_address_once(tmp_path, monkeypatch):
     """Over the socket pair, `encode_frame` parses each address it encodes
     once, and `decode_frame` builds addresses from their bytes without

@@ -71,6 +71,11 @@ def test_box_rejects_negative_loss():
         Box((0, 0, 0), (1, 1, 1), penetration_loss=-2.0)
 
 
+def test_box_rejects_an_extent_that_overflows():
+    with pytest.raises(ValueError, match="axis 0 overflows"):
+        Box((-1.7e308, 0, 0), (1.7e308, 1, 1))
+
+
 def test_world_rejects_obstacle_outside_bounds():
     with pytest.raises(ValueError, match="outside the world bounds"):
         WorldModel(Box((0, 0, 0), (10, 10, 10)), (Box((5, 5, 5), (15, 6, 6)),))
@@ -427,6 +432,179 @@ def test_initial_agent_states_sorted_and_parked():
     assert states[0].arc_position == 0.0
 
 
+def test_reference_sim_rejects_a_waypoint_outside_the_bounds():
+    world = WorldModel(Box((0, 0, 0), (10, 10, 10)))
+    tracks = [
+        AgentTrack(0, ((1, 1, 1),), speed=1.0),
+        AgentTrack(1, ((1, 1, 1), (11, 1, 1)), speed=1.0),
+    ]
+    with pytest.raises(ValueError, match=r"agent 1 waypoint 1 .* outside the world bounds"):
+        ReferencePhysicsSim(world, tracks)
+
+
+def test_reference_sim_rejects_sparse_agent_ids():
+    world, (first, second) = patrol_world()
+    with pytest.raises(ValueError, match="dense"):
+        ReferencePhysicsSim(world, [first, AgentTrack(2, second.waypoints, second.speed)])
+
+
+def random_track(rng, agent_id) -> AgentTrack:
+    """Parked, open or looped, over coordinates that round: grid steps of
+    0.1 and random floats, and now and then a segment of 0.1 mm or less
+    after metres of track."""
+    count = 1 if rng.random() < 0.15 else rng.randint(2, 6)
+    pts = []
+    while len(pts) < count:
+        if pts and rng.random() < 0.2:
+            cand = tuple(v + rng.choice((1e-4, -1e-4, 3e-5)) for v in pts[-1])
+        elif rng.random() < 0.5:
+            cand = tuple(rng.randint(-300, 300) / 10 for _ in range(3))
+        else:
+            cand = tuple(rng.uniform(-30, 30) for _ in range(3))
+        if not pts or cand != pts[-1]:
+            pts.append(cand)
+    loop = count > 1 and rng.random() < 0.6
+    if loop and pts[0] == pts[-1]:
+        pts.pop()
+    return AgentTrack(agent_id, tuple(pts), speed=rng.uniform(0.5, 40.0), loop=loop)
+
+
+def test_reference_sim_walks_its_tracks_as_step_world_does():
+    """The resolved stepper gives `initial_agent_states`/`step_world`'s
+    arcs and poses bit for bit (`repr` tells -0.0 from 0.0), through
+    wraps, the clamp at the end of open tracks and parked agents."""
+    rng = random.Random(1212)
+    world = WorldModel(Box((-100.0, -100.0, -100.0), (100.0, 100.0, 100.0)))
+    tracks = [random_track(rng, k) for k in range(12)]
+    assert {len(t.waypoints) == 1 for t in tracks} == {True, False}
+    assert {t.loop for t in tracks} == {True, False}
+    for track in tracks:
+        if len(track.waypoints) > 1:
+            # the last end arc is the total, so no step reaches the pin to
+            # the final waypoint
+            (*_, (_, _, length, cum, _)), total = physics._segment_table(
+                track.waypoints, track.loop
+            )
+            assert cum + length == total
+    sim = ReferencePhysicsSim(world, tracks)
+    states = initial_agent_states(tracks)
+    by_id = {t.agent_id: t for t in tracks}
+    ends = [track_length(t) if not t.loop and len(t.waypoints) > 1 else None for t in tracks]
+    wraps = clamped = 0
+    for window in range(10_000):
+        dt_ns = rng.choice((1_000_000, 1_000_000, 250_000, 3_000_000))
+        before = [s.arc_position for s in states]
+        sim.step(dt_ns)
+        states = step_world(world, by_id, states, dt_ns)
+        arcs = [s.arc_position for s in states]
+        assert repr(sim._arcs) == repr(arcs), window
+        assert repr(sim._rows) == repr(
+            [s.pose.position + s.pose.orientation for s in states]
+        ), window
+        wraps += sum(a < b for a, b in zip(arcs, before))
+        clamped += sum(a == end for a, end in zip(arcs, ends))
+    assert wraps > 20 and clamped > 1000
+
+
+def test_kernel_snapshots_share_a_read_only_pair_index():
+    world, tracks = patrol_world()
+    sim = ReferencePhysicsSim(world, tracks)
+    first = sim.channel_snapshot(ChannelFidelity.los_nlos())
+    sim.step(1_000_000)
+    second = sim.channel_snapshot(ChannelFidelity.disk(50.0))
+    assert first.ids == second.ids == wire.all_pairs(2)
+    assert first.pair_rows is second.pair_rows
+    assert dict(first.pair_rows) == {(0, 1): 0}
+    with pytest.raises(TypeError):
+        first.pair_rows[(0, 1)] = 1
+
+
+def test_reference_sim_makes_no_table_lookups_per_window():
+    world, tracks = patrol_world()
+    sim = ReferencePhysicsSim(world, tracks)
+    fid = ChannelFidelity.los_nlos()
+    before = physics._segment_table.cache_info()
+    for _ in range(500):
+        sim.step(1_000_000)
+        sim.channel_snapshot(fid)
+    assert physics._segment_table.cache_info() == before
+
+
+def assert_needs_no_check(cd):
+    """`cd` arrived checked, and the same columns built unchecked pass the
+    check."""
+    assert cd._checked
+    again = wire.ChannelData.from_columns(
+        cd.poses, cd.ids, cd.los, cd.path_start, cd.num_hops, cd.hop_start, cd.hops
+    )
+    assert not again._checked
+    wire.validate_channel_data(again)
+    assert cd.pair_rows == again.pair_rows
+
+
+def test_kernel_snapshots_of_random_worlds_need_no_check():
+    los, disk = ChannelFidelity.los_nlos(), ChannelFidelity.disk(20.0)
+    kinds = set()
+    for boxes, positions in random_kernel_cases():
+        world = WorldModel(BOUNDS, tuple(boxes))
+        tracks = [AgentTrack(k, (p,), speed=1.0) for k, p in enumerate(positions)]
+        sim = ReferencePhysicsSim(world, tracks)
+        for fid in (los, disk):
+            cd = sim.channel_snapshot(fid)
+            assert_needs_no_check(cd)
+            assert repr(cd) == repr(extract_channel_data(world, initial_agent_states(tracks), fid))
+        # both kernels, whichever the size picks
+        poses = tuple(p + (0.0, 0.0, 0.0, 1.0) for p in positions)
+        for kernel, args in (
+            (physics._los_paths_scalar, ()),
+            (physics._los_paths_vector, (physics.BroadPhase(),)),
+        ):
+            cd = physics._one_path_snapshot(poses, *kernel(world, positions, *args))
+            wire.validate_channel_data(cd)
+            kinds.add(bool(cd.hops))
+    assert kinds == {True, False}
+
+
+def test_kernel_snapshots_of_the_corpus_need_no_check():
+    """Every snapshot of the corpus worlds, of all three kinds, arrives
+    checked, passes the check rebuilt unchecked, and equals
+    `extract_channel_data` over `step_world`'s states."""
+    from cosimnet.scenario import parse_scenario
+    from tests.test_lockstep_oracle import CORPUS, swarm_document
+
+    configs = [CORPUS[name]() for name in sorted(CORPUS)] + [
+        parse_scenario(swarm_document(agents=agents, boxes=boxes))
+        for agents, boxes in ((2, 3), (6, 8))
+    ]
+    for config in configs:
+        by_id = {t.agent_id: t for t in config.tracks}
+        sim = ReferencePhysicsSim(config.world, config.tracks)
+        states = initial_agent_states(config.tracks)
+        for k in range(60):
+            for _ in range(7):
+                sim.step(config.window_ns)
+                states = step_world(config.world, by_id, states, config.window_ns)
+            fid = ChannelFidelity.disk(40.0) if k % 3 == 0 else config.fidelity
+            cd = sim.channel_snapshot(fid)
+            assert_needs_no_check(cd)
+            assert repr(cd) == repr(extract_channel_data(config.world, states, fid))
+
+
+def test_reference_sim_leaves_snapshots_near_the_float_limit_unchecked():
+    # a pose within 16 times the largest bound coordinate plus the track
+    # length might overflow on the way to a hop: not vouched for
+    world = WorldModel(Box((0.0, 0.0, 0.0), (1e308, 1.0, 1.0)))
+    tracks = [
+        AgentTrack(0, ((1.0, 0.5, 0.5),), speed=1.0),
+        AgentTrack(1, ((1.0, 0.5, 0.5), (1e307, 0.5, 0.5)), speed=1e306),
+    ]
+    sim = ReferencePhysicsSim(world, tracks)
+    sim.step(1_000_000)
+    cd = sim.channel_snapshot(ChannelFidelity.los_nlos())
+    assert not cd._checked
+    wire.validate_channel_data(cd)
+
+
 # -- vector extraction against the scalar reference ---------------------------
 
 
@@ -536,7 +714,8 @@ def test_vector_kernel_keeps_hits_rounded_past_the_segment_end():
     assert not path.los
 
 
-def test_vector_kernel_matches_scalar_on_random_worlds():
+def random_kernel_cases():
+    """300 random worlds, as (boxes, agent positions)."""
     rng = random.Random(2005)
 
     def coord(lo, hi):
@@ -552,6 +731,11 @@ def test_vector_kernel_matches_scalar_on_random_worlds():
         positions = [tuple(coord(-25, 25) for _ in range(3)) for _ in range(rng.randint(0, 9))]
         if len(positions) > 2 and rng.random() < 0.3:
             positions[2] = positions[0]
+        yield boxes, positions
+
+
+def test_vector_kernel_matches_scalar_on_random_worlds():
+    for boxes, positions in random_kernel_cases():
         assert_kernels_agree(boxes, positions)
 
 
@@ -595,10 +779,40 @@ class CountingBroadPhase(physics.BroadPhase):
         super()._build(world, pos)
 
 
+def segment_touches(p0, p1, box) -> bool:
+    """The closed slab test, unwidened: whether segment p0->p1 meets the
+    box, boundary included."""
+    t0, t1 = 0.0, 1.0
+    for origin, end, lo, hi in zip(p0, p1, box.min_corner, box.max_corner):
+        delta = end - origin
+        if delta == 0.0:
+            if not lo <= origin <= hi:
+                return False
+            continue
+        ta, tb = sorted(((lo - origin) / delta, (hi - origin) / delta))
+        t0, t1 = max(t0, ta), min(t1, tb)
+    return t0 <= t1
+
+
+def fresh_hits(world, positions) -> set[tuple[int, int]]:
+    """The (pair, box) that a fresh unwidened slab test finds touching, and
+    those the exact narrow phase hits."""
+    hits = set()
+    for k, (i, j) in enumerate(wire.all_pairs(len(positions))):
+        p0, p1 = positions[i], positions[j]
+        for b, box in enumerate(world.obstacles):
+            if segment_touches(p0, p1, box) or (
+                p0 != p1 and physics._crossing_interval(p0, p1, box) is not None
+            ):
+                hits.add((k, b))
+    return hits
+
+
 def assert_kept_broad_phase_matches_rebuilds(boxes, walk) -> CountingBroadPhase:
     """Over `walk`, one position set per window, a `BroadPhase` kept across
     windows gives the same paths as a fresh one every window, and as the
-    object-building oracle."""
+    object-building oracle; its candidates hold every hit of a fresh
+    unwidened test."""
     world = WorldModel(BOUNDS, tuple(boxes))
     kept = CountingBroadPhase()
     for positions in walk:
@@ -607,6 +821,8 @@ def assert_kept_broad_phase_matches_rebuilds(boxes, walk) -> CountingBroadPhase:
         cached = kernel_paths(physics._los_paths_vector, world, positions, kept)
         oracle = tuple(physics_oracles.los_paths_vector(world, positions))
         assert repr(cached) == repr(fresh) == repr(oracle), positions
+        pair, box = kept.candidates(world, np.array(positions).reshape(-1, 3).T)[:2]
+        assert fresh_hits(world, positions) <= set(zip(pair.tolist(), box.tolist())), positions
     return kept
 
 
@@ -661,6 +877,39 @@ def test_broad_phase_keeps_hits_rounded_past_the_segment_end():
     ]
     kept = assert_kept_broad_phase_matches_rebuilds([box], walk)
     assert kept.rebuilds == 1
+
+
+def test_broad_phase_keeps_a_rounded_hit_one_skin_from_its_anchor():
+    # the same hit, reached in one step of exactly the skin: the anchor
+    # segment ends 1e-11 short of the widened box, and only the rounding
+    # slack keeps the box among the candidates
+    box = Box((1e-3 + 1e-11, 0, 0), (1, 1, 1), penetration_loss=1.0)
+    walk = [[(-1e6, 0.5, 0.5), (1e-3 - SKIN, 0.5, 0.5)], [(-1e6, 0.5, 0.5), (1e-3, 0.5, 0.5)]]
+    kept = assert_kept_broad_phase_matches_rebuilds([box], walk)
+    assert kept.rebuilds == 1
+
+
+def test_broad_phase_keeps_a_box_an_agent_slides_along():
+    # agent 1 slides along the face y = 1 of the unit box, grazing it, then
+    # steps inside, all within the skin of where it started
+    walk = [[(-2, 1, 0.5), (0.2 + 0.1 * k, 1, 0.5)] for k in range(7)]
+    walk.append([(-2, 1, 0.5), (0.8, 0.9, 0.5)])
+    kept = assert_kept_broad_phase_matches_rebuilds([UNIT], walk)
+    assert kept.rebuilds == 1
+    world = WorldModel(BOUNDS, (UNIT,))
+    assert [
+        kernel_paths(physics._los_paths_vector, world, p, kept)[0].los for p in walk
+    ] == [True] * 7 + [False]
+
+
+def test_broad_phase_drops_boxes_the_segment_passes_far_from():
+    # both boxes overlap the diagonal segment's bounding box; only the one
+    # on the diagonal is a candidate
+    on = Box((4, 4, 0), (6, 6, 1), penetration_loss=1.0)
+    corner = Box((8, 0, 0), (10, 2, 1), penetration_loss=1.0)
+    pos = np.array([(0.0, 0.0, 0.5), (10.0, 10.0, 0.5)]).T
+    pair, box = physics.BroadPhase().candidates(WorldModel(BOUNDS, (on, corner)), pos)[:2]
+    assert (pair.tolist(), box.tolist()) == ([0], [0])
 
 
 def test_broad_phase_matches_rebuilds_on_random_walks():
