@@ -33,21 +33,29 @@ DATA_HEADER = 14  # kind + flow id + seq + crc
 ACK_SIZE = 32
 
 _HEAD = struct.Struct("<BBQI")
+_KEY = struct.Struct("<BBQ")  # the header up to the crc, which the crc covers
 _FILLER = bytes(range(256)) * 40  # sliced per seq for varied bodies
 
 
+def _packet(kind: int, flow_id: int, seq: int, body: bytes) -> bytes:
+    # the crc runs over the key, then on over the body: the crc of their
+    # concatenation, without building it
+    crc = zlib.crc32(body, zlib.crc32(_KEY.pack(kind, flow_id, seq)))
+    return _HEAD.pack(kind, flow_id, seq, crc) + body
+
+
 def encode_data(flow_id: int, seq: int, payload_size: int) -> bytes:
-    body_len = payload_size - DATA_HEADER
     offset = seq % 256
-    body = _FILLER[offset : offset + body_len]
-    crc = zlib.crc32(_HEAD.pack(DATA_KIND, flow_id, seq, 0)[:10] + body)
-    return _HEAD.pack(DATA_KIND, flow_id, seq, crc) + body
+    return _packet(
+        DATA_KIND, flow_id, seq, _FILLER[offset : offset + payload_size - DATA_HEADER]
+    )
 
 
 def encode_ack(flow_id: int, next_expected: int) -> bytes:
-    body = _FILLER[next_expected % 256 : next_expected % 256 + ACK_SIZE - DATA_HEADER]
-    crc = zlib.crc32(_HEAD.pack(ACK_KIND, flow_id, next_expected, 0)[:10] + body)
-    return _HEAD.pack(ACK_KIND, flow_id, next_expected, crc) + body
+    offset = next_expected % 256
+    return _packet(
+        ACK_KIND, flow_id, next_expected, _FILLER[offset : offset + ACK_SIZE - DATA_HEADER]
+    )
 
 
 def decode_packet(raw: bytes) -> tuple[int, int, int] | None:
@@ -57,7 +65,7 @@ def decode_packet(raw: bytes) -> tuple[int, int, int] | None:
     kind, flow_id, seq, crc = _HEAD.unpack_from(raw)
     if kind not in (DATA_KIND, ACK_KIND):
         return None
-    if zlib.crc32(raw[:10] + raw[DATA_HEADER:]) != crc:
+    if zlib.crc32(raw[DATA_HEADER:], zlib.crc32(raw[:10])) != crc:
         return None
     return kind, flow_id, seq
 

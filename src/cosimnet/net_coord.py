@@ -14,6 +14,13 @@ A packet captured while window t is being processed is stamped
 captured_at = t and can appear in the manifest for t+W at the earliest,
 so every delivered packet has delay >= W.
 
+A packet is one plain row from capture to release.  `capture` checks a
+send once and resolves its addresses to agent ids; `build_manifest` moves
+the rows to the held set and lists their columns in a BEGIN marked as this
+coordinator's, with the ids and the address map they were resolved over,
+so a netsim over the same map does not check it again; `release` appends
+a row per delivery to the `Ledger`, which reads back as `DeliveryRecord`s.
+
 In process, `scenario.run_scenario` passes each snapshot to `simulate` by
 reference.  Across processes, `run_network_coordinator` decodes it once
 from the peer's END message of the sync handshake.
@@ -23,7 +30,9 @@ from __future__ import annotations
 
 import socket
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Callable, Iterable, Protocol
 
 import numpy as np
@@ -36,18 +45,15 @@ from .wire import MsgType, NetworkUpdate
 DEFAULT_EXPIRY_WINDOWS = 30_000
 
 
-@dataclass(frozen=True)
-class CapturedPacket:
-    pkt_id: int
-    payload: bytes
-    src: str
-    dst: str
-    captured_at: int  # window start of the capture, ns
+# A captured packet is one plain row from capture to release:
+# (pkt_id, length, src, dst, src agent, dst agent, captured_at, payload),
+# where captured_at is the window start of the capture, ns.
+CAPTURED_AT = 6
 
 
 @dataclass(frozen=True)
 class DeliveryRecord:
-    """Ledger row: one physical packet's trip through the simulator."""
+    """Ledger record: one physical packet's trip through the simulator."""
 
     pkt_id: int
     src: str
@@ -56,6 +62,40 @@ class DeliveryRecord:
     captured_at: int
     released_at: int  # start of the window whose clearances included it
     ber: float
+
+
+class Ledger(Sequence):
+    """Every released packet, in release order, stored as rows of the
+    `DeliveryRecord` fields.  Reading it builds a record for each row it
+    reads and keeps none, so reading does not add to the memory it holds."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self):
+        self._rows: list[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [DeliveryRecord(*row) for row in self._rows[index]]
+        return DeliveryRecord(*self._rows[index])
+
+    def __iter__(self):
+        return starmap(DeliveryRecord, self._rows)
+
+    def __eq__(self, other):
+        if isinstance(other, Ledger):
+            return self._rows == other._rows
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Ledger({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -131,10 +171,7 @@ class InProcessBackend:
 
     def receive(self, address: str) -> bytes | None:
         queue = self._egress[address]
-        try:
-            return queue.popleft()
-        except IndexError:
-            return None
+        return queue.popleft() if queue else None
 
 
 def apply_ber(payload: bytes, ber: float, rng: np.random.Generator) -> bytes:
@@ -181,7 +218,7 @@ class NetRunSummary:
     late_cleared_total: int = 0
     held_at_end: int = 0
     pending_at_end: int = 0
-    ledger: list[DeliveryRecord] = field(default_factory=list)
+    ledger: Ledger = field(default_factory=Ledger)
     stats: RunStats = field(default_factory=RunStats)
 
 
@@ -207,9 +244,13 @@ class NetworkCoordinator:
         self._app_tick = app_tick
         self._on_channel = on_channel
         self._rng = np.random.default_rng(config.seed)
-        self._addresses = set(config.addresses)
-        self._pending: deque[CapturedPacket] = deque()
-        self._held: dict[int, CapturedPacket] = {}
+        self._address_map = config.agent_address_map
+        self._agent_of = {ip: agent for agent, ip in config.agent_address_map}
+        self._horizon = config.expiry_windows * config.window_ns
+        self._pump = getattr(backend, "pump", None)
+        # captured rows: not yet in a manifest, and in one by pkt_id
+        self._pending: deque[tuple] = deque()
+        self._held: dict[int, tuple] = {}
         self._expired_ids: set[int] = set()
         self._next_pkt_id = 0
         self.window_start = 0
@@ -219,44 +260,52 @@ class NetworkCoordinator:
         self.expired_total = 0
         self.rejected_total = 0
         self.late_cleared_total = 0
-        self.ledger: list[DeliveryRecord] = []
+        self.ledger = Ledger()
         backend.attach_sink(self)
 
     # -- capture ---------------------------------------------------------
 
     def capture(self, src: str, dst: str, payload: bytes) -> int | None:
-        if (
-            src not in self._addresses
-            or dst not in self._addresses
-            or src == dst
-            or not payload
-        ):
+        agent_of = self._agent_of
+        src_agent = agent_of.get(src)
+        dst_agent = agent_of.get(dst)
+        if src_agent is None or dst_agent is None or src_agent == dst_agent or not payload:
             self.rejected_total += 1
             return None
         pkt_id = self._next_pkt_id
-        self._next_pkt_id += 1
-        self._pending.append(
-            CapturedPacket(pkt_id, bytes(payload), src, dst, self.window_start)
-        )
+        self._next_pkt_id = pkt_id + 1
+        self._pending.append((
+            pkt_id, len(payload), src, dst, src_agent, dst_agent, self.window_start,
+            bytes(payload),
+        ))
         self.captured_total += 1
         return pkt_id
 
     def build_manifest(self, t: int) -> NetworkUpdate:
+        """The BEGIN for window t, listing every packet captured before it.
+
+        The message is marked as this coordinator's: it carries its
+        packets' agent ids and the address map they were resolved over, so
+        a netsim over the same map need not check it again."""
         # only packets captured before this window: a send during window t
         # must not ride the manifest for t, or its delay could undercut W
-        batch = []
-        while self._pending and self._pending[0].captured_at < t:
-            batch.append(self._pending.popleft())
-        for pkt in batch:
-            self._held[pkt.pkt_id] = pkt
-        return NetworkUpdate(
-            MsgType.BEGIN,
-            t,
-            pkt_id=tuple(p.pkt_id for p in batch),
-            pkt_lengths=tuple(len(p.payload) for p in batch),
-            src_ip=tuple(p.src for p in batch),
-            dst_ip=tuple(p.dst for p in batch),
-        )
+        pending = self._pending
+        if pending and pending[-1][CAPTURED_AT] < t:
+            batch = pending
+            self._pending = deque()
+        else:
+            batch = []
+            while pending and pending[0][CAPTURED_AT] < t:
+                batch.append(pending.popleft())
+        if batch:
+            ids, lengths, srcs, dsts, src_agents, dst_agents, _, _ = zip(*batch)
+            self._held.update(zip(ids, batch))
+            msg = NetworkUpdate(MsgType.BEGIN, t, ids, lengths, srcs, dsts)
+        else:
+            src_agents = dst_agents = ()
+            msg = NetworkUpdate(MsgType.BEGIN, t)
+        object.__setattr__(msg, "_agents", (self._address_map, src_agents, dst_agents))
+        return msg
 
     # -- release ---------------------------------------------------------
 
@@ -271,45 +320,50 @@ class NetworkCoordinator:
         )
         if len({len(f) for f in fields}) != 1:
             raise ProtocolError("clearance lists are misaligned")
-        released = 0
-        for pkt_id, src, dst, ber in zip(*fields):
-            pkt = self._held.pop(pkt_id, None)
-            if pkt is None:
-                if pkt_id in self._expired_ids:
-                    # the simulator finally served a packet we gave up on;
-                    # nothing to deliver, but it is not a protocol breach
-                    self._expired_ids.discard(pkt_id)
-                    self.late_cleared_total += 1
-                    continue
-                raise ProtocolError(
-                    f"simulator cleared pkt_id {pkt_id} that was never submitted"
-                )
-            if (src, dst) != (pkt.src, pkt.dst):
-                raise ProtocolError(
-                    f"clearance for pkt_id {pkt_id} names {src}->{dst}, "
-                    f"captured as {pkt.src}->{pkt.dst}"
-                )
-            payload = apply_ber(pkt.payload, ber, self._rng)
-            self._backend.deliver(pkt.dst, payload)
-            self.ledger.append(
-                DeliveryRecord(
-                    pkt_id, pkt.src, pkt.dst, len(pkt.payload),
-                    pkt.captured_at, clearances.time_val, ber,
-                )
-            )
-            self.released_total += 1
-            self.released_bytes += len(pkt.payload)
-            released += 1
+        if not fields[0]:
+            return 0
+        held = self._held
+        rng = self._rng
+        deliver = self._backend.deliver
+        rows = self.ledger._rows
+        released_at = clearances.time_val
+        released = released_bytes = 0
+        try:
+            for pkt_id, src, dst, ber in zip(*fields):
+                pkt = held.pop(pkt_id, None)
+                if pkt is None:
+                    if pkt_id in self._expired_ids:
+                        # the simulator finally served a packet we gave up
+                        # on; nothing to deliver, but no protocol breach
+                        self._expired_ids.discard(pkt_id)
+                        self.late_cleared_total += 1
+                        continue
+                    raise ProtocolError(
+                        f"simulator cleared pkt_id {pkt_id} that was never submitted"
+                    )
+                _, length, pkt_src, pkt_dst, _, _, captured_at, payload = pkt
+                if src != pkt_src or dst != pkt_dst:
+                    raise ProtocolError(
+                        f"clearance for pkt_id {pkt_id} names {src}->{dst}, "
+                        f"captured as {pkt_src}->{pkt_dst}"
+                    )
+                deliver(pkt_dst, apply_ber(payload, ber, rng))
+                rows.append((pkt_id, pkt_src, pkt_dst, length, captured_at, released_at, ber))
+                released += 1
+                released_bytes += length
+        finally:
+            self.released_total += released
+            self.released_bytes += released_bytes
         return released
 
     def _expire(self, t: int) -> None:
         # `_held` is in capture order (manifests move the pending FIFO in
         # order and only release removes from the middle), so the stale
         # packets are a prefix of it
-        horizon = self.config.expiry_windows * self.config.window_ns
+        horizon = self._horizon
         stale = []
         for pkt_id, pkt in self._held.items():
-            if t - pkt.captured_at <= horizon:
+            if t - pkt[CAPTURED_AT] <= horizon:
                 break
             stale.append(pkt_id)
         for pkt_id in stale:
@@ -341,9 +395,8 @@ class NetworkCoordinator:
         end = self._netsim.advance(t, window_ns, manifest)
         self.release(end)
         self._expire(t)
-        pump = getattr(self._backend, "pump", None)
-        if pump is not None:
-            pump()
+        if self._pump is not None:
+            self._pump()
         if self._app_tick is not None:
             self._app_tick(t)
         return end

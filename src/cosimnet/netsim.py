@@ -15,6 +15,20 @@ under the conditions it started with.
 The medium's busy horizon and the in-flight transmission persist across
 windows, so advancing twice by W is equivalent to advancing once by 2W
 when the channel does not change in between.
+
+A packet is one plain tuple in the medium, queued and on the air, and the
+END lists the cleared ones' columns.  Who checks a manifest: one that a
+`net_coord.NetworkCoordinator` built carries its packets' agent ids,
+resolved at capture, and the address map they came from.  When that map
+is the simulator's own, decided once per map, `advance` checks only the
+window (a BEGIN for this window start, not behind the clock) and queues
+the packets under those ids.  Every other manifest gets the wire's
+structural check and then the checks that need the simulator's state:
+ids already submitted, empty payloads, map membership and self-addressed
+packets.
+
+A channel update whose columns equal the last one's, as parked agents'
+do, keeps the link rows computed under it.
 """
 
 from __future__ import annotations
@@ -22,8 +36,9 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from operator import itemgetter
 from typing import Mapping, Protocol
 
@@ -131,6 +146,10 @@ class MediumEventKind(Enum):
     TX_END = "tx_end"
 
 
+_TX_START = MediumEventKind.TX_START
+_TX_END = MediumEventKind.TX_END
+
+
 @dataclass(frozen=True)
 class MediumEvent:
     time: int
@@ -200,29 +219,6 @@ def compute_link_state(
     return _as_link_state(pair, _link_budget(params)(distance, wall_loss))
 
 
-@dataclass
-class _Queued:
-    enqueued_at: int  # window start, ns
-    pkt_id: int
-    length: int
-    src_agent: int
-    dst_agent: int
-    src_ip: str
-    dst_ip: str
-
-
-def _key(entry: _Queued) -> tuple[int, int]:
-    return entry.enqueued_at, entry.pkt_id
-
-
-@dataclass
-class _InFlight:
-    entry: _Queued
-    ber: float
-    tx_start: int
-    tx_end: int
-
-
 class NetSim(Protocol):
     """What the network coordinator needs from any network simulator."""
 
@@ -240,8 +236,15 @@ class ReferenceNetSim:
     `wire.checked_address_map` checks it once here, so a manifest address
     that is in the map is a valid IPv4 string.  A manifest's structure is
     checked by `wire.validate_network_update`; the simulator adds only the
-    checks that need its own state.  Until the first channel update every
-    link is down and packets simply wait in their queues.
+    checks that need its own state.  A manifest that a `NetworkCoordinator`
+    built carries its packets' agent ids; if the coordinator's address map
+    is this simulator's, decided once per map, the simulator takes the ids
+    as they are and checks only the window.  Until the first channel update
+    every link is down and packets simply wait in their queues.
+
+    A queued packet is one tuple, ``(enqueued_at, pkt_id, length, src
+    agent, dst agent, src_ip, dst_ip)``, so tuple order is the medium's
+    (enqueued_at, pkt_id) order: a submitted id is never submitted again.
     """
 
     def __init__(
@@ -254,6 +257,10 @@ class ReferenceNetSim:
         self._agent_of_ip: dict[str, int] = {
             ip: agent_id for agent_id, ip in wire.checked_address_map(address_map.items())
         }
+        # the last address map a coordinator's mark named, and whether it
+        # is this simulator's
+        self._mark_map: tuple | None = None
+        self._mark_trusted = False
         self._budget = _link_budget(params)
         # the last channel update and its listed pairs (i < j) -> row
         self._channel: ChannelData | None = None
@@ -263,10 +270,11 @@ class ReferenceNetSim:
         self._links: dict[tuple[int, int], tuple] = {}
         # LinkState objects handed out since the last channel update
         self._states: dict[tuple[int, int], LinkState] = {}
-        # (src, dst) -> packets in (enqueued_at, pkt_id) order; no empty FIFOs
-        self._fifos: dict[tuple[int, int], deque[_Queued]] = {}
+        # (src, dst) -> queued packets in order; no empty FIFOs
+        self._fifos: dict[tuple[int, int], deque[tuple]] = {}
         self._depth: dict[int, int] = {}
-        self._inflight: _InFlight | None = None
+        # (tx_end, ber, queued packet) of the transmission on the air
+        self._inflight: tuple | None = None
         self._busy_until = 0
         self._clock = 0
         self._seen_ids: set[int] = set()
@@ -281,15 +289,20 @@ class ReferenceNetSim:
         """Take `cd` as the channel from now on.  Only its check runs here,
         and only if `cd` has not passed it (a decoded snapshot and a physics
         kernel's have): a pair's link is computed the first time it is
-        asked for."""
+        asked for.  When `cd`'s columns equal the last update's, as parked
+        agents' do, the rows computed for that update are kept: equal
+        columns give the same rows.  `link_state` objects are not kept."""
         try:
             wire.validate_channel_data(cd)
         except wire.InvariantViolation as exc:
             raise MalformedChannelError(str(exc)) from exc
+        last = self._channel
         self._channel = cd
+        self._states = {}
+        if last is not None and _same_columns(last, cd):
+            return
         self._rows = cd.pair_rows
         self._links = {}
-        self._states = {}
 
     def _link(self, pair: tuple[int, int]) -> tuple | None:
         """The budget tuple of the ordered pair (i < j) under the last
@@ -321,7 +334,8 @@ class ReferenceNetSim:
         ordered pair (i < j) -> ``(phy_rate, ber, distance, wall_loss,
         path_loss, snr)``.  The update rejects a pair listed twice, so the
         table has one row per listed pair.  Reading it computes every row
-        not yet asked for; a row computed before is the same object."""
+        not yet asked for; a row computed before, for this update or for
+        an earlier one with equal columns, is the same object."""
         self._links = {pair: self._link(pair) for pair in self._rows}
         return self._links
 
@@ -343,100 +357,111 @@ class ReferenceNetSim:
     def advance(
         self, window_start: int, window_ns: int, manifest: NetworkUpdate
     ) -> NetworkUpdate:
-        agents = self._validate_manifest(manifest, window_start, window_ns)
+        mark = getattr(manifest, "_agents", None)
+        if mark is not None and self._trusts(mark[0]):
+            self._check_window(manifest, window_start, window_ns)
+            src_agents, dst_agents = mark[1], mark[2]
+        else:
+            src_agents, dst_agents = self._validate_manifest(manifest, window_start, window_ns)
         window_end = window_start + window_ns
-        for pkt_id, length, src_ip, dst_ip, (src_agent, dst_agent) in zip(
-            manifest.pkt_id, manifest.pkt_lengths, manifest.src_ip, manifest.dst_ip, agents
-        ):
-            self._seen_ids.add(pkt_id)
-            if self._depth.get(src_agent, 0) >= self.params.queue_capacity:
-                self.dropped_total += 1
-                self.dropped_ids.append(pkt_id)
-                continue
-            entry = _Queued(window_start, pkt_id, length, src_agent, dst_agent, src_ip, dst_ip)
-            fifo = self._fifos.setdefault((src_agent, dst_agent), deque())
-            if fifo and _key(fifo[-1]) > _key(entry):
-                # ids out of order within one window: keep the FIFO sorted
-                fifo.insert(bisect.bisect(fifo, _key(entry), key=_key), entry)
-            else:
-                fifo.append(entry)
-            self._depth[src_agent] = self._depth.get(src_agent, 0) + 1
-
-        cleared: list[_InFlight] = []
-        while True:
-            if self._inflight is not None:
-                if self._inflight.tx_end <= window_end:
-                    done = self._inflight
-                    self._inflight = None
-                    cleared.append(done)
-                    self.cleared_total += 1
-                    self._trace(done.tx_end, MediumEventKind.TX_END, done.entry)
+        fifos = self._fifos
+        depth = self._depth
+        ids = manifest.pkt_id
+        if ids:
+            self._seen_ids.update(ids)
+            capacity = self.params.queue_capacity
+            for entry in zip(
+                repeat(window_start), ids, manifest.pkt_lengths, src_agents, dst_agents,
+                manifest.src_ip, manifest.dst_ip,
+            ):
+                src = entry[3]
+                queued = depth.get(src, 0)
+                if queued >= capacity:
+                    self.dropped_total += 1
+                    self.dropped_ids.append(entry[1])
+                    continue
+                key = (src, entry[4])
+                fifo = fifos.get(key)
+                if fifo is None:
+                    fifos[key] = deque((entry,))
+                elif fifo[-1] > entry:
+                    # ids out of order within one window: keep the FIFO sorted
+                    bisect.insort(fifo, entry)
                 else:
+                    fifo.append(entry)
+                depth[src] = queued + 1
+
+        links = self._links
+        events = self.events
+        overhead = self.params.per_packet_overhead
+        inflight = self._inflight
+        busy_until = self._busy_until
+        cleared = []
+        bers = []
+        while True:
+            if inflight is not None:
+                tx_end, ber, entry = inflight
+                if tx_end > window_end:
                     break
-            tx_start = max(self._busy_until, window_start)
+                inflight = None
+                cleared.append(entry)
+                bers.append(ber)
+                if events is not None:
+                    events.append(MediumEvent(tx_end, _TX_END, entry[1], entry[5], entry[6]))
+            tx_start = busy_until if busy_until > window_start else window_start
             if tx_start >= window_end:
                 break
-            entry = self._next_eligible()
-            if entry is None:
+            # the smallest head among the FIFOs whose link is up
+            best = None
+            for key, fifo in fifos.items():
+                head = fifo[0]
+                if best is not None and head > best:
+                    continue
+                src, dst = key
+                pair = key if src < dst else (dst, src)
+                link = links.get(pair) or self._link(pair)
+                if link is None or link[0] is None:
+                    continue
+                best, best_key, best_link = head, key, link
+            if best is None:
                 break
-            src, dst = entry.src_agent, entry.dst_agent
-            # `_next_eligible` has computed the link it found up
-            phy_rate, ber = self._links[(src, dst) if src < dst else (dst, src)][:2]
-            service_ns = self.params.per_packet_overhead + int(
-                round(entry.length * 8e9 / phy_rate)
-            )
-            fifo = self._fifos[(src, dst)]
+            fifo = fifos[best_key]
             fifo.popleft()
             if not fifo:
-                del self._fifos[(src, dst)]
-            self._depth[src] -= 1
-            self._trace(tx_start, MediumEventKind.TX_START, entry)
-            self._inflight = _InFlight(entry, ber, tx_start, tx_start + service_ns)
-            self._busy_until = tx_start + service_ns
+                del fifos[best_key]
+            depth[best[3]] -= 1
+            if events is not None:
+                events.append(MediumEvent(tx_start, _TX_START, best[1], best[5], best[6]))
+            busy_until = tx_start + overhead + round(best[2] * 8e9 / best_link[0])
+            inflight = (busy_until, best_link[1], best)
+        self._inflight = inflight
+        self._busy_until = busy_until
         self._clock = window_end
 
+        if not cleared:
+            return NetworkUpdate(MsgType.END, window_start)
+        self.cleared_total += len(cleared)
+        _, clear_ids, _, _, _, src_ips, dst_ips = zip(*cleared)
         return NetworkUpdate(
-            MsgType.END,
-            window_start,
-            clear_pkt_id=tuple(f.entry.pkt_id for f in cleared),
-            clear_src_ip=tuple(f.entry.src_ip for f in cleared),
-            clear_dst_ip=tuple(f.entry.dst_ip for f in cleared),
-            ber=tuple(f.ber for f in cleared),
+            MsgType.END, window_start, (), (), (), (), clear_ids, src_ips, dst_ips, tuple(bers)
         )
 
     @property
     def queued_count(self) -> int:
         return sum(self._depth.values()) + (1 if self._inflight else 0)
 
-    def _next_eligible(self) -> _Queued | None:
-        """The smallest (enqueued_at, pkt_id) among the heads of the FIFOs
-        whose link is up."""
-        best = None
-        links = self._links
-        for (src, dst), fifo in self._fifos.items():
-            head = fifo[0]
-            if best is not None and _key(head) > _key(best):
-                continue
-            pair = (src, dst) if src < dst else (dst, src)
-            link = links.get(pair) or self._link(pair)
-            if link is None or link[0] is None:
-                continue
-            best = head
-        return best
+    def _trusts(self, address_map: tuple) -> bool:
+        """Whether agent ids resolved over `address_map`, a coordinator's
+        checked map, are this simulator's.  Decided once per map object."""
+        if address_map is not self._mark_map:
+            self._mark_map = address_map
+            self._mark_trusted = {ip: a for a, ip in address_map} == self._agent_of_ip
+        return self._mark_trusted
 
-    def _trace(self, time: int, kind: MediumEventKind, entry: _Queued) -> None:
-        if self.events is not None:
-            self.events.append(
-                MediumEvent(time, kind, entry.pkt_id, entry.src_ip, entry.dst_ip)
-            )
-
-    def _validate_manifest(
+    def _check_window(
         self, manifest: NetworkUpdate, window_start: int, window_ns: int
-    ) -> list[tuple[int, int]]:
-        """Raise MalformedManifestError unless `manifest` is a well-formed
-        BEGIN for this window; return each packet's (src, dst) agents."""
-        if not isinstance(manifest, NetworkUpdate):
-            raise MalformedManifestError(f"manifest must be a NetworkUpdate, got {manifest!r}")
+    ) -> None:
+        """The checks of a manifest that need this simulator's clock."""
         if manifest.msg_type is not MsgType.BEGIN:
             raise MalformedManifestError("manifest must be a BEGIN message")
         if manifest.time_val != window_start:
@@ -449,6 +474,15 @@ class ReferenceNetSim:
             raise MalformedManifestError(
                 f"window at {window_start} overlaps already-simulated time {self._clock}"
             )
+
+    def _validate_manifest(
+        self, manifest: NetworkUpdate, window_start: int, window_ns: int
+    ) -> tuple[list[int], list[int]]:
+        """Raise MalformedManifestError unless `manifest` is a well-formed
+        BEGIN for this window; return its packets' src and dst agents."""
+        if not isinstance(manifest, NetworkUpdate):
+            raise MalformedManifestError(f"manifest must be a NetworkUpdate, got {manifest!r}")
+        self._check_window(manifest, window_start, window_ns)
         if manifest.clear_pkt_id or manifest.clear_src_ip or manifest.clear_dst_ip or manifest.ber:
             raise MalformedManifestError("manifest must not carry clearance fields")
         # the manifest's structure (aligned lists, u64/u32 ranges, unique
@@ -460,7 +494,7 @@ class ReferenceNetSim:
             raise MalformedManifestError(str(exc)) from exc
         seen = self._seen_ids
         agent_of_ip = self._agent_of_ip
-        agents = []
+        src_agents, dst_agents = [], []
         for pkt_id, length, src_ip, dst_ip in zip(
             manifest.pkt_id, manifest.pkt_lengths, manifest.src_ip, manifest.dst_ip
         ):
@@ -475,5 +509,27 @@ class ReferenceNetSim:
                 raise MalformedManifestError(f"address {ip} is not a configured agent")
             if src == dst:
                 raise MalformedManifestError(f"pkt_id {pkt_id} is self-addressed")
-            agents.append((src, dst))
-        return agents
+            src_agents.append(src)
+            dst_agents.append(dst)
+        return src_agents, dst_agents
+
+
+def _same_columns(a: ChannelData, b: ChannelData) -> bool:
+    """Whether every link row computed under `a` is the one `b` gives.
+    Equal columns give the budget equal inputs.  The hop losses must match
+    in type too: int losses sum to an int wall loss, equal float ones to a
+    float, and the row keeps the wall loss as summed."""
+    return a is b or (
+        a.poses == b.poses
+        and a.ids == b.ids
+        and a.los == b.los
+        and a.path_start == b.path_start
+        and a.num_hops == b.num_hops
+        and a.hop_start == b.hop_start
+        and a.hops == b.hops
+        and (a.hops is b.hops or list(map(_loss_type, a.hops)) == list(map(_loss_type, b.hops)))
+    )
+
+
+def _loss_type(hop: tuple) -> type:
+    return type(hop[3])

@@ -255,7 +255,10 @@ def _yaw_quaternion(direction: Vec3) -> tuple[float, float, float, float]:
 
 def track_pose(track: AgentTrack, arc: float) -> Pose:
     """Pose at a given arc position: position interpolated on the polyline,
-    orientation yaw-aligned with the local segment direction (about +z)."""
+    orientation yaw-aligned with the local segment direction (about +z).
+    Raises ValueError for an arc that is not finite."""
+    if not math.isfinite(arc):
+        raise ValueError(f"arc {arc!r} is not finite")
     table, total = _segment_table(track.waypoints, track.loop)
     if not table or total == 0.0:
         return Pose(track.waypoints[0])
@@ -265,14 +268,13 @@ def track_pose(track: AgentTrack, arc: float) -> Pose:
             arc += total
     else:
         arc = min(max(arc, 0.0), total)
+    # the last segment ends at the total, by the same sum, so the arc falls
+    # in a segment
     for a, b, length, cum, yaw in table:
         if arc <= cum + length:
-            u = (arc - cum) / length
-            return Pose(tuple(pa + u * (pb - pa) for pa, pb in zip(a, b)), yaw)
-    # arc == total on a non-loop track lands past the last cum + length only
-    # through rounding; pin it to the final waypoint
-    _, b, _, _, yaw = table[-1]
-    return Pose(b, yaw)
+            break
+    u = (arc - cum) / length
+    return Pose(tuple(pa + u * (pb - pa) for pa, pb in zip(a, b)), yaw)
 
 
 def initial_agent_states(tracks: Iterable[AgentTrack]) -> list[AgentState]:
@@ -656,8 +658,7 @@ def _walk(track: AgentTrack) -> tuple:
     delta x, y, z, start arc, length, yaw quaternion).
 
     The last end arc is the total length, by the same sum, so every arc a
-    step makes (up to the total, or below it on a loop) falls in a segment:
-    `track_pose`'s pin to the final waypoint is never reached from a step.
+    step makes (up to the total, or below it on a loop) falls in a segment.
     """
     table, total = _segment_table(track.waypoints, track.loop)
     ends = [cum + length for _, _, length, cum, _ in table]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import zlib
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,29 @@ def test_decode_rejects_damage():
     assert decode_packet(raw[:-1] + bytes([raw[-1] ^ 1])) is None
     assert decode_packet(raw[:DATA_HEADER - 1]) is None
     assert decode_packet(bytes([9]) + raw[1:]) is None
+
+
+def concatenating_packet(kind, flow_id, seq, body):
+    """A packet with its CRC-32 over the header and body joined, as the
+    encoders computed it before running it on from the header to the body.
+    Kept as their oracle."""
+    head = flows._HEAD.pack(kind, flow_id, seq, 0)[:10]
+    return flows._HEAD.pack(kind, flow_id, seq, zlib.crc32(head + body)) + body
+
+
+def test_running_crc_matches_the_crc_of_the_concatenation():
+    filler = flows._FILLER
+    for flow_id in (0, 7, 255):
+        for seq in (0, 1, 255, 256, 1_000_003, 2**64 - 1):
+            body = filler[seq % 256 : seq % 256 + 1000 - DATA_HEADER]
+            assert encode_data(flow_id, seq, 1000) == concatenating_packet(
+                DATA_KIND, flow_id, seq, body
+            )
+            ack_body = filler[seq % 256 : seq % 256 + ACK_SIZE - DATA_HEADER]
+            assert encode_ack(flow_id, seq) == concatenating_packet(
+                ACK_KIND, flow_id, seq, ack_body
+            )
+            assert decode_packet(encode_data(flow_id, seq, 1000)) == (DATA_KIND, flow_id, seq)
 
 
 def test_bodies_differ_across_sequence_numbers():

@@ -12,6 +12,7 @@ from scipy import stats
 
 from cosimnet import wire
 from cosimnet.net_coord import (
+    CAPTURED_AT,
     InProcessBackend,
     NetCoordConfig,
     NetworkCoordinator,
@@ -371,7 +372,7 @@ class FullScanCoordinator(NetworkCoordinator):
         stale = [
             pkt_id
             for pkt_id, pkt in self._held.items()
-            if t - pkt.captured_at > horizon
+            if t - pkt[CAPTURED_AT] > horizon
         ]
         for pkt_id in stale:
             del self._held[pkt_id]

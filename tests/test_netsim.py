@@ -24,7 +24,7 @@ from cosimnet.wire import (
     PathDetails,
     Pose,
 )
-from tests import msggen, wire_oracles
+from tests import msggen, net_oracles, wire_oracles
 
 W = 10_000_000  # 10 ms
 IP = {0: "10.0.0.1", 1: "10.0.0.2", 2: "10.0.0.3"}
@@ -319,6 +319,83 @@ def test_link_state_memo_lasts_until_the_next_channel():
     sim.apply_channel(cd)
     assert sim.link_state(0, 1) is not link
     assert sim.link_state(0, 1) == link
+
+
+def columns_of(cd):
+    return (cd.poses, cd.ids, cd.los, cd.path_start, cd.num_hops, cd.hop_start, cd.hops)
+
+
+def rebuilt(cd):
+    """An equal snapshot with none of `cd`'s column tuples."""
+    return ChannelData.from_columns(*(tuple(list(column)) for column in columns_of(cd)))
+
+
+def assert_table_as_fresh(sim, cd, agents):
+    fresh = new_sim(agents=agents)
+    fresh.apply_channel(cd)
+    assert repr(sim.link_table) == repr(fresh.link_table)
+
+
+THREE_PAIRS = channel(
+    [(0, 0, 0), (10, 0, 0), (20, 0, 0)],
+    [
+        PathDetails((0, 1), True, (0,), ()),
+        PathDetails((2, 0), False, (1,), ((10.0, 0.0, 0.0, 3.0),)),
+        # int losses: the first path's wall loss is the int 5
+        PathDetails((1, 2), False, (2, 1), ((15.0, 0.0, 0.0, 3), (16.0, 0.0, 0.0, 2), (9.0, 0.0, 0.0, 1.0))),
+    ],
+)
+
+
+def test_an_equal_snapshot_keeps_the_rows_computed_for_the_last():
+    sim = new_sim(agents=3)
+    sim.apply_channel(THREE_PAIRS)
+    table = dict(sim.link_table)
+    for again in (THREE_PAIRS, rebuilt(THREE_PAIRS)):
+        sim.apply_channel(again)
+        assert all(sim.link_table[pair] is row for pair, row in table.items())
+        assert_table_as_fresh(sim, again, 3)
+
+
+def changed_one_column(cd):
+    """Snapshots that differ from `cd` in one column or one value each."""
+    poses, ids, los, path_start, num_hops, hop_start, hops = columns_of(cd)
+    loss_as_float = tuple((x, y, z, float(loss)) for x, y, z, loss in hops)
+    return {
+        "pose": (((0.0, 3.0, 0.0, *poses[0][3:]),) + poses[1:], ids, los, path_start, num_hops, hop_start, hops),
+        "orientation": ((poses[0][:3] + (0.0, 0.0, 1.0, 0.0),) + poses[1:], ids, los, path_start, num_hops, hop_start, hops),
+        "ids": (poses, ((1, 0),) + ids[1:], los, path_start, num_hops, hop_start, hops),
+        "order": (poses, ids[1:] + ids[:1], los[1:] + los[:1], path_start, num_hops, hop_start, hops),
+        "los": (poses, ids, (True, True, True), path_start, num_hops, hop_start, hops),
+        "hop loss": (poses, ids, los, path_start, num_hops, hop_start, hops[:1] + ((15.0, 0.0, 0.0, 30),) + hops[2:]),
+        "hop type": (poses, ids, los, path_start, num_hops, hop_start, loss_as_float),
+        "num_hops": (poses, ids, los, path_start, (0, 1, 1, 2), hop_start, hops),
+        "dropped pair": (poses, ids[:2], los[:2], path_start[:3], num_hops[:2], hop_start[:3], hops[:1]),
+    }
+
+
+@pytest.mark.parametrize("change", sorted(changed_one_column(THREE_PAIRS)))
+def test_a_changed_snapshot_gets_rows_of_its_own(change):
+    sim = new_sim(agents=3)
+    sim.apply_channel(THREE_PAIRS)
+    sim.link_table
+    changed = ChannelData.from_columns(*changed_one_column(THREE_PAIRS)[change])
+    assert changed != THREE_PAIRS or change == "hop type"
+    sim.apply_channel(changed)
+    assert_table_as_fresh(sim, changed, 3)
+
+
+@pytest.mark.parametrize("name", ["patrol", "static_los_30m", "swarm16"])
+def test_repeated_world_snapshots_give_the_table_of_a_fresh_netsim(name):
+    config, snapshots = world_snapshots(name)
+    amap = {i: f"10.1.0.{i + 1}" for i in range(len(config.tracks))}
+    sim = ReferenceNetSim(DEFAULTS, amap)
+    for cd in snapshots[:20]:
+        for again in (cd, cd, rebuilt(cd)):
+            sim.apply_channel(again)
+            fresh = ReferenceNetSim(DEFAULTS, amap)
+            fresh.apply_channel(again)
+            assert repr(sim.link_table) == repr(fresh.link_table)
 
 
 def test_reversed_pair_carries_traffic():
@@ -693,7 +770,7 @@ def test_causality_and_determinism():
     assert drive(new_sim()) == drive(new_sim())
 
 
-class LinearScanNetSim(ReferenceNetSim):
+class LinearScanNetSim(net_oracles.ObjectNetSim):
     """The scheduler before per-link FIFOs, kept as their oracle: one list
     in arrival order, scanned whole for the smallest (enqueued_at, pkt_id)
     whose link is up, and `list.remove` on service."""
@@ -716,7 +793,7 @@ class LinearScanNetSim(ReferenceNetSim):
                 self.dropped_ids.append(pkt_id)
                 continue
             self._queue.append(
-                netsim._Queued(window_start, pkt_id, length, src_agent, dst_agent, src_ip, dst_ip)
+                net_oracles._Queued(window_start, pkt_id, length, src_agent, dst_agent, src_ip, dst_ip)
             )
             self._depth[src_agent] = self._depth.get(src_agent, 0) + 1
 
@@ -744,7 +821,7 @@ class LinearScanNetSim(ReferenceNetSim):
             self._queue.remove(entry)
             self._depth[entry.src_agent] -= 1
             self._trace(tx_start, MediumEventKind.TX_START, entry)
-            self._inflight = netsim._InFlight(entry, link.ber, tx_start, tx_start + service_ns)
+            self._inflight = net_oracles._InFlight(entry, link.ber, tx_start, tx_start + service_ns)
             self._busy_until = tx_start + service_ns
         self._clock = window_end
 

@@ -152,6 +152,26 @@ def test_yaw_quaternion_follows_segment_direction():
     )
 
 
+@pytest.mark.parametrize("loop", [False, True])
+@pytest.mark.parametrize("arc", [math.nan, math.inf, -math.inf])
+def test_track_pose_rejects_a_non_finite_arc(loop, arc):
+    # a NaN arc used to return the final waypoint on an open track and the
+    # start, with the closing segment's yaw, on a loop; an infinite one
+    # raised a bare math domain error on a loop
+    track = AgentTrack(0, ((0, 0, 0), (4, 0, 0), (4, 4, 0)), speed=1.0, loop=loop)
+    with pytest.raises(ValueError, match=f"arc {arc!r} is not finite"):
+        track_pose(track, arc)
+
+
+def test_track_pose_ends_open_tracks_at_the_final_waypoint():
+    track = AgentTrack(0, ((0, 0, 0), (4, 0, 0), (4, 4, 0)), speed=1.0)
+    half = math.pi / 4
+    for arc in (track_length(track), 8.0, 1e300):
+        pose = track_pose(track, arc)
+        assert pose.position == (4.0, 4.0, 0.0)
+        assert pose.orientation == (0.0, 0.0, math.sin(half), math.cos(half))
+
+
 def test_random_walk_matches_closed_form_arc():
     rng = random.Random(42)
     for trial in range(40):

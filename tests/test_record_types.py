@@ -6,7 +6,8 @@ producer that passed a numpy scalar, an int for a float or a list for a
 tuple would change `repr` (which the timeline oracle compares) or break
 hashing, while `==` might still hold.  These tests run each producer in
 `src/` and check the type of every field: a tuple of `int`, `float` or
-`str`, a `bool` for `los`, and `MsgType` members.
+`str`, a `bool` for `los`, and `MsgType` members.  The ledger's rows
+read back as `DeliveryRecord`s of the same exact types.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from cosimnet import scenario, wire
+from cosimnet.net_coord import DeliveryRecord
 from cosimnet.netsim import ReferenceNetSim
 from cosimnet.physics import (
     VECTOR_MIN_TESTS,
@@ -192,3 +194,27 @@ def test_physics_update_decoded_from_a_bytearray_holds_bytes():
     assert type(msg.channel_data) is bytes
     assert_update_types(msg)
     assert wire.channel_of(msg) == cd
+
+
+def assert_ledger_types(ledger):
+    records = list(ledger)
+    assert records and len(records) == len(ledger)
+    for record in records:
+        assert type(record) is DeliveryRecord
+        for name, kind in (
+            ("pkt_id", int), ("src", str), ("dst", str), ("length", int),
+            ("captured_at", int), ("released_at", int), ("ber", float),
+        ):
+            assert type(getattr(record, name)) is kind, repr(record)
+    assert type(ledger[0]) is DeliveryRecord and ledger[0] == records[0]
+    assert ledger[-2:] == records[-2:]
+
+
+@pytest.mark.parametrize("name", ["static_los_30m", "vector"])
+def test_ledger_rows_read_back_as_exact_records(tmp_path, name):
+    """The coordinator keeps its ledger as rows; each one read, in process
+    or on the split's network side, is a `DeliveryRecord` of exact types."""
+    config = WORLDS[name]()
+    assert_ledger_types(run_scenario(config, tmp_path / "loop").net_summary.ledger)
+    result = two_peer_run(config, *socket_link_pair(), tmp_path / "split")
+    assert_ledger_types(result.net_summary.ledger)
