@@ -123,6 +123,10 @@ class DataFlow:
     duplicate_total: int = 0
     acked_total: int = 0
     acks_sent: int = 0
+    # a lower bound on the earliest retransmit deadline, min(last sent) +
+    # timeout: an ack only raises the minimum, and a send at t, the latest
+    # time yet, never lowers it below that of an unacked seq
+    _due: int = field(default=0, repr=False, compare=False)
 
     def on_data(self, seq: int, t: int) -> None:
         # everything below rcv_next has arrived, so `seen` keeps only the
@@ -147,16 +151,23 @@ class DataFlow:
             self.acked_total += 1
 
     def pump(self, t: int) -> None:
-        for seq, last_sent in self.unacked.items():
-            if t - last_sent >= self.config.retransmit_timeout_ns:
-                self._send(seq)
-                self.unacked[seq] = t
-                self.retransmit_total += 1
-        while len(self.unacked) < self.config.arq_window:
+        unacked = self.unacked
+        timeout = self.config.retransmit_timeout_ns
+        if t >= self._due:  # below it, no unacked seq has timed out
+            for seq, last_sent in unacked.items():
+                if t - last_sent >= timeout:
+                    self._send(seq)
+                    unacked[seq] = t
+                    self.retransmit_total += 1
+            if unacked:
+                self._due = min(unacked.values()) + timeout
+        if not unacked:  # the loop below sends into it at t
+            self._due = t + timeout
+        while len(unacked) < self.config.arq_window:
             seq = self.next_seq
             self.next_seq += 1
             self.first_sent[seq] = t
-            self.unacked[seq] = t
+            unacked[seq] = t
             self._send(seq)
 
     def _send(self, seq: int) -> None:

@@ -27,8 +27,11 @@ structural check and then the checks that need the simulator's state:
 ids already submitted, empty payloads, map membership and self-addressed
 packets.
 
-A channel update whose columns equal the last one's, as parked agents'
-do, keeps the link rows computed under it.
+A pair's link comes from its distance and its first path's hop losses
+(`ChannelData.first_path_losses`), so a physics snapshot that defers its
+pair columns answers for the pairs that carry packets and is never built
+here.  A channel update whose columns equal the last one's, as parked
+agents' do, keeps the link rows computed under it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from operator import itemgetter
 from typing import Mapping, Protocol
 
 from . import wire
@@ -50,8 +52,6 @@ from .wire import ChannelData, MsgType, NetworkUpdate
 # model away from denormals and log-scale plots finite.
 BER_FLOOR = 1e-9
 BER_CEILING = 0.5
-
-_HOP_LOSS = itemgetter(3)  # penetration loss of an (x, y, z, loss) hop
 
 DEFAULT_MCS_TABLE = (
     (5.0, 6.5e6),
@@ -313,15 +313,10 @@ class ReferenceNetSim:
             if k is None:
                 return None
             cd = self._channel
-            if cd.los[k]:
-                wall_loss = 0.0
-            else:
-                # the first path's walls, summed left to right as `sum` does:
-                # no walls at all sum to the int 0
-                p0 = cd.path_start[k]
-                walls = cd.num_hops[p0] if cd.path_start[k + 1] > p0 else 0
-                h0 = cd.hop_start[k]
-                wall_loss = sum(map(_HOP_LOSS, cd.hops[h0:h0 + walls]))
+            # the first path's walls, summed left to right as `sum` does: no
+            # walls at all sum to the int 0
+            losses = cd.first_path_losses(k)
+            wall_loss = 0.0 if losses is None else sum(losses)
             i, j = pair  # the distance is the same in either order
             link = self._links[pair] = self._budget(
                 math.dist(cd.poses[i][:3], cd.poses[j][:3]), wall_loss
@@ -518,7 +513,9 @@ def _same_columns(a: ChannelData, b: ChannelData) -> bool:
     """Whether every link row computed under `a` is the one `b` gives.
     Equal columns give the budget equal inputs.  The hop losses must match
     in type too: int losses sum to an int wall loss, equal float ones to a
-    float, and the row keeps the wall loss as summed."""
+    float, and the row keeps the wall loss as summed.  The poses come
+    first: moving agents' snapshots differ there, and a deferred snapshot
+    is not built to find that out."""
     return a is b or (
         a.poses == b.poses
         and a.ids == b.ids

@@ -14,7 +14,9 @@ per-pair record is built.
 `step_world`, `track_pose` and `extract_channel_data` work on
 `AgentState` records and are the reference.  `ReferencePhysicsSim` gives
 the same poses and snapshots bit for bit from tracks it resolved once,
-with one arc and one pose row per agent and no records.
+with one arc and one pose row per agent and no records.  Its snapshots
+defer their pair columns until they are first read, and answer one pair's
+first-path losses with that pair's slab tests alone.
 
 LOS/NLOS extraction has two paths that give bit-identical output.  The
 scalar path runs one slab test per pair and box in Python.  The vector
@@ -669,6 +671,57 @@ def _walk(track: AgentTrack) -> tuple:
     return track.speed, total, track.loop, ends, segments
 
 
+class _Extraction:
+    """The source of `ReferencePhysicsSim`'s deferred snapshots at one
+    fidelity (`wire.ChannelData.deferred`): all pair columns from the
+    kernels through `_snapshot`, or one pair's first-path losses.
+
+    One pair's losses come from the scalar kernel's slab test, run only on
+    the boxes whose bounds overlap the pair's segment widened by
+    `_BROAD_SLACK` times its largest coordinate, and ordered by (entry t,
+    box index) as `_los_paths_scalar` orders them.  The test hits a box
+    only where the computed midpoint of the crossing lies strictly inside
+    it, and that midpoint is within a few ulps of the segment, so every box
+    the test can hit overlaps: the losses are those of the kernels' hops.
+    Disk fidelity is the distance test alone.
+    """
+
+    def __init__(
+        self, world: WorldModel, fidelity: ChannelFidelity, broad_phase: BroadPhase, boxes: tuple
+    ):
+        self.fidelity = fidelity
+        self._world = world
+        self._broad_phase = broad_phase
+        self._radius = fidelity.radius if fidelity.kind is FidelityKind.DISK else None
+        self._boxes = boxes
+
+    def columns(self, poses: tuple) -> ChannelData:
+        return _snapshot(self._world, poses, self.fidelity, self._broad_phase, True)
+
+    def first_path_losses(self, poses: tuple, i: int, j: int) -> tuple | None:
+        p0, p1 = poses[i][:3], poses[j][:3]
+        if self._radius is not None:
+            return None if math.dist(p0, p1) <= self._radius else ()
+        if p0 == p1:  # coincident agents are LOS
+            return None
+        ax, ay, az = p0
+        bx, by, bz = p1
+        w = _BROAD_SLACK * max(abs(ax), abs(ay), abs(az), abs(bx), abs(by), abs(bz))
+        lx, hx = (ax - w, bx + w) if ax < bx else (bx - w, ax + w)
+        ly, hy = (ay - w, by + w) if ay < by else (by - w, ay + w)
+        lz, hz = (az - w, bz + w) if az < bz else (bz - w, az + w)
+        hits = []
+        for k, x0, y0, z0, x1, y1, z1, box in self._boxes:
+            if x0 <= hx and lx <= x1 and y0 <= hy and ly <= y1 and z0 <= hz and lz <= z1:
+                interval = _crossing_interval(p0, p1, box)
+                if interval is not None:
+                    hits.append((interval[0], k, box.penetration_loss))
+        if not hits:
+            return None
+        hits.sort(key=_ENTRY_ORDER)
+        return tuple([loss for _, _, loss in hits])
+
+
 class ReferencePhysicsSim:
     """In-process simulator: agents walked on their tracks, and the
     snapshot extracted from their poses.
@@ -678,18 +731,26 @@ class ReferencePhysicsSim:
     7-float pose row (position, orientation quaternion) per agent, by the
     float operations `step_world` and `track_pose` make, in the same order,
     so the poses are bit-identical to theirs; those two, and
-    `extract_channel_data` over their states, are its reference.
+    `extract_channel_data` over their states, are its reference.  An open
+    track whose arc has reached its total length is walked no further: its
+    row can no longer change.  Once no agent is walked, every snapshot at
+    the same fidelity object is the last one taken.
 
-    Its snapshots come checked (`wire.ChannelData.of_all_pairs`): its
-    tracks lie inside the world bounds, checked here, and the kernels
-    build well-formed columns from finite poses.  A pose lies on its
-    track's segment up to rounding, which puts it no more than three
-    segment lengths past the segment's end.  So with R the largest bound
-    coordinate plus the longest track, every pose is within 4R of the
-    origin, every pair's segment shorter than 8R, and every hop, which
-    lies between a segment's start and a midpoint inside a box, within
-    12R: all finite while 16R is.  Where 16R overflows, the snapshots are
-    left to be checked downstream instead.
+    Its snapshots come checked: its tracks lie inside the world bounds,
+    checked here, and the kernels build well-formed columns from finite
+    poses.  A pose lies on its track's segment up to rounding, which puts
+    it no more than three segment lengths past the segment's end.  So with
+    R the largest bound coordinate plus the longest track, every pose is
+    within 4R of the origin, every pair's segment shorter than 8R, and
+    every hop, which lies between a segment's start and a midpoint inside a
+    box, within 12R: all finite while 16R is.  Where 16R overflows, the
+    snapshots are built at once and left to be checked downstream instead.
+
+    A checked snapshot is deferred (`wire.ChannelData.deferred`): it holds
+    the pose rows, and its pair columns are built by the kernels, exactly
+    as `extract_channel_data` builds them, only when first read.  The
+    netsim reads just the pairs that carry packets, one at a time, through
+    `ChannelData.first_path_losses`, which builds nothing.
     """
 
     def __init__(self, world: WorldModel, tracks: Iterable[AgentTrack]):
@@ -721,12 +782,20 @@ class ReferencePhysicsSim:
         self._walks = [
             (k, _walk(by_id[k])) for k in ids if track_length(by_id[k]) != 0.0
         ]
+        # each box with its bounds, for one pair's losses
+        self._boxes = tuple(
+            (k, *b.min_corner, *b.max_corner, b) for k, b in enumerate(world.obstacles)
+        )
+        self._extraction: _Extraction | None = None
+        # (fidelity, snapshot) of a snapshot taken with no agent walked
+        self._still: tuple | None = None
 
     def step(self, dt_ns: int) -> None:
         if dt_ns <= 0:
             raise ValueError(f"dt must be > 0 ns, got {dt_ns}")
         dt = dt_ns * 1e-9
         arcs, rows, fmod = self._arcs, self._rows, math.fmod
+        parked = False
         for k, (speed, total, loop, ends, segments) in self._walks:
             # step_world's new arc, then track_pose's segment: the first
             # whose end arc is not below it
@@ -737,8 +806,26 @@ class ReferencePhysicsSim:
             ]
             u = (arc - cum) / length
             rows[k] = (ax + u * dx, ay + u * dy, az + u * dz, qx, qy, qz, qw)
+            # a loop's arc stays below the total; an open track's, once
+            # there, stays there, and so does its row
+            parked = parked or arc == total
+        if parked:
+            self._walks = [(k, walk) for k, walk in self._walks if arcs[k] != walk[1]]
 
     def channel_snapshot(self, fidelity: ChannelFidelity) -> ChannelData:
-        return _snapshot(
-            self.world, tuple(self._rows), fidelity, self._broad_phase, self._checked
-        )
+        still = self._still
+        if still is not None and still[0] is fidelity:
+            return still[1]
+        poses = tuple(self._rows)
+        if self._checked:
+            source = self._extraction
+            if source is None or source.fidelity is not fidelity:
+                source = self._extraction = _Extraction(
+                    self.world, fidelity, self._broad_phase, self._boxes
+                )
+            snapshot = ChannelData.deferred(poses, source)
+        else:
+            snapshot = _snapshot(self.world, poses, fidelity, self._broad_phase, False)
+        if not self._walks:
+            self._still = (fidelity, snapshot)
+        return snapshot

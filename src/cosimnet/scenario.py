@@ -473,7 +473,9 @@ class Timeline:
 class _TimelineRecorder:
     """`on_channel` hook that appends each applied snapshot to a `Timeline`,
     one extend per column per window.  Distance and wall loss come from the
-    row `netsim.apply_channel` has just filled for the pair."""
+    row `netsim.apply_channel` has just filled for the pair.  The columns
+    are read first, so a deferred snapshot is built once and its rows are
+    sliced from them."""
 
     def __init__(self, netsim: ReferenceNetSim):
         self._netsim = netsim
@@ -481,8 +483,8 @@ class _TimelineRecorder:
 
     def __call__(self, t: int, cd) -> None:
         tl = self.timeline
-        rows = self._netsim.link_table.values()  # one per listed pair, in order
         num_hops, path_start = cd.num_hops, cd.path_start
+        rows = self._netsim.link_table.values()  # one per listed pair, in order
         tl._t.extend(repeat(t, len(cd.ids)))
         tl._a.extend([a for a, _ in cd.ids])
         tl._b.extend([b for _, b in cd.ids])

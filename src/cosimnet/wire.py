@@ -25,8 +25,11 @@ A channel snapshot (ChannelData) is held as columns: a tuple of pose rows,
 the listed pairs, their LOS flags, and their paths' hop counts and hop rows
 in CSR form.  The physics kernels, the channel decoder and the netsim work
 on the columns; the `Pose` and `PathDetails` records are built from them
-only when read.  Snapshots have their own flat encoding and are carried
-inside PhysicsUpdate frames as a raw-DEFLATE-compressed byte string:
+only when read.  A simulator's snapshot may defer its pair columns until
+they are first read; the netsim reads one pair's first-path losses
+(`ChannelData.first_path_losses`) without building them.  Snapshots have
+their own flat encoding and are carried inside PhysicsUpdate frames as a
+raw-DEFLATE-compressed byte string:
 
     u32 agent count
     per agent: 7 doubles (position x, y, z; orientation x, y, z, w)
@@ -51,6 +54,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from enum import IntEnum
 from functools import lru_cache
 from itertools import accumulate, starmap
+from operator import itemgetter
 from socket import inet_ntoa
 from types import MappingProxyType
 from typing import Mapping
@@ -69,6 +73,7 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _POSE = struct.Struct("<7d")
 _HOP = struct.Struct("<4d")
+_HOP_LOSS = itemgetter(3)  # penetration loss of an (x, y, z, loss) hop
 
 
 class MsgType(IntEnum):
@@ -140,11 +145,12 @@ def _all_pairs_rows(n: int) -> Mapping[tuple[int, int], int]:
 
 class _Fields:
     """A channel snapshot's fields, assignable only while
-    `ChannelData._filled` fills them."""
+    `ChannelData._filled` fills them, or a deferred snapshot its source and
+    pair columns."""
 
     __slots__ = (
         "poses", "ids", "los", "path_start", "num_hops", "hop_start", "hops",
-        "_node_list", "_path_details", "_rows", "_checked",
+        "_node_list", "_path_details", "_rows", "_checked", "_source",
     )
 
 
@@ -172,6 +178,13 @@ class ChannelData(_Fields):
     records.  A snapshot is immutable, like the frozen records: assigning
     a field raises `dataclasses.FrozenInstanceError`, so the records, pair
     index and check verdict kept for it cannot go stale.
+
+    `ChannelData.deferred` holds the pose rows and the pair list of a
+    simulator's snapshot and defers the five other columns: they are
+    built, all at once and by the simulator's own kernels, the first time
+    anything reads one of them (equality, `repr`, pickling, the encoder,
+    the records).  `first_path_losses` answers for one pair without
+    building them.
     """
 
     __slots__ = ()
@@ -191,7 +204,7 @@ class ChannelData(_Fields):
     def from_columns(cls, poses, ids, los, path_start, num_hops, hop_start, hops):
         """A snapshot over the given column tuples, shaped as the class
         documents."""
-        return cls._filled(poses, ids, los, path_start, num_hops, hop_start, hops, None, False)
+        return cls._filled(poses, ids, None, False, los, path_start, num_hops, hop_start, hops)
 
     @classmethod
     def of_all_pairs(cls, poses, los, path_start, num_hops, hop_start, hops, checked):
@@ -202,12 +215,27 @@ class ChannelData(_Fields):
         physics kernels give it where their inputs were checked."""
         n = len(poses)
         return cls._filled(
-            poses, all_pairs(n), los, path_start, num_hops, hop_start, hops,
-            _all_pairs_rows(n), checked,
+            poses, all_pairs(n), _all_pairs_rows(n), checked,
+            los, path_start, num_hops, hop_start, hops,
         )
 
     @classmethod
-    def _filled(cls, poses, ids, los, path_start, num_hops, hop_start, hops, rows, checked):
+    def deferred(cls, poses, source):
+        """The checked snapshot over `poses` that lists
+        `all_pairs(len(poses))`, whose other columns `source` gives:
+        ``source.columns(poses)`` returns a snapshot over the same poses
+        and pairs, whose five pair columns this one takes the first time
+        one of them is read, and ``source.first_path_losses(poses, i, j)``
+        answers `first_path_losses` for pair (i, j) until then.  The
+        source's word stands for the columns being well formed, as
+        `of_all_pairs`'s `checked` does."""
+        n = len(poses)
+        cd = _Deferred._filled(poses, all_pairs(n), _all_pairs_rows(n), True)
+        object.__setattr__(cd, "_source", source)
+        return cd
+
+    @classmethod
+    def _filled(cls, poses, ids, rows, checked, *columns):
         # Filled as plain slots, then given this class, whose fields cannot
         # be assigned.  Filling through object.__setattr__, as frozen
         # dataclasses do, took 1.9 us a snapshot against 0.45 us, which
@@ -215,16 +243,25 @@ class ChannelData(_Fields):
         cd = _Fields()
         cd.poses = poses
         cd.ids = ids
-        cd.los = los
-        cd.path_start = path_start
-        cd.num_hops = num_hops
-        cd.hop_start = hop_start
-        cd.hops = hops
+        if columns:
+            cd.los, cd.path_start, cd.num_hops, cd.hop_start, cd.hops = columns
         cd._node_list = cd._path_details = None
         cd._rows = rows
         cd._checked = checked
         cd.__class__ = cls
         return cd
+
+    def first_path_losses(self, k: int) -> tuple | None:
+        """Pair `k`'s link input: None if the pair is LOS, else the hop
+        losses of its first path in hop order, empty if it reports no path.
+        A snapshot whose columns are built slices them; a deferred one asks
+        its source for this pair alone and builds nothing."""
+        if self.los[k]:
+            return None
+        p0 = self.path_start[k]
+        walls = self.num_hops[p0] if self.path_start[k + 1] > p0 else 0
+        h0 = self.hop_start[k]
+        return tuple(map(_HOP_LOSS, self.hops[h0:h0 + walls]))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -284,6 +321,37 @@ class ChannelData(_Fields):
 
     def __repr__(self):
         return f"ChannelData(node_list={self.node_list!r}, path_details={self.path_details!r})"
+
+
+# the columns a deferred snapshot builds when one of them is first read
+_PAIR_COLUMNS = ("los", "path_start", "num_hops", "hop_start", "hops")
+
+
+def _build_on_read(column: str) -> property:
+    def read(cd):
+        # the first read of any pair column: take all five from the source,
+        # then become a plain ChannelData, whose slots answer from now on
+        built = cd._source.columns(cd.poses)
+        object.__setattr__(cd, "__class__", ChannelData)
+        for name in _PAIR_COLUMNS:
+            object.__setattr__(cd, name, getattr(built, name))
+        return getattr(cd, column)
+
+    return property(read)
+
+
+class _Deferred(ChannelData):
+    """A `ChannelData.deferred` snapshot whose pair columns are not built
+    yet.  The columns are properties here, so every other field keeps the
+    plain slot read that a `__getattr__` hook would slow for all snapshots."""
+
+    __slots__ = ()
+
+    los, path_start, num_hops, hop_start, hops = map(_build_on_read, _PAIR_COLUMNS)
+
+    def first_path_losses(self, k: int) -> tuple | None:
+        i, j = self.ids[k]
+        return self._source.first_path_losses(self.poses, i, j)
 
 
 @dataclass(frozen=True)
@@ -392,11 +460,12 @@ def validate_channel_data(cd: ChannelData) -> None:
 
     Who checks what: the channel decoder checks every snapshot it decodes,
     the trust boundary between the two sides.  The physics kernels'
-    snapshots come checked (`ChannelData.of_all_pairs`), because the
-    simulator checked their inputs, its tracks and world, once at
-    construction; in process and in the encoder this call then returns at
-    once.  Any other snapshot, built from records or columns, is checked by
-    the first call, from `apply_channel` or the encoder.
+    snapshots come checked (`ChannelData.of_all_pairs`, and deferred ones
+    from `ChannelData.deferred`), because the simulator checked their
+    inputs, its tracks and world, once at construction; in process and in
+    the encoder this call then returns at once, building nothing.  Any
+    other snapshot, built from records or columns, is checked by the first
+    call, from `apply_channel` or the encoder.
 
     The columns are checked one pass each, with no string work, in time
     linear in their size.  Only when a quick test fails are the records

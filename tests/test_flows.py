@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import zlib
 from pathlib import Path
 
@@ -307,3 +308,105 @@ def test_receiver_keeps_only_out_of_order_seqs(tmp_path, monkeypatch):
     assert got.deliveries == expected.deliveries
     for flow, held in zip(config.flows, most_held):
         assert held <= flow.arq_window
+
+
+# -- the retransmit walk, skipped below the earliest deadline ------------------
+
+
+def walking_pump(self, t):
+    """`DataFlow.pump` before it kept a bound on the earliest retransmit
+    deadline, kept as its oracle: every unacked seq is tested every call."""
+    for seq, last_sent in self.unacked.items():
+        if t - last_sent >= self.config.retransmit_timeout_ns:
+            self._send(seq)
+            self.unacked[seq] = t
+            self.retransmit_total += 1
+    while len(self.unacked) < self.config.arq_window:
+        seq = self.next_seq
+        self.next_seq += 1
+        self.first_sent[seq] = t
+        self.unacked[seq] = t
+        self._send(seq)
+
+
+def pump_log(monkeypatch, pump, run):
+    """Every pump call of `run()` under `pump`: the flow, the time, the seqs
+    it sent in order, and the flow's unacked entries and counters after."""
+    log = []
+    send = DataFlow._send
+
+    def logged_send(self, seq):
+        log.append(("send", self.flow_id, seq))
+        send(self, seq)
+
+    def logged_pump(self, t):
+        pump(self, t)
+        log.append((
+            "pump", self.flow_id, t, list(self.unacked.items()),
+            self.sent_total, self.retransmit_total, self.next_seq,
+        ))
+
+    monkeypatch.setattr(flows.DataFlow, "_send", logged_send)
+    monkeypatch.setattr(flows.DataFlow, "pump", logged_pump)
+    run()
+    monkeypatch.undo()
+    return log
+
+
+@pytest.mark.parametrize("name", ["static", "patrol_excerpt", "swarm16"])
+def test_pump_matches_the_walking_pump_window_by_window(tmp_path, monkeypatch, name):
+    from tests.test_net_window import WORLDS
+
+    config = WORLDS[name]()
+    logs = [
+        pump_log(monkeypatch, pump, lambda: run_scenario(config, tmp_path / pump.__name__))
+        for pump in (DataFlow.pump, walking_pump)
+    ]
+    assert logs[0] == logs[1]
+    resent = sum(entry[5] for entry in logs[0] if entry[0] == "pump")
+    assert resent > 0 and len(logs[0]) > 2000
+
+
+class RecordingEndpoint:
+    def __init__(self, log):
+        self.log = log
+
+    def send(self, dst, payload):
+        self.log.append(decode_packet(payload)[2])
+        return True
+
+
+def test_pump_matches_the_walking_pump_on_random_acks():
+    rng = random.Random(14)
+    skipped = walked = 0
+    for _ in range(300):
+        cfg = FlowConfig(
+            IPS[0], IPS[1], payload_size=64, arq_window=rng.randint(1, 12),
+            retransmit_timeout_ns=rng.choice((1, 2, 3, 5, 8)) * W,
+        )
+        sent = [[], []]
+        new, old = (
+            DataFlow(0, cfg, RecordingEndpoint(log), RecordingEndpoint([])) for log in sent
+        )
+        t = 0
+        for _ in range(rng.randint(1, 60)):
+            if rng.random() < 0.5 and new.unacked:
+                # a cumulative ack: stale, partial or clearing everything
+                low = min(new.unacked)
+                mark = rng.randint(max(0, low - 2), new.next_seq + 1)
+                new.on_ack(mark)
+                old.on_ack(mark)
+            else:
+                t += rng.choice((0, W, W, 2 * W, 4 * W, 9 * W))
+                due = new._due
+                new.pump(t)
+                walking_pump(old, t)
+                skipped += t < due
+                walked += t >= due
+            assert list(new.unacked.items()) == list(old.unacked.items())
+            assert sent[0] == sent[1]
+            assert (new.sent_total, new.retransmit_total, new.next_seq, new.acked_total) == (
+                old.sent_total, old.retransmit_total, old.next_seq, old.acked_total
+            )
+    assert skipped > 1000 and walked > 1000
+

@@ -354,6 +354,16 @@ def test_each_snapshot_is_validated_once(tmp_path, monkeypatch):
     )
     run_scenario(config, tmp_path / "out")
     assert len(calls) == 399  # window 0 applies no snapshot
+    # both agents are parked, so every window hands over the one snapshot
+    assert len({id(cd) for cd in calls}) == 1
+    # where an agent moves, each window's snapshot is a new one
+    calls.clear()
+    config = load_scenario(
+        Path(scenario.__file__).parent / "scenarios" / "patrol.json",
+        duration_ns=400 * DEFAULT_WINDOW_NS,
+    )
+    run_scenario(config, tmp_path / "moving")
+    assert len(calls) == 399
     assert len({id(cd) for cd in calls}) == 399
 
 
