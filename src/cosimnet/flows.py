@@ -125,7 +125,7 @@ class DataFlow:
     acks_sent: int = 0
     # a lower bound on the earliest retransmit deadline, min(last sent) +
     # timeout: an ack only raises the minimum, and a send at t, the latest
-    # time yet, never lowers it below that of an unacked seq
+    # time yet, never lowers it below the bound
     _due: int = field(default=0, repr=False, compare=False)
 
     def on_data(self, seq: int, t: int) -> None:
@@ -161,8 +161,6 @@ class DataFlow:
                     self.retransmit_total += 1
             if unacked:
                 self._due = min(unacked.values()) + timeout
-        if not unacked:  # the loop below sends into it at t
-            self._due = t + timeout
         while len(unacked) < self.config.arq_window:
             seq = self.next_seq
             self.next_seq += 1

@@ -14,9 +14,8 @@ per-pair record is built.
 `step_world`, `track_pose` and `extract_channel_data` work on
 `AgentState` records and are the reference.  `ReferencePhysicsSim` gives
 the same poses and snapshots bit for bit from tracks it resolved once,
-with one arc and one pose row per agent and no records.  Its snapshots
-defer their pair columns until they are first read, and answer one pair's
-first-path losses with that pair's slab tests alone.
+with one arc and one pose row per agent and no records; its snapshots
+build their pair columns when first read.
 
 LOS/NLOS extraction has two paths that give bit-identical output.  The
 scalar path runs one slab test per pair and box in Python.  The vector
@@ -672,19 +671,11 @@ def _walk(track: AgentTrack) -> tuple:
 
 
 class _Extraction:
-    """The source of `ReferencePhysicsSim`'s deferred snapshots at one
-    fidelity (`wire.ChannelData.deferred`): all pair columns from the
-    kernels through `_snapshot`, or one pair's first-path losses.
-
-    One pair's losses come from the scalar kernel's slab test, run only on
-    the boxes whose bounds overlap the pair's segment widened by
-    `_BROAD_SLACK` times its largest coordinate, and ordered by (entry t,
-    box index) as `_los_paths_scalar` orders them.  The test hits a box
-    only where the computed midpoint of the crossing lies strictly inside
-    it, and that midpoint is within a few ulps of the segment, so every box
-    the test can hit overlaps: the losses are those of the kernels' hops.
-    Disk fidelity is the distance test alone.
-    """
+    """Source of `ReferencePhysicsSim`'s deferred snapshots at one
+    fidelity: all pair columns through `_snapshot`, or one pair's
+    first-path losses from the scalar slab test on the boxes that overlap
+    the pair's segment widened by `_BROAD_SLACK` (a hit's midpoint lies
+    within a few ulps of the segment), in `_los_paths_scalar`'s order."""
 
     def __init__(
         self, world: WorldModel, fidelity: ChannelFidelity, broad_phase: BroadPhase, boxes: tuple
@@ -731,26 +722,19 @@ class ReferencePhysicsSim:
     7-float pose row (position, orientation quaternion) per agent, by the
     float operations `step_world` and `track_pose` make, in the same order,
     so the poses are bit-identical to theirs; those two, and
-    `extract_channel_data` over their states, are its reference.  An open
-    track whose arc has reached its total length is walked no further: its
-    row can no longer change.  Once no agent is walked, every snapshot at
-    the same fidelity object is the last one taken.
+    `extract_channel_data` over their states, are its reference.  When
+    every agent is parked, each snapshot at one fidelity is the same object.
 
-    Its snapshots come checked: its tracks lie inside the world bounds,
-    checked here, and the kernels build well-formed columns from finite
-    poses.  A pose lies on its track's segment up to rounding, which puts
-    it no more than three segment lengths past the segment's end.  So with
-    R the largest bound coordinate plus the longest track, every pose is
-    within 4R of the origin, every pair's segment shorter than 8R, and
-    every hop, which lies between a segment's start and a midpoint inside a
-    box, within 12R: all finite while 16R is.  Where 16R overflows, the
-    snapshots are built at once and left to be checked downstream instead.
-
-    A checked snapshot is deferred (`wire.ChannelData.deferred`): it holds
-    the pose rows, and its pair columns are built by the kernels, exactly
-    as `extract_channel_data` builds them, only when first read.  The
-    netsim reads just the pairs that carry packets, one at a time, through
-    `ChannelData.first_path_losses`, which builds nothing.
+    Its snapshots come checked (`wire.ChannelData.deferred`): its
+    tracks lie inside the world bounds, checked here, and the kernels
+    build well-formed columns from finite poses.  A pose lies on its
+    track's segment up to rounding, which puts it no more than three
+    segment lengths past the segment's end.  So with R the largest bound
+    coordinate plus the longest track, every pose is within 4R of the
+    origin, every pair's segment shorter than 8R, and every hop, which
+    lies between a segment's start and a midpoint inside a box, within
+    12R: all finite while 16R is.  Where 16R overflows, the snapshots are
+    built at once and left to be checked downstream instead.
     """
 
     def __init__(self, world: WorldModel, tracks: Iterable[AgentTrack]):
@@ -787,7 +771,7 @@ class ReferencePhysicsSim:
             (k, *b.min_corner, *b.max_corner, b) for k, b in enumerate(world.obstacles)
         )
         self._extraction: _Extraction | None = None
-        # (fidelity, snapshot) of a snapshot taken with no agent walked
+        # (fidelity, snapshot) taken when every agent is parked
         self._still: tuple | None = None
 
     def step(self, dt_ns: int) -> None:
@@ -795,7 +779,6 @@ class ReferencePhysicsSim:
             raise ValueError(f"dt must be > 0 ns, got {dt_ns}")
         dt = dt_ns * 1e-9
         arcs, rows, fmod = self._arcs, self._rows, math.fmod
-        parked = False
         for k, (speed, total, loop, ends, segments) in self._walks:
             # step_world's new arc, then track_pose's segment: the first
             # whose end arc is not below it
@@ -806,11 +789,6 @@ class ReferencePhysicsSim:
             ]
             u = (arc - cum) / length
             rows[k] = (ax + u * dx, ay + u * dy, az + u * dz, qx, qy, qz, qw)
-            # a loop's arc stays below the total; an open track's, once
-            # there, stays there, and so does its row
-            parked = parked or arc == total
-        if parked:
-            self._walks = [(k, walk) for k, walk in self._walks if arcs[k] != walk[1]]
 
     def channel_snapshot(self, fidelity: ChannelFidelity) -> ChannelData:
         still = self._still

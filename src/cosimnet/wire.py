@@ -25,11 +25,9 @@ A channel snapshot (ChannelData) is held as columns: a tuple of pose rows,
 the listed pairs, their LOS flags, and their paths' hop counts and hop rows
 in CSR form.  The physics kernels, the channel decoder and the netsim work
 on the columns; the `Pose` and `PathDetails` records are built from them
-only when read.  A simulator's snapshot may defer its pair columns until
-they are first read; the netsim reads one pair's first-path losses
-(`ChannelData.first_path_losses`) without building them.  Snapshots have
-their own flat encoding and are carried inside PhysicsUpdate frames as a
-raw-DEFLATE-compressed byte string:
+only when read, and a simulator's snapshot may defer its pair columns
+until then.  Snapshots have their own flat encoding and are carried
+inside PhysicsUpdate frames as a raw-DEFLATE-compressed byte string:
 
     u32 agent count
     per agent: 7 doubles (position x, y, z; orientation x, y, z, w)
@@ -178,13 +176,6 @@ class ChannelData(_Fields):
     records.  A snapshot is immutable, like the frozen records: assigning
     a field raises `dataclasses.FrozenInstanceError`, so the records, pair
     index and check verdict kept for it cannot go stale.
-
-    `ChannelData.deferred` holds the pose rows and the pair list of a
-    simulator's snapshot and defers the five other columns: they are
-    built, all at once and by the simulator's own kernels, the first time
-    anything reads one of them (equality, `repr`, pickling, the encoder,
-    the records).  `first_path_losses` answers for one pair without
-    building them.
     """
 
     __slots__ = ()
@@ -221,14 +212,10 @@ class ChannelData(_Fields):
 
     @classmethod
     def deferred(cls, poses, source):
-        """The checked snapshot over `poses` that lists
-        `all_pairs(len(poses))`, whose other columns `source` gives:
-        ``source.columns(poses)`` returns a snapshot over the same poses
-        and pairs, whose five pair columns this one takes the first time
-        one of them is read, and ``source.first_path_losses(poses, i, j)``
-        answers `first_path_losses` for pair (i, j) until then.  The
-        source's word stands for the columns being well formed, as
-        `of_all_pairs`'s `checked` does."""
+        """A checked snapshot over `poses` and all pairs whose five pair
+        columns are taken from ``source.columns(poses)`` when one is first
+        read; until then ``source.first_path_losses(poses, i, j)`` answers
+        `first_path_losses`."""
         n = len(poses)
         cd = _Deferred._filled(poses, all_pairs(n), _all_pairs_rows(n), True)
         object.__setattr__(cd, "_source", source)
@@ -252,10 +239,8 @@ class ChannelData(_Fields):
         return cd
 
     def first_path_losses(self, k: int) -> tuple | None:
-        """Pair `k`'s link input: None if the pair is LOS, else the hop
-        losses of its first path in hop order, empty if it reports no path.
-        A snapshot whose columns are built slices them; a deferred one asks
-        its source for this pair alone and builds nothing."""
+        """None if pair `k` is LOS, else its first path's hop losses in
+        hop order (empty if it has no path)."""
         if self.los[k]:
             return None
         p0 = self.path_start[k]
@@ -341,9 +326,8 @@ def _build_on_read(column: str) -> property:
 
 
 class _Deferred(ChannelData):
-    """A `ChannelData.deferred` snapshot whose pair columns are not built
-    yet.  The columns are properties here, so every other field keeps the
-    plain slot read that a `__getattr__` hook would slow for all snapshots."""
+    """A `ChannelData.deferred` snapshot not yet built: the pair columns
+    are properties here, so other fields keep their plain slot reads."""
 
     __slots__ = ()
 
@@ -460,12 +444,11 @@ def validate_channel_data(cd: ChannelData) -> None:
 
     Who checks what: the channel decoder checks every snapshot it decodes,
     the trust boundary between the two sides.  The physics kernels'
-    snapshots come checked (`ChannelData.of_all_pairs`, and deferred ones
-    from `ChannelData.deferred`), because the simulator checked their
-    inputs, its tracks and world, once at construction; in process and in
-    the encoder this call then returns at once, building nothing.  Any
-    other snapshot, built from records or columns, is checked by the first
-    call, from `apply_channel` or the encoder.
+    snapshots come checked (`ChannelData.of_all_pairs`, `deferred`),
+    because the simulator checked their inputs, its tracks and world, once
+    at construction; in process and in the encoder this call then returns
+    at once.  Any other snapshot, built from records or columns, is
+    checked by the first call, from `apply_channel` or the encoder.
 
     The columns are checked one pass each, with no string work, in time
     linear in their size.  Only when a quick test fails are the records
