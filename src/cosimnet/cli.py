@@ -71,8 +71,9 @@ def main(argv=None) -> int:
         result = run_scenario(config, out, plots=args.plots)
     except Exception as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        print(f"partial summary left in {out / 'run_summary.json'}",
-              file=sys.stderr)
+        summary = getattr(exc, "partial_summary_path", None)
+        if summary is not None:  # written by this run
+            print(f"partial summary left in {summary}", file=sys.stderr)
         return 2
 
     mean_goodput = float(result.goodput_bps.mean()) if result.goodput_bps.size else 0.0

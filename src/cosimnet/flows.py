@@ -31,6 +31,7 @@ DATA_KIND = 1
 ACK_KIND = 2
 DATA_HEADER = 14  # kind + flow id + seq + crc
 ACK_SIZE = 32
+MAX_FLOWS = 256  # a flow id is one byte
 
 _HEAD = struct.Struct("<BBQI")
 _KEY = struct.Struct("<BBQ")  # the header up to the crc, which the crc covers
@@ -196,8 +197,8 @@ class FlowHost:
         return self._endpoints[address]
 
     def add_flow(self, config: FlowConfig) -> DataFlow:
-        if len(self.flows) >= 256:
-            raise ValueError("at most 256 flows per run")
+        if len(self.flows) >= MAX_FLOWS:
+            raise ValueError(f"at most {MAX_FLOWS} flows per run")
         flow = DataFlow(
             len(self.flows), config,
             self._endpoint(config.src), self._endpoint(config.dst),

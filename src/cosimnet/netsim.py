@@ -30,8 +30,8 @@ packets.
 A pair's link comes from its distance and its first path's hop losses
 (`ChannelData.first_path_losses`), so a physics snapshot that defers its
 pair columns answers for the pairs that carry packets and is never built
-here.  A channel update whose columns equal the last one's, as parked
-agents' do, keeps the link rows computed under it.
+here.  A channel update that is the last one's snapshot object, as a
+parked world hands back, keeps the link rows computed under it.
 """
 
 from __future__ import annotations
@@ -288,19 +288,18 @@ class ReferenceNetSim:
     def apply_channel(self, cd: ChannelData) -> None:
         """Take `cd` as the channel from now on.  Only its check runs here,
         and only if `cd` has not passed it (a decoded snapshot and a physics
-        kernel's have): a pair's link is computed the first time it is
-        asked for.  When `cd`'s columns equal the last update's, as parked
-        agents' do, the rows computed for that update are kept: equal
-        columns give the same rows.  `link_state` objects are not kept."""
+        simulator's have): a pair's link is computed the first time it is
+        asked for.  When `cd` is the last update's snapshot, as a parked
+        world hands back, the rows computed for it are kept.  `link_state`
+        objects are not kept."""
         try:
             wire.validate_channel_data(cd)
         except wire.InvariantViolation as exc:
             raise MalformedChannelError(str(exc)) from exc
-        last = self._channel
-        self._channel = cd
         self._states = {}
-        if last is not None and _same_columns(last, cd):
+        if cd is self._channel:
             return
+        self._channel = cd
         self._rows = cd.pair_rows
         self._links = {}
 
@@ -330,7 +329,7 @@ class ReferenceNetSim:
         path_loss, snr)``.  The update rejects a pair listed twice, so the
         table has one row per listed pair.  Reading it computes every row
         not yet asked for; a row computed before, for this update or for
-        an earlier one with equal columns, is the same object."""
+        an earlier one of the same snapshot, is the same object."""
         self._links = {pair: self._link(pair) for pair in self._rows}
         return self._links
 
@@ -508,25 +507,3 @@ class ReferenceNetSim:
             dst_agents.append(dst)
         return src_agents, dst_agents
 
-
-def _same_columns(a: ChannelData, b: ChannelData) -> bool:
-    """Whether every link row computed under `a` is the one `b` gives.
-    Equal columns give the budget equal inputs.  The hop losses must match
-    in type too: int losses sum to an int wall loss, equal float ones to a
-    float, and the row keeps the wall loss as summed.  The poses come
-    first: moving agents' snapshots differ there, and a deferred snapshot
-    is not built to find that out."""
-    return a is b or (
-        a.poses == b.poses
-        and a.ids == b.ids
-        and a.los == b.los
-        and a.path_start == b.path_start
-        and a.num_hops == b.num_hops
-        and a.hop_start == b.hop_start
-        and a.hops == b.hops
-        and (a.hops is b.hops or list(map(_loss_type, a.hops)) == list(map(_loss_type, b.hops)))
-    )
-
-
-def _loss_type(hop: tuple) -> type:
-    return type(hop[3])

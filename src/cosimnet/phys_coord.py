@@ -22,29 +22,15 @@ from .sync import Role, RunStats, SocketLink, run_lockstep
 from .wire import ChannelData
 
 
-def substep_schedule(window_ns: int, substeps_per_window: int) -> list[int]:
-    """Equal substep durations summing exactly to one window."""
-    if substeps_per_window < 1:
-        raise ValueError(f"substeps_per_window must be >= 1, got {substeps_per_window}")
-    if window_ns <= 0:
-        raise ValueError(f"window must be > 0 ns, got {window_ns}")
-    if window_ns % substeps_per_window:
-        raise ValueError(
-            f"window of {window_ns} ns is not divisible into "
-            f"{substeps_per_window} substeps"
-        )
-    return [window_ns // substeps_per_window] * substeps_per_window
-
-
 @dataclass(frozen=True)
 class PhysCoordConfig:
     window_ns: int
     fidelity: ChannelFidelity
     agent_address_map: tuple[tuple[int, str], ...] = ()
-    substeps_per_window: int = 1
 
     def __post_init__(self):
-        substep_schedule(self.window_ns, self.substeps_per_window)
+        if self.window_ns <= 0:
+            raise ValueError(f"window must be > 0 ns, got {self.window_ns}")
         object.__setattr__(
             self, "agent_address_map", wire.checked_address_map(self.agent_address_map)
         )
@@ -59,18 +45,17 @@ class PhysRunSummary:
 
 
 class PhysicsStepper:
-    """Runs one window's substeps, then extracts the channel once."""
+    """Steps the simulator by one window, then extracts the channel once."""
 
     def __init__(self, sim: PhysicsSim, config: PhysCoordConfig):
         self._sim = sim
         self._fidelity = config.fidelity
-        self._schedule = substep_schedule(config.window_ns, config.substeps_per_window)
+        self._window_ns = config.window_ns
         self.extractions = 0
         self.agent_count = 0
 
     def step_window(self) -> ChannelData:
-        for dt in self._schedule:
-            self._sim.step(dt)
+        self._sim.step(self._window_ns)
         snapshot = self._sim.channel_snapshot(self._fidelity)
         self.extractions += 1
         self.agent_count = len(snapshot.poses)

@@ -15,10 +15,12 @@ per-pair record is built.
 `AgentState` records and are the reference.  `ReferencePhysicsSim` gives
 the same poses and snapshots bit for bit from tracks it resolved once,
 with one arc and one pose row per agent and no records; its snapshots
-build their pair columns when first read.
+build their pair columns when first read, and answer one pair's losses
+from `_pair_hits` until then.
 
 LOS/NLOS extraction has two paths that give bit-identical output.  The
-scalar path runs one slab test per pair and box in Python.  The vector
+scalar path runs `_pair_hits` per pair in Python: the slab test on each
+box that the pair's segment's bounds overlap.  The vector
 path culls (pair, box) candidates with a broad phase and runs the slab
 test on the survivors as numpy array operations.  The choice depends
 only on the input size: the vector path runs from `VECTOR_MIN_TESTS`
@@ -38,9 +40,10 @@ exact narrow phase gives the same hops.
 Who checks a snapshot: the kernels build well-formed columns from finite
 poses, and `ReferencePhysicsSim` poses come from tracks it checked at
 construction (inside world bounds of finite extent), so its snapshots
-come marked checked and `wire.validate_channel_data` passes them without
-a scan.  `extract_channel_data`, whose agents may hold any pose, leaves
-its snapshots to that check.
+come marked checked, unless those bounds lie near the float limit, and
+`wire.validate_channel_data` passes them without a scan.
+`extract_channel_data`, whose agents may hold any pose, leaves its
+snapshots to that check.
 
 The simulator contract is two methods, `step(dt_ns)` and
 `channel_snapshot(fidelity)`.  `ReferencePhysicsSim` implements it
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import itemgetter, not_
+from operator import not_
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -148,6 +151,14 @@ class WorldModel:
         for array in arrays:
             array.setflags(write=False)
         return arrays
+
+    @cached_property
+    def _box_rows(self) -> tuple:
+        """Each obstacle as (index, min x, y, z, max x, y, z, box), the
+        rows `_pair_hits` tests, built on first use."""
+        return tuple(
+            (k, *b.min_corner, *b.max_corner, b) for k, b in enumerate(self.obstacles)
+        )
 
 
 @dataclass(frozen=True)
@@ -402,7 +413,6 @@ def extract_channel_data(
     world: WorldModel,
     agents: Sequence[AgentState],
     fidelity: ChannelFidelity,
-    broad_phase: "BroadPhase | None" = None,
 ) -> ChannelData:
     """Reduce world geometry to ChannelData for the current agent set.
 
@@ -410,30 +420,24 @@ def extract_channel_data(
     LOS/NLOS fidelity emits one aggregate path per pair whose hops are the
     obstacle entry points in crossing order, each carrying that obstacle's
     penetration loss.  Coincident agents see each other LOS: a zero-length
-    segment crosses nothing.  Pairs are listed as `wire.all_pairs`.  The
-    vector kernel keeps its broad phase in `broad_phase` from one call to
-    the next; without one it builds a fresh one.
+    segment crosses nothing.  Pairs are listed as `wire.all_pairs`.
 
     The agents may hold any pose, so the snapshot is left for
     `wire.validate_channel_data` to check; `ReferencePhysicsSim`, whose
-    poses come from checked tracks, makes the same snapshot checked.
+    poses come from checked tracks, hands out the same snapshot checked.
     """
     states = sorted(agents, key=lambda s: s.agent_id)
     ids = [s.agent_id for s in states]
     if ids != list(range(len(states))):
         raise ValueError(f"agent ids must be dense 0..n-1, got {ids}")
     poses = tuple([s.pose.position + s.pose.orientation for s in states])
-    return _snapshot(
-        world, poses, fidelity, BroadPhase() if broad_phase is None else broad_phase, False
-    )
+    return _snapshot(world, poses, fidelity, BroadPhase())
 
 
 def _snapshot(
-    world: WorldModel, poses: tuple, fidelity: ChannelFidelity,
-    broad_phase: "BroadPhase", checked: bool,
+    world: WorldModel, poses: tuple, fidelity: ChannelFidelity, broad_phase: "BroadPhase"
 ) -> ChannelData:
-    """The snapshot over pose rows `poses`, one per agent in id order;
-    `checked` as `wire.ChannelData.of_all_pairs` takes it."""
+    """The snapshot over pose rows `poses`, one per agent in id order."""
     n = len(poses)
     positions = [row[:3] for row in poses]
     if fidelity.kind is FidelityKind.DISK:
@@ -443,22 +447,20 @@ def _snapshot(
             for j in range(i + 1, n)
         )
         no_paths = (0,) * (len(los) + 1)
-        return ChannelData.of_all_pairs(poses, los, no_paths, (), no_paths, (), checked)
+        return ChannelData.of_all_pairs(poses, los, no_paths, (), no_paths, ())
     if n * (n - 1) // 2 * len(world.obstacles) >= VECTOR_MIN_TESTS:
         paths = _los_paths_vector(world, positions, broad_phase)
     else:
         paths = _los_paths_scalar(world, positions)
-    return _one_path_snapshot(poses, *paths, checked)
+    return _one_path_snapshot(poses, *paths)
 
 
-def _one_path_snapshot(
-    poses: tuple, los: tuple, counts: tuple, hops: tuple, checked: bool = False
-) -> ChannelData:
+def _one_path_snapshot(poses: tuple, los: tuple, counts: tuple, hops: tuple) -> ChannelData:
     """The snapshot over `poses` whose pairs, listed as `wire.all_pairs`,
     report one path each: the LOS/NLOS kernels' three columns."""
     return ChannelData.of_all_pairs(
         poses, los, _path_starts(len(counts)), counts,
-        tuple(accumulate(counts, initial=0)), hops, checked,
+        tuple(accumulate(counts, initial=0)), hops,
     )
 
 
@@ -468,31 +470,43 @@ def _path_starts(pairs: int) -> tuple[int, ...]:
     return tuple(range(pairs + 1))
 
 
-_ENTRY_ORDER = itemgetter(0, 1)  # a hit's entry t, then its box index
+def _pair_hits(p0: Vec3, p1: Vec3, boxes: tuple) -> list:
+    """The boxes segment p0->p1 crosses, as (entry t, box index, loss) rows
+    sorted by entry t, then box index; none for coincident ends.  Only the
+    boxes of `boxes` (`WorldModel._box_rows`) that overlap the segment's
+    bounds widened by `_BROAD_SLACK` get the slab test: a hit's midpoint
+    lies within a few ulps of the segment."""
+    if p0 == p1:
+        return []
+    ax, ay, az = p0
+    bx, by, bz = p1
+    w = _BROAD_SLACK * max(abs(ax), abs(ay), abs(az), abs(bx), abs(by), abs(bz))
+    lx, hx = (ax - w, bx + w) if ax < bx else (bx - w, ax + w)
+    ly, hy = (ay - w, by + w) if ay < by else (by - w, ay + w)
+    lz, hz = (az - w, bz + w) if az < bz else (bz - w, az + w)
+    hits = []
+    for k, x0, y0, z0, x1, y1, z1, box in boxes:
+        if x0 <= hx and lx <= x1 and y0 <= hy and ly <= y1 and z0 <= hz and lz <= z1:
+            interval = _crossing_interval(p0, p1, box)
+            if interval is not None:
+                hits.append((interval[0], k, box.penetration_loss))
+    hits.sort()  # box indices differ, so no two rows tie up to the loss
+    return hits
 
 
 def _los_paths_scalar(world: WorldModel, positions: Sequence[Vec3]):
     """Each pair's LOS verdict, hop count and hops, as three column tuples,
-    by one slab test per pair and box; the reference the vector kernel is
-    tested against."""
+    by `_pair_hits` per pair, each hop at its entry point."""
+    boxes = world._box_rows
     los, counts, hops = [], [], []
     for i, pi in enumerate(positions):
         for j in range(i + 1, len(positions)):
             pj = positions[j]
-            hits = []
-            if pi != pj:
-                for box_idx, box in enumerate(world.obstacles):
-                    interval = _crossing_interval(pi, pj, box)
-                    if interval is not None:
-                        entry = tuple(
-                            a + interval[0] * (b - a) for a, b in zip(pi, pj)
-                        )
-                        hits.append((interval[0], box_idx, entry, box.penetration_loss))
+            hits = _pair_hits(pi, pj, boxes)
             los.append(not hits)
             counts.append(len(hits))
-            if hits:
-                hits.sort(key=_ENTRY_ORDER)
-                hops += [(*entry, loss) for _, _, entry, loss in hits]
+            for t, _, loss in hits:
+                hops.append((*(a + t * (b - a) for a, b in zip(pi, pj)), loss))
     return tuple(los), tuple(counts), tuple(hops)
 
 
@@ -673,44 +687,28 @@ def _walk(track: AgentTrack) -> tuple:
 class _Extraction:
     """Source of `ReferencePhysicsSim`'s deferred snapshots at one
     fidelity: all pair columns through `_snapshot`, or one pair's
-    first-path losses from the scalar slab test on the boxes that overlap
-    the pair's segment widened by `_BROAD_SLACK` (a hit's midpoint lies
-    within a few ulps of the segment), in `_los_paths_scalar`'s order."""
+    first-path losses from `_pair_hits`.  `checked` is the simulator's
+    construction-time verdict that its snapshots need no check."""
 
     def __init__(
-        self, world: WorldModel, fidelity: ChannelFidelity, broad_phase: BroadPhase, boxes: tuple
+        self, world: WorldModel, fidelity: ChannelFidelity, broad_phase: BroadPhase, checked: bool
     ):
         self.fidelity = fidelity
+        self.checked = checked
         self._world = world
         self._broad_phase = broad_phase
         self._radius = fidelity.radius if fidelity.kind is FidelityKind.DISK else None
-        self._boxes = boxes
+        self._boxes = world._box_rows
 
     def columns(self, poses: tuple) -> ChannelData:
-        return _snapshot(self._world, poses, self.fidelity, self._broad_phase, True)
+        return _snapshot(self._world, poses, self.fidelity, self._broad_phase)
 
     def first_path_losses(self, poses: tuple, i: int, j: int) -> tuple | None:
         p0, p1 = poses[i][:3], poses[j][:3]
         if self._radius is not None:
             return None if math.dist(p0, p1) <= self._radius else ()
-        if p0 == p1:  # coincident agents are LOS
-            return None
-        ax, ay, az = p0
-        bx, by, bz = p1
-        w = _BROAD_SLACK * max(abs(ax), abs(ay), abs(az), abs(bx), abs(by), abs(bz))
-        lx, hx = (ax - w, bx + w) if ax < bx else (bx - w, ax + w)
-        ly, hy = (ay - w, by + w) if ay < by else (by - w, ay + w)
-        lz, hz = (az - w, bz + w) if az < bz else (bz - w, az + w)
-        hits = []
-        for k, x0, y0, z0, x1, y1, z1, box in self._boxes:
-            if x0 <= hx and lx <= x1 and y0 <= hy and ly <= y1 and z0 <= hz and lz <= z1:
-                interval = _crossing_interval(p0, p1, box)
-                if interval is not None:
-                    hits.append((interval[0], k, box.penetration_loss))
-        if not hits:
-            return None
-        hits.sort(key=_ENTRY_ORDER)
-        return tuple([loss for _, _, loss in hits])
+        hits = _pair_hits(p0, p1, self._boxes)
+        return tuple([loss for _, _, loss in hits]) if hits else None
 
 
 class ReferencePhysicsSim:
@@ -725,7 +723,7 @@ class ReferencePhysicsSim:
     `extract_channel_data` over their states, are its reference.  When
     every agent is parked, each snapshot at one fidelity is the same object.
 
-    Its snapshots come checked (`wire.ChannelData.deferred`): its
+    Its snapshots are `wire.ChannelData.deferred`, and come checked: its
     tracks lie inside the world bounds, checked here, and the kernels
     build well-formed columns from finite poses.  A pose lies on its
     track's segment up to rounding, which puts it no more than three
@@ -734,7 +732,7 @@ class ReferencePhysicsSim:
     origin, every pair's segment shorter than 8R, and every hop, which
     lies between a segment's start and a midpoint inside a box, within
     12R: all finite while 16R is.  Where 16R overflows, the snapshots are
-    built at once and left to be checked downstream instead.
+    left to be checked downstream instead.
     """
 
     def __init__(self, world: WorldModel, tracks: Iterable[AgentTrack]):
@@ -766,10 +764,6 @@ class ReferencePhysicsSim:
         self._walks = [
             (k, _walk(by_id[k])) for k in ids if track_length(by_id[k]) != 0.0
         ]
-        # each box with its bounds, for one pair's losses
-        self._boxes = tuple(
-            (k, *b.min_corner, *b.max_corner, b) for k, b in enumerate(world.obstacles)
-        )
         self._extraction: _Extraction | None = None
         # (fidelity, snapshot) taken when every agent is parked
         self._still: tuple | None = None
@@ -794,16 +788,12 @@ class ReferencePhysicsSim:
         still = self._still
         if still is not None and still[0] is fidelity:
             return still[1]
-        poses = tuple(self._rows)
-        if self._checked:
-            source = self._extraction
-            if source is None or source.fidelity is not fidelity:
-                source = self._extraction = _Extraction(
-                    self.world, fidelity, self._broad_phase, self._boxes
-                )
-            snapshot = ChannelData.deferred(poses, source)
-        else:
-            snapshot = _snapshot(self.world, poses, fidelity, self._broad_phase, False)
+        source = self._extraction
+        if source is None or source.fidelity is not fidelity:
+            source = self._extraction = _Extraction(
+                self.world, fidelity, self._broad_phase, self._checked
+            )
+        snapshot = ChannelData.deferred(tuple(self._rows), source)
         if not self._walks:
             self._still = (fidelity, snapshot)
         return snapshot

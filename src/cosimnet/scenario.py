@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import wire
-from .flows import FlowConfig, FlowHost
+from .flows import MAX_FLOWS, FlowConfig, FlowHost
 from .metrics import (
     Histogram,
     delay_series,
@@ -235,6 +235,8 @@ def _parse_fidelity(data, path: str) -> ChannelFidelity:
 def _parse_flows(data, path: str, addresses: set[str]) -> tuple[FlowConfig, ...]:
     if not isinstance(data, list):
         raise ConfigError(path, "expected a list")
+    if len(data) > MAX_FLOWS:
+        raise ConfigError(path, f"at most {MAX_FLOWS} flows per run, got {len(data)}")
     flows = []
     for i, raw in enumerate(data):
         p = f"{path}[{i}]"
@@ -310,13 +312,13 @@ def parse_scenario(
     world = _parse_world(_require(obj, "$", "world"), "world")
     tracks, address_map = _parse_agents(_require(obj, "$", "agents"), "agents", world)
     if window_ns is None:
-        window_ns = _number(obj.get("window_ns", DEFAULT_WINDOW_NS), "window_ns",
-                            integer=True)
+        window_ns = obj.get("window_ns", DEFAULT_WINDOW_NS)
+    window_ns = _number(window_ns, "window_ns", integer=True)
     if window_ns <= 0:
         raise ConfigError("window_ns", f"must be > 0, got {window_ns}")
     if duration_ns is None:
-        duration_ns = _number(_require(obj, "$", "duration_ns"), "duration_ns",
-                              integer=True)
+        duration_ns = _require(obj, "$", "duration_ns")
+    duration_ns = _number(duration_ns, "duration_ns", integer=True)
     if duration_ns <= 0 or duration_ns % window_ns:
         raise ConfigError(
             "duration_ns",
@@ -328,7 +330,8 @@ def parse_scenario(
     addresses = {ip for _, ip in address_map}
     flows = _parse_flows(obj.get("flows", []), "flows", addresses)
     if seed is None:
-        seed = _number(obj.get("seed", 0), "seed", integer=True)
+        seed = obj.get("seed", 0)
+    seed = _number(seed, "seed", integer=True)
     if not 0 <= seed < 2**64:
         raise ConfigError("seed", "must fit in an unsigned 64-bit integer")
     metrics = _parse_metrics(obj.get("metrics", {}), "metrics", window_ns, duration_ns)
@@ -524,6 +527,8 @@ def run_scenario(
 
     With `timeline`, `RunResult.timeline` holds the channel state of every
     pair at every window; otherwise it is empty and nothing is recorded.
+    A fault in a window writes a partial `run_summary.json` and is
+    re-raised with that file's path as `exc.partial_summary_path`.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -561,7 +566,7 @@ def run_scenario(
         counters = _counters(
             coordinator.summary(stats), physics.summary(stats), _netsim_stats(netsim, host)
         )
-        _write_partial_summary(out, config, exc, counters)
+        exc.partial_summary_path = _write_partial_summary(out, config, exc, counters)
         raise
 
     result = _collect(
@@ -695,9 +700,10 @@ def _hist_rows(hist: Histogram):
 
 def _write_partial_summary(
     out: Path, config: ScenarioConfig, error: Exception, counters: dict
-) -> None:
-    """`run_summary.json` for a failed run: the error, plus the counters a
-    full run reports, as they stood when it failed."""
+) -> Path:
+    """Write `run_summary.json` for a failed run, the error plus the
+    counters a full run reports as they stood when it failed, and return
+    its path."""
     payload = {
         "partial": True,
         "error": f"{type(error).__name__}: {error}",
@@ -705,9 +711,9 @@ def _write_partial_summary(
         "config": config_as_dict(config),
         "counters": counters,
     }
-    (out / "run_summary.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    path = out / "run_summary.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _write_artifacts(result: RunResult, *, plots: bool) -> None:

@@ -198,26 +198,25 @@ class ChannelData(_Fields):
         return cls._filled(poses, ids, None, False, los, path_start, num_hops, hop_start, hops)
 
     @classmethod
-    def of_all_pairs(cls, poses, los, path_start, num_hops, hop_start, hops, checked):
+    def of_all_pairs(cls, poses, los, path_start, num_hops, hop_start, hops):
         """The snapshot over `poses` that lists `all_pairs(len(poses))`,
-        with that list's cached, read-only pair index.  `checked` is the
-        caller's word that the other columns are well formed too: such a
-        snapshot passes `validate_channel_data` without a scan.  The
-        physics kernels give it where their inputs were checked."""
+        with that list's cached, read-only pair index."""
         n = len(poses)
         return cls._filled(
-            poses, all_pairs(n), _all_pairs_rows(n), checked,
+            poses, all_pairs(n), _all_pairs_rows(n), False,
             los, path_start, num_hops, hop_start, hops,
         )
 
     @classmethod
     def deferred(cls, poses, source):
-        """A checked snapshot over `poses` and all pairs whose five pair
-        columns are taken from ``source.columns(poses)`` when one is first
-        read; until then ``source.first_path_losses(poses, i, j)`` answers
-        `first_path_losses`."""
+        """The snapshot over `poses` and all pairs whose five pair columns
+        are taken from ``source.columns(poses)`` when one is first read;
+        until then ``source.first_path_losses(poses, i, j)`` answers
+        `first_path_losses`.  ``source.checked`` is the source's word that
+        the columns it builds are well formed: such a snapshot passes
+        `validate_channel_data` without a scan."""
         n = len(poses)
-        cd = _Deferred._filled(poses, all_pairs(n), _all_pairs_rows(n), True)
+        cd = _Deferred._filled(poses, all_pairs(n), _all_pairs_rows(n), source.checked)
         object.__setattr__(cd, "_source", source)
         return cd
 
@@ -443,12 +442,12 @@ def validate_channel_data(cd: ChannelData) -> None:
     well formed.  A snapshot that passes is not checked again.
 
     Who checks what: the channel decoder checks every snapshot it decodes,
-    the trust boundary between the two sides.  The physics kernels'
-    snapshots come checked (`ChannelData.of_all_pairs`, `deferred`),
-    because the simulator checked their inputs, its tracks and world, once
-    at construction; in process and in the encoder this call then returns
-    at once.  Any other snapshot, built from records or columns, is
-    checked by the first call, from `apply_channel` or the encoder.
+    the trust boundary between the two sides.  A simulator's deferred
+    snapshots come checked (`ChannelData.deferred`) when the simulator
+    checked their inputs, its tracks and world, once at construction; in
+    process and in the encoder this call then returns at once.  Any other
+    snapshot is checked by the first call, from `apply_channel` or the
+    encoder.
 
     The columns are checked one pass each, with no string work, in time
     linear in their size.  Only when a quick test fails are the records

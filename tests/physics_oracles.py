@@ -1,19 +1,49 @@
-"""The object-building vector LOS kernel, kept as the oracle of the
-columnar kernels and of their broad-phase cache.
+"""The LOS kernels as they were before they shared their per-pair work,
+kept as the oracles of the columnar kernels, of their broad-phase cache
+and of the per-pair route.
 
 `los_paths_vector` is the vector kernel as it was before the kernels
 wrote columns: an AABB broad phase rebuilt on every call, the slab test on
 its candidates, and one `PathDetails` per pair, in `wire.all_pairs` order.
+
+`los_paths_scalar` is the scalar kernel before it culled boxes by the
+segment's bounds: one slab test per pair and box, and the same three
+column tuples as `physics._los_paths_scalar`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
-from cosimnet.physics import _BROAD_SLACK
+from cosimnet.physics import _BROAD_SLACK, _crossing_interval
 from cosimnet.wire import PathDetails
+
+_ENTRY_ORDER = itemgetter(0, 1)  # a hit's entry t, then its box index
+
+
+def los_paths_scalar(world, positions):
+    los, counts, hops = [], [], []
+    for i, pi in enumerate(positions):
+        for j in range(i + 1, len(positions)):
+            pj = positions[j]
+            hits = []
+            if pi != pj:
+                for box_idx, box in enumerate(world.obstacles):
+                    interval = _crossing_interval(pi, pj, box)
+                    if interval is not None:
+                        entry = tuple(
+                            a + interval[0] * (b - a) for a, b in zip(pi, pj)
+                        )
+                        hits.append((interval[0], box_idx, entry, box.penetration_loss))
+            los.append(not hits)
+            counts.append(len(hits))
+            if hits:
+                hits.sort(key=_ENTRY_ORDER)
+                hops += [(*entry, loss) for _, _, entry, loss in hits]
+    return tuple(los), tuple(counts), tuple(hops)
 
 
 @lru_cache(maxsize=8)

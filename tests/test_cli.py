@@ -135,6 +135,34 @@ def test_any_runtime_fault_exits_with_code_two(scenario_file, tmp_path, capsys, 
     assert summary["counters"]["windows_completed"] == 0
 
 
+def test_more_than_256_flows_are_rejected_by_both_commands(tmp_path, capsys):
+    flow = {"src": "10.0.0.1", "dst": "10.0.0.2"}
+    p = tmp_path / "flows.json"
+    p.write_text(json.dumps(doc(duration_ns=100_000_000, flows=[flow] * 257)))
+    out = tmp_path / "x"
+    assert cli.main(["validate", "--scenario", str(p)]) == 1
+    assert "flows: at most 256 flows" in capsys.readouterr().err
+    assert cli.main(["run", "--scenario", str(p), "--out", str(out)]) == 1
+    assert "flows: at most 256 flows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_fault_before_the_first_window_names_no_partial_summary(
+    scenario_file, tmp_path, capsys, monkeypatch
+):
+    def explode(self, config):
+        raise ValueError("injected assembly fault")
+
+    monkeypatch.setattr(scenario.FlowHost, "add_flow", explode)
+    out = tmp_path / "x"
+    code = cli.main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ValueError: injected assembly fault" in err
+    assert "partial summary" not in err
+    assert not (out / "run_summary.json").exists()
+
+
 def test_module_entry_point(scenario_file):
     # the child finds the package where this process imported it from
     src = str(Path(cli.__file__).parents[1])

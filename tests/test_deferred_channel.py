@@ -2,8 +2,9 @@
 columns are built when first read, and the netsim reads one pair's
 first-path losses from them without building anything.
 
-The oracle is the eager path: `extract_channel_data` over the same poses,
-and the column slice of the same snapshot once built.
+The oracles are the eager path, `extract_channel_data` over the same
+poses, the column slice of the same snapshot once built, and the unculled
+scalar kernel.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from cosimnet.physics import (
 from cosimnet.scenario import load_scenario, parse_scenario, run_scenario
 from cosimnet.wire import ChannelData, PathDetails, Pose
 
+from tests import physics_oracles
 from tests.test_lockstep_oracle import SCENARIOS, socket_link_pair, two_peer_run
 from tests.test_physics import UNIT, random_kernel_cases
 
@@ -43,12 +45,24 @@ def is_deferred(cd) -> bool:
     return type(cd) is not ChannelData
 
 
+def oracle_losses(world, positions):
+    """Each pair's first-path losses from the unculled scalar oracle's
+    columns: None for LOS, else its hop losses in hop order."""
+    los, counts, hops = physics_oracles.los_paths_scalar(world, positions)
+    losses, h = [], 0
+    for clear, count in zip(los, counts):
+        losses.append(None if clear else tuple(hop[3] for hop in hops[h:h + count]))
+        h += count
+    return losses
+
+
 def assert_deferred_agrees(boxes, positions):
     """On both fidelities: each pair's losses read from the deferred
     snapshot equal the column slice once it is built, and build nothing;
     the built snapshot is `extract_channel_data`'s, `repr` for `repr`; a
     netsim over a deferred snapshot has the link table of one over the
-    eager snapshot.  Returns the LOS/NLOS losses."""
+    eager snapshot.  The LOS/NLOS losses are the unculled scalar oracle's,
+    and are returned."""
     world = WorldModel(BOUNDS, tuple(boxes))
     positions = [tuple(float(v) for v in p) for p in positions]
     params = RadioParams()
@@ -73,6 +87,7 @@ def assert_deferred_agrees(boxes, positions):
         assert repr(netsim.link_table) == repr(oracle.link_table)
         assert is_deferred(deferred)
         by_fidelity.append(lazy)
+    assert repr(by_fidelity[0]) == repr(oracle_losses(world, positions))
     return by_fidelity[0]
 
 

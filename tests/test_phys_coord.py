@@ -1,4 +1,4 @@
-"""Physics coordinator: substep schedule, config checks, windowed runs."""
+"""Physics coordinator: config checks, windowed runs."""
 
 from __future__ import annotations
 
@@ -9,11 +9,7 @@ import threading
 import pytest
 
 from cosimnet import wire
-from cosimnet.phys_coord import (
-    PhysCoordConfig,
-    run_physics_coordinator,
-    substep_schedule,
-)
+from cosimnet.phys_coord import PhysCoordConfig, run_physics_coordinator
 from cosimnet.physics import (
     AgentTrack,
     Box,
@@ -27,11 +23,10 @@ from cosimnet.wire import MsgType, NetworkUpdate
 W = 1_000_000  # 1 ms
 
 
-def test_substep_schedule_examples():
-    assert substep_schedule(1_000_000, 10) == [100_000] * 10
-    assert substep_schedule(1_000_000, 1) == [1_000_000]
-    with pytest.raises(ValueError, match="divisible"):
-        substep_schedule(1_000_000, 3)
+@pytest.mark.parametrize("window_ns", [0, -W])
+def test_config_rejects_a_window_that_is_not_positive(window_ns):
+    with pytest.raises(ValueError, match=f"window must be > 0 ns, got {window_ns}"):
+        PhysCoordConfig(window_ns, ChannelFidelity.los_nlos())
 
 
 def test_config_rejects_duplicate_agent_id():
@@ -188,26 +183,6 @@ def test_moving_agents_obey_kinematic_bound():
         for track, a, b in zip(tracks, prev.node_list, cur.node_list):
             bound = track.speed * window_ns * 1e-9 + 1e-9
             assert math.dist(a.position, b.position) <= bound
-
-
-def test_substeps_advance_physics_in_equal_slices():
-    world, tracks = flat_world()
-
-    class CountingSim(ReferencePhysicsSim):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.dts = []
-
-        def step(self, dt_ns):
-            self.dts.append(dt_ns)
-            super().step(dt_ns)
-
-    sim = CountingSim(world, tracks)
-    config = PhysCoordConfig(W, ChannelFidelity.los_nlos(), substeps_per_window=4)
-    summary, _ = run_coordinator(config, 6, sim)
-    assert sim.dts == [W // 4] * (4 * 6)
-    assert sum(sim.dts) == 6 * W
-    assert summary.extractions == 6
 
 
 def test_desync_aborts_with_partial_summary(scripted_network):

@@ -610,9 +610,11 @@ def test_kernel_snapshots_of_the_corpus_need_no_check():
             assert repr(cd) == repr(extract_channel_data(config.world, states, fid))
 
 
-def test_reference_sim_leaves_snapshots_near_the_float_limit_unchecked():
+def test_reference_sim_leaves_snapshots_near_the_float_limit_unchecked(monkeypatch):
     # a pose within 16 times the largest bound coordinate plus the track
     # length might overflow on the way to a hop: not vouched for
+    from cosimnet.netsim import RadioParams, ReferenceNetSim
+
     world = WorldModel(Box((0.0, 0.0, 0.0), (1e308, 1.0, 1.0)))
     tracks = [
         AgentTrack(0, ((1.0, 0.5, 0.5),), speed=1.0),
@@ -620,9 +622,20 @@ def test_reference_sim_leaves_snapshots_near_the_float_limit_unchecked():
     ]
     sim = ReferencePhysicsSim(world, tracks)
     sim.step(1_000_000)
+    by_id = {t.agent_id: t for t in tracks}
+    states = step_world(world, by_id, initial_agent_states(tracks), 1_000_000)
     cd = sim.channel_snapshot(ChannelFidelity.los_nlos())
     assert not cd._checked
-    wire.validate_channel_data(cd)
+    assert type(cd) is not wire.ChannelData  # deferred until applied
+    scans = []
+    check = wire._columns_pass
+    monkeypatch.setattr(wire, "_columns_pass", lambda cd: scans.append(cd) or check(cd))
+    netsim = ReferenceNetSim(RadioParams(), {})
+    netsim.apply_channel(cd)
+    assert type(cd) is wire.ChannelData and scans == [cd] and cd._checked
+    oracle = ReferenceNetSim(RadioParams(), {})
+    oracle.apply_channel(extract_channel_data(world, states, ChannelFidelity.los_nlos()))
+    assert repr(netsim.link_table) == repr(oracle.link_table)
 
 
 # -- vector extraction against the scalar reference ---------------------------
@@ -641,12 +654,16 @@ def kernel_paths(kernel, world, positions, *args):
 def assert_kernels_agree(boxes, positions):
     """Both kernels' snapshots reproduce the object-building oracle exactly:
     repr tells every float bit pattern apart, -0.0 from 0.0 included.  The
-    vector kernel must not raise floating-point warnings either, and the
-    records built from the columns must hold the exact field types: no
-    numpy scalars, no lists."""
+    scalar kernel's columns, built on `_pair_hits`, are those of the
+    unculled scalar oracle.  The vector kernel must not raise
+    floating-point warnings either, and the records built from the columns
+    must hold the exact field types: no numpy scalars, no lists."""
     world = WorldModel(BOUNDS, tuple(boxes))
     positions = [tuple(float(v) for v in p) for p in positions]
     oracle = tuple(physics_oracles.los_paths_vector(world, positions))
+    assert repr(physics._los_paths_scalar(world, positions)) == repr(
+        physics_oracles.los_paths_scalar(world, positions)
+    )
     scalar = kernel_paths(physics._los_paths_scalar, world, positions)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -268,6 +268,32 @@ def test_keyword_overrides_win():
     assert config.duration_ns == 600_000_000
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("window_ns", True), ("window_ns", 1e6), ("window_ns", "1000000"),
+        ("duration_ns", True), ("duration_ns", 4e8),
+        ("seed", True), ("seed", 1.5),
+    ],
+)
+def test_keyword_overrides_get_the_document_type_checks(key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc(), **{key: value})
+    assert err.value.path == key
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc(**{key: value}))
+    assert err.value.path == key
+
+
+def test_at_most_256_flows():
+    flow = {"src": "10.0.0.1", "dst": "10.0.0.2"}
+    assert len(parse_scenario(doc(flows=[flow] * 256)).flows) == 256
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc(flows=[flow] * 257))
+    assert err.value.path == "flows"
+    assert "at most 256 flows" in str(err.value)
+
+
 def test_load_scenario_rejects_bad_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{nope")
