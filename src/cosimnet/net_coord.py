@@ -28,7 +28,6 @@ from the peer's END message of the sync handshake.
 
 from __future__ import annotations
 
-import socket
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -120,6 +119,10 @@ class NetCoordConfig:
 
 
 class CaptureSink(Protocol):
+    """What a capture backend hands each send to.  A backend needs only
+    `attach_sink(sink)` and `deliver(dst, payload)`; `capture` returns the
+    packet's id, or None for a rejected send."""
+
     def capture(self, src: str, dst: str, payload: bytes) -> int | None: ...
 
 
@@ -247,7 +250,6 @@ class NetworkCoordinator:
         self._address_map = config.agent_address_map
         self._agent_of = {ip: agent for agent, ip in config.agent_address_map}
         self._horizon = config.expiry_windows * config.window_ns
-        self._pump = getattr(backend, "pump", None)
         # captured rows: not yet in a manifest, and in one by pkt_id
         self._pending: deque[tuple] = deque()
         self._held: dict[int, tuple] = {}
@@ -395,8 +397,6 @@ class NetworkCoordinator:
         end = self._netsim.advance(t, window_ns, manifest)
         self.release(end)
         self._expire(t)
-        if self._pump is not None:
-            self._pump()
         if self._app_tick is not None:
             self._app_tick(t)
         return end
@@ -450,102 +450,3 @@ def run_network_coordinator(
         raise
     return coordinator.summary(stats)
 
-
-# ---------------------------------------------------------------------------
-# Optional TUN capture backend (Linux, needs CAP_NET_ADMIN)
-
-
-def parse_ipv4_addresses(frame: bytes) -> tuple[str, str] | None:
-    """Source and destination of a raw IPv4 frame, or None if not IPv4."""
-    if len(frame) < 20 or frame[0] >> 4 != 4:
-        return None
-    return (
-        socket.inet_ntoa(frame[12:16]),
-        socket.inet_ntoa(frame[16:20]),
-    )
-
-
-class TunCaptureBackend:
-    """Capture backend over Linux TUN devices, one per configured address.
-
-    This is the adapter for running real, unmodified applications against
-    the simulator: their IP traffic enters via the TUN devices and released
-    packets are written back as raw frames.  Creating the devices needs
-    /dev/net/tun and CAP_NET_ADMIN, and address/route setup on the
-    interfaces is the operator's job; the deterministic in-process backend
-    is what the test suite and the bundled scenarios use.
-    """
-
-    TUNSETIFF = 0x400454CA
-    IFF_TUN = 0x0001
-    IFF_NO_PI = 0x1000
-
-    def __init__(self, addresses: Iterable[str], ifname_prefix: str = "cosim"):
-        import fcntl
-        import os
-        import struct
-
-        self._os = os
-        self._fds: dict[str, int] = {}
-        self._names: dict[str, str] = {}
-        self._sink: CaptureSink | None = None
-        self.rejected_total = 0
-        self.non_ipv4_total = 0
-        try:
-            for idx, address in enumerate(addresses):
-                fd = os.open("/dev/net/tun", os.O_RDWR | os.O_NONBLOCK)
-                name = f"{ifname_prefix}{idx}"
-                ifr = struct.pack("16sH", name.encode(), self.IFF_TUN | self.IFF_NO_PI)
-                fcntl.ioctl(fd, self.TUNSETIFF, ifr)
-                self._fds[str(address)] = fd
-                self._names[str(address)] = name
-        except OSError as exc:
-            self.close()
-            raise RuntimeError(
-                "TUN backend unavailable (needs /dev/net/tun and CAP_NET_ADMIN): "
-                f"{exc}"
-            ) from exc
-
-    def attach_sink(self, sink: CaptureSink) -> None:
-        self._sink = sink
-
-    def interface_name(self, address: str) -> str:
-        return self._names[address]
-
-    def pump(self) -> None:
-        """Drain every TUN device into the capture sink (non-blocking)."""
-        for address, fd in self._fds.items():
-            while True:
-                try:
-                    frame = self._os.read(fd, 65536)
-                except BlockingIOError:
-                    break
-                except OSError:
-                    break
-                if not frame:
-                    break
-                parsed = parse_ipv4_addresses(frame)
-                if parsed is None:
-                    self.non_ipv4_total += 1
-                    continue
-                src, dst = parsed
-                if self._sink is None or self._sink.capture(src, dst, frame) is None:
-                    self.rejected_total += 1
-
-    def deliver(self, dst: str, payload: bytes) -> None:
-        fd = self._fds.get(dst)
-        if fd is None:
-            self.rejected_total += 1
-            return
-        try:
-            self._os.write(fd, payload)
-        except OSError:
-            self.rejected_total += 1
-
-    def close(self) -> None:
-        for fd in self._fds.values():
-            try:
-                self._os.close(fd)
-            except OSError:
-                pass
-        self._fds.clear()

@@ -39,7 +39,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import repeat
 from typing import Mapping, Protocol
@@ -100,6 +100,12 @@ class RadioParams:
         )
         if not self.mcs_table:
             raise ValueError("mcs_table must not be empty")
+        # json.loads reads NaN and Infinity, and no later check catches them all
+        named = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "mcs_table"]
+        named += [(f"mcs_table[{i}]", v) for i, row in enumerate(self.mcs_table) for v in row]
+        for name, value in named:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         thresholds = [t for t, _ in self.mcs_table]
         rates = [r for _, r in self.mcs_table]
         if thresholds != sorted(set(thresholds)):
@@ -167,7 +173,8 @@ def _link_budget(params: RadioParams):
     Every value comes from the same float operations in the same order as
     the plain formulas, so it is bit-identical to them: ``max`` is written
     as the comparison ``max`` makes, and the MCS is the last threshold at
-    or below the SNR.
+    or below the SNR.  Distances inside the reference distance saturate at
+    pl0: the model has no near-field behaviour.
     """
     ref = params.ref_distance
     pl0 = params.pl0
@@ -206,17 +213,6 @@ def _link_budget(params: RadioParams):
 def _as_link_state(pair: tuple[int, int], budget: tuple) -> LinkState:
     rate, ber, distance, wall_loss, path_loss, snr = budget
     return LinkState(pair, distance, wall_loss, path_loss, snr, rate, ber)
-
-
-def compute_link_state(
-    params: RadioParams, pair: tuple[int, int], distance: float, wall_loss: float
-) -> LinkState:
-    """Log-distance path loss plus wall terms, then MCS and BER selection.
-
-    Distances inside the reference distance saturate at pl0: the model has
-    no near-field behaviour.
-    """
-    return _as_link_state(pair, _link_budget(params)(distance, wall_loss))
 
 
 class NetSim(Protocol):

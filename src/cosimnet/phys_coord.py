@@ -39,7 +39,6 @@ class PhysCoordConfig:
 @dataclass
 class PhysRunSummary:
     windows_completed: int
-    agent_count: int
     extractions: int
     stats: RunStats = field(default_factory=RunStats)
 
@@ -52,19 +51,15 @@ class PhysicsStepper:
         self._fidelity = config.fidelity
         self._window_ns = config.window_ns
         self.extractions = 0
-        self.agent_count = 0
 
     def step_window(self) -> ChannelData:
         self._sim.step(self._window_ns)
         snapshot = self._sim.channel_snapshot(self._fidelity)
         self.extractions += 1
-        self.agent_count = len(snapshot.poses)
         return snapshot
 
     def summary(self, stats: RunStats) -> PhysRunSummary:
-        return PhysRunSummary(
-            stats.windows_completed, self.agent_count, self.extractions, stats
-        )
+        return PhysRunSummary(stats.windows_completed, self.extractions, stats)
 
 
 def run_physics_coordinator(

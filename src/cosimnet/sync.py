@@ -83,7 +83,6 @@ class SocketLink:
         self._buf = bytearray()
         self._closed = False
         self.sent_frames = 0
-        self.received_frames = 0
 
     def send(self, msg) -> None:
         if self._closed:
@@ -104,7 +103,6 @@ class SocketLink:
             if size is not None and len(self._buf) >= size:
                 msg, _ = wire.decode_frame(bytes(self._buf[:size]))
                 del self._buf[:size]
-                self.received_frames += 1
                 return msg
             try:
                 chunk = self._sock.recv(65536)

@@ -732,7 +732,7 @@ def _path_head(paths: int) -> struct.Struct:
 
 def decode_channel_data(data: bytes) -> ChannelData:
     r = _Reader(data, "ChannelData")
-    n_agents = r.u32("agent_count")
+    n_agents = r.u32("node_count")
     poses = tuple(_POSE.iter_unpack(r.rows(n_agents, _POSE.size, "node_list")))
     n_paths = r.u32("path_count")
     ids, los, path_start, num_hops, hop_start, hops = [], [], [0], [], [0], []

@@ -24,9 +24,9 @@ import cosimnet
 from cosimnet import wire
 from cosimnet import scenario as scenario_mod
 from cosimnet.flows import FlowHost
-from cosimnet.metrics import kde, mode_count
+from cosimnet.metrics import kde
 from cosimnet.net_coord import apply_ber
-from cosimnet.netsim import RadioParams, ReferenceNetSim, compute_link_state
+from cosimnet.netsim import RadioParams, ReferenceNetSim
 from cosimnet.physics import (
     AgentState,
     Box,
@@ -38,6 +38,7 @@ from cosimnet.scenario import load_scenario, parse_scenario, run_scenario
 from cosimnet.sync import DEFAULT_WINDOW_NS, Role, RunStats, SocketLink, run_lockstep
 from cosimnet.wire import MsgType, NetworkUpdate, PhysicsUpdate, Pose
 from tests import msggen
+from tests.series_stats import mode_count
 
 SCENARIO_DIR = Path(cosimnet.__file__).parent / "scenarios"
 
@@ -204,7 +205,7 @@ def test_01_lockstep_soundness_under_jitter():
 
 def test_02_wire_roundtrip_and_malformed_frames():
     rng = random.Random(0xACCE9)
-    agent_counts = []
+    node_counts = []
     for _ in range(1000):
         msg = msggen.random_message(rng, max_agents=16)
         frame = wire.encode_frame(msg)
@@ -216,9 +217,9 @@ def test_02_wire_roundtrip_and_malformed_frames():
             cd = wire.decode_channel_data(
                 wire.decompress_channel_blob(msg.channel_data)
             )
-            agent_counts.append(len(cd.node_list))
+            node_counts.append(len(cd.node_list))
     # the corpus really does reach the compressed 16-agent case
-    assert max(agent_counts) == 16
+    assert max(node_counts) == 16
 
     base = wire.encode_frame(PhysicsUpdate(MsgType.BEGIN, 7))
 
@@ -382,8 +383,17 @@ def _wall_sweep_doc(wall_count):
 
 
 def test_04_radio_attenuation_monotonicity(tmp_path):
-    params = RadioParams()
-    states = [compute_link_state(params, (0, 1), 50.0, 10.0 * k) for k in range(5)]
+    sim = ReferenceNetSim(RadioParams(), {0: "10.0.0.1", 1: "10.0.0.2"})
+    states = []
+    for k in range(5):
+        hop = ((25.0, 0.0, 0.0, 10.0 * k),)
+        sim.apply_channel(
+            wire.ChannelData(
+                (Pose((0, 0, 0)), Pose((50.0, 0, 0))),
+                (wire.PathDetails((0, 1), False, (1,), hop),),
+            )
+        )
+        states.append(sim.link_state(0, 1))
     snrs = [s.snr for s in states]
     rates = [s.phy_rate if s.phy_rate is not None else 0.0 for s in states]
     bers = [s.ber for s in states]

@@ -65,6 +65,22 @@ def test_validate_rejects_a_world_whose_extent_overflows(tmp_path, capsys):
     assert "world.bounds" in err and "overflows" in err
 
 
+def test_non_finite_radio_values_are_rejected_by_both_commands(tmp_path, capsys):
+    for name, radio in (
+        ("nan", {"tx_power": float("nan")}),
+        ("inf", {"mcs_table": [[5.0, float("inf")]]}),
+    ):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(doc(duration_ns=100_000_000, radio=radio)))
+        out = tmp_path / name
+        assert "NaN" in p.read_text() or "Infinity" in p.read_text()
+        for command in (["validate"], ["run", "--out", str(out)]):
+            assert cli.main([*command, "--scenario", str(p)]) == 1
+            assert "radio: " in (err := capsys.readouterr().err)
+            assert "must be finite" in err
+        assert not out.exists()
+
+
 def test_validate_reports_missing_files(tmp_path, capsys):
     assert cli.main(["validate", "--scenario", str(tmp_path / "nope.json")]) == 1
     assert "cannot read" in capsys.readouterr().err

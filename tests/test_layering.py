@@ -1,6 +1,7 @@
 """Module boundaries that keep one cross-process protocol, one owner of
-the channel-blob format, one parser of IPv4 addresses and one way to run
-each side: a loop on the calling thread."""
+the channel-blob format, one parser of IPv4 addresses, one way to run
+each side (a loop on the calling thread), no device I/O, and one public
+surface."""
 
 from __future__ import annotations
 
@@ -30,6 +31,12 @@ def imported_names(tree: ast.Module):
             yield from (alias.name for alias in node.names)
 
 
+def top_level_imports(path: Path) -> set[str]:
+    """The top-level module of every import in the file at `path`."""
+    tree = ast.parse(path.read_text(), str(path))
+    return {name.split(".")[0] for name in imported_names(tree)}
+
+
 def test_simulators_import_nothing_from_sync():
     for name in ("physics", "netsim"):
         for imported in imported_names(parse(name)):
@@ -51,12 +58,40 @@ def test_only_wire_parses_ipv4_addresses():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "wire":
             continue
-        imported = {name.split(".")[0] for name in imported_names(parse(path.stem))}
-        assert "ipaddress" not in imported, path.stem
+        assert "ipaddress" not in top_level_imports(path), path.stem
+
+
+def test_only_sync_and_wire_import_socket():
+    # sync owns the peer link; wire reads addresses with inet_ntoa
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.stem in ("sync", "wire"):
+            continue
+        assert "socket" not in top_level_imports(path), path.relative_to(PACKAGE)
+
+
+def test_no_module_imports_fcntl():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        assert "fcntl" not in top_level_imports(path), path.relative_to(PACKAGE)
+
+
+def test_the_public_surface_is_unchanged():
+    assert sorted(cosimnet.__all__) == [
+        "ConfigError",
+        "DesyncError",
+        "ProtocolError",
+        "RunResult",
+        "ScenarioConfig",
+        "SyncError",
+        "TransportError",
+        "__version__",
+        "config_as_dict",
+        "load_scenario",
+        "parse_scenario",
+        "run_scenario",
+    ]
 
 
 def test_no_module_imports_threading_or_queue():
     for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        imported = {name.split(".")[0] for name in imported_names(tree)}
+        imported = top_level_imports(path)
         assert not imported & {"threading", "queue"}, path.relative_to(PACKAGE)

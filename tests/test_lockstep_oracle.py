@@ -96,7 +96,7 @@ def facts(result) -> dict:
                 "late_cleared_total", "held_at_end", "pending_at_end",
             )
         },
-        "physics": (phys.windows_completed, phys.agent_count, phys.extractions),
+        "physics": (phys.windows_completed, phys.extractions),
         "ledger": net.ledger,
         "flows": result.flow_stats,
         "deliveries": result.deliveries,

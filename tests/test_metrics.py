@@ -13,12 +13,10 @@ from cosimnet.metrics import (
     goodput_series,
     histogram,
     kde,
-    kde_mode,
-    mode_count,
     silverman_bandwidth,
     smooth,
-    spearman,
 )
+from tests.series_stats import kde_mode, mode_count, spearman
 
 MS = 1_000_000
 

@@ -16,9 +16,7 @@ from cosimnet.net_coord import (
     InProcessBackend,
     NetCoordConfig,
     NetworkCoordinator,
-    TunCaptureBackend,
     apply_ber,
-    parse_ipv4_addresses,
     run_network_coordinator,
 )
 from cosimnet.netsim import RadioParams, ReferenceNetSim
@@ -576,21 +574,43 @@ def test_corrupted_deliveries_are_reproducible_per_seed():
     assert first != other
 
 
-# -- TUN backend ------------------------------------------------------------------
+# -- the capture-backend contract -------------------------------------------------
 
 
-def test_parse_ipv4_addresses():
-    header = bytes([0x45, 0, 0, 20]) + bytes(8) + bytes([10, 0, 0, 1, 10, 0, 0, 2])
-    assert parse_ipv4_addresses(header) == ("10.0.0.1", "10.0.0.2")
-    assert parse_ipv4_addresses(header[:10]) is None
-    assert parse_ipv4_addresses(bytes([0x60]) + header[1:]) is None
+class MinimalBackend:
+    """A capture backend with nothing but the contract, `attach_sink` and
+    `deliver`; its slots leave it no other attribute to be asked for."""
+
+    __slots__ = ("sink", "delivered")
+
+    def __init__(self):
+        self.sink = None
+        self.delivered = []
+
+    def attach_sink(self, sink):
+        self.sink = sink
+
+    def deliver(self, dst, payload):
+        self.delivered.append((dst, payload))
 
 
-def test_tun_backend_reports_missing_privileges():
-    try:
-        backend = TunCaptureBackend([IPS[0]], ifname_prefix="cosimtest")
-    except RuntimeError as exc:
-        assert "TUN backend unavailable" in str(exc)
-    else:
-        assert backend.interface_name(IPS[0]) == "cosimtest0"
-        backend.close()
+def test_a_backend_needs_only_attach_sink_and_deliver():
+    backend = MinimalBackend()
+    sent = []
+
+    def tick(t):
+        payload = f"hello@{t}".encode()
+        assert backend.sink.capture(IPS[0], IPS[1], payload) is not None
+        sent.append((IPS[1], payload))
+        assert backend.sink.capture(IPS[0], IPS[0], payload) is None
+
+    summary = full_run(
+        10, two_node_channel(1.0), ReferenceNetSim(NO_BER, dict(AMAP[:2])),
+        config(), backend, app_tick=tick,
+    )
+    assert summary.windows_completed == 10
+    assert summary.captured_total == 10
+    assert summary.rejected_total == 10
+    assert 0 < summary.released_total == len(backend.delivered)
+    assert backend.delivered == sent[: summary.released_total]
+    assert [r.pkt_id for r in summary.ledger] == list(range(summary.released_total))

@@ -15,7 +15,6 @@ from cosimnet.netsim import (
     MediumEventKind,
     RadioParams,
     ReferenceNetSim,
-    compute_link_state,
 )
 from cosimnet.wire import (
     ChannelData,
@@ -44,6 +43,14 @@ def two_node_channel(distance, wall_loss=None):
             (0, 1), False, (1,), ((distance / 2, 0.0, 0.0, wall_loss),)
         )
     return channel([(0, 0, 0), (distance, 0, 0)], [pd])
+
+
+def budget_link(params, distance, wall_loss):
+    """The simulator's `LinkState` for two agents `distance` apart behind
+    `wall_loss` dB of wall, read through `ReferenceNetSim.link_state`."""
+    sim = ReferenceNetSim(params, {0: IP[0], 1: IP[1]})
+    sim.apply_channel(two_node_channel(distance, wall_loss))
+    return sim.link_state(0, 1)
 
 
 def manifest(t, entries=()):
@@ -79,7 +86,7 @@ def test_radio_params_validation():
 
 
 def test_link_at_reference_distance():
-    link = compute_link_state(DEFAULTS, (0, 1), 1.0, 0.0)
+    link = budget_link(DEFAULTS, 1.0, 0.0)
     assert link.path_loss == pytest.approx(40.0)
     assert link.snr == pytest.approx(70.0)
     assert link.phy_rate == 65.0e6
@@ -87,7 +94,7 @@ def test_link_at_reference_distance():
 
 
 def test_link_at_100m():
-    link = compute_link_state(DEFAULTS, (0, 1), 100.0, 0.0)
+    link = budget_link(DEFAULTS, 100.0, 0.0)
     assert link.path_loss == pytest.approx(40.0 + 24.0 * 2.0)
     assert link.snr == pytest.approx(22.0)
     assert link.phy_rate == 52.0e6
@@ -95,7 +102,7 @@ def test_link_at_100m():
 
 
 def test_two_walls_at_100m_kill_the_link():
-    link = compute_link_state(DEFAULTS, (0, 1), 100.0, 20.0)
+    link = budget_link(DEFAULTS, 100.0, 20.0)
     assert link.snr == pytest.approx(2.0)
     assert link.is_down
     assert link.phy_rate is None
@@ -103,13 +110,13 @@ def test_two_walls_at_100m_kill_the_link():
 
 
 def test_near_field_saturates_at_pl0():
-    link = compute_link_state(DEFAULTS, (0, 1), 0.01, 0.0)
+    link = budget_link(DEFAULTS, 0.01, 0.0)
     assert link.path_loss == pytest.approx(40.0)
 
 
 def test_zero_base_ber_stays_zero():
     params = RadioParams(ber_at_threshold=0.0)
-    link = compute_link_state(params, (0, 1), 10.0, 0.0)
+    link = budget_link(params, 10.0, 0.0)
     assert link.ber == 0.0
     assert not link.is_down
 
@@ -125,7 +132,7 @@ def test_wall_loss_monotonicity():
     for distance in (1.0, 10.0, 50.0, 120.0):
         previous = None
         for wall in range(0, 41):
-            link = compute_link_state(DEFAULTS, (0, 1), distance, float(wall))
+            link = budget_link(DEFAULTS, distance, float(wall))
             if previous is not None:
                 assert link.snr <= previous.snr
                 assert rate_key(link) <= rate_key(previous)
@@ -136,7 +143,7 @@ def test_wall_loss_monotonicity():
 
 def test_ber_monotone_over_whole_walls_at_50m():
     links = [
-        compute_link_state(DEFAULTS, (0, 1), 50.0, 10.0 * walls)
+        budget_link(DEFAULTS, 50.0, 10.0 * walls)
         for walls in range(5)
     ]
     bers = [link.ber for link in links]
@@ -202,8 +209,8 @@ def test_apply_channel_replaces_link_table():
 
 
 def oracle_link_state(params, pair, distance, wall_loss):
-    """`compute_link_state` as it was before the link budget was shared with
-    `apply_channel`: the plain formulas and an MCS scan.  Kept as the oracle
+    """The link budget as it was before it was shared with `apply_channel`:
+    the plain formulas and an MCS scan.  Kept as the oracle
     the link table must match bit for bit."""
     d = max(distance, params.ref_distance)
     path_loss = (
@@ -287,7 +294,7 @@ def test_link_table_matches_the_oracle_on_edge_cases():
     # At 1 m (the reference distance) the SNR is 70 dB minus the wall loss,
     # exactly: 44, 47 and 65 dB of wall put it on the 26, 23 and 5 dB MCS
     # thresholds, 66 dB below the lowest.
-    assert compute_link_state(DEFAULTS, (0, 1), 1.0, 47.0).snr == 23.0
+    assert budget_link(DEFAULTS, 1.0, 47.0).snr == 23.0
     cases = [
         two_node_channel(0.25),
         two_node_channel(0.25, wall_loss=3.0),

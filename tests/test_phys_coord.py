@@ -143,7 +143,6 @@ def test_window_count_matches_duration():
     summary, payloads = run_coordinator(config, 20, ReferencePhysicsSim(world, tracks))
     assert summary.windows_completed == 20
     assert summary.extractions == 20
-    assert summary.agent_count == 2
     assert len(payloads) == 20
 
 

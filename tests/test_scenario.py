@@ -259,6 +259,27 @@ def test_mcs_table_rows_are_validated():
     assert err.value.path == "radio.mcs_table[1]"
 
 
+def non_finite_radio_values():
+    for value in (float("nan"), float("inf"), float("-inf")):
+        for key in (
+            "tx_power", "noise_floor", "pl0", "ref_distance", "path_loss_exponent",
+            "ber_at_threshold", "ber_decade_per_db",
+        ):
+            yield key, value
+        yield "mcs_table", [[value, 6.5e6]]
+        yield "mcs_table", [[5.0, 6.5e6], [8.0, value]]
+
+
+@pytest.mark.parametrize("key, value", list(non_finite_radio_values()))
+def test_non_finite_radio_values_are_rejected(key, value):
+    # json.loads reads the tokens NaN, Infinity and -Infinity as these floats
+    with pytest.raises(ValueError, match="must be finite"):
+        RadioParams(**{key: value})
+    with pytest.raises(ConfigError, match="must be finite") as err:
+        parse_scenario(doc(radio={key: value}))
+    assert err.value.path == "radio"
+
+
 def test_keyword_overrides_win():
     config = parse_scenario(
         doc(), seed=9, window_ns=2_000_000, duration_ns=600_000_000
