@@ -144,8 +144,9 @@ class InProcessBackend:
     """Deterministic capture backend: virtual endpoints keyed by address.
 
     Sends are forwarded synchronously to the attached coordinator sink,
-    whose `capture` is the one check of a send; deliveries land in
-    per-address FIFO queues that one concurrent reader may drain.
+    whose `capture` is the one check of a send; a send before a sink is
+    attached raises RuntimeError.  Deliveries land in per-address FIFO
+    queues that one concurrent reader may drain.
     """
 
     def __init__(self, addresses: Iterable[str]):
@@ -153,7 +154,6 @@ class InProcessBackend:
         if not self._egress:
             raise ValueError("backend needs at least one address")
         self._sink: CaptureSink | None = None
-        self.rejected_total = 0
 
     def attach_sink(self, sink: CaptureSink) -> None:
         self._sink = sink
@@ -165,8 +165,7 @@ class InProcessBackend:
 
     def send(self, src: str, dst: str, payload: bytes) -> bool:
         if self._sink is None:
-            self.rejected_total += 1
-            return False
+            raise RuntimeError("send before a coordinator attached its capture sink")
         return self._sink.capture(src, dst, payload) is not None
 
     def deliver(self, dst: str, payload: bytes) -> None:
@@ -408,8 +407,7 @@ class NetworkCoordinator:
             released_total=self.released_total,
             released_bytes=self.released_bytes,
             expired_total=self.expired_total,
-            rejected_total=self.rejected_total
-            + getattr(self._backend, "rejected_total", 0),
+            rejected_total=self.rejected_total,
             late_cleared_total=self.late_cleared_total,
             held_at_end=self.held_count,
             pending_at_end=self.pending_count,

@@ -19,8 +19,9 @@ build their pair columns when first read, and answer one pair's losses
 from `_pair_hits` until then.
 
 LOS/NLOS extraction has two paths that give bit-identical output.  The
-scalar path runs `_pair_hits` per pair in Python: the slab test on each
-box that the pair's segment's bounds overlap.  The vector
+scalar path runs `_pair_hits` per pair in Python: the slab test, as
+straight-line float code, on each box that the pair's segment's bounds
+overlap (its loop over axes is the oracle in tests).  The vector
 path culls (pair, box) candidates with a broad phase and runs the slab
 test on the survivors as numpy array operations.  The choice depends
 only on the input size: the vector path runs from `VECTOR_MIN_TESTS`
@@ -103,12 +104,7 @@ class Box:
         if not (math.isfinite(self.penetration_loss) and self.penetration_loss >= 0):
             raise ValueError(f"penetration_loss must be >= 0, got {self.penetration_loss}")
 
-    def contains(self, point: Vec3, strict: bool = False) -> bool:
-        if strict:
-            return all(
-                lo < v < hi
-                for v, lo, hi in zip(point, self.min_corner, self.max_corner)
-            )
+    def contains(self, point: Vec3) -> bool:
         return all(
             lo <= v <= hi
             for v, lo, hi in zip(point, self.min_corner, self.max_corner)
@@ -154,10 +150,11 @@ class WorldModel:
 
     @cached_property
     def _box_rows(self) -> tuple:
-        """Each obstacle as (index, min x, y, z, max x, y, z, box), the
-        rows `_pair_hits` tests, built on first use."""
+        """Each obstacle as (index, min x, y, z, max x, y, z, penetration
+        loss), the rows `_pair_hits` tests, built on first use."""
         return tuple(
-            (k, *b.min_corner, *b.max_corner, b) for k, b in enumerate(self.obstacles)
+            (k, *b.min_corner, *b.max_corner, b.penetration_loss)
+            for k, b in enumerate(self.obstacles)
         )
 
 
@@ -329,69 +326,19 @@ def step_world(
 
 
 # ---------------------------------------------------------------------------
-# Segment/box intersection (slab method)
-
-
-def _crossing_interval(p0: Vec3, p1: Vec3, box: Box):
-    """Parametric overlap [t0, t1] of segment p0->p1 with the box, or None.
-
-    Grazing contact is rejected by testing the interval midpoint strictly
-    inside the box: a face-sliding or corner-touching segment has its
-    midpoint on the boundary and does not count as a crossing.
-    """
-    t0, t1 = 0.0, 1.0
-    for axis in range(3):
-        origin = p0[axis]
-        delta = p1[axis] - p0[axis]
-        lo = box.min_corner[axis]
-        hi = box.max_corner[axis]
-        if delta == 0.0:
-            if origin < lo or origin > hi:
-                return None
-            continue
-        ta = (lo - origin) / delta
-        tb = (hi - origin) / delta
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 > t1:
-            return None
-    mid = 0.5 * (t0 + t1)
-    midpoint = tuple(a + mid * (b - a) for a, b in zip(p0, p1))
-    if not box.contains(midpoint, strict=True):
-        return None
-    return t0, t1
-
-
-def segment_box_crossings(
-    p0: Vec3, p1: Vec3, box: Box
-) -> list[tuple[Vec3, Vec3]]:
-    """Entry/exit points of the segment through the box; empty when the
-    segment misses the box or only grazes its boundary.  A segment entirely
-    inside the box yields (p0, p1)."""
-    p0 = _vec3(p0, "p0")
-    p1 = _vec3(p1, "p1")
-    if p0 == p1:
-        raise ValueError("segment endpoints must differ")
-    interval = _crossing_interval(p0, p1, box)
-    if interval is None:
-        return []
-    t0, t1 = interval
-    entry = tuple(a + t0 * (b - a) for a, b in zip(p0, p1))
-    exit_ = tuple(a + t1 * (b - a) for a, b in zip(p0, p1))
-    return [(entry, exit_)]
-
-
-# ---------------------------------------------------------------------------
 # Channel extraction
 
 
-# Pair-box tests per extraction from which the vector path runs.  Measured
-# crossover on a 2-vCPU host: with one pair the two paths tie between 60
-# and 100 tests; with three or more pairs the vector path already wins at
-# 56-60, where the scalar path's per-pair overhead adds up.
-VECTOR_MIN_TESTS = 64
+# Pair-box tests per extraction from which the vector path runs.  Scalar /
+# vector us per extraction on random fields of 3-15 m boxes, one pinned CPU:
+#   tests   1 pair    3 pairs   6 pairs   15 pairs
+#   ~64     7 / 26    9 / 27    11 / 27   14 / 27
+#   120     17 / 27   16 / 27   15 / 27   23 / 28
+#   240     23 / 28   28 / 28   27 / 28   38 / 29
+#   360     33 / 28   55 / 31   36 / 29   44 / 29
+# They tie at 180-360 tests, but it stays at 120 so that the lockstep
+# oracle's swarm6 world (15 pairs x 8 boxes) still runs the vector path.
+VECTOR_MIN_TESTS = 120
 
 # Relative widening of the broad phase's bounds, as a share of the largest
 # coordinate in reach.  It covers the rounding of three float computations,
@@ -475,21 +422,72 @@ def _pair_hits(p0: Vec3, p1: Vec3, boxes: tuple) -> list:
     sorted by entry t, then box index; none for coincident ends.  Only the
     boxes of `boxes` (`WorldModel._box_rows`) that overlap the segment's
     bounds widened by `_BROAD_SLACK` get the slab test: a hit's midpoint
-    lies within a few ulps of the segment."""
+    lies within a few ulps of the segment.
+
+    The slab test is written out per axis: a flat axis outside its slab
+    misses, every other axis narrows [t0, t1], and a hit's midpoint lies
+    strictly inside the box, so grazing contact does not count.  These are
+    the float operations of `tests.physics_oracles.crossing_interval` in
+    its order (`if ta > t0` picks what `max(t0, ta)` does): bit-identical."""
     if p0 == p1:
         return []
     ax, ay, az = p0
     bx, by, bz = p1
+    dx, dy, dz = bx - ax, by - ay, bz - az
     w = _BROAD_SLACK * max(abs(ax), abs(ay), abs(az), abs(bx), abs(by), abs(bz))
     lx, hx = (ax - w, bx + w) if ax < bx else (bx - w, ax + w)
     ly, hy = (ay - w, by + w) if ay < by else (by - w, ay + w)
     lz, hz = (az - w, bz + w) if az < bz else (bz - w, az + w)
     hits = []
-    for k, x0, y0, z0, x1, y1, z1, box in boxes:
-        if x0 <= hx and lx <= x1 and y0 <= hy and ly <= y1 and z0 <= hz and lz <= z1:
-            interval = _crossing_interval(p0, p1, box)
-            if interval is not None:
-                hits.append((interval[0], k, box.penetration_loss))
+    for k, x0, y0, z0, x1, y1, z1, loss in boxes:
+        if not (x0 <= hx and lx <= x1 and y0 <= hy and ly <= y1 and z0 <= hz and lz <= z1):
+            continue
+        t0, t1 = 0.0, 1.0
+        if dx == 0.0:
+            if ax < x0 or ax > x1:
+                continue
+        else:
+            ta = (x0 - ax) / dx
+            tb = (x1 - ax) / dx
+            if ta > tb:
+                ta, tb = tb, ta
+            if ta > t0:
+                t0 = ta
+            if tb < t1:
+                t1 = tb
+            if t0 > t1:
+                continue
+        if dy == 0.0:
+            if ay < y0 or ay > y1:
+                continue
+        else:
+            ta = (y0 - ay) / dy
+            tb = (y1 - ay) / dy
+            if ta > tb:
+                ta, tb = tb, ta
+            if ta > t0:
+                t0 = ta
+            if tb < t1:
+                t1 = tb
+            if t0 > t1:
+                continue
+        if dz == 0.0:
+            if az < z0 or az > z1:
+                continue
+        else:
+            ta = (z0 - az) / dz
+            tb = (z1 - az) / dz
+            if ta > tb:
+                ta, tb = tb, ta
+            if ta > t0:
+                t0 = ta
+            if tb < t1:
+                t1 = tb
+            if t0 > t1:
+                continue
+        mid = 0.5 * (t0 + t1)
+        if x0 < ax + mid * dx < x1 and y0 < ay + mid * dy < y1 and z0 < az + mid * dz < z1:
+            hits.append((t0, k, loss))
     hits.sort()  # box indices differ, so no two rows tie up to the loss
     return hits
 
@@ -613,7 +611,7 @@ def _los_paths_vector(world: WorldModel, positions: Sequence[Vec3], broad_phase:
     the slab parameters, the midpoint and the entry point come from the
     same float operations in the same order, and the interval ends are
     plain maxima and minima of the same values, with a zero t0 kept at
-    +0.0 as the scalar `max(0.0, ...)` keeps it.  Arrays are axis-major,
+    +0.0 as the scalar path's `if ta > t0` keeps it.  Arrays are axis-major,
     (3, ...), so that every step is an elementwise operation on whole rows.
     """
     losses = world._slabs[2]

@@ -9,6 +9,11 @@ its candidates, and one `PathDetails` per pair, in `wire.all_pairs` order.
 `los_paths_scalar` is the scalar kernel before it culled boxes by the
 segment's bounds: one slab test per pair and box, and the same three
 column tuples as `physics._los_paths_scalar`.
+
+`crossing_interval` is that slab test as a loop over the three axes, with
+builtin `max` and `min` and a strict containment test of the midpoint;
+`physics._pair_hits` writes it out per axis and must agree with it bit for
+bit.  `segment_box_crossings` gives its entry and exit points.
 """
 
 from __future__ import annotations
@@ -18,10 +23,72 @@ from operator import itemgetter
 
 import numpy as np
 
-from cosimnet.physics import _BROAD_SLACK, _crossing_interval
+from cosimnet.physics import _BROAD_SLACK, _vec3
 from cosimnet.wire import PathDetails
 
 _ENTRY_ORDER = itemgetter(0, 1)  # a hit's entry t, then its box index
+
+
+def crossing_interval(p0, p1, box):
+    """Parametric overlap [t0, t1] of segment p0->p1 with the box, or None.
+
+    Grazing contact is rejected by testing the interval midpoint strictly
+    inside the box: a face-sliding or corner-touching segment has its
+    midpoint on the boundary and does not count as a crossing.
+    """
+    t0, t1 = 0.0, 1.0
+    for axis in range(3):
+        origin = p0[axis]
+        delta = p1[axis] - p0[axis]
+        lo = box.min_corner[axis]
+        hi = box.max_corner[axis]
+        if delta == 0.0:
+            if origin < lo or origin > hi:
+                return None
+            continue
+        ta = (lo - origin) / delta
+        tb = (hi - origin) / delta
+        if ta > tb:
+            ta, tb = tb, ta
+        t0 = max(t0, ta)
+        t1 = min(t1, tb)
+        if t0 > t1:
+            return None
+    mid = 0.5 * (t0 + t1)
+    midpoint = tuple(a + mid * (b - a) for a, b in zip(p0, p1))
+    if not all(lo < v < hi for v, lo, hi in zip(midpoint, box.min_corner, box.max_corner)):
+        return None
+    return t0, t1
+
+
+def segment_box_crossings(p0, p1, box):
+    """Entry/exit points of the segment through the box; empty when the
+    segment misses the box or only grazes its boundary.  A segment entirely
+    inside the box yields (p0, p1)."""
+    p0 = _vec3(p0, "p0")
+    p1 = _vec3(p1, "p1")
+    if p0 == p1:
+        raise ValueError("segment endpoints must differ")
+    interval = crossing_interval(p0, p1, box)
+    if interval is None:
+        return []
+    t0, t1 = interval
+    entry = tuple(a + t0 * (b - a) for a, b in zip(p0, p1))
+    exit_ = tuple(a + t1 * (b - a) for a, b in zip(p0, p1))
+    return [(entry, exit_)]
+
+
+def pair_hits(p0, p1, world):
+    """`physics._pair_hits` without its cull: (entry t, box index, loss)
+    for every box `crossing_interval` finds crossed, sorted."""
+    if p0 == p1:
+        return []
+    hits = []
+    for k, box in enumerate(world.obstacles):
+        interval = crossing_interval(p0, p1, box)
+        if interval is not None:
+            hits.append((interval[0], k, box.penetration_loss))
+    return sorted(hits, key=_ENTRY_ORDER)
 
 
 def los_paths_scalar(world, positions):
@@ -29,20 +96,11 @@ def los_paths_scalar(world, positions):
     for i, pi in enumerate(positions):
         for j in range(i + 1, len(positions)):
             pj = positions[j]
-            hits = []
-            if pi != pj:
-                for box_idx, box in enumerate(world.obstacles):
-                    interval = _crossing_interval(pi, pj, box)
-                    if interval is not None:
-                        entry = tuple(
-                            a + interval[0] * (b - a) for a, b in zip(pi, pj)
-                        )
-                        hits.append((interval[0], box_idx, entry, box.penetration_loss))
+            hits = pair_hits(pi, pj, world)
             los.append(not hits)
             counts.append(len(hits))
-            if hits:
-                hits.sort(key=_ENTRY_ORDER)
-                hops += [(*entry, loss) for _, _, entry, loss in hits]
+            for t, _, loss in hits:
+                hops.append((*(a + t * (b - a) for a, b in zip(pi, pj)), loss))
     return tuple(los), tuple(counts), tuple(hops)
 
 

@@ -106,7 +106,14 @@ def test_capture_rejects_bad_sends():
     # rejection once
     assert backend.send(IPS[0], "10.9.9.9", b"x") is False
     assert coord.rejected_total == 5
-    assert backend.rejected_total == 0
+
+
+def test_a_send_before_a_sink_is_attached_raises():
+    backend = InProcessBackend(IPS[:2])
+    with pytest.raises(RuntimeError, match="before a coordinator attached"):
+        backend.send(IPS[0], IPS[1], b"x")
+    with pytest.raises(RuntimeError, match="before a coordinator attached"):
+        backend.endpoint(IPS[0]).send(IPS[1], b"x")
 
 
 def test_endpoint_round_trip_order():

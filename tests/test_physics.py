@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import warnings
@@ -19,13 +20,13 @@ from cosimnet.physics import (
     WorldModel,
     extract_channel_data,
     initial_agent_states,
-    segment_box_crossings,
     step_world,
     track_length,
     track_pose,
 )
 from cosimnet.wire import Pose
 from tests import physics_oracles
+from tests.physics_oracles import segment_box_crossings
 
 BOUNDS = Box((-500.0, -500.0, -500.0), (500.0, 500.0, 500.0))
 EMPTY_WORLD = WorldModel(BOUNDS)
@@ -292,6 +293,49 @@ def test_random_crossings_agree_with_sampling_oracle():
             t_entry = float(np.dot(np.subtract(entry, p0), d) / np.dot(d, d))
             t_exit = float(np.dot(np.subtract(exit_, p0), d) / np.dot(d, d))
             assert t_entry <= t_exit + 1e-12
+
+
+def assert_pair_hits_agree(world, p0, p1) -> list:
+    """`_pair_hits`'s rows are the unculled slab oracle's, `repr` for
+    `repr`, so every entry t matches bit for bit, -0.0 included."""
+    hits = physics._pair_hits(p0, p1, world._box_rows)
+    assert repr(hits) == repr(physics_oracles.pair_hits(p0, p1, world)), (p0, p1)
+    return hits
+
+
+def test_pair_hits_match_the_slab_oracle_on_edge_cases():
+    straddling = Box((0, -1, 0), (1, 1, 1), penetration_loss=2.0)
+    past_the_end = Box((1e-3 + 1e-11, 0, 0), (1, 1, 1), penetration_loss=1.0)
+    cases = [  # (boxes, p0, p1, hits)
+        ([UNIT], (-1, -1, 0.5), (2, 2, 0.5), 1),         # one zero-delta axis
+        ([UNIT], (-1, 0.5, 0.5), (2, 0.5, 0.5), 1),      # two zero-delta axes
+        ([UNIT], (-1, 0.5, 1.5), (2, 0.7, 1.5), 0),      # zero delta outside the slab
+        ([UNIT], (0.5, 0.5, -1), (0.5, 0.5, 0), 0),      # two zero axes, ends on a face
+        ([UNIT], (-1, 0.5, 1.0), (2, 0.5, 1.0), 0),      # slides in the face plane z = 1
+        ([UNIT], (-1, 0.2, 1.0), (2, 0.8, 1.0), 0),      # ... on a diagonal
+        ([UNIT], (-1, 0.0, 0.5), (2, 0.0, 0.5), 0),      # ... in the plane y = 0
+        ([UNIT], (-1, 1, 1), (2, 1, 1), 0),              # slides along an edge
+        ([UNIT], (-1, -1, 0), (1, 1, 2), 0),             # grazes the corner (0, 0, 1)
+        ([UNIT], (-1, 1, 1), (1, 3, 1), 0),              # ... the corner (0, 1, 1)
+        ([UNIT], (-1, 0.5, 0), (1, 0.5, 2), 0),          # grazes the edge x = 0, z = 1
+        ([UNIT], (-1, 0.2, 0), (1, 0.6, 2), 0),          # ... with no flat axis
+        ([UNIT], (-1, -1, -1), (0, 0, 0), 0),            # ends on a corner
+        ([UNIT], (-1, 0.5, 0.5), (0, 0.5, 0.5), 0),      # ends on a face
+        ([UNIT], (0, 0.5, 0.5), (3, 0.6, 0.5), 1),       # starts on a face, enters
+        ([UNIT], (0.5, 0.5, 1), (0.5, 0.5, 3), 0),       # leaves a face outward
+        ([UNIT], (0.5, 0.5, 0.5), (3, 0.7, 0.2), 1),     # starts inside
+        ([UNIT], (3, 0.7, 0.2), (0.5, 0.5, 0.5), 1),     # ends inside
+        ([UNIT], (0.2, 0.3, 0.4), (0.8, 0.7, 0.6), 1),   # both ends inside
+        ([UNIT], (0.2, 0.3, 0.4), (0.2, 0.3, 0.6), 1),   # ... with two flat axes
+        ([UNIT, straddling], (1, -0.0, 0.5), (-3, 0.3, 0.6), 2),  # x's entry t is -0.0
+        ([UNIT, straddling], (1, -0.0, 0.5), (-3, -0.0, 0.5), 1),  # slides on y = 0 of UNIT
+        ([past_the_end], (-1e6, 0.5, 0.5), (1e-3, 0.5, 0.5), 1),  # rounded past the end
+    ]
+    for boxes, p0, p1, count in cases:
+        world = WorldModel(BOUNDS, tuple(boxes))
+        p0, p1 = tuple(map(float, p0)), tuple(map(float, p1))
+        assert len(assert_pair_hits_agree(world, p0, p1)) == count, (p0, p1)
+        assert_pair_hits_agree(world, p1, p0)
 
 
 # -- channel extraction ------------------------------------------------------
@@ -661,6 +705,8 @@ def assert_kernels_agree(boxes, positions):
     world = WorldModel(BOUNDS, tuple(boxes))
     positions = [tuple(float(v) for v in p) for p in positions]
     oracle = tuple(physics_oracles.los_paths_vector(world, positions))
+    for pi, pj in itertools.permutations(positions, 2):
+        assert_pair_hits_agree(world, pi, pj)
     assert repr(physics._los_paths_scalar(world, positions)) == repr(
         physics_oracles.los_paths_scalar(world, positions)
     )
@@ -839,7 +885,7 @@ def fresh_hits(world, positions) -> set[tuple[int, int]]:
         p0, p1 = positions[i], positions[j]
         for b, box in enumerate(world.obstacles):
             if segment_touches(p0, p1, box) or (
-                p0 != p1 and physics._crossing_interval(p0, p1, box) is not None
+                p0 != p1 and physics_oracles.crossing_interval(p0, p1, box) is not None
             ):
                 hits.add((k, b))
     return hits
