@@ -5,25 +5,27 @@ cleared packets back to their destinations with bit errors applied.
 Pipeline for window t (`NetworkCoordinator.simulate`):
 
     apply the channel snapshot the physics side took at the end of t-W
-    build manifest: everything captured since the previous manifest
-    advance the network simulator over [t, t+W)
-    release clearances (BER, deliver, ledger), expire stale packets
+    build manifest: every row captured since the previous manifest
+    advance the network simulator over [t, t+W) with those rows
+    release the rows it cleared (BER, deliver, ledger), expire stale packets
     tick the applications (their sends batch into the manifest for t+W)
 
 A packet captured while window t is being processed is stamped
 captured_at = t and can appear in the manifest for t+W at the earliest,
 so every delivered packet has delay >= W.
 
-A packet is one plain row from capture to release.  `capture` checks a
-send once and resolves its addresses to agent ids; `build_manifest` moves
-the rows to the held set and lists their columns in a BEGIN marked as this
-coordinator's, with the ids and the address map they were resolved over,
-so a netsim over the same map does not check it again; `release` appends
-a row per delivery to the `Ledger`, which reads back as `DeliveryRecord`s.
+A packet is one plain row from capture to release, and the netsim takes
+and returns the same rows (`netsim.NetSim`).  `capture` checks a send once
+and resolves its addresses to agent ids; `build_manifest` moves the rows
+to the held set and hands them over as they are; `release` takes the
+netsim's cleared rows and appends a row per delivery to the `Ledger`,
+which reads back as `DeliveryRecord`s.  No message is built: the
+coordinator and its netsim share a process in both deployments.
 
 In process, `scenario.run_scenario` passes each snapshot to `simulate` by
 reference.  Across processes, `run_network_coordinator` decodes it once
-from the peer's END message of the sync handshake.
+from the peer's END message of the sync handshake, and its own END is a
+bare marker.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ DEFAULT_EXPIRY_WINDOWS = 30_000
 
 # A captured packet is one plain row from capture to release:
 # (pkt_id, length, src, dst, src agent, dst agent, captured_at, payload),
-# where captured_at is the window start of the capture, ns.
+# where captured_at is the window start of the capture, ns.  A netsim reads
+# the first six fields (`netsim.NetSim`).
 CAPTURED_AT = 6
 
 
@@ -246,7 +249,6 @@ class NetworkCoordinator:
         self._app_tick = app_tick
         self._on_channel = on_channel
         self._rng = np.random.default_rng(config.seed)
-        self._address_map = config.agent_address_map
         self._agent_of = {ip: agent for agent, ip in config.agent_address_map}
         self._horizon = config.expiry_windows * config.window_ns
         # captured rows: not yet in a manifest, and in one by pkt_id
@@ -282,12 +284,9 @@ class NetworkCoordinator:
         self.captured_total += 1
         return pkt_id
 
-    def build_manifest(self, t: int) -> NetworkUpdate:
-        """The BEGIN for window t, listing every packet captured before it.
-
-        The message is marked as this coordinator's: it carries its
-        packets' agent ids and the address map they were resolved over, so
-        a netsim over the same map need not check it again."""
+    def build_manifest(self, t: int) -> Sequence[tuple]:
+        """The rows for window t: every packet captured before it, in
+        capture order, moved to the held set."""
         # only packets captured before this window: a send during window t
         # must not ride the manifest for t, or its delay could undercut W
         pending = self._pending
@@ -298,41 +297,27 @@ class NetworkCoordinator:
             batch = []
             while pending and pending[0][CAPTURED_AT] < t:
                 batch.append(pending.popleft())
-        if batch:
-            ids, lengths, srcs, dsts, src_agents, dst_agents, _, _ = zip(*batch)
-            self._held.update(zip(ids, batch))
-            msg = NetworkUpdate(MsgType.BEGIN, t, ids, lengths, srcs, dsts)
-        else:
-            src_agents = dst_agents = ()
-            msg = NetworkUpdate(MsgType.BEGIN, t)
-        object.__setattr__(msg, "_agents", (self._address_map, src_agents, dst_agents))
-        return msg
+        held = self._held
+        for row in batch:
+            held[row[0]] = row
+        return batch
 
     # -- release ---------------------------------------------------------
 
-    def release(self, clearances: NetworkUpdate) -> int:
-        if clearances.msg_type is not MsgType.END:
-            raise ProtocolError("clearances must arrive in an END message")
-        fields = (
-            clearances.clear_pkt_id,
-            clearances.clear_src_ip,
-            clearances.clear_dst_ip,
-            clearances.ber,
-        )
-        if len({len(f) for f in fields}) != 1:
-            raise ProtocolError("clearance lists are misaligned")
-        if not fields[0]:
+    def release(self, t: int, cleared: Sequence[tuple[tuple, float]]) -> int:
+        """Deliver the netsim's ``(row, ber)`` clearances for window t with
+        their bit errors, and count those of packets already expired."""
+        if not cleared:
             return 0
         held = self._held
         rng = self._rng
         deliver = self._backend.deliver
         rows = self.ledger._rows
-        released_at = clearances.time_val
         released = released_bytes = 0
         try:
-            for pkt_id, src, dst, ber in zip(*fields):
-                pkt = held.pop(pkt_id, None)
-                if pkt is None:
+            for row, ber in cleared:
+                pkt_id = row[0]
+                if held.pop(pkt_id, None) is None:
                     if pkt_id in self._expired_ids:
                         # the simulator finally served a packet we gave up
                         # on; nothing to deliver, but no protocol breach
@@ -342,14 +327,9 @@ class NetworkCoordinator:
                     raise ProtocolError(
                         f"simulator cleared pkt_id {pkt_id} that was never submitted"
                     )
-                _, length, pkt_src, pkt_dst, _, _, captured_at, payload = pkt
-                if src != pkt_src or dst != pkt_dst:
-                    raise ProtocolError(
-                        f"clearance for pkt_id {pkt_id} names {src}->{dst}, "
-                        f"captured as {pkt_src}->{pkt_dst}"
-                    )
-                deliver(pkt_dst, apply_ber(payload, ber, rng))
-                rows.append((pkt_id, pkt_src, pkt_dst, length, captured_at, released_at, ber))
+                _, length, src, dst, _, _, captured_at, payload = row
+                deliver(dst, apply_ber(payload, ber, rng))
+                rows.append((pkt_id, src, dst, length, captured_at, t, ber))
                 released += 1
                 released_bytes += length
         finally:
@@ -384,21 +364,21 @@ class NetworkCoordinator:
 
     def simulate(
         self, t: int, window_ns: int, channel: wire.ChannelData | None
-    ) -> NetworkUpdate:
+    ) -> list[tuple[tuple, float]]:
         """Run window t against `channel`, the physics snapshot taken at the
-        end of window t-W (None in window zero: the links stay as they are)."""
+        end of window t-W (None in window zero: the links stay as they are).
+        Returns the netsim's ``(row, ber)`` clearances for the window."""
         self.window_start = t
         if channel is not None:
             self._netsim.apply_channel(channel)
             if self._on_channel is not None:
                 self._on_channel(t, channel)
-        manifest = self.build_manifest(t)
-        end = self._netsim.advance(t, window_ns, manifest)
-        self.release(end)
+        cleared = self._netsim.advance(t, window_ns, self.build_manifest(t))
+        self.release(t, cleared)
         self._expire(t)
         if self._app_tick is not None:
             self._app_tick(t)
-        return end
+        return cleared
 
     def summary(self, stats: RunStats) -> NetRunSummary:
         return NetRunSummary(
@@ -428,16 +408,18 @@ def run_network_coordinator(
     """Drive the NETWORK_SIDE of the sync protocol for a fixed duration.
 
     Each window runs on the channel in the peer's previous END, which
-    `wire.channel_of` decodes at most once.  Any failure, of the sync
-    protocol, the simulator or the application, closes the link and
-    propagates with the partial run attached as `exc.partial_summary`.
+    `wire.channel_of` decodes at most once; this side's END is a bare
+    marker.  Any failure, of the sync protocol, the simulator or the
+    application, closes the link and propagates with the partial run
+    attached as `exc.partial_summary`.
     """
     coordinator = NetworkCoordinator(config, netsim, backend, app_tick, on_channel)
     stats = RunStats()
 
     def simulate(t, peer_end):
         channel = None if peer_end is None else wire.channel_of(peer_end)
-        return coordinator.simulate(t, config.window_ns, channel)
+        coordinator.simulate(t, config.window_ns, channel)
+        return NetworkUpdate(MsgType.END, t)
 
     try:
         run_lockstep(

@@ -16,16 +16,12 @@ The medium's busy horizon and the in-flight transmission persist across
 windows, so advancing twice by W is equivalent to advancing once by 2W
 when the channel does not change in between.
 
-A packet is one plain tuple in the medium, queued and on the air, and the
-END lists the cleared ones' columns.  Who checks a manifest: one that a
-`net_coord.NetworkCoordinator` built carries its packets' agent ids,
-resolved at capture, and the address map they came from.  When that map
-is the simulator's own, decided once per map, `advance` checks only the
-window (a BEGIN for this window start, not behind the clock) and queues
-the packets under those ids.  Every other manifest gets the wire's
-structural check and then the checks that need the simulator's state:
-ids already submitted, empty payloads, map membership and self-addressed
-packets.
+A packet is the network coordinator's row, which `advance` takes as it
+comes, checked and with its agent ids resolved at capture (`NetSim`).  It
+queues each row with its enqueue window and hands back the cleared rows
+with their bit error rates; it builds no message.  The only checks left
+here are the ones that need the simulator's own clock: a window behind it,
+or of negative length.
 
 A pair's link comes from its distance and its first path's hop losses
 (`ChannelData.first_path_losses`), so a physics snapshot that defers its
@@ -41,11 +37,10 @@ import math
 from collections import deque
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import repeat
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, Sequence
 
 from . import wire
-from .wire import ChannelData, MsgType, NetworkUpdate
+from .wire import ChannelData
 
 # Clamp floor for the BER model.  An exactly-zero base rate stays zero so
 # corruption-free runs are expressible; otherwise the floor keeps the
@@ -74,7 +69,8 @@ class MalformedChannelError(NetSimError):
 
 
 class MalformedManifestError(NetSimError):
-    """Manifest is not a well-formed BEGIN for the current window."""
+    """A window's packets came for a window behind the simulator's clock,
+    or of negative length."""
 
 
 @dataclass(frozen=True)
@@ -216,31 +212,36 @@ def _as_link_state(pair: tuple[int, int], budget: tuple) -> LinkState:
 
 
 class NetSim(Protocol):
-    """What the network coordinator needs from any network simulator."""
+    """What the network coordinator needs from any network simulator.
+
+    A packet is the coordinator's row, ``(pkt_id, length, src address, dst
+    address, src agent, dst agent, ...)``; a simulator reads those six
+    fields and hands the row back as it is.  `advance` takes the rows
+    captured for the window, each checked at capture, with fresh
+    increasing ids and known, distinct agents.  It returns ``(row, ber)``
+    for each packet cleared in the window, in clearance order, with the
+    bit error rate it saw on the air.
+    """
 
     def apply_channel(self, cd: ChannelData) -> None: ...
 
     def advance(
-        self, window_start: int, window_ns: int, manifest: NetworkUpdate
-    ) -> NetworkUpdate: ...
+        self, window_start: int, window_ns: int, packets: Sequence[tuple]
+    ) -> list[tuple[tuple, float]]: ...
 
 
 class ReferenceNetSim:
     """Single-collision-domain queueing simulator over the radio model.
 
-    `address_map` ties agent ids to the IPv4 addresses used in manifests;
-    `wire.checked_address_map` checks it once here, so a manifest address
-    that is in the map is a valid IPv4 string.  A manifest's structure is
-    checked by `wire.validate_network_update`; the simulator adds only the
-    checks that need its own state.  A manifest that a `NetworkCoordinator`
-    built carries its packets' agent ids; if the coordinator's address map
-    is this simulator's, decided once per map, the simulator takes the ids
-    as they are and checks only the window.  Until the first channel update
-    every link is down and packets simply wait in their queues.
+    `address_map` ties agent ids to IPv4 addresses.  It is checked by
+    `wire.checked_address_map` and otherwise unread: a packet row carries
+    its agent ids, resolved by the coordinator at capture.  Until the first
+    channel update every link is down and packets simply wait in their
+    queues.
 
-    A queued packet is one tuple, ``(enqueued_at, pkt_id, length, src
-    agent, dst agent, src_ip, dst_ip)``, so tuple order is the medium's
-    (enqueued_at, pkt_id) order: a submitted id is never submitted again.
+    A queued packet is ``(enqueued_at, row)``, so tuple order is the
+    medium's (enqueued_at, pkt_id) order: ids are unique, so a comparison
+    never reaches past a row's id.
     """
 
     def __init__(
@@ -250,13 +251,7 @@ class ReferenceNetSim:
         trace_events: bool = False,
     ):
         self.params = params
-        self._agent_of_ip: dict[str, int] = {
-            ip: agent_id for agent_id, ip in wire.checked_address_map(address_map.items())
-        }
-        # the last address map a coordinator's mark named, and whether it
-        # is this simulator's
-        self._mark_map: tuple | None = None
-        self._mark_trusted = False
+        wire.checked_address_map(address_map.items())
         self._budget = _link_budget(params)
         # the last channel update and its listed pairs (i < j) -> row
         self._channel: ChannelData | None = None
@@ -264,16 +259,13 @@ class ReferenceNetSim:
         # (i, j), i < j -> (phy_rate, ber, distance, wall_loss, path_loss, snr),
         # for the rows computed so far
         self._links: dict[tuple[int, int], tuple] = {}
-        # LinkState objects handed out since the last channel update
-        self._states: dict[tuple[int, int], LinkState] = {}
         # (src, dst) -> queued packets in order; no empty FIFOs
         self._fifos: dict[tuple[int, int], deque[tuple]] = {}
         self._depth: dict[int, int] = {}
-        # (tx_end, ber, queued packet) of the transmission on the air
+        # (tx_end, ber, row) of the transmission on the air
         self._inflight: tuple | None = None
         self._busy_until = 0
         self._clock = 0
-        self._seen_ids: set[int] = set()
         self.dropped_total = 0
         self.dropped_ids: list[int] = []
         self.cleared_total = 0
@@ -286,13 +278,11 @@ class ReferenceNetSim:
         and only if `cd` has not passed it (a decoded snapshot and a physics
         simulator's have): a pair's link is computed the first time it is
         asked for.  When `cd` is the last update's snapshot, as a parked
-        world hands back, the rows computed for it are kept.  `link_state`
-        objects are not kept."""
+        world hands back, the rows computed for it are kept."""
         try:
             wire.validate_channel_data(cd)
         except wire.InvariantViolation as exc:
             raise MalformedChannelError(str(exc)) from exc
-        self._states = {}
         if cd is self._channel:
             return
         self._channel = cd
@@ -332,54 +322,47 @@ class ReferenceNetSim:
     def link_state(self, a: int, b: int) -> LinkState | None:
         """Radio state of the unordered pair (a, b) under the last channel
         update, or None if that update did not list the pair.  Both orders
-        give the same object until the next update."""
+        give equal states, built from the pair's kept budget row."""
         pair = (a, b) if a < b else (b, a)
-        state = self._states.get(pair)
-        if state is None:
-            budget = self._link(pair)
-            if budget is None:
-                return None
-            state = self._states[pair] = _as_link_state(pair, budget)
-        return state
+        budget = self._link(pair)
+        return None if budget is None else _as_link_state(pair, budget)
 
     # -- event loop --------------------------------------------------------
 
     def advance(
-        self, window_start: int, window_ns: int, manifest: NetworkUpdate
-    ) -> NetworkUpdate:
-        mark = getattr(manifest, "_agents", None)
-        if mark is not None and self._trusts(mark[0]):
-            self._check_window(manifest, window_start, window_ns)
-            src_agents, dst_agents = mark[1], mark[2]
-        else:
-            src_agents, dst_agents = self._validate_manifest(manifest, window_start, window_ns)
+        self, window_start: int, window_ns: int, packets: Sequence[tuple]
+    ) -> list[tuple[tuple, float]]:
+        """Queue `packets` for window [window_start, window_start +
+        window_ns) and run the medium over it; return ``(row, ber)`` for
+        each packet cleared, in clearance order (`NetSim`)."""
+        if window_ns < 0:
+            raise MalformedManifestError(f"window length must be >= 0, got {window_ns}")
+        if window_start < self._clock:
+            raise MalformedManifestError(
+                f"window at {window_start} overlaps already-simulated time {self._clock}"
+            )
         window_end = window_start + window_ns
         fifos = self._fifos
         depth = self._depth
-        ids = manifest.pkt_id
-        if ids:
-            self._seen_ids.update(ids)
-            capacity = self.params.queue_capacity
-            for entry in zip(
-                repeat(window_start), ids, manifest.pkt_lengths, src_agents, dst_agents,
-                manifest.src_ip, manifest.dst_ip,
-            ):
-                src = entry[3]
-                queued = depth.get(src, 0)
-                if queued >= capacity:
-                    self.dropped_total += 1
-                    self.dropped_ids.append(entry[1])
-                    continue
-                key = (src, entry[4])
-                fifo = fifos.get(key)
-                if fifo is None:
-                    fifos[key] = deque((entry,))
-                elif fifo[-1] > entry:
-                    # ids out of order within one window: keep the FIFO sorted
-                    bisect.insort(fifo, entry)
-                else:
-                    fifo.append(entry)
-                depth[src] = queued + 1
+        capacity = self.params.queue_capacity
+        for row in packets:
+            src = row[4]
+            queued = depth.get(src, 0)
+            if queued >= capacity:
+                self.dropped_total += 1
+                self.dropped_ids.append(row[0])
+                continue
+            entry = (window_start, row)
+            key = (src, row[5])
+            fifo = fifos.get(key)
+            if fifo is None:
+                fifos[key] = deque((entry,))
+            elif fifo[-1] > entry:
+                # ids out of order within one window: keep the FIFO sorted
+                bisect.insort(fifo, entry)
+            else:
+                fifo.append(entry)
+            depth[src] = queued + 1
 
         links = self._links
         events = self.events
@@ -387,17 +370,15 @@ class ReferenceNetSim:
         inflight = self._inflight
         busy_until = self._busy_until
         cleared = []
-        bers = []
         while True:
             if inflight is not None:
-                tx_end, ber, entry = inflight
+                tx_end, ber, row = inflight
                 if tx_end > window_end:
                     break
                 inflight = None
-                cleared.append(entry)
-                bers.append(ber)
+                cleared.append((row, ber))
                 if events is not None:
-                    events.append(MediumEvent(tx_end, _TX_END, entry[1], entry[5], entry[6]))
+                    events.append(MediumEvent(tx_end, _TX_END, row[0], row[2], row[3]))
             tx_start = busy_until if busy_until > window_start else window_start
             if tx_start >= window_end:
                 break
@@ -419,87 +400,18 @@ class ReferenceNetSim:
             fifo.popleft()
             if not fifo:
                 del fifos[best_key]
-            depth[best[3]] -= 1
+            row = best[1]
+            depth[row[4]] -= 1
             if events is not None:
-                events.append(MediumEvent(tx_start, _TX_START, best[1], best[5], best[6]))
-            busy_until = tx_start + overhead + round(best[2] * 8e9 / best_link[0])
-            inflight = (busy_until, best_link[1], best)
+                events.append(MediumEvent(tx_start, _TX_START, row[0], row[2], row[3]))
+            busy_until = tx_start + overhead + round(row[1] * 8e9 / best_link[0])
+            inflight = (busy_until, best_link[1], row)
         self._inflight = inflight
         self._busy_until = busy_until
         self._clock = window_end
-
-        if not cleared:
-            return NetworkUpdate(MsgType.END, window_start)
         self.cleared_total += len(cleared)
-        _, clear_ids, _, _, _, src_ips, dst_ips = zip(*cleared)
-        return NetworkUpdate(
-            MsgType.END, window_start, (), (), (), (), clear_ids, src_ips, dst_ips, tuple(bers)
-        )
+        return cleared
 
     @property
     def queued_count(self) -> int:
         return sum(self._depth.values()) + (1 if self._inflight else 0)
-
-    def _trusts(self, address_map: tuple) -> bool:
-        """Whether agent ids resolved over `address_map`, a coordinator's
-        checked map, are this simulator's.  Decided once per map object."""
-        if address_map is not self._mark_map:
-            self._mark_map = address_map
-            self._mark_trusted = {ip: a for a, ip in address_map} == self._agent_of_ip
-        return self._mark_trusted
-
-    def _check_window(
-        self, manifest: NetworkUpdate, window_start: int, window_ns: int
-    ) -> None:
-        """The checks of a manifest that need this simulator's clock."""
-        if manifest.msg_type is not MsgType.BEGIN:
-            raise MalformedManifestError("manifest must be a BEGIN message")
-        if manifest.time_val != window_start:
-            raise MalformedManifestError(
-                f"manifest is for t={manifest.time_val}, window starts at {window_start}"
-            )
-        if window_ns < 0:
-            raise MalformedManifestError(f"window length must be >= 0, got {window_ns}")
-        if window_start < self._clock:
-            raise MalformedManifestError(
-                f"window at {window_start} overlaps already-simulated time {self._clock}"
-            )
-
-    def _validate_manifest(
-        self, manifest: NetworkUpdate, window_start: int, window_ns: int
-    ) -> tuple[list[int], list[int]]:
-        """Raise MalformedManifestError unless `manifest` is a well-formed
-        BEGIN for this window; return its packets' src and dst agents."""
-        if not isinstance(manifest, NetworkUpdate):
-            raise MalformedManifestError(f"manifest must be a NetworkUpdate, got {manifest!r}")
-        self._check_window(manifest, window_start, window_ns)
-        if manifest.clear_pkt_id or manifest.clear_src_ip or manifest.clear_dst_ip or manifest.ber:
-            raise MalformedManifestError("manifest must not carry clearance fields")
-        # the manifest's structure (aligned lists, u64/u32 ranges, unique
-        # ids) is the wire check's; what follows needs this simulator's
-        # state.  Map membership implies a valid IPv4 string.
-        try:
-            wire.validate_network_update(manifest)
-        except wire.InvariantViolation as exc:
-            raise MalformedManifestError(str(exc)) from exc
-        seen = self._seen_ids
-        agent_of_ip = self._agent_of_ip
-        src_agents, dst_agents = [], []
-        for pkt_id, length, src_ip, dst_ip in zip(
-            manifest.pkt_id, manifest.pkt_lengths, manifest.src_ip, manifest.dst_ip
-        ):
-            if pkt_id in seen:
-                raise MalformedManifestError(f"pkt_id {pkt_id} was already submitted")
-            if length < 1:
-                raise MalformedManifestError(f"pkt_id {pkt_id} has empty payload")
-            src = agent_of_ip.get(src_ip)
-            dst = agent_of_ip.get(dst_ip)
-            if src is None or dst is None:
-                ip = src_ip if src is None else dst_ip
-                raise MalformedManifestError(f"address {ip} is not a configured agent")
-            if src == dst:
-                raise MalformedManifestError(f"pkt_id {pkt_id} is self-addressed")
-            src_agents.append(src)
-            dst_agents.append(dst)
-        return src_agents, dst_agents
-

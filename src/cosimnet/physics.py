@@ -330,15 +330,17 @@ def step_world(
 
 
 # Pair-box tests per extraction from which the vector path runs.  Scalar /
-# vector us per extraction on random fields of 3-15 m boxes, one pinned CPU:
+# vector us per extraction, the median over 16 random fields of 3-15 m
+# boxes in a 120 m square, broad phase kept, one pinned CPU of a 2-vCPU host:
 #   tests   1 pair    3 pairs   6 pairs   15 pairs
-#   ~64     7 / 26    9 / 27    11 / 27   14 / 27
-#   120     17 / 27   16 / 27   15 / 27   23 / 28
-#   240     23 / 28   28 / 28   27 / 28   38 / 29
-#   360     33 / 28   55 / 31   36 / 29   44 / 29
-# They tie at 180-360 tests, but it stays at 120 so that the lockstep
-# oracle's swarm6 world (15 pairs x 8 boxes) still runs the vector path.
-VECTOR_MIN_TESTS = 120
+#   120     24 / 36   26 / 66   24 / 36   31 / 37
+#   180     20 / 35   33 / 37   31 / 37   39 / 38
+#   240     37 / 37   38 / 36   41 / 37   61 / 40
+#   300     72 / 65   41 / 37   44 / 38   56 / 39
+#   360     49 / 38   42 / 37   59 / 39   58 / 38
+# The scalar path is the faster one in most fields below 240 tests, the
+# vector path from 240 on.
+VECTOR_MIN_TESTS = 240
 
 # Relative widening of the broad phase's bounds, as a share of the largest
 # coordinate in reach.  It covers the rounding of three float computations,

@@ -4,8 +4,9 @@ Both sides run the same handshake, `run_lockstep`.  A side starts by
 announcing window zero, then for every window it: waits for the peer's
 BEGIN carrying the current time, runs its local simulator over [t, t + W),
 sends its END for the window (the physics side attaches compressed channel
-data, the network side attaches clearances), announces the next window with
-a BEGIN, and finally waits for the peer's END of the window just finished.
+data; the network side's END is a bare marker), announces the next window
+with a BEGIN, and finally waits for the peer's END of the window just
+finished.
 Blocking on the peer END at the tail is what keeps both sides within the
 same window: neither side can start the next window until the other has
 finished simulating this one.

@@ -9,17 +9,17 @@ Every message travels in a self-delimiting frame:
 
 Tag 0x00 carries a PhysicsUpdate, tag 0x01 a NetworkUpdate.  Payload fields
 are packed in declaration order: enums as one byte, integers little-endian
-fixed width, floats as IEEE-754 doubles (little-endian), IPv4 addresses as
-four bytes in network order.  Every list is prefixed with a u32 element
-count and byte strings with a u32 length.  Address syntax is checked where
-an address is encoded, once; four decoded bytes are always an address.
+fixed width, floats as IEEE-754 doubles (little-endian).  Every list is
+prefixed with a u32 element count and byte strings with a u32 length.  A
+NetworkUpdate is a bare window marker, one enum byte and a u64 time, so
+its frame is 18 bytes: the network side's packets never cross the wire,
+because the coordinator and its netsim share a process.
 
 The message records store their fields as given, with one constructor
-each and no conversion.  Their producers pass the declared types (tuples
-of ints, floats and strings, a bool, `MsgType` members): the physics side
-computes from what the scenario parser typed, and the decoders build
-records from `struct` and `inet_ntoa` values.  The one conversion left is
-`PhysicsUpdate.channel_data` to bytes.
+each and no conversion.  Their producers pass the declared types (ints,
+floats, a bool, `MsgType` members): the physics side computes from what
+the scenario parser typed, and the decoders build records from `struct`
+values.  The one conversion left is `PhysicsUpdate.channel_data` to bytes.
 
 A channel snapshot (ChannelData) is held as columns: a tuple of pose rows,
 the listed pairs, their LOS flags, and their paths' hop counts and hop rows
@@ -53,7 +53,6 @@ from enum import IntEnum
 from functools import lru_cache
 from itertools import accumulate, starmap
 from operator import itemgetter
-from socket import inet_ntoa
 from types import MappingProxyType
 from typing import Mapping
 
@@ -355,40 +354,15 @@ class PhysicsUpdate:
         object.__setattr__(self, "channel_data", bytes(self.channel_data))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class NetworkUpdate:
-    """Window marker from the network side.
-
-    BEGIN frames list newly captured packets (the manifest); END frames list
-    packets cleared during the window together with the bit error rate each
-    one saw on the air.
+    """Window marker from the network side: a BEGIN or an END and the
+    window's start time, nothing more.  Its packets stay in the network
+    side's process, as rows passed between the coordinator and its netsim.
     """
 
     msg_type: MsgType
     time_val: int
-    pkt_id: tuple[int, ...] = ()
-    pkt_lengths: tuple[int, ...] = ()
-    src_ip: tuple[str, ...] = ()
-    dst_ip: tuple[str, ...] = ()
-    clear_pkt_id: tuple[int, ...] = ()
-    clear_src_ip: tuple[str, ...] = ()
-    clear_dst_ip: tuple[str, ...] = ()
-    ber: tuple[float, ...] = ()
-
-    def __init__(
-        self, msg_type, time_val, pkt_id=(), pkt_lengths=(), src_ip=(), dst_ip=(),
-        clear_pkt_id=(), clear_src_ip=(), clear_dst_ip=(), ber=(),
-    ):
-        # One dict update, where the generated frozen __init__ makes one
-        # object.__setattr__ per field: 0.55 against 1.2-1.3 us a record on
-        # a 2-vCPU Xeon host, and the network side builds two a window, its
-        # manifest and its END.
-        self.__dict__.update(
-            msg_type=msg_type, time_val=time_val, pkt_id=pkt_id,
-            pkt_lengths=pkt_lengths, src_ip=src_ip, dst_ip=dst_ip,
-            clear_pkt_id=clear_pkt_id, clear_src_ip=clear_src_ip,
-            clear_dst_ip=clear_dst_ip, ber=ber,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -574,49 +548,10 @@ def validate_physics_update(msg: PhysicsUpdate) -> None:
             ) from exc
 
 
-def _ragged(msg: NetworkUpdate, lists: str, names) -> InvariantViolation:
-    lens = {name: len(getattr(msg, name)) for name in names}
-    return InvariantViolation(f"NetworkUpdate {lists} lists must share one length, got {lens}")
-
-
 def validate_network_update(msg: NetworkUpdate) -> None:
-    """Raise InvariantViolation, naming the first bad field, unless `msg` is
-    well formed: aligned lists, ids in u64 range and unique within their
-    list, lengths in u32 range, bit error rates in [0, 1].
-
-    No string work on valid input.  Address syntax is the codec's:
-    `encode_frame` parses each address once, and a decoded address is
-    valid by construction.
-    """
     if msg.msg_type not in _MSG_TYPES:
         raise InvariantViolation(f"NetworkUpdate.msg_type: unknown value {msg.msg_type}")
-    if not 0 <= msg.time_val < 2**64:
-        _check_u64(msg.time_val, "NetworkUpdate.time_val")
-    ids, lengths, clear_ids, ber = msg.pkt_id, msg.pkt_lengths, msg.clear_pkt_id, msg.ber
-    n = len(ids)
-    if not n == len(lengths) == len(msg.src_ip) == len(msg.dst_ip):
-        raise _ragged(msg, "manifest", ("pkt_id", "pkt_lengths", "src_ip", "dst_ip"))
-    m = len(clear_ids)
-    if not m == len(msg.clear_src_ip) == len(msg.clear_dst_ip) == len(ber):
-        raise _ragged(msg, "clearance", ("clear_pkt_id", "clear_src_ip", "clear_dst_ip", "ber"))
-    for pid in ids:
-        if not 0 <= pid < 2**64:
-            _check_u64(pid, "NetworkUpdate.pkt_id")
-    if n > 1 and len(set(ids)) != n:
-        raise InvariantViolation("NetworkUpdate.pkt_id: duplicate packet id in manifest")
-    for length in lengths:
-        if not 0 <= length < 2**32:
-            _check_u32(length, "NetworkUpdate.pkt_lengths")
-    for pid in clear_ids:
-        if not 0 <= pid < 2**64:
-            _check_u64(pid, "NetworkUpdate.clear_pkt_id")
-    if m > 1 and len(set(clear_ids)) != m:
-        raise InvariantViolation(
-            "NetworkUpdate.clear_pkt_id: duplicate packet id in clearances"
-        )
-    for b in ber:
-        if not (0.0 <= b <= 1.0):
-            raise InvariantViolation(f"NetworkUpdate.ber: {b!r} outside [0, 1]")
+    _check_u64(msg.time_val, "NetworkUpdate.time_val")
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +609,6 @@ class _Reader:
     def raw(self, n: int, fieldname: str) -> bytes:
         return self._take(n, fieldname)
 
-    def _items(self, size: int, fieldname: str) -> tuple[int, bytes]:
-        """A u32 count, then the bytes of that many `size`-byte items.  A
-        truncated list names the first item that does not fit."""
-        count = self.u32(f"{fieldname}.count")
-        return count, self.rows(count, size, fieldname)
-
     def rows(self, count: int, size: int, fieldname: str) -> bytes:
         """The bytes of `count` items of `size` bytes each.  A truncated
         list names the first item that does not fit."""
@@ -687,17 +616,6 @@ class _Reader:
             first = (len(self.data) - self.pos) // size
             raise FrameError(f"{self.what}.{fieldname}[{first}]: payload truncated")
         return self._take(count * size, fieldname)
-
-    def array(self, code: str, fieldname: str) -> tuple:
-        """A counted list of little-endian values of struct code `code`."""
-        count, raw = self._items(struct.calcsize(code), fieldname)
-        return struct.unpack(f"<{count}{code}", raw)
-
-    def ipv4_list(self, fieldname: str) -> tuple[str, ...]:
-        """A counted list of IPv4 addresses, four bytes each in network
-        order; any four bytes are a valid address."""
-        _, raw = self._items(4, fieldname)
-        return tuple(inet_ntoa(raw[i : i + 4]) for i in range(0, len(raw), 4))
 
     def finish(self) -> None:
         if self.pos != len(self.data):
@@ -801,37 +719,8 @@ def _encode_physics_payload(msg: PhysicsUpdate) -> bytes:
     )
 
 
-def _encode_array(code: str, values) -> bytes:
-    return _U32.pack(len(values)) + struct.pack(f"<{len(values)}{code}", *values)
-
-
-def _encode_ip_list(addrs, what: str) -> bytes:
-    """A counted list of IPv4 addresses.  This is the one check of address
-    syntax on the wire: each address is parsed once, here."""
-    parts = [_U32.pack(len(addrs))]
-    for addr in addrs:
-        try:
-            parts.append(ipaddress.IPv4Address(addr).packed)
-        except ValueError:
-            raise InvariantViolation(f"{what}: {addr!r} is not an IPv4 address") from None
-    return b"".join(parts)
-
-
 def _encode_network_payload(msg: NetworkUpdate) -> bytes:
-    return b"".join(
-        [
-            bytes([int(msg.msg_type)]),
-            _U64.pack(msg.time_val),
-            _encode_array("Q", msg.pkt_id),
-            _encode_array("I", msg.pkt_lengths),
-            _encode_ip_list(msg.src_ip, "NetworkUpdate.src_ip"),
-            _encode_ip_list(msg.dst_ip, "NetworkUpdate.dst_ip"),
-            _encode_array("Q", msg.clear_pkt_id),
-            _encode_ip_list(msg.clear_src_ip, "NetworkUpdate.clear_src_ip"),
-            _encode_ip_list(msg.clear_dst_ip, "NetworkUpdate.clear_dst_ip"),
-            _encode_array("d", msg.ber),
-        ]
-    )
+    return bytes([int(msg.msg_type)]) + _U64.pack(msg.time_val)
 
 
 def encode_frame(msg: PhysicsUpdate | NetworkUpdate) -> bytes:
@@ -875,29 +764,8 @@ def _decode_network_payload(payload: bytes) -> NetworkUpdate:
     r = _Reader(payload, "NetworkUpdate")
     msg_type = _decode_msg_type(r, "NetworkUpdate")
     time_val = r.u64("time_val")
-    pkt_id = r.array("Q", "pkt_id")
-    pkt_lengths = r.array("I", "pkt_lengths")
-    src_ip = r.ipv4_list("src_ip")
-    dst_ip = r.ipv4_list("dst_ip")
-    clear_pkt_id = r.array("Q", "clear_pkt_id")
-    clear_src_ip = r.ipv4_list("clear_src_ip")
-    clear_dst_ip = r.ipv4_list("clear_dst_ip")
-    ber = r.array("d", "ber")
     r.finish()
-    msg = NetworkUpdate(
-        msg_type=msg_type,
-        time_val=time_val,
-        pkt_id=pkt_id,
-        pkt_lengths=pkt_lengths,
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        clear_pkt_id=clear_pkt_id,
-        clear_src_ip=clear_src_ip,
-        clear_dst_ip=clear_dst_ip,
-        ber=ber,
-    )
-    validate_network_update(msg)
-    return msg
+    return NetworkUpdate(msg_type, time_val)
 
 
 def frame_size(buf: bytes | bytearray) -> int | None:

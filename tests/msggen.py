@@ -60,10 +60,6 @@ def random_channel_data(rng: random.Random, max_agents: int = 16) -> wire.Channe
     return wire.ChannelData(node_list=nodes, path_details=tuple(paths))
 
 
-def random_ipv4(rng: random.Random) -> str:
-    return "10.%d.%d.%d" % (rng.randint(0, 255), rng.randint(0, 255), rng.randint(1, 254))
-
-
 def random_physics_update(rng: random.Random, max_agents: int = 16) -> wire.PhysicsUpdate:
     msg_type = wire.MsgType.BEGIN if rng.random() < 0.5 else wire.MsgType.END
     t = rng.randrange(0, 2**63) if rng.random() < 0.3 else rng.randrange(0, 10**10)
@@ -77,29 +73,8 @@ def random_physics_update(rng: random.Random, max_agents: int = 16) -> wire.Phys
 
 def random_network_update(rng: random.Random) -> wire.NetworkUpdate:
     msg_type = wire.MsgType.BEGIN if rng.random() < 0.5 else wire.MsgType.END
-    t = rng.randrange(0, 10**10)
-    n_manifest = rng.randint(0, 12)
-    ids = rng.sample(range(0, 2**40), n_manifest)
-    lengths = tuple(rng.randint(1, 65535) for _ in range(n_manifest))
-    srcs = tuple(random_ipv4(rng) for _ in range(n_manifest))
-    dsts = tuple(random_ipv4(rng) for _ in range(n_manifest))
-    n_clear = rng.randint(0, 12)
-    clear_ids = rng.sample(range(0, 2**40), n_clear)
-    clear_srcs = tuple(random_ipv4(rng) for _ in range(n_clear))
-    clear_dsts = tuple(random_ipv4(rng) for _ in range(n_clear))
-    bers = tuple(rng.choice([0.0, 1.0, rng.random()]) for _ in range(n_clear))
-    return wire.NetworkUpdate(
-        msg_type=msg_type,
-        time_val=t,
-        pkt_id=tuple(ids),
-        pkt_lengths=lengths,
-        src_ip=srcs,
-        dst_ip=dsts,
-        clear_pkt_id=tuple(clear_ids),
-        clear_src_ip=clear_srcs,
-        clear_dst_ip=clear_dsts,
-        ber=bers,
-    )
+    t = rng.randrange(0, 2**63) if rng.random() < 0.3 else rng.randrange(0, 10**10)
+    return wire.NetworkUpdate(msg_type, t)
 
 
 def random_message(rng: random.Random, max_agents: int = 16):

@@ -2,11 +2,13 @@
 
 Before packets became plain rows, a captured packet was a frozen
 `CapturedPacket`, the netsim queued a `_Queued` record per packet and kept a
-`_InFlight` record on the air, every manifest went through the full check,
-and release appended a `DeliveryRecord` to a list.  `ObjectNetSim` and
-`ObjectCoordinator` are that path, as it was, over the same radio model
-and link rows: `ObjectNetSim.apply_channel` also recomputes every row on
-every update, where `ReferenceNetSim` keeps them across equal columns.
+`_InFlight` record on the air, and release appended a `DeliveryRecord` to a
+list.  `ObjectNetSim` and `ObjectCoordinator` are that path over the same
+radio model and link rows, speaking the netsim's row interface: the
+coordinator builds each packet's row from its record when it hands the
+window's packets over, and the netsim hands the row back, as it was, with
+its BER.  `ObjectNetSim.apply_channel` also recomputes every row on every
+update, where `ReferenceNetSim` keeps them across equal columns.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from cosimnet.netsim import (
     ReferenceNetSim,
 )
 from cosimnet.sync import ProtocolError
-from cosimnet.wire import MsgType, NetworkUpdate
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,7 @@ class _Queued:
     dst_agent: int
     src_ip: str
     dst_ip: str
+    row: tuple  # the row as handed in, handed back when cleared
 
 
 def _key(entry: _Queued) -> tuple[int, int]:
@@ -60,8 +62,8 @@ class _InFlight:
 
 
 class ObjectNetSim(ReferenceNetSim):
-    """`ReferenceNetSim` with a record per queued and in-flight packet,
-    every manifest checked in full, and fresh link rows on every update."""
+    """`ReferenceNetSim` with a record per queued and in-flight packet and
+    fresh link rows on every update."""
 
     def apply_channel(self, cd):
         try:
@@ -71,21 +73,18 @@ class ObjectNetSim(ReferenceNetSim):
         self._channel = cd
         self._rows = cd.pair_rows
         self._links = {}
-        self._states = {}
 
-    def advance(self, window_start, window_ns, manifest):
-        src_agents, dst_agents = self._validate_manifest(manifest, window_start, window_ns)
+    def advance(self, window_start, window_ns, packets):
         window_end = window_start + window_ns
-        for pkt_id, length, src_ip, dst_ip, src_agent, dst_agent in zip(
-            manifest.pkt_id, manifest.pkt_lengths, manifest.src_ip, manifest.dst_ip,
-            src_agents, dst_agents,
-        ):
-            self._seen_ids.add(pkt_id)
+        for row in packets:
+            pkt_id, length, src_ip, dst_ip, src_agent, dst_agent = row[:6]
             if self._depth.get(src_agent, 0) >= self.params.queue_capacity:
                 self.dropped_total += 1
                 self.dropped_ids.append(pkt_id)
                 continue
-            entry = _Queued(window_start, pkt_id, length, src_agent, dst_agent, src_ip, dst_ip)
+            entry = _Queued(
+                window_start, pkt_id, length, src_agent, dst_agent, src_ip, dst_ip, row
+            )
             fifo = self._fifos.setdefault((src_agent, dst_agent), deque())
             if fifo and _key(fifo[-1]) > _key(entry):
                 fifo.insert(bisect.bisect(fifo, _key(entry), key=_key), entry)
@@ -124,15 +123,7 @@ class ObjectNetSim(ReferenceNetSim):
             self._inflight = _InFlight(entry, ber, tx_start, tx_start + service_ns)
             self._busy_until = tx_start + service_ns
         self._clock = window_end
-
-        return NetworkUpdate(
-            MsgType.END,
-            window_start,
-            clear_pkt_id=tuple(f.entry.pkt_id for f in cleared),
-            clear_src_ip=tuple(f.entry.src_ip for f in cleared),
-            clear_dst_ip=tuple(f.entry.dst_ip for f in cleared),
-            ber=tuple(f.ber for f in cleared),
-        )
+        return [(f.entry.row, f.ber) for f in cleared]
 
     def _next_eligible(self):
         best = None
@@ -156,12 +147,13 @@ class ObjectNetSim(ReferenceNetSim):
 
 
 class ObjectCoordinator(NetworkCoordinator):
-    """`NetworkCoordinator` with a `CapturedPacket` per capture, unmarked
-    manifests, and a list of `DeliveryRecord`s for its ledger."""
+    """`NetworkCoordinator` with a `CapturedPacket` per capture, a row built
+    from it for the netsim, and a list of `DeliveryRecord`s for its ledger."""
 
     def __init__(self, config, netsim, backend, app_tick=None, on_channel=None):
         super().__init__(config, netsim, backend, app_tick, on_channel)
         self._addresses = set(config.addresses)
+        self._agent = {ip: agent for agent, ip in config.agent_address_map}
         self.ledger = []
 
     def capture(self, src, dst, payload):
@@ -187,28 +179,18 @@ class ObjectCoordinator(NetworkCoordinator):
             batch.append(self._pending.popleft())
         for pkt in batch:
             self._held[pkt.pkt_id] = pkt
-        return NetworkUpdate(
-            MsgType.BEGIN,
-            t,
-            pkt_id=tuple(p.pkt_id for p in batch),
-            pkt_lengths=tuple(len(p.payload) for p in batch),
-            src_ip=tuple(p.src for p in batch),
-            dst_ip=tuple(p.dst for p in batch),
-        )
+        return [
+            (
+                p.pkt_id, len(p.payload), p.src, p.dst, self._agent[p.src], self._agent[p.dst],
+                p.captured_at, p.payload,
+            )
+            for p in batch
+        ]
 
-    def release(self, clearances):
-        if clearances.msg_type is not MsgType.END:
-            raise ProtocolError("clearances must arrive in an END message")
-        fields = (
-            clearances.clear_pkt_id,
-            clearances.clear_src_ip,
-            clearances.clear_dst_ip,
-            clearances.ber,
-        )
-        if len({len(f) for f in fields}) != 1:
-            raise ProtocolError("clearance lists are misaligned")
+    def release(self, t, cleared):
         released = 0
-        for pkt_id, src, dst, ber in zip(*fields):
+        for row, ber in cleared:
+            pkt_id = row[0]
             pkt = self._held.pop(pkt_id, None)
             if pkt is None:
                 if pkt_id in self._expired_ids:
@@ -218,17 +200,13 @@ class ObjectCoordinator(NetworkCoordinator):
                 raise ProtocolError(
                     f"simulator cleared pkt_id {pkt_id} that was never submitted"
                 )
-            if (src, dst) != (pkt.src, pkt.dst):
-                raise ProtocolError(
-                    f"clearance for pkt_id {pkt_id} names {src}->{dst}, "
-                    f"captured as {pkt.src}->{pkt.dst}"
-                )
+            assert row[:4] == (pkt_id, len(pkt.payload), pkt.src, pkt.dst), row
             payload = apply_ber(pkt.payload, ber, self._rng)
             self._backend.deliver(pkt.dst, payload)
             self.ledger.append(
                 DeliveryRecord(
                     pkt_id, pkt.src, pkt.dst, len(pkt.payload),
-                    pkt.captured_at, clearances.time_val, ber,
+                    pkt.captured_at, t, ber,
                 )
             )
             self.released_total += 1

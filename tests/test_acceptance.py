@@ -237,14 +237,10 @@ def test_02_wire_roundtrip_and_malformed_frames():
     with pytest.raises(wire.FrameError, match="cap"):
         wire.decode_frame(over_cap)
 
-    rich = wire.encode_frame(
-        NetworkUpdate(
-            MsgType.BEGIN, 0, pkt_id=(1, 2), pkt_lengths=(10, 20),
-            src_ip=("10.0.0.1", "10.0.0.1"), dst_ip=("10.0.0.2", "10.0.0.2"),
-        )
-    )
-    cut = rich[9:-6]  # truncated payload, declared length fixed up to match
-    with pytest.raises(wire.FrameError):
+    marker = wire.encode_frame(NetworkUpdate(MsgType.BEGIN, 0))
+    assert len(marker) == 18
+    cut = marker[9:-6]  # truncated payload, declared length fixed up to match
+    with pytest.raises(wire.FrameError, match="time_val"):
         wire.decode_frame(b"RNS1" + b"\x01" + struct.pack("<I", len(cut)) + cut)
 
     with pytest.raises(wire.InvariantViolation, match="orientation"):
@@ -263,13 +259,8 @@ def test_02_wire_roundtrip_and_malformed_frames():
                 (wire.PathDetails((0, 1), False, (2,), ((0.5, 0.0, 0.0, 3.0),)),),
             )
         )
-    with pytest.raises(wire.InvariantViolation, match="ber"):
-        wire.encode_frame(
-            NetworkUpdate(
-                MsgType.END, 0, clear_pkt_id=(1,), clear_src_ip=("10.0.0.1",),
-                clear_dst_ip=("10.0.0.2",), ber=(1.5,),
-            )
-        )
+    with pytest.raises(wire.InvariantViolation, match="time_val"):
+        wire.encode_frame(NetworkUpdate(MsgType.END, 2**64))
 
     cd = wire.ChannelData(two, (wire.PathDetails((0, 1), True, (0,), ()),))
     enc = bytearray(wire.encode_channel_data(cd))
@@ -448,22 +439,20 @@ def test_05_fifo_clearances_match_closed_form():
         expected_clear.append(clock)
 
     window_ns = 1_000_000
-    manifest = NetworkUpdate(
-        MsgType.BEGIN, 0,
-        pkt_id=tuple(range(5)),
-        pkt_lengths=lengths,
-        src_ip=("10.0.0.1",) * 5,
-        dst_ip=("10.0.0.2",) * 5,
-    )
+    # the coordinator's rows: (pkt_id, length, src, dst, src agent, dst
+    # agent, captured_at, payload)
+    manifest = [
+        (pkt_id, length, "10.0.0.1", "10.0.0.2", 0, 1, 0, bytes(length))
+        for pkt_id, length in enumerate(lengths)
+    ]
     cleared_in_window = {}
     cleared_bers = []
     for w in range(10):
         t = w * window_ns
-        update = manifest if w == 0 else NetworkUpdate(MsgType.BEGIN, t)
-        end = sim.advance(t, window_ns, update)
-        for pkt_id in end.clear_pkt_id:
-            cleared_in_window[pkt_id] = t
-        cleared_bers.extend(end.ber)
+        cleared = sim.advance(t, window_ns, manifest if w == 0 else [])
+        for row, ber in cleared:
+            cleared_in_window[row[0]] = t
+            cleared_bers.append(ber)
 
     tx_ends = {
         e.pkt_id: e.time for e in sim.events if e.kind.name == "TX_END"

@@ -1,7 +1,7 @@
 """Module boundaries that keep one cross-process protocol, one owner of
 the channel-blob format, one parser of IPv4 addresses, one way to run
-each side (a loop on the calling thread), no device I/O, and one public
-surface."""
+each side (a loop on the calling thread), packets that stay rows on the
+network side, no device I/O, and one public surface."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import ast
 from pathlib import Path
 
 import cosimnet
+from cosimnet import scenario, wire
 
 PACKAGE = Path(cosimnet.__file__).parent
 BLOB_FORMAT = {"compress_channel_blob", "decompress_channel_blob", "decode_channel_data"}
@@ -62,11 +63,38 @@ def test_only_wire_parses_ipv4_addresses():
 
 
 def test_only_sync_and_wire_import_socket():
-    # sync owns the peer link; wire reads addresses with inet_ntoa
+    # sync owns the peer link; wire, which carries no addresses, needs none
     for path in sorted(PACKAGE.rglob("*.py")):
-        if path.stem in ("sync", "wire"):
+        if path.stem == "sync":
             continue
         assert "socket" not in top_level_imports(path), path.relative_to(PACKAGE)
+
+
+def test_netsim_builds_no_network_messages():
+    tree = parse("netsim")
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {name.rsplit(".", 1)[-1] for name in imported_names(tree)}
+    assert not used & {"MsgType", "NetworkUpdate"}, sorted(used & {"MsgType", "NetworkUpdate"})
+
+
+def test_an_in_process_run_builds_no_network_update(tmp_path, monkeypatch):
+    """In process the coordinator hands the netsim its rows and takes rows
+    back: a whole patrol run constructs no `NetworkUpdate`."""
+    built = []
+    init = wire.NetworkUpdate.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(wire.NetworkUpdate, "__init__", counted_init)
+    wire.NetworkUpdate(wire.MsgType.END, 0)  # the counter counts
+    assert len(built) == 1
+    config = scenario.load_scenario(Path(scenario.__file__).parent / "scenarios" / "patrol.json")
+    result = scenario.run_scenario(config, tmp_path)
+    assert result.net_summary.released_total > 0
+    assert len(built) == 1
 
 
 def test_no_module_imports_fcntl():

@@ -21,7 +21,7 @@ from cosimnet.net_coord import (
 )
 from cosimnet.netsim import RadioParams, ReferenceNetSim
 from cosimnet.sync import ProtocolError, Role, RunStats, SocketLink, run_lockstep
-from cosimnet.wire import MsgType, NetworkUpdate, PathDetails, PhysicsUpdate, Pose
+from cosimnet.wire import MsgType, PathDetails, PhysicsUpdate, Pose
 
 W = 10_000_000  # 10 ms
 IPS = ("10.0.0.1", "10.0.0.2", "10.0.0.3")
@@ -63,9 +63,9 @@ class RecordingNetSim(ReferenceNetSim):
         super().__init__(*args, **kw)
         self.manifests = []
 
-    def advance(self, window_start, window_ns, manifest):
-        self.manifests.append((window_start, manifest.pkt_id))
-        return super().advance(window_start, window_ns, manifest)
+    def advance(self, window_start, window_ns, packets):
+        self.manifests.append((window_start, tuple(row[0] for row in packets)))
+        return super().advance(window_start, window_ns, packets)
 
 
 # -- config ------------------------------------------------------------------
@@ -133,22 +133,22 @@ def test_manifest_lists_pending_in_capture_order():
     coord, _, _ = rig()
     coord.capture(IPS[0], IPS[1], b"aa")
     coord.capture(IPS[1], IPS[0], b"bbb")
-    m = coord.build_manifest(W)
-    assert m.msg_type is MsgType.BEGIN and m.time_val == W
-    assert m.pkt_id == (0, 1)
-    assert m.pkt_lengths == (2, 3)
-    assert m.src_ip == (IPS[0], IPS[1])
-    assert m.dst_ip == (IPS[1], IPS[0])
+    rows = coord.build_manifest(W)
+    assert list(rows) == [
+        (0, 2, IPS[0], IPS[1], 0, 1, 0, b"aa"),
+        (1, 3, IPS[1], IPS[0], 1, 0, 0, b"bbb"),
+    ]
     assert coord.held_count == 2
-    assert coord.build_manifest(2 * W).pkt_id == ()
+    assert all(coord._held[row[0]] is row for row in rows)
+    assert not coord.build_manifest(2 * W)
 
 
 def test_manifest_excludes_same_window_captures():
     coord, _, _ = rig()
     coord.window_start = 5 * W
     coord.capture(IPS[0], IPS[1], b"late")
-    assert coord.build_manifest(5 * W).pkt_id == ()
-    assert coord.build_manifest(6 * W).pkt_id == (0,)
+    assert not coord.build_manifest(5 * W)
+    assert [row[0] for row in coord.build_manifest(6 * W)] == [0]
 
 
 def test_app_tick_sends_ride_the_next_manifest():
@@ -288,22 +288,15 @@ def held_three(coord):
     coord.capture(IPS[0], IPS[1], b"p0")
     coord.capture(IPS[0], IPS[1], b"p1")
     coord.capture(IPS[1], IPS[0], b"p2")
-    coord.build_manifest(W)
+    rows = list(coord.build_manifest(W))
     assert coord.held_count == 3
+    return rows
 
 
 def test_release_delivers_cleared_packets_and_keeps_the_rest():
     coord, _, backend = rig()
-    held_three(coord)
-    end = NetworkUpdate(
-        MsgType.END,
-        3 * W,
-        clear_pkt_id=(0, 2),
-        clear_src_ip=(IPS[0], IPS[1]),
-        clear_dst_ip=(IPS[1], IPS[0]),
-        ber=(0.0, 0.0),
-    )
-    assert coord.release(end) == 2
+    rows = held_three(coord)
+    assert coord.release(3 * W, [(rows[0], 0.0), (rows[2], 0.0)]) == 2
     assert backend.receive(IPS[1]) == b"p0"
     assert backend.receive(IPS[0]) == b"p2"
     assert backend.receive(IPS[1]) is None
@@ -314,58 +307,27 @@ def test_release_delivers_cleared_packets_and_keeps_the_rest():
 
 def test_release_of_unknown_id_is_a_protocol_error():
     coord, _, _ = rig()
-    held_three(coord)
-    end = NetworkUpdate(
-        MsgType.END, W, clear_pkt_id=(9,),
-        clear_src_ip=(IPS[0],), clear_dst_ip=(IPS[1],), ber=(0.0,),
-    )
+    rows = held_three(coord)
+    unknown = (9,) + rows[0][1:]
     with pytest.raises(ProtocolError, match="never submitted"):
-        coord.release(end)
-
-
-def test_release_checks_clearance_addresses():
-    coord, _, _ = rig()
-    held_three(coord)
-    end = NetworkUpdate(
-        MsgType.END, W, clear_pkt_id=(0,),
-        clear_src_ip=(IPS[1],), clear_dst_ip=(IPS[0],), ber=(0.0,),
-    )
-    with pytest.raises(ProtocolError, match="captured as"):
-        coord.release(end)
-
-
-def test_release_rejects_malformed_clearances():
-    coord, _, _ = rig()
-    with pytest.raises(ProtocolError, match="END"):
-        coord.release(NetworkUpdate(MsgType.BEGIN, W))
-    with pytest.raises(ProtocolError, match="misaligned"):
-        coord.release(
-            NetworkUpdate(
-                MsgType.END, W, clear_pkt_id=(0,),
-                clear_src_ip=(), clear_dst_ip=(IPS[1],), ber=(0.0,),
-            )
-        )
+        coord.release(W, [(unknown, 0.0)])
 
 
 def test_expired_packets_are_dropped_and_late_clearance_is_tolerated():
     coord, _, backend = rig(expiry_windows=1)
     coord.capture(IPS[0], IPS[1], b"stale")
-    coord.build_manifest(W)
+    (row,) = coord.build_manifest(W)
     coord._expire(W)  # age W: not yet older than one window
     assert coord.held_count == 1
     coord._expire(2 * W + 1)
     assert coord.held_count == 0
     assert coord.expired_total == 1
-    end = NetworkUpdate(
-        MsgType.END, 3 * W, clear_pkt_id=(0,),
-        clear_src_ip=(IPS[0],), clear_dst_ip=(IPS[1],), ber=(0.0,),
-    )
-    assert coord.release(end) == 0
+    assert coord.release(3 * W, [(row, 0.0)]) == 0
     assert coord.late_cleared_total == 1
     assert backend.receive(IPS[1]) is None
     # a second clearance of the same id really is unknown now
     with pytest.raises(ProtocolError, match="never submitted"):
-        coord.release(end)
+        coord.release(3 * W, [(row, 0.0)])
 
 
 class FullScanCoordinator(NetworkCoordinator):
@@ -401,7 +363,7 @@ def test_expiry_from_the_oldest_end_matches_the_full_scan(seed):
         for cls in (NetworkCoordinator, FullScanCoordinator)
     ]
     fast = pair[0]
-    route = {}  # pkt_id -> (src, dst)
+    route = {}  # pkt_id -> its row
     expired = []  # ids given up on and not yet cleared late
     for k in range(150):
         t = k * W
@@ -411,23 +373,16 @@ def test_expiry_from_the_oldest_end_matches_the_full_scan(seed):
             src, dst = rng.choice(3, size=2, replace=False)
             ids = {coord.capture(IPS[src], IPS[dst], b"x" * 8) for coord in pair}
             (pkt_id,) = ids
-            route[pkt_id] = (IPS[src], IPS[dst])
         for coord in pair:
-            coord.build_manifest(t)
+            route.update((row[0], row) for row in coord.build_manifest(t))
         # clear a random share of held packets, and now and then one that
         # already expired, out of capture order
         held = list(fast._held)
         cleared = [i for i in held if rng.random() < 0.15]
         cleared += [i for i in expired if rng.random() < 0.3]
         rng.shuffle(cleared)
-        end = NetworkUpdate(
-            MsgType.END, t, clear_pkt_id=tuple(cleared),
-            clear_src_ip=tuple(route[i][0] for i in cleared),
-            clear_dst_ip=tuple(route[i][1] for i in cleared),
-            ber=(0.0,) * len(cleared),
-        )
         for coord in pair:
-            coord.release(end)
+            coord.release(t, [(route[i], 0.0) for i in cleared])
         expired = [i for i in expired if i not in cleared]
         gone = [expire_recording(coord, t) for coord in pair]
         assert gone[0] == gone[1], (seed, k)
@@ -445,8 +400,8 @@ def test_packet_is_released_the_window_after_capture():
     coord, _, backend = rig()
     coord.simulate(0, W, None)
     pkt_id = coord.capture(IPS[0], IPS[1], b"payload-123")
-    end = coord.simulate(W, W, two_node_channel(1.0))
-    assert end.clear_pkt_id == (pkt_id,)
+    cleared = coord.simulate(W, W, two_node_channel(1.0))
+    assert [(row[0], ber) for row, ber in cleared] == [(pkt_id, 0.0)]
     assert backend.receive(IPS[1]) == b"payload-123"
     record = coord.ledger[0]
     assert record.captured_at == 0

@@ -1,12 +1,11 @@
 """The network window's row path against the object path it replaced.
 
 `tests/net_oracles.py` keeps the object path: a `CapturedPacket` per
-capture, a `_Queued`/`_InFlight` record per packet in the medium, every
-manifest checked in full, fresh link rows on every channel update and a
-list of `DeliveryRecord`s for the ledger.  Both paths run side by side,
-window by window, and must give the same END messages, medium events, held
-ids, ledger, counters, deliveries and random stream.  The last tests count
-who checks a coordinator's manifest.
+capture, a `_Queued`/`_InFlight` record per packet in the medium, fresh
+link rows on every channel update and a list of `DeliveryRecord`s for the
+ledger.  Both paths run side by side, window by window, and must give the
+same cleared rows and BERs, medium events, held ids, ledger, counters,
+deliveries and random stream.
 """
 
 from __future__ import annotations
@@ -17,17 +16,16 @@ import random
 
 import pytest
 
-from cosimnet import wire
 from cosimnet.flows import FlowHost
 from cosimnet.net_coord import InProcessBackend, NetCoordConfig, NetworkCoordinator
 from cosimnet.netsim import RadioParams, ReferenceNetSim
 from cosimnet.phys_coord import PhysCoordConfig, PhysicsStepper
 from cosimnet.physics import ReferencePhysicsSim
-from cosimnet.scenario import load_scenario, parse_scenario, run_scenario
-from cosimnet.wire import ChannelData, MsgType, NetworkUpdate, PathDetails, Pose
+from cosimnet.scenario import load_scenario, parse_scenario
+from cosimnet.wire import ChannelData, PathDetails, Pose
 
 from tests.net_oracles import ObjectCoordinator, ObjectNetSim
-from tests.test_lockstep_oracle import SCENARIOS, socket_link_pair, two_peer_run
+from tests.test_lockstep_oracle import SCENARIOS
 
 W = 1_000_000
 COORD_COUNTERS = (
@@ -72,7 +70,6 @@ class Side:
             **{name: getattr(self.coord, name) for name in COORD_COUNTERS},
             **{name: getattr(self.netsim, name) for name in NETSIM_COUNTERS},
             "dropped_ids": list(self.netsim.dropped_ids),
-            "seen_ids": set(self.netsim._seen_ids),
         }
 
 
@@ -136,7 +133,7 @@ def test_row_path_matches_the_object_path_on_the_bundled_worlds(name):
         ends = [side.coord.simulate(t, config.window_ns, channel) for side in sides]
         assert ends[0] == ends[1], (name, k)
         got = assert_sides_agree(new, old, (name, k))
-        totals["cleared"] += len(ends[0].clear_pkt_id)
+        totals["cleared"] += len(ends[0])
         totals["ledger"] += len(got["ledger"])
         channel = snapshot
     assert_runs_agree(new, old)
@@ -201,12 +198,6 @@ def next_channel(rng, n, last):
     return random_channel(rng, n)
 
 
-def mark_as_built(msg, amap, src_agents, dst_agents):
-    """`msg` marked as `NetworkCoordinator.build_manifest` marks its own."""
-    object.__setattr__(msg, "_agents", (amap, tuple(src_agents), tuple(dst_agents)))
-    return msg
-
-
 def run_coordinators(rng, seed):
     """Captures and channels at random through a coordinator of each path."""
     n = rng.randint(2, 4)
@@ -247,43 +238,36 @@ def run_coordinators(rng, seed):
 
 
 def run_netsims(rng, seed):
-    """Hand-built manifests, ids out of order within a window, into a
-    netsim of each path: marked as a coordinator's for the row path,
-    plain for the object path, which checks each in full."""
+    """Hand-built rows, ids out of order within a window, into a netsim of
+    each path."""
     n = rng.randint(2, 4)
     amap = tuple((i, f"10.0.3.{i + 1}") for i in range(n))
     params = RadioParams(queue_capacity=rng.randint(1, 6))
     new = ReferenceNetSim(params, dict(amap), trace_events=True)
     old = ObjectNetSim(params, dict(amap), trace_events=True)
     next_id, t, last, shuffled = 0, 0, None, 0
+    sent = {}
     for k in range(40):
         channel = next_channel(rng, n, last)
         if channel is not None:
             last = channel
             for sim in (new, old):
                 sim.apply_channel(channel)
-        entries = []
+        rows = []
         for _ in range(rng.choice((0, 1, 2, 4, 8))):
             src, dst = rng.sample(range(n), 2)
-            entries.append((next_id, rng.randint(40, 1500), src, dst))
+            length = rng.randint(40, 1500)
+            rows.append((next_id, length, amap[src][1], amap[dst][1], src, dst, t, b"x" * length))
             next_id += 1
         if rng.random() < 0.4:
-            rng.shuffle(entries)
-            shuffled += len(entries) > 1
-        fields = dict(
-            pkt_id=tuple(e[0] for e in entries),
-            pkt_lengths=tuple(e[1] for e in entries),
-            src_ip=tuple(amap[e[2]][1] for e in entries),
-            dst_ip=tuple(amap[e[3]][1] for e in entries),
-        )
-        marked = mark_as_built(
-            NetworkUpdate(MsgType.BEGIN, t, **fields), amap,
-            [e[2] for e in entries], [e[3] for e in entries],
-        )
+            rng.shuffle(rows)
+            shuffled += len(rows) > 1
         window_ns = rng.choice((0, W // 10, W, 3 * W))
-        got = new.advance(t, window_ns, marked)
-        assert got == old.advance(t, window_ns, NetworkUpdate(MsgType.BEGIN, t, **fields))
-        for name in (*NETSIM_COUNTERS, "dropped_ids", "_seen_ids", "events"):
+        got = new.advance(t, window_ns, rows)
+        assert got == old.advance(t, window_ns, rows)
+        sent.update((row[0], row) for row in rows)
+        assert all(row is sent[row[0]] for row, _ in got)  # handed back as handed in
+        for name in (*NETSIM_COUNTERS, "dropped_ids", "events"):
             assert getattr(new, name) == getattr(old, name), (seed, k, name)
         t += window_ns
     return shuffled
@@ -299,100 +283,3 @@ def test_row_path_matches_the_object_path_on_random_sequences():
             totals.update(run_coordinators(rng, seed))
     # the corpus reached drop-tail, expiry, late clearances and out-of-order ids
     assert min(totals.values()) > 20, totals
-
-
-# -- who checks a manifest --------------------------------------------------------
-
-
-def count_manifest_checks(monkeypatch):
-    """Count, per thread, the full manifest checks and the structural wire
-    checks of a manifest some coordinator built."""
-    built = []
-    calls = collections.Counter()
-    build = NetworkCoordinator.build_manifest
-    validate = wire.validate_network_update
-    check = ReferenceNetSim._validate_manifest
-
-    def recording_build(self, t):
-        msg = build(self, t)
-        built.append(msg)
-        return msg
-
-    def counted_validate(msg):
-        if any(msg is m for m in built):
-            calls["validate_network_update"] += 1
-        calls["validate_network_update, any message"] += 1
-        return validate(msg)
-
-    def counted_check(self, manifest, window_start, window_ns):
-        calls["_validate_manifest"] += 1
-        return check(self, manifest, window_start, window_ns)
-
-    monkeypatch.setattr(NetworkCoordinator, "build_manifest", recording_build)
-    monkeypatch.setattr(wire, "validate_network_update", counted_validate)
-    monkeypatch.setattr(ReferenceNetSim, "_validate_manifest", counted_check)
-    return built, calls
-
-
-def test_a_coordinators_manifests_are_not_checked_again(tmp_path, monkeypatch):
-    config = load_scenario(SCENARIOS / "static_los_30m.json", duration_ns=300 * W)
-    n = config.duration_ns // config.window_ns
-
-    built, calls = count_manifest_checks(monkeypatch)
-    run_scenario(config, tmp_path / "loop")
-    assert len(built) == n and sum(len(m.pkt_id) for m in built) > n
-    assert calls == {}
-
-    built.clear()
-    phys_link, net_link = socket_link_pair()
-    two_peer_run(config, phys_link, net_link, tmp_path / "split")
-    assert len(built) == n
-    # the split's frames are checked as they are encoded and decoded; the
-    # manifests never go on the wire, and the netsim takes them as built
-    assert calls["validate_network_update"] == 0
-    assert calls["_validate_manifest"] == 0
-    assert calls["validate_network_update, any message"] > 2 * n
-
-
-@pytest.mark.parametrize("netsim_map", [
-    ((0, "10.0.0.2"), (1, "10.0.0.1")),  # the same addresses, other ids
-    ((0, "10.0.0.1"), (1, "10.0.0.2"), (2, "10.0.0.3")),  # one more agent
-])
-def test_a_netsim_over_another_map_checks_each_manifest(monkeypatch, netsim_map):
-    amap = ((0, "10.0.0.1"), (1, "10.0.0.2"))
-    cfg = NetCoordConfig(W, amap)
-    cd = ChannelData(
-        (Pose((0.0, 0.0, 0.0)), Pose((10.0, 0.0, 0.0)), Pose((20.0, 0.0, 0.0))),
-        (PathDetails((0, 1), True, (0,), ()),),
-    )
-    built, calls = count_manifest_checks(monkeypatch)
-    sim = ReferenceNetSim(RadioParams(), dict(netsim_map))
-    backend = InProcessBackend(cfg.addresses)
-    coord = NetworkCoordinator(cfg, sim, backend)
-    for k in range(20):
-        coord.capture("10.0.0.1", "10.0.0.2", b"x" * 100)
-        coord.simulate(k * W, W, cd)
-    assert len(built) == 20
-    assert calls["_validate_manifest"] == calls["validate_network_update"] == 20
-    # the netsim resolved each packet's agents over its own map
-    assert coord.released_total == sim.cleared_total == 20
-    assert [r.pkt_id for r in coord.ledger] == list(range(20))
-
-
-def test_the_trust_in_a_map_is_decided_once():
-    amap = ((0, "10.0.0.1"), (1, "10.0.0.2"))
-    cfg = NetCoordConfig(W, amap)
-    sim = ReferenceNetSim(RadioParams(), dict(amap))
-    coord = NetworkCoordinator(cfg, sim, InProcessBackend(cfg.addresses))
-    decided = []
-
-    class Map(tuple):
-        def __iter__(self):  # the netsim reads the pairs only to decide
-            decided.append(1)
-            return super().__iter__()
-
-    coord._address_map = Map(cfg.agent_address_map)
-    for k in range(10):
-        coord.capture("10.0.0.1", "10.0.0.2", b"x" * 100)
-        coord.simulate(k * W, W, None)
-    assert decided == [1]

@@ -6,12 +6,15 @@ producer that passed a numpy scalar, an int for a float or a list for a
 tuple would change `repr` (which the timeline oracle compares) or break
 hashing, while `==` might still hold.  These tests run each producer in
 `src/` and check the type of every field: a tuple of `int`, `float` or
-`str`, a `bool` for `los`, and `MsgType` members.  The ledger's rows
-read back as `DeliveryRecord`s of the same exact types.
+`str`, a `bool` for `los`, and `MsgType` members.  The packet rows the
+coordinator hands the netsim, and those it hands back, hold exact types
+too, and the ledger's rows read back as `DeliveryRecord`s of the same
+exact types.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -70,11 +73,16 @@ def assert_update_types(msg):
             assert_channel_types(wire.channel_of(msg))
         return
     assert type(msg) is wire.NetworkUpdate
-    for name in ("pkt_id", "pkt_lengths", "clear_pkt_id"):
-        assert_tuple_of(getattr(msg, name), int)
-    for name in ("src_ip", "dst_ip", "clear_src_ip", "clear_dst_ip"):
-        assert_tuple_of(getattr(msg, name), str)
-    assert_tuple_of(msg.ber, float)
+    assert [f.name for f in dataclasses.fields(msg)] == ["msg_type", "time_val"]
+
+
+ROW_TYPES = (int, int, str, str, int, int, int, bytes)
+
+
+def assert_row_types(row):
+    """A packet row: (pkt_id, length, src, dst, src agent, dst agent,
+    captured_at, payload)."""
+    assert type(row) is tuple and tuple(map(type, row)) == ROW_TYPES, repr(row)
 
 
 def disk_document() -> dict:
@@ -89,7 +97,7 @@ WORLDS = {
         for path in sorted(SCENARIOS.glob("*.json"))
     },
     "disk": lambda: parse_scenario(disk_document()),
-    "vector": lambda: parse_scenario(swarm_document(windows=WINDOWS)),
+    "vector": lambda: parse_scenario(swarm_document(boxes=16, windows=WINDOWS)),
 }
 
 
@@ -100,8 +108,8 @@ def takes_vector_path(config) -> bool:
 
 
 class RecordingNetSim(ReferenceNetSim):
-    """The reference netsim, keeping every channel, manifest and END it
-    sees or makes."""
+    """The reference netsim, keeping every channel it sees, and the rows it
+    takes and clears in each window."""
 
     records: list = []
 
@@ -109,17 +117,17 @@ class RecordingNetSim(ReferenceNetSim):
         self.records.append(cd)
         super().apply_channel(cd)
 
-    def advance(self, window_start, window_ns, manifest):
-        end = super().advance(window_start, window_ns, manifest)
-        self.records += [manifest, end]
-        return end
+    def advance(self, window_start, window_ns, packets):
+        cleared = super().advance(window_start, window_ns, packets)
+        self.records.append((list(packets), cleared))
+        return cleared
 
 
 @pytest.mark.parametrize("name", sorted(WORLDS))
 def test_in_process_producers_build_exact_types(tmp_path, monkeypatch, name):
     """`track_pose` and `extract_channel_data` (through the snapshots
-    `apply_channel` receives), `build_manifest` and the netsim's END, and
-    `channel_update` on each snapshot."""
+    `apply_channel` receives), `capture`'s rows as the netsim takes and
+    clears them, and `channel_update` on each snapshot."""
     config = WORLDS[name]()
     assert takes_vector_path(config) == (name == "vector")
     assert (config.fidelity.kind is FidelityKind.DISK) == (name == "disk")
@@ -129,15 +137,19 @@ def test_in_process_producers_build_exact_types(tmp_path, monkeypatch, name):
     run_scenario(config, tmp_path)
 
     channels = [r for r in records if isinstance(r, wire.ChannelData)]
-    updates = [r for r in records if isinstance(r, wire.NetworkUpdate)]
-    assert len(channels) == WINDOWS - 1 and len(updates) == 2 * WINDOWS
+    windows = [r for r in records if not isinstance(r, wire.ChannelData)]
+    assert len(channels) == WINDOWS - 1 and len(windows) == WINDOWS
     for k, cd in enumerate(channels):
         assert_channel_types(cd)
         assert_update_types(wire.channel_update((k + 1) * W, cd))
-    for msg in updates:
-        assert_update_types(msg)
-    # the checks above saw every kind of field filled
-    assert any(msg.pkt_id for msg in updates) and any(msg.clear_pkt_id for msg in updates)
+    for packets, cleared in windows:
+        for row in packets:
+            assert_row_types(row)
+        for row, ber in cleared:
+            assert_row_types(row)
+            assert type(ber) is float, repr(ber)
+    # the checks above saw rows both taken and cleared
+    assert any(packets for packets, _ in windows) and any(cleared for _, cleared in windows)
     if name == "vector":
         assert any(pd.hop_points for cd in channels for pd in cd.path_details)
 
@@ -145,8 +157,8 @@ def test_in_process_producers_build_exact_types(tmp_path, monkeypatch, name):
 @pytest.mark.parametrize("name", ["static_los_30m", "vector"])
 def test_socket_split_frames_carry_exact_types(tmp_path, monkeypatch, name):
     """Both sides' BEGINs (`sync.run_lockstep`), the physics ENDs
-    (`channel_update`) and the netsim's ENDs as sent, and every message
-    `decode_frame` builds from them."""
+    (`channel_update`) and the network side's bare ENDs as sent, and every
+    message `decode_frame` builds from them."""
     config = WORLDS[name]()
     sent, decoded = [], []  # appended to from both sides' threads
     encode, decode = wire.encode_frame, wire.decode_frame
@@ -177,7 +189,6 @@ def test_socket_split_frames_carry_exact_types(tmp_path, monkeypatch, name):
         for cls in (wire.PhysicsUpdate, wire.NetworkUpdate)
         for kind in wire.MsgType
     }
-    assert any(isinstance(m, wire.NetworkUpdate) and m.clear_pkt_id for m in decoded)
     if name == "vector":
         assert any(
             pd.hop_points
