@@ -8,7 +8,9 @@ cumulative acknowledgment carrying the next in-order sequence it is
 waiting for.  The sender clears everything below that mark and
 retransmits any packet that stays unacknowledged past the timeout, so
 one corrupted packet shows up as a burst of duplicate traffic and a
-bubble in goodput rather than a protocol failure.
+bubble in goodput rather than a protocol failure.  Like a real ARQ send
+buffer, the sender keeps each unacknowledged packet's bytes from its
+first send and retransmits those, encoding a seq only once.
 
 Packets are raw bytes on the capture backend:
 
@@ -128,6 +130,9 @@ class DataFlow:
     # timeout: an ack only raises the minimum, and a send at t, the latest
     # time yet, never lowers it below the bound
     _due: int = field(default=0, repr=False, compare=False)
+    # seq -> the packet as first sent, for each unacked seq: a retransmit
+    # sends these bytes again rather than encoding them anew
+    _packets: dict = field(default_factory=dict, repr=False, compare=False)
 
     def on_data(self, seq: int, t: int) -> None:
         # everything below rcv_next has arrived, so `seen` keeps only the
@@ -149,6 +154,7 @@ class DataFlow:
     def on_ack(self, next_expected: int) -> None:
         for seq in [s for s in self.unacked if s < next_expected]:
             del self.unacked[seq]
+            del self._packets[seq]
             self.acked_total += 1
 
     def pump(self, t: int) -> None:
@@ -170,9 +176,10 @@ class DataFlow:
             self._send(seq)
 
     def _send(self, seq: int) -> None:
-        self._src_ep.send(
-            self.config.dst, encode_data(self.flow_id, seq, self.config.payload_size)
-        )
+        packet = self._packets.get(seq)
+        if packet is None:
+            packet = self._packets[seq] = encode_data(self.flow_id, seq, self.config.payload_size)
+        self._src_ep.send(self.config.dst, packet)
         self.sent_total += 1
 
 

@@ -8,9 +8,14 @@ pkt_id) across all nodes; a packet whose link is down is skipped in
 place and keeps waiting, it never blocks a later packet with a live
 link.  Queued packets wait in one FIFO per directed agent link, each
 kept in that key order, so the next transmission is the smallest head
-among the links that are up.  Link state is evaluated once at
-transmission start; a transmission spanning a window boundary finishes
-under the conditions it started with.
+among the links that are up.  The FIFOs' heads sit in a heap that lasts
+across windows, and a transmission pops heads in the medium order until
+one has a live link.  A pair's link is computed only when its head is
+popped, so no link is computed that a scan of every head in order would
+not need.  The channel is fixed within a window, so a head whose link is
+down is set aside and goes back on the heap when the window ends.  Link
+state is evaluated once at transmission start; a transmission spanning a
+window boundary finishes under the conditions it started with.
 
 The medium's busy horizon and the in-flight transmission persist across
 windows, so advancing twice by W is equivalent to advancing once by 2W
@@ -33,6 +38,7 @@ parked world hands back, keeps the link rows computed under it.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, fields
@@ -241,7 +247,7 @@ class ReferenceNetSim:
 
     A queued packet is ``(enqueued_at, row)``, so tuple order is the
     medium's (enqueued_at, pkt_id) order: ids are unique, so a comparison
-    never reaches past a row's id.
+    never reaches past a row's id, nor a heap entry past its head.
     """
 
     def __init__(
@@ -261,6 +267,8 @@ class ReferenceNetSim:
         self._links: dict[tuple[int, int], tuple] = {}
         # (src, dst) -> queued packets in order; no empty FIFOs
         self._fifos: dict[tuple[int, int], deque[tuple]] = {}
+        # a heap of (head, (src, dst)), one entry per FIFO, on its head
+        self._heads: list[tuple] = []
         self._depth: dict[int, int] = {}
         # (tx_end, ber, row) of the transmission on the air
         self._inflight: tuple | None = None
@@ -344,6 +352,8 @@ class ReferenceNetSim:
         window_end = window_start + window_ns
         fifos = self._fifos
         depth = self._depth
+        heads = self._heads
+        heappush = heapq.heappush
         capacity = self.params.queue_capacity
         for row in packets:
             src = row[4]
@@ -357,9 +367,14 @@ class ReferenceNetSim:
             fifo = fifos.get(key)
             if fifo is None:
                 fifos[key] = deque((entry,))
+                heappush(heads, (entry, key))
             elif fifo[-1] > entry:
-                # ids out of order within one window: keep the FIFO sorted
+                # ids out of order within one window: keep the FIFO sorted,
+                # and its heap entry on its head
                 bisect.insort(fifo, entry)
+                if fifo[0] is entry:
+                    heads[heads.index((fifo[1], key))] = (entry, key)
+                    heapq.heapify(heads)
             else:
                 fifo.append(entry)
             depth[src] = queued + 1
@@ -367,9 +382,11 @@ class ReferenceNetSim:
         links = self._links
         events = self.events
         overhead = self.params.per_packet_overhead
+        heappop = heapq.heappop
         inflight = self._inflight
         busy_until = self._busy_until
         cleared = []
+        down = []  # heads whose link is down for the rest of the window
         while True:
             if inflight is not None:
                 tx_end, ber, row = inflight
@@ -382,30 +399,32 @@ class ReferenceNetSim:
             tx_start = busy_until if busy_until > window_start else window_start
             if tx_start >= window_end:
                 break
-            # the smallest head among the FIFOs whose link is up
-            best = None
-            for key, fifo in fifos.items():
-                head = fifo[0]
-                if best is not None and head > best:
-                    continue
+            # the smallest head whose link is up
+            while heads:
+                item = heappop(heads)
+                head, key = item
                 src, dst = key
                 pair = key if src < dst else (dst, src)
                 link = links.get(pair) or self._link(pair)
-                if link is None or link[0] is None:
-                    continue
-                best, best_key, best_link = head, key, link
-            if best is None:
+                if link is not None and link[0] is not None:
+                    break
+                down.append(item)
+            else:  # no queued head has a live link this window
                 break
-            fifo = fifos[best_key]
+            fifo = fifos[key]
             fifo.popleft()
-            if not fifo:
-                del fifos[best_key]
-            row = best[1]
+            if fifo:
+                heappush(heads, (fifo[0], key))
+            else:
+                del fifos[key]
+            row = head[1]
             depth[row[4]] -= 1
             if events is not None:
                 events.append(MediumEvent(tx_start, _TX_START, row[0], row[2], row[3]))
-            busy_until = tx_start + overhead + round(row[1] * 8e9 / best_link[0])
-            inflight = (busy_until, best_link[1], row)
+            busy_until = tx_start + overhead + round(row[1] * 8e9 / link[0])
+            inflight = (busy_until, link[1], row)
+        for item in down:
+            heappush(heads, item)
         self._inflight = inflight
         self._busy_until = busy_until
         self._clock = window_end

@@ -21,7 +21,8 @@ from `_pair_hits` until then.
 LOS/NLOS extraction has two paths that give bit-identical output.  The
 scalar path runs `_pair_hits` per pair in Python: the slab test, as
 straight-line float code, on each box that the pair's segment's bounds
-overlap (its loop over axes is the oracle in tests).  The vector
+overlap, found among the boxes the segment's x range can reach in a list
+sorted by min x (its loop over axes is the oracle in tests).  The vector
 path culls (pair, box) candidates with a broad phase and runs the slab
 test on the survivors as numpy array operations.  The choice depends
 only on the input size: the vector path runs from `VECTOR_MIN_TESTS`
@@ -53,7 +54,7 @@ in-process.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -150,12 +151,22 @@ class WorldModel:
 
     @cached_property
     def _box_rows(self) -> tuple:
-        """Each obstacle as (index, min x, y, z, max x, y, z, penetration
-        loss), the rows `_pair_hits` tests, built on first use."""
-        return tuple(
-            (k, *b.min_corner, *b.max_corner, b.penetration_loss)
-            for k, b in enumerate(self.obstacles)
+        """The boxes `_pair_hits` tests, built on first use: ``(rows,
+        min_xs, widest)``.  A row is an obstacle as (index, min x, y, z, max
+        x, y, z, penetration loss), and the rows are sorted by min x;
+        `min_xs` is that column, and `widest` is at least every box's real
+        max x minus min x."""
+        rows = sorted(
+            ((k, *b.min_corner, *b.max_corner, b.penetration_loss)
+             for k, b in enumerate(self.obstacles)),
+            key=lambda row: row[1],
         )
+        # the float difference may round below the real one; the next float
+        # up cannot
+        widest = max(
+            (math.nextafter(row[4] - row[1], math.inf) for row in rows), default=0.0
+        )
+        return tuple(rows), tuple(row[1] for row in rows), widest
 
 
 @dataclass(frozen=True)
@@ -424,7 +435,10 @@ def _pair_hits(p0: Vec3, p1: Vec3, boxes: tuple) -> list:
     sorted by entry t, then box index; none for coincident ends.  Only the
     boxes of `boxes` (`WorldModel._box_rows`) that overlap the segment's
     bounds widened by `_BROAD_SLACK` get the slab test: a hit's midpoint
-    lies within a few ulps of the segment.
+    lies within a few ulps of the segment.  Those bounds are tested on the
+    slice of rows whose min x lies in [lx - widest, hx], which holds every
+    box whose x extent reaches [lx, hx]: the slice's lower end is the float
+    below the rounded lx - widest, so it is at most the real difference.
 
     The slab test is written out per axis: a flat axis outside its slab
     misses, every other axis narrows [t0, t1], and a hit's midpoint lies
@@ -440,8 +454,10 @@ def _pair_hits(p0: Vec3, p1: Vec3, boxes: tuple) -> list:
     lx, hx = (ax - w, bx + w) if ax < bx else (bx - w, ax + w)
     ly, hy = (ay - w, by + w) if ay < by else (by - w, ay + w)
     lz, hz = (az - w, bz + w) if az < bz else (bz - w, az + w)
+    rows, xs, widest = boxes
+    low = bisect_left(xs, math.nextafter(lx - widest, -math.inf))
     hits = []
-    for k, x0, y0, z0, x1, y1, z1, loss in boxes:
+    for k, x0, y0, z0, x1, y1, z1, loss in rows[low : bisect_right(xs, hx)]:
         if not (x0 <= hx and lx <= x1 and y0 <= hy and ly <= y1 and z0 <= hz and lz <= z1):
             continue
         t0, t1 = 0.0, 1.0

@@ -1,8 +1,10 @@
 """Pinned artifact digests: a given scenario and seed gives the same bytes.
 
 Each corpus run of `tests/test_lockstep_oracle.py` (static_los_30m for 400
-windows, patrol for 3,000, swarm6) writes `run_summary.json` and the five
-CSVs, and each file's SHA-256 must equal the digest pinned here.  A change
+windows, patrol for 3,000, swarm6) and the benchmark's swarm16 world (seed
+7, 250 windows: 16 agents, 50 boxes and deep per-link queues) writes
+`run_summary.json` and the five CSVs, and each file's SHA-256 must equal
+the digest pinned here.  A change
 that only makes the program faster leaves them as they are; a change that
 moves a random stream or a channel verdict has to re-pin them and say so.
 """
@@ -13,8 +15,11 @@ import hashlib
 
 import pytest
 
-from cosimnet.scenario import ARTIFACT_NAMES, run_scenario
+from benchmarks import swarm
+from cosimnet.scenario import ARTIFACT_NAMES, parse_scenario, run_scenario
 from tests.test_lockstep_oracle import CORPUS
+
+WORLDS = {**CORPUS, "swarm16": lambda: parse_scenario(swarm.generate(7, 250))}
 
 # the first 16 hex digits of each artifact's SHA-256
 DIGESTS = {
@@ -42,13 +47,21 @@ DIGESTS = {
         "run_summary.json": "0d9367c417c34669",
         "scatter.csv": "8e3237de6c19a07c",
     },
+    "swarm16": {
+        "delay.csv": "1d1d4b0dd208491f",
+        "delay_hist.csv": "e11f915a90acd18a",
+        "rate.csv": "ca52ac505d05f348",
+        "rate_hist.csv": "a1e57314cc666b4c",
+        "run_summary.json": "123fd3d4725e1743",
+        "scatter.csv": "2e79a17ec90a66c3",
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", sorted(WORLDS))
 def test_corpus_artifacts_match_their_pinned_digests(tmp_path, name):
-    assert sorted(DIGESTS) == sorted(CORPUS)
-    result = run_scenario(CORPUS[name](), tmp_path)
+    assert sorted(DIGESTS) == sorted(WORLDS)
+    result = run_scenario(WORLDS[name](), tmp_path)
     assert sorted(result.artifacts) == sorted(ARTIFACT_NAMES)
     got = {
         artifact: hashlib.sha256(path.read_bytes()).hexdigest()[:16]

@@ -410,3 +410,47 @@ def test_pump_matches_the_walking_pump_on_random_acks():
             )
     assert skipped > 1000 and walked > 1000
 
+
+# -- retransmits send the bytes kept from the first send ------------------------
+
+
+def test_retransmits_resend_the_kept_bytes_and_keep_only_unacked_ones(tmp_path, monkeypatch):
+    """On swarm16, where most data sends are retransmits, every data packet
+    is `encode_data` of its seq, a retransmit is the very bytes object of
+    the seq's first send, and after every tick each flow keeps the bytes of
+    exactly its unacked seqs."""
+    from tests.test_net_window import WORLDS
+
+    config = WORLDS["swarm16"]()
+    sends = []
+    send = InProcessBackend.send
+
+    def recorded_send(self, src, dst, payload):
+        sends.append(payload)
+        return send(self, src, dst, payload)
+
+    tick = FlowHost.tick
+    ticks = []
+
+    def checked_tick(self, t):
+        tick(self, t)
+        for flow in self.flows:
+            assert flow._packets.keys() == flow.unacked.keys(), (flow.flow_id, t)
+        ticks.append(t)
+
+    monkeypatch.setattr(InProcessBackend, "send", recorded_send)
+    monkeypatch.setattr(FlowHost, "tick", checked_tick)
+    run_scenario(config, tmp_path)
+    first = {}
+    retransmits = 0
+    for payload in sends:
+        kind, flow_id, seq = decode_packet(payload)
+        if kind != DATA_KIND:
+            continue
+        assert payload == encode_data(flow_id, seq, config.flows[flow_id].payload_size)
+        if (flow_id, seq) in first:
+            assert payload is first[flow_id, seq]
+            retransmits += 1
+        else:
+            first[flow_id, seq] = payload
+    assert len(ticks) == 250 and retransmits > len(first) > 0

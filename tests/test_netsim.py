@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import random
@@ -711,6 +712,143 @@ def test_link_fifos_match_the_linear_scan():
         assert fifo.dropped_ids == scan.dropped_ids
         assert fifo.events == scan.events
         assert fifo.cleared_total == scan.cleared_total > 0
+
+
+def fated_channel(rng, n):
+    """`n` agents 10 m apart on a line, each pair up (LOS or behind 3 dB of
+    wall), down behind 60 dB of wall, or absent; and the pairs that are up."""
+    positions = [(10.0 * i, 0.0, 0.0) for i in range(n)]
+    paths, up = [], set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            fate = rng.random()
+            if fate < 0.35:
+                paths.append(PathDetails((i, j), True, (0,), ()))
+            elif fate < 0.85:
+                loss = 3.0 if fate < 0.6 else 60.0
+                paths.append(PathDetails((i, j), False, (1,), ((5.0 * (i + j), 0.0, 0.0, loss),)))
+            if fate < 0.6:
+                up.add((i, j))
+    return channel(positions, paths), up
+
+
+def window_heads(scan, t, rows):
+    """Each FIFO's first packet, (enqueue window, pkt_id), once `rows` are
+    queued at window `t` on top of what `scan` holds, and how many of those
+    rows took the front of a FIFO from a packet already there."""
+    heads, depth = {}, dict(scan._depth)
+    for entry in scan._queue:
+        key = (entry.src_agent, entry.dst_agent)
+        heads[key] = min(heads.get(key, (entry.enqueued_at, entry.pkt_id)),
+                         (entry.enqueued_at, entry.pkt_id))
+    displaced = 0
+    for row in rows:
+        src = row[4]
+        if depth.get(src, 0) >= scan.params.queue_capacity:
+            continue
+        depth[src] = depth.get(src, 0) + 1
+        key, head = (src, row[5]), (t, row[0])
+        if key in heads:
+            displaced += head < heads[key]
+            head = min(head, heads[key])
+        heads[key] = head
+    return heads, displaced
+
+
+def assert_one_entry_per_fifo(sim):
+    """`sim`'s head heap holds each FIFO's first packet once, and nothing
+    else: no stale entry piles up."""
+    assert sorted(sim._heads) == sorted((fifo[0], key) for key, fifo in sim._fifos.items())
+
+
+def test_head_heap_matches_the_linear_scan_on_many_links():
+    """16 agents and 16 to 40 directed FIFOs, window by window: links that
+    go down and come back, a down link holding the smallest head while
+    others transmit, ids out of order that take a FIFO's front, and
+    zero-length windows.  The heap holds one entry per FIFO after every
+    window, and a drained simulator's heap is empty."""
+    n = 16
+    ips = {i: f"10.0.3.{i + 1}" for i in range(n)}
+    params = RadioParams(queue_capacity=8)
+    directed = [(a, b) for a in range(n) for b in range(n) if a != b]
+    seen = collections.Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        heap = ReferenceNetSim(params, ips, trace_events=True)
+        scan = LinearScanNetSim(params, ips, trace_events=True)
+        keys = rng.sample(directed, rng.randint(16, 40))
+        up, was_down = set(), set()
+        next_id, t = 0, 0
+        for _ in range(20):
+            if rng.random() < 0.5:
+                cd, up = fated_channel(rng, n)
+                heap.apply_channel(cd)
+                scan.apply_channel(cd)
+            entries = []
+            for _ in range(rng.randint(0, 16)):
+                src, dst = rng.choice(keys)
+                entries.append((next_id, rng.randint(40, 1500), ips[src], ips[dst]))
+                next_id += 1
+            if rng.random() < 0.3:
+                rng.shuffle(entries)  # ids out of order within the window
+            window_ns = rng.choice((0, W // 10, W, 3 * W))
+            rows = packets(entries, ips)
+            heads, displaced = window_heads(scan, t, rows)
+            down = {key for key in heads if tuple(sorted(key)) not in up}
+            events = len(heap.events)
+            cleared = heap.advance(t, window_ns, rows)
+            assert cleared == scan.advance(t, window_ns, rows)
+            assert heap.events[events:] == scan.events[events:]
+            assert heap.dropped_ids == scan.dropped_ids
+            assert heap.queued_count == scan.queued_count
+            assert_one_entry_per_fifo(heap)
+            started = any(e.kind is MediumEventKind.TX_START for e in heap.events[events:])
+            seen["displaced"] += displaced
+            seen["zero-length"] += window_ns == 0
+            seen["down holds the smallest head"] += bool(
+                started and heads and min(heads, key=heads.get) in down
+            )
+            seen["down and back up"] += len(was_down & (set(heads) - down))
+            was_down = (was_down | down) - (set(heads) - down)
+            t += window_ns
+        heap.apply_channel(channel(  # every pair up, to drain the queues
+            [(10.0 * i, 0.0, 0.0) for i in range(n)],
+            [PathDetails((i, j), True, (0,), ()) for i in range(n) for j in range(i + 1, n)],
+        ))
+        while heap.queued_count:
+            heap.advance(t, 3 * W, [])
+            t += 3 * W
+        assert heap._heads == [] and heap._fifos == {}
+        assert heap.cleared_total + len(heap.dropped_ids) == next_id
+    assert min(seen.values()) > 50, seen
+
+
+def test_head_heap_computes_no_link_the_fifo_scan_did_not(tmp_path, monkeypatch):
+    """On swarm16 (seed 7, 250 windows: 16 directed FIFOs, hundreds of
+    packets queued) the heap computes at most the link rows that a scan of
+    every FIFO's head computes, 664 (`net_oracles.ObjectNetSim`)."""
+    from benchmarks import swarm
+    from cosimnet import scenario
+
+    budget = netsim._link_budget
+    computed = collections.Counter()
+
+    def counting_budget(params):
+        rows = budget(params)
+
+        def count(*args):
+            computed[scenario.ReferenceNetSim.__name__] += 1
+            return rows(*args)
+
+        return count
+
+    monkeypatch.setattr(netsim, "_link_budget", counting_budget)
+    config = scenario.parse_scenario(swarm.generate(7, 250))
+    scenario.run_scenario(config, tmp_path / "heap")
+    monkeypatch.setattr(scenario, "ReferenceNetSim", net_oracles.ObjectNetSim)
+    scenario.run_scenario(config, tmp_path / "scan")
+    assert computed["ObjectNetSim"] == 664
+    assert 0 < computed["ReferenceNetSim"] <= computed["ObjectNetSim"]
 
 
 # -- the link table, computed a row at a time -------------------------------

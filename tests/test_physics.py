@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from tests import physics_oracles
 from tests.physics_oracles import segment_box_crossings
 
 BOUNDS = Box((-500.0, -500.0, -500.0), (500.0, 500.0, 500.0))
+WIDE = Box((-1e12, -1e12, -1e12), (1e12, 1e12, 1e12))
 EMPTY_WORLD = WorldModel(BOUNDS)
 
 
@@ -306,6 +308,18 @@ def assert_pair_hits_agree(world, p0, p1) -> list:
 def test_pair_hits_match_the_slab_oracle_on_edge_cases():
     straddling = Box((0, -1, 0), (1, 1, 1), penetration_loss=2.0)
     past_the_end = Box((1e-3 + 1e-11, 0, 0), (1, 1, 1), penetration_loss=1.0)
+    x_face = Box((-3, 0, 0), (2, 1, 1), penetration_loss=5.0)
+    x_bound = Box((-3, 0, 0), (2 - physics._BROAD_SLACK * 5, 1, 1), penetration_loss=5.0)
+    wall = Box((-500, -2, 0), (500, 2, 1), penetration_loss=6.0)
+    shared = [
+        Box((10, y, 0), (10 + width, y + 1, 1), penetration_loss=1.0 + k)
+        for k, (y, width) in enumerate(((0, 1), (2, 3), (4, 0.5)))
+    ]
+    far = [
+        Box((-1e9, -3, -2), (-1e9 + 10, 3, 2), penetration_loss=2.0),
+        Box((1e11, 0, 0), (1e11 + 5, 1, 1), penetration_loss=3.0),
+        Box((-400, -300, -200), (-390, -290, -190), penetration_loss=4.0),
+    ]
     cases = [  # (boxes, p0, p1, hits)
         ([UNIT], (-1, -1, 0.5), (2, 2, 0.5), 1),         # one zero-delta axis
         ([UNIT], (-1, 0.5, 0.5), (2, 0.5, 0.5), 1),      # two zero-delta axes
@@ -330,12 +344,57 @@ def test_pair_hits_match_the_slab_oracle_on_edge_cases():
         ([UNIT, straddling], (1, -0.0, 0.5), (-3, 0.3, 0.6), 2),  # x's entry t is -0.0
         ([UNIT, straddling], (1, -0.0, 0.5), (-3, -0.0, 0.5), 1),  # slides on y = 0 of UNIT
         ([past_the_end], (-1e6, 0.5, 0.5), (1e-3, 0.5, 0.5), 1),  # rounded past the end
+        # the x-sorted slice of boxes: max x on the segment's min x, and on
+        # its slack-widened bound; a box as wide as the world; boxes that
+        # share one min x; segments with dx = 0
+        ([UNIT, x_face], (2, 0.5, 0.5), (5, 0.5, 0.5), 0),
+        ([UNIT, x_bound], (2, 0.5, 0.5), (5, 0.5, 0.5), 0),
+        ([UNIT, x_face], (1.5, 0.5, 0.5), (5, 0.5, 0.5), 1),
+        ([UNIT, wall, *shared], (-400, -5, 0.5), (450, 5, 0.5), 1),
+        ([UNIT, wall, *shared], (9, 0.5, 0.5), (14, 4.5, 0.5), 2),
+        ([UNIT, wall, *shared], (10.2, -1, 0.5), (10.3, 6, 0.5), 4),
+        ([UNIT, wall, *shared], (0.5, -5, 0.5), (0.5, 5, 0.5), 2),
+        ([UNIT, wall, *shared], (10, -1, 0.5), (10, 10, 0.5), 1),  # on the shared min x
     ]
+    far_cases = [  # negative and large coordinates, in a world to match
+        ((-2e9, 0.5, 0.5), (3e11, 0.5, 0.5), 2),
+        ((-1e9 + 5, -1e10, 0.5), (-1e9 + 5, 1e10, 0.5), 1),
+        ((-395, -1e6, -195), (-395, 1e6, -195), 1),
+        ((-1e12, -295, -195), (1e12, -295, -195), 1),
+    ]
+    cases += [(far, p0, p1, count) for p0, p1, count in far_cases]
     for boxes, p0, p1, count in cases:
-        world = WorldModel(BOUNDS, tuple(boxes))
+        world = WorldModel(WIDE if boxes is far else BOUNDS, tuple(boxes))
         p0, p1 = tuple(map(float, p0)), tuple(map(float, p1))
         assert len(assert_pair_hits_agree(world, p0, p1)) == count, (p0, p1)
         assert_pair_hits_agree(world, p1, p0)
+
+
+def test_box_rows_are_sorted_by_min_x_and_cover_every_x_extent():
+    """`_box_rows` keeps each obstacle's index and row, sorted by min x, and
+    its widest extent is at least every box's real max x minus min x, which
+    a float subtraction can round below."""
+    rng = random.Random(1907)
+    rounded_down = Box((-2.0**-15, 0, 0), (2.0**39 + 2.0**-13, 1, 1))
+    assert Fraction(2.0**39 + 2.0**-13 + 2.0**-15) < Fraction(2.0**39 + 2.0**-13) + Fraction(
+        2.0**-15
+    )
+    worlds = [WorldModel(WIDE, (UNIT, rounded_down)), WorldModel(BOUNDS, ())]
+    for _ in range(50):
+        boxes = []
+        for _ in range(rng.randint(1, 30)):
+            x0 = rng.choice((rng.uniform(-500, 499), 10.0, -1e-300))
+            boxes.append(Box((x0, 0, 0), (min(500.0, x0 + rng.uniform(0, 40)), 1, 1)))
+        worlds.append(WorldModel(BOUNDS, tuple(boxes)))
+    for world in worlds:
+        rows, xs, widest = world._box_rows
+        assert sorted(rows) == sorted(
+            (k, *b.min_corner, *b.max_corner, b.penetration_loss)
+            for k, b in enumerate(world.obstacles)
+        )
+        assert list(xs) == [row[1] for row in rows] == sorted(xs)
+        for row in rows:
+            assert Fraction(widest) >= Fraction(row[4]) - Fraction(row[1])
 
 
 # -- channel extraction ------------------------------------------------------
