@@ -152,8 +152,15 @@ class DataFlow:
         self.acks_sent += 1
 
     def on_ack(self, next_expected: int) -> None:
-        for seq in [s for s in self.unacked if s < next_expected]:
-            del self.unacked[seq]
+        # `unacked` is in seq order: sends append increasing seqs, a
+        # retransmit only updates a value, and acks delete a prefix; so the
+        # acked seqs are the prefix below the mark
+        unacked = self.unacked
+        while unacked:
+            seq = next(iter(unacked))
+            if seq >= next_expected:
+                break
+            del unacked[seq]
             del self._packets[seq]
             self.acked_total += 1
 

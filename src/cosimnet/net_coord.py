@@ -22,6 +22,11 @@ netsim's cleared rows and appends a row per delivery to the `Ledger`,
 which reads back as `DeliveryRecord`s.  No message is built: the
 coordinator and its netsim share a process in both deployments.
 
+Bit errors come from a stdlib `random.Random` seeded with the run's seed:
+`apply_ber` walks the flipped bits as geometric gaps, one uniform per flip
+plus one, so this module needs no numpy, and a run that imports nothing
+else from `numpy.random` never loads it.
+
 In process, `scenario.run_scenario` passes each snapshot to `simulate` by
 reference.  Across processes, `run_network_coordinator` decodes it once
 from the peer's END message of the sync handshake, and its own END is a
@@ -30,13 +35,13 @@ bare marker.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import starmap
+from math import log, log1p
 from typing import Callable, Iterable, Protocol
-
-import numpy as np
 
 from . import wire
 from .netsim import NetSim
@@ -102,6 +107,10 @@ class Ledger(Sequence):
 
 @dataclass(frozen=True)
 class NetCoordConfig:
+    """The network side's settings.  `seed` seeds the `random.Random` that
+    `apply_ber` draws every bit error from, so a seed fixes which released
+    packets are corrupted and where."""
+
     window_ns: int
     agent_address_map: tuple[tuple[int, str], ...]
     expiry_windows: int = DEFAULT_EXPIRY_WINDOWS
@@ -179,37 +188,52 @@ class InProcessBackend:
         return queue.popleft() if queue else None
 
 
-def apply_ber(payload: bytes, ber: float, rng: np.random.Generator) -> bytes:
+_COMPLEMENT = bytes(range(255, -1, -1))  # byte -> its bitwise complement
+
+
+class UniformSource(Protocol):
+    """What `apply_ber` draws from: `random()` returns a float in [0, 1),
+    as `random.Random` and `numpy.random.Generator` both do."""
+
+    def random(self) -> float: ...
+
+
+def apply_ber(payload: bytes, ber: float, rng: UniformSource) -> bytes:
     """Flip each bit independently with probability ber.
 
-    ber 0 and 1 take exact shortcuts (identity / complement) and consume
-    no randomness.  A fractional rate draws the number of flipped bits
-    from Binomial(n_bits, ber), then that many distinct positions
-    uniformly at random: the same distribution as one Bernoulli(ber) per
-    bit (Devroye 1986, ch. X), at a cost that follows the flips, not the
-    payload.  Draws come from the run-seeded generator, so delivery is
-    reproducible per seed.
+    ber 0 and 1 take exact shortcuts (identity / complement), as does an
+    empty payload, and consume no randomness.  A fractional rate walks the
+    flipped positions as geometric gaps: the first flip is at
+    floor(log(1 - U) / log1p(-ber)) for a uniform U, and each later one
+    that many bits plus one past the last.  The gap between flips of
+    i.i.d. Bernoulli(ber) bits is geometric, so this is exactly one flip
+    chance per bit, at a cost of one uniform per flip plus one: a packet
+    that keeps all its bits costs a single draw.  Draws come from the
+    run-seeded generator, so delivery is reproducible per seed.
     """
     if not 0.0 <= ber <= 1.0:
         raise ValueError(f"ber must be in [0, 1], got {ber}")
     if ber == 0.0 or not payload:
         return bytes(payload)
     if ber == 1.0:
-        return np.bitwise_not(np.frombuffer(payload, dtype=np.uint8)).tobytes()
-    n_bits = len(payload) * 8
-    k = int(rng.binomial(n_bits, ber))
-    if k == 0:
+        return bytes(payload).translate(_COMPLEMENT)
+    n_bits = len(payload) << 3
+    log_q = log1p(-ber)
+    uniform = rng.random
+    # a gap is compared as a float before it is truncated: at a tiny ber
+    # it can exceed any int, or overflow to inf
+    gap = log(1.0 - uniform()) / log_q
+    if gap >= n_bits:
         return bytes(payload)
-    # draw with replacement and top up until k positions are distinct: the
-    # procedure treats every position alike, so the set is uniform over
-    # the k-subsets
-    positions: set[int] = set()
-    while len(positions) < k:
-        positions.update(rng.integers(n_bits, size=k - len(positions)).tolist())
     out = bytearray(payload)
-    for pos in positions:
+    pos = int(gap)
+    while True:
         out[pos >> 3] ^= 0x80 >> (pos & 7)
-    return bytes(out)
+        gap = log(1.0 - uniform()) / log_q
+        # the next flip, pos + 1 + floor(gap), is past the end iff this
+        if gap >= n_bits - pos - 1:
+            return bytes(out)
+        pos += 1 + int(gap)
 
 
 @dataclass
@@ -248,7 +272,7 @@ class NetworkCoordinator:
         self._backend = backend
         self._app_tick = app_tick
         self._on_channel = on_channel
-        self._rng = np.random.default_rng(config.seed)
+        self._rng = random.Random(config.seed)
         self._agent_of = {ip: agent for agent, ip in config.agent_address_map}
         self._horizon = config.expiry_windows * config.window_ns
         # captured rows: not yet in a manifest, and in one by pkt_id

@@ -411,6 +411,53 @@ def test_pump_matches_the_walking_pump_on_random_acks():
     assert skipped > 1000 and walked > 1000
 
 
+class DeletionLog(dict):
+    """A dict that records the keys deleted from it, in order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.deleted = []
+
+    def __delitem__(self, key):
+        self.deleted.append(key)
+        super().__delitem__(key)
+
+
+def test_on_ack_deletes_exactly_the_seqs_below_the_mark_in_order():
+    rng = random.Random(20)
+    acks = partial = 0
+    for _ in range(200):
+        cfg = FlowConfig(
+            IPS[0], IPS[1], payload_size=64, arq_window=rng.randint(1, 16),
+            retransmit_timeout_ns=rng.choice((1, 2, 3)) * W,
+        )
+        flow = DataFlow(0, cfg, SilentEndpoint(), SilentEndpoint())
+        flow.unacked = DeletionLog()
+        t = 0
+        for _ in range(rng.randint(1, 60)):
+            if rng.random() < 0.5 and flow.unacked:
+                # retransmits between acks update values in place; the keys
+                # stay in seq order
+                assert list(flow.unacked) == sorted(flow.unacked)
+                low = min(flow.unacked)
+                mark = rng.randint(max(0, low - 2), flow.next_seq + 1)
+                before = list(flow.unacked)
+                acked = flow.acked_total
+                flow.unacked.deleted.clear()
+                flow.on_ack(mark)
+                below = [seq for seq in before if seq < mark]
+                assert flow.unacked.deleted == below
+                assert list(flow.unacked) == [seq for seq in before if seq >= mark]
+                assert flow._packets.keys() == flow.unacked.keys()
+                assert flow.acked_total == acked + len(below)
+                acks += 1
+                partial += 0 < len(below) < len(before)
+            else:
+                t += rng.choice((0, W, 2 * W, 4 * W))
+                flow.pump(t)
+    assert acks > 1000 and partial > 300
+
+
 # -- retransmits send the bytes kept from the first send ------------------------
 
 

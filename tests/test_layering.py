@@ -1,11 +1,15 @@
 """Module boundaries that keep one cross-process protocol, one owner of
 the channel-blob format, one parser of IPv4 addresses, one way to run
 each side (a loop on the calling thread), packets that stay rows on the
-network side, no device I/O, and one public surface."""
+network side, bit errors without numpy, no device I/O, and one public
+surface."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cosimnet
@@ -95,6 +99,35 @@ def test_an_in_process_run_builds_no_network_update(tmp_path, monkeypatch):
     result = scenario.run_scenario(config, tmp_path)
     assert result.net_summary.released_total > 0
     assert len(built) == 1
+
+
+def test_net_coord_imports_no_numpy():
+    # bit errors come from the stdlib generator; BER 1 is a bytes.translate
+    assert "numpy" not in top_level_imports(PACKAGE / "net_coord.py")
+
+
+def test_an_in_process_run_leaves_numpy_random_unloaded():
+    """A whole static_los_30m `run_scenario`, in a fresh interpreter,
+    never imports `numpy.random`."""
+    src = str(PACKAGE.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    script = (
+        "import sys, tempfile\n"
+        "from pathlib import Path\n"
+        "from cosimnet import scenario\n"
+        "bundled = Path(scenario.__file__).parent / 'scenarios'\n"
+        "config = scenario.load_scenario(bundled / 'static_los_30m.json')\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    result = scenario.run_scenario(config, out)\n"
+        "assert result.net_summary.released_total > 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_no_module_imports_fcntl():

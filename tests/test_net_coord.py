@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import os
+import random
 import socket
 import threading
 
@@ -19,7 +21,7 @@ from cosimnet.net_coord import (
     apply_ber,
     run_network_coordinator,
 )
-from cosimnet.netsim import RadioParams, ReferenceNetSim
+from cosimnet.netsim import BER_FLOOR, RadioParams, ReferenceNetSim
 from cosimnet.sync import ProtocolError, Role, RunStats, SocketLink, run_lockstep
 from cosimnet.wire import MsgType, PathDetails, PhysicsUpdate, Pose
 
@@ -279,6 +281,107 @@ def test_count_sampler_matches_the_per_bit_oracle(n_bits, ber, trials):
         uniform = sizes * observed.sum() / n_bits
         assert stats.chisquare(observed, uniform).pvalue > 1e-3
     assert stats.chi2_contingency(np.vstack([new_bins, old_bins])).pvalue > 1e-3
+
+
+# 0.3 flips about a third of a packet's bits, 0.999 all but about one
+HIGH_BER_CASES = [(4800, 0.3, 1_000), (1024, 0.999, 1_000)]
+
+
+@pytest.mark.parametrize("n_bits,ber,trials", HIGH_BER_CASES)
+def test_gap_sampler_matches_the_per_bit_oracle_at_high_ber(n_bits, ber, trials):
+    test_count_sampler_matches_the_per_bit_oracle(n_bits, ber, trials)
+    if ber > 0.5:
+        # near ber 1 a position's flip count varies far less than its mean,
+        # so the chi-square above can hardly fail; the kept bits are the
+        # rare event there, and must be uniform over positions
+        _, flips = flip_sample(apply_ber, n_bits, ber, trials, seed=n_bits + 3)
+        kept = trials - flips
+        n_bins = int(trials * n_bits * (1 - ber) // 20)
+        bin_of = np.arange(n_bits) * n_bins // n_bits
+        sizes = np.bincount(bin_of, minlength=n_bins)
+        observed = np.bincount(bin_of, weights=kept, minlength=n_bins)
+        assert stats.chisquare(observed, sizes * observed.sum() / n_bits).pvalue > 1e-3
+
+
+class Scripted:
+    """A uniform source that returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def first_flip_quantile(ber, k):
+    """The midpoint, in U, of the uniforms whose first gap is exactly k:
+    P(gap >= k) = (1 - ber)^k."""
+    return -math.expm1((k + 0.5) * math.log1p(-ber))
+
+
+# 1e-9 is the netsim's BER floor, where flips are too rare to count: check
+# the first gap's quantile function instead
+@pytest.mark.parametrize("k", [0, 1, 2399, 4798, 4799])
+def test_gap_sampler_flips_the_bit_its_quantile_names_at_the_ber_floor(k):
+    ber, payload = BER_FLOOR, bytes(600)  # a swarm16 data packet on its floor
+    source = Scripted([first_flip_quantile(ber, k), 0.5])
+    out = apply_ber(payload, ber, source)
+    assert source.values == []  # the second uniform puts the next gap past the end
+    expected = bytearray(payload)
+    expected[k >> 3] ^= 0x80 >> (k & 7)
+    assert out == bytes(expected)
+
+
+def test_gap_sampler_draws_once_for_a_packet_it_keeps_whole():
+    ber, payload = BER_FLOOR, bytes(600)
+    for u in (first_flip_quantile(ber, 4800), 1.0 - 2.0**-53):
+        source = Scripted([u, 0.0])
+        assert apply_ber(payload, ber, source) == payload
+        assert source.values == [0.0]
+
+
+def test_gap_sampler_walks_gaps_from_the_last_flip():
+    ber = 0.25
+    # gaps 0, 0, 5, 3: flips at bits 0, 1, 7 and 11, then one past the end
+    source = Scripted([first_flip_quantile(ber, k) for k in (0, 0, 5, 3, 4)])
+    assert apply_ber(bytes(2), ber, source) == bytes([0b11000001, 0b00010000])
+    assert source.values == []
+
+
+def test_gap_sampler_ends_on_a_gap_that_lands_exactly_past_the_end():
+    # at ber 0.5, U = 1 - 2**-g gives a gap of exactly g
+    def exact(g):
+        return 1.0 - 2.0**-g
+
+    for draws, expected in (
+        ([exact(16)], bytes(2)),  # the first flip would be bit 16
+        ([exact(3), exact(12)], bytes([0b00010000, 0])),  # bit 3, then bit 16
+        ([exact(15), 0.0], bytes([0, 1])),  # the last bit, then a gap of zero
+    ):
+        source = Scripted(draws)
+        assert apply_ber(bytes(2), 0.5, source) == expected
+        assert source.values == []
+
+
+def test_apply_ber_shortcuts_leave_a_stdlib_generator_untouched():
+    rng = random.Random(3)
+    before = rng.getstate()
+    assert apply_ber(bytes(100), 0.0, rng) == bytes(100)
+    assert apply_ber(bytes(100), 1.0, rng) == b"\xff" * 100
+    assert apply_ber(b"", 0.3, rng) == b""
+    assert rng.getstate() == before
+    apply_ber(bytes(100), 1e-9, rng)  # a fractional rate draws at least once
+    assert rng.getstate() != before
+
+
+def test_apply_ber_on_a_stdlib_generator_is_deterministic_per_seed():
+    payload = os.urandom(4096)
+    a = apply_ber(payload, 1e-2, random.Random(7))
+    b = apply_ber(payload, 1e-2, random.Random(7))
+    c = apply_ber(payload, 1e-2, random.Random(8))
+    assert a == b
+    assert a != c
+    assert len(a) == len(payload)
 
 
 # -- release and expiry --------------------------------------------------------

@@ -82,7 +82,7 @@ def assert_sides_agree(new: Side, old: Side, where) -> dict:
 
 def assert_runs_agree(new: Side, old: Side):
     assert new.coord.ledger == old.coord.ledger
-    assert new.coord._rng.bit_generator.state == old.coord._rng.bit_generator.state
+    assert new.coord._rng.getstate() == old.coord._rng.getstate()
     assert new.netsim.events == old.netsim.events
 
 
