@@ -11,12 +11,11 @@ crossings with their penetration losses.  The kernels write the
 snapshot's columns directly (LOS flags, hop counts, hop rows); no
 per-pair record is built.
 
-`step_world`, `track_pose` and `extract_channel_data` work on
-`AgentState` records and are the reference.  `ReferencePhysicsSim` gives
-the same poses and snapshots bit for bit from tracks it resolved once,
-with one arc and one pose row per agent and no records; its snapshots
-build their pair columns when first read, and answer one pair's losses
-from `_pair_hits` until then.
+`ReferencePhysicsSim` walks tracks it resolved once, with one arc and
+one pose row per agent and no per-agent records; its snapshots build
+their pair columns when first read, and answer one pair's losses from
+`_pair_hits` until then.  Its reference, the record-based path of
+`tests/physics_oracles.py`, gives the same poses and snapshots bit for bit.
 
 LOS/NLOS extraction has two paths that give bit-identical output.  The
 scalar path runs `_pair_hits` per pair in Python: the slab test, as
@@ -43,9 +42,9 @@ Who checks a snapshot: the kernels build well-formed columns from finite
 poses, and `ReferencePhysicsSim` poses come from tracks it checked at
 construction (inside world bounds of finite extent), so its snapshots
 come marked checked, unless those bounds lie near the float limit, and
-`wire.validate_channel_data` passes them without a scan.
-`extract_channel_data`, whose agents may hold any pose, leaves its
-snapshots to that check.
+`wire.validate_channel_data` passes them without a scan.  The oracle
+`extract_channel_data` in `tests/physics_oracles.py`, whose agents may
+hold any pose, leaves its snapshots to that check.
 
 The simulator contract is two methods, `step(dt_ns)` and
 `channel_snapshot(fidelity)`.  `ReferencePhysicsSim` implements it
@@ -60,11 +59,11 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import not_
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .wire import ChannelData, Pose, all_pairs
+from .wire import ChannelData, all_pairs
 
 Vec3 = tuple[float, float, float]
 
@@ -200,15 +199,6 @@ class AgentTrack:
             raise ValueError(f"speed must be > 0, got {self.speed}")
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """Kinematic state: the pose always lies on the agent's track polyline."""
-
-    agent_id: int
-    pose: Pose
-    arc_position: float = 0.0
-
-
 class FidelityKind(Enum):
     DISK = "disk"
     LOS_NLOS = "los_nlos"
@@ -273,69 +263,6 @@ def _yaw_quaternion(direction: Vec3) -> tuple[float, float, float, float]:
     return (0.0, 0.0, math.sin(yaw / 2), math.cos(yaw / 2))
 
 
-def track_pose(track: AgentTrack, arc: float) -> Pose:
-    """Pose at a given arc position: position interpolated on the polyline,
-    orientation yaw-aligned with the local segment direction (about +z).
-    Raises ValueError for an arc that is not finite."""
-    if not math.isfinite(arc):
-        raise ValueError(f"arc {arc!r} is not finite")
-    table, total = _segment_table(track.waypoints, track.loop)
-    if not table or total == 0.0:
-        return Pose(track.waypoints[0])
-    if track.loop:
-        arc = math.fmod(arc, total)
-        if arc < 0:
-            arc += total
-    else:
-        arc = min(max(arc, 0.0), total)
-    # the last segment ends at the total, by the same sum, so the arc falls
-    # in a segment
-    for a, b, length, cum, yaw in table:
-        if arc <= cum + length:
-            break
-    u = (arc - cum) / length
-    return Pose(tuple(pa + u * (pb - pa) for pa, pb in zip(a, b)), yaw)
-
-
-def initial_agent_states(tracks: Iterable[AgentTrack]) -> list[AgentState]:
-    """One agent per track, parked at the start of its polyline."""
-    states = []
-    for track in sorted(tracks, key=lambda t: t.agent_id):
-        states.append(AgentState(track.agent_id, track_pose(track, 0.0), 0.0))
-    return states
-
-
-def step_world(
-    world: WorldModel,
-    tracks: Mapping[int, AgentTrack],
-    agents: Sequence[AgentState],
-    dt_ns: int,
-) -> list[AgentState]:
-    """Advance every agent speed*dt along its track.
-
-    Loop tracks wrap (fmod is exact, so repeated wrapping does not drift);
-    non-loop tracks clamp at the final waypoint.  The world is carried for
-    contract stability; the reference motion model ignores geometry.
-    """
-    if dt_ns <= 0:
-        raise ValueError(f"dt must be > 0 ns, got {dt_ns}")
-    out = []
-    for state in agents:
-        track = tracks.get(state.agent_id)
-        if track is None:
-            raise ValueError(f"agent {state.agent_id} has no track")
-        total = track_length(track)
-        arc = state.arc_position + track.speed * (dt_ns * 1e-9)
-        if total == 0.0:
-            arc = 0.0
-        elif track.loop:
-            arc = math.fmod(arc, total)
-        else:
-            arc = min(arc, total)
-        out.append(AgentState(state.agent_id, track_pose(track, arc), arc))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Channel extraction
 
@@ -367,31 +294,6 @@ _BROAD_SLACK = 1e-12
 # candidates).  At 1 m the fastest agent forces a rebuild every 170
 # windows, under 0.5 us a window.
 BROAD_PHASE_SKIN = 1.0
-
-
-def extract_channel_data(
-    world: WorldModel,
-    agents: Sequence[AgentState],
-    fidelity: ChannelFidelity,
-) -> ChannelData:
-    """Reduce world geometry to ChannelData for the current agent set.
-
-    Disk fidelity emits a bare LOS verdict per pair (in range or not);
-    LOS/NLOS fidelity emits one aggregate path per pair whose hops are the
-    obstacle entry points in crossing order, each carrying that obstacle's
-    penetration loss.  Coincident agents see each other LOS: a zero-length
-    segment crosses nothing.  Pairs are listed as `wire.all_pairs`.
-
-    The agents may hold any pose, so the snapshot is left for
-    `wire.validate_channel_data` to check; `ReferencePhysicsSim`, whose
-    poses come from checked tracks, hands out the same snapshot checked.
-    """
-    states = sorted(agents, key=lambda s: s.agent_id)
-    ids = [s.agent_id for s in states]
-    if ids != list(range(len(states))):
-        raise ValueError(f"agent ids must be dense 0..n-1, got {ids}")
-    poses = tuple([s.pose.position + s.pose.orientation for s in states])
-    return _snapshot(world, poses, fidelity, BroadPhase())
 
 
 def _snapshot(
@@ -733,10 +635,11 @@ class ReferencePhysicsSim:
 
     Each track is resolved once, at construction: its segment table, total
     length, loop flag and speed.  A step then updates one arc and one
-    7-float pose row (position, orientation quaternion) per agent, by the
-    float operations `step_world` and `track_pose` make, in the same order,
-    so the poses are bit-identical to theirs; those two, and
-    `extract_channel_data` over their states, are its reference.  When
+    7-float pose row (position, orientation quaternion) per agent; the
+    first rows are those a step writes at arc 0.  The float operations are
+    those of `step_world` and `track_pose` in `tests/physics_oracles.py`,
+    in their order, so the poses are bit-identical to theirs; those two,
+    and `extract_channel_data` over their states, are its reference.  When
     every agent is parked, each snapshot at one fidelity is the same object.
 
     Its snapshots are `wire.ChannelData.deferred`, and come checked: its
@@ -773,13 +676,16 @@ class ReferencePhysicsSim:
         )
         self._checked = math.isfinite(16.0 * reach)
         self._arcs = [0.0] * len(ids)
-        self._rows = [
-            s.pose.position + s.pose.orientation for s in initial_agent_states(by_id.values())
-        ]
-        # parked agents (one waypoint) keep their first row
+        # a parked agent (one waypoint) keeps this row; a moving one's follows
+        self._rows = [by_id[k].waypoints[0] + (0.0, 0.0, 0.0, 1.0) for k in ids]
         self._walks = [
             (k, _walk(by_id[k])) for k in ids if track_length(by_id[k]) != 0.0
         ]
+        for k, (_, _, _, _, segments) in self._walks:
+            # the row `step` writes at arc 0: segment 0 at u = 0.0, so a -0.0
+            # coordinate turns +0.0 where that axis's delta is not negative
+            ax, ay, az, dx, dy, dz, _, _, qx, qy, qz, qw = segments[0]
+            self._rows[k] = (ax + 0.0 * dx, ay + 0.0 * dy, az + 0.0 * dz, qx, qy, qz, qw)
         self._extraction: _Extraction | None = None
         # (fidelity, snapshot) taken when every agent is parked
         self._still: tuple | None = None
@@ -790,8 +696,8 @@ class ReferencePhysicsSim:
         dt = dt_ns * 1e-9
         arcs, rows, fmod = self._arcs, self._rows, math.fmod
         for k, (speed, total, loop, ends, segments) in self._walks:
-            # step_world's new arc, then track_pose's segment: the first
-            # whose end arc is not below it
+            # step_world's new arc, then track_pose's segment (both in the
+            # test oracles): the first whose end arc is not below it
             arc = arcs[k] + speed * dt
             arcs[k] = arc = fmod(arc, total) if loop else min(arc, total)
             ax, ay, az, dx, dy, dz, cum, length, qx, qy, qz, qw = segments[
@@ -801,6 +707,12 @@ class ReferencePhysicsSim:
             rows[k] = (ax + u * dx, ay + u * dy, az + u * dz, qx, qy, qz, qw)
 
     def channel_snapshot(self, fidelity: ChannelFidelity) -> ChannelData:
+        """The current poses' snapshot.  Disk fidelity gives a bare LOS
+        verdict per pair (in range or not); LOS/NLOS fidelity one aggregate
+        path per pair whose hops are the obstacle entry points in crossing
+        order, each carrying that obstacle's penetration loss.  Coincident
+        agents see each other LOS: a zero-length segment crosses nothing.
+        Pairs are listed as `wire.all_pairs`."""
         still = self._still
         if still is not None and still[0] is fidelity:
             return still[1]

@@ -1,6 +1,15 @@
-"""The LOS kernels as they were before they shared their per-pair work,
-kept as the oracles of the columnar kernels, of their broad-phase cache
-and of the per-pair route.
+"""Reference code that the package's physics is checked against: the
+record-based world path `ReferencePhysicsSim` replaced, and the LOS
+kernels as they were before they shared their per-pair work.
+
+`AgentState`, `initial_agent_states`, `step_world` and `track_pose` walk
+agents as records, one `wire.Pose` each; they are the oracle of
+`ReferencePhysicsSim`'s arcs and pose rows, its first rows included, and
+make the same float operations in the same order.  `extract_channel_data`
+gives the snapshot of a list of such records through `physics._snapshot`
+with a fresh `BroadPhase`: the oracle of `ReferencePhysicsSim`'s deferred
+snapshots and of the kept broad phase.  Its agents may hold any pose, so
+its snapshots are left for `wire.validate_channel_data` to check.
 
 `los_paths_vector` is the vector kernel as it was before the kernels
 wrote columns: an AABB broad phase rebuilt on every call, the slab test on
@@ -18,15 +27,126 @@ bit.  `segment_box_crossings` gives its entry and exit points.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from cosimnet.physics import _BROAD_SLACK, _vec3
-from cosimnet.wire import PathDetails
+from cosimnet.physics import (
+    _BROAD_SLACK,
+    AgentTrack,
+    BroadPhase,
+    ChannelFidelity,
+    WorldModel,
+    _segment_table,
+    _snapshot,
+    _vec3,
+    track_length,
+)
+from cosimnet.wire import ChannelData, PathDetails, Pose
 
 _ENTRY_ORDER = itemgetter(0, 1)  # a hit's entry t, then its box index
+
+
+# -- the record-based world path ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class AgentState:
+    """Kinematic state: the pose always lies on the agent's track polyline."""
+
+    agent_id: int
+    pose: Pose
+    arc_position: float = 0.0
+
+
+def track_pose(track: AgentTrack, arc: float) -> Pose:
+    """Pose at a given arc position: position interpolated on the polyline,
+    orientation yaw-aligned with the local segment direction (about +z).
+    Raises ValueError for an arc that is not finite."""
+    if not math.isfinite(arc):
+        raise ValueError(f"arc {arc!r} is not finite")
+    table, total = _segment_table(track.waypoints, track.loop)
+    if not table or total == 0.0:
+        return Pose(track.waypoints[0])
+    if track.loop:
+        arc = math.fmod(arc, total)
+        if arc < 0:
+            arc += total
+    else:
+        arc = min(max(arc, 0.0), total)
+    # the last segment ends at the total, by the same sum, so the arc falls
+    # in a segment
+    for a, b, length, cum, yaw in table:
+        if arc <= cum + length:
+            break
+    u = (arc - cum) / length
+    return Pose(tuple(pa + u * (pb - pa) for pa, pb in zip(a, b)), yaw)
+
+
+def initial_agent_states(tracks: Iterable[AgentTrack]) -> list[AgentState]:
+    """One agent per track, parked at the start of its polyline."""
+    states = []
+    for track in sorted(tracks, key=lambda t: t.agent_id):
+        states.append(AgentState(track.agent_id, track_pose(track, 0.0), 0.0))
+    return states
+
+
+def step_world(
+    world: WorldModel,
+    tracks: Mapping[int, AgentTrack],
+    agents: Sequence[AgentState],
+    dt_ns: int,
+) -> list[AgentState]:
+    """Advance every agent speed*dt along its track.
+
+    Loop tracks wrap (fmod is exact, so repeated wrapping does not drift);
+    non-loop tracks clamp at the final waypoint.  The world is carried for
+    contract stability; the reference motion model ignores geometry.
+    """
+    if dt_ns <= 0:
+        raise ValueError(f"dt must be > 0 ns, got {dt_ns}")
+    out = []
+    for state in agents:
+        track = tracks.get(state.agent_id)
+        if track is None:
+            raise ValueError(f"agent {state.agent_id} has no track")
+        total = track_length(track)
+        arc = state.arc_position + track.speed * (dt_ns * 1e-9)
+        if total == 0.0:
+            arc = 0.0
+        elif track.loop:
+            arc = math.fmod(arc, total)
+        else:
+            arc = min(arc, total)
+        out.append(AgentState(state.agent_id, track_pose(track, arc), arc))
+    return out
+
+
+def extract_channel_data(
+    world: WorldModel,
+    agents: Sequence[AgentState],
+    fidelity: ChannelFidelity,
+) -> ChannelData:
+    """Reduce world geometry to ChannelData for the current agent set, as
+    `ReferencePhysicsSim.channel_snapshot` describes.
+
+    The agents may hold any pose, so the snapshot is left for
+    `wire.validate_channel_data` to check; `ReferencePhysicsSim`, whose
+    poses come from checked tracks, hands out the same snapshot checked.
+    """
+    states = sorted(agents, key=lambda s: s.agent_id)
+    ids = [s.agent_id for s in states]
+    if ids != list(range(len(states))):
+        raise ValueError(f"agent ids must be dense 0..n-1, got {ids}")
+    poses = tuple([s.pose.position + s.pose.orientation for s in states])
+    return _snapshot(world, poses, fidelity, BroadPhase())
+
+
+# -- the LOS kernels before they shared their per-pair work -------------------
 
 
 def crossing_interval(p0, p1, box):

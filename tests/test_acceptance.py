@@ -28,11 +28,11 @@ from cosimnet.metrics import kde
 from cosimnet.net_coord import apply_ber
 from cosimnet.netsim import RadioParams, ReferenceNetSim
 from cosimnet.physics import (
-    AgentState,
+    AgentTrack,
     Box,
     ChannelFidelity,
+    ReferencePhysicsSim,
     WorldModel,
-    extract_channel_data,
 )
 from cosimnet.scenario import load_scenario, parse_scenario, run_scenario
 from cosimnet.sync import DEFAULT_WINDOW_NS, Role, RunStats, SocketLink, run_lockstep
@@ -308,11 +308,12 @@ def test_03_los_verdicts_match_sampling_oracle():
                 Box(lo, tuple(a + s for a, s in zip(lo, size)), rng.uniform(0, 20))
             )
         world = WorldModel(bounds, tuple(boxes))
-        agents = [
-            AgentState(i, Pose(tuple(rng.uniform(-200, 200) for _ in range(3))), 0.0)
+        # parked agents: one waypoint each, at the sampled position
+        tracks = [
+            AgentTrack(i, (tuple(rng.uniform(-200, 200) for _ in range(3)),), speed=1.0)
             for i in range(rng.randint(2, 8))
         ]
-        data = extract_channel_data(world, agents, fid)
+        data = ReferencePhysicsSim(world, tracks).channel_snapshot(fid)
 
         # the verdicts under test are the ones actually emitted on the wire
         frame = wire.encode_frame(

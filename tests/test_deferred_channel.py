@@ -2,9 +2,9 @@
 columns are built when first read, and the netsim reads one pair's
 first-path losses from them without building anything.
 
-The oracles are the eager path, `extract_channel_data` over the same
-poses, the column slice of the same snapshot once built, and the unculled
-scalar kernel.
+The oracles are the eager path, `physics_oracles.extract_channel_data`
+over the same poses, the column slice of the same snapshot once built,
+and the unculled scalar kernel.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from cosimnet.physics import (
     ChannelFidelity,
     ReferencePhysicsSim,
     WorldModel,
-    extract_channel_data,
-    initial_agent_states,
 )
 from cosimnet.scenario import load_scenario, parse_scenario, run_scenario
 from cosimnet.wire import ChannelData, PathDetails, Pose
 
 from tests import physics_oracles
+from tests.physics_oracles import extract_channel_data, initial_agent_states
 from tests.test_lockstep_oracle import SCENARIOS, socket_link_pair, two_peer_run
 from tests.test_physics import UNIT, random_kernel_cases
 
@@ -269,6 +268,6 @@ def test_an_open_track_gives_the_reference_snapshots():
     # agent 0 ends after 2 s, agent 1 after 2.5 s
     for _ in range(12):
         sim.step(250_000_000)
-        states = physics.step_world(world, by_id, states, 250_000_000)
+        states = physics_oracles.step_world(world, by_id, states, 250_000_000)
         snapshot = sim.channel_snapshot(fid)
         assert repr(snapshot) == repr(extract_channel_data(world, states, fid))

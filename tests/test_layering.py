@@ -1,8 +1,9 @@
 """Module boundaries that keep one cross-process protocol, one owner of
 the channel-blob format, one parser of IPv4 addresses, one way to run
 each side (a loop on the calling thread), packets that stay rows on the
-network side, bit errors without numpy, no device I/O, and one public
-surface."""
+network side, pose rows without per-agent records on the physics side,
+bit errors without numpy, no device I/O, no imports from the tests, and
+one public surface."""
 
 from __future__ import annotations
 
@@ -80,6 +81,21 @@ def test_netsim_builds_no_network_messages():
     used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= {name.rsplit(".", 1)[-1] for name in imported_names(tree)}
     assert not used & {"MsgType", "NetworkUpdate"}, sorted(used & {"MsgType", "NetworkUpdate"})
+
+
+def test_physics_builds_no_per_agent_records():
+    # the shipped simulator keeps pose rows; the record-based path it is
+    # checked against lives in tests/physics_oracles.py
+    tree = parse("physics")
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {name.rsplit(".", 1)[-1] for name in imported_names(tree)}
+    assert not used & {"Pose", "PathDetails"}, sorted(used & {"Pose", "PathDetails"})
+
+
+def test_no_module_imports_from_tests():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        assert "tests" not in top_level_imports(path), path.relative_to(PACKAGE)
 
 
 def test_an_in_process_run_builds_no_network_update(tmp_path, monkeypatch):

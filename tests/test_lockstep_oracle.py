@@ -351,17 +351,22 @@ class PhysicsFault(Exception):
     pass
 
 
-def split_with_fault(config, sim, tick_fault_at=None):
+class NetSimFault(Exception):
+    pass
+
+
+def split_with_fault(config, sim, tick_fault_at=None, netsim=None):
     """Both coordinators of `config` on daemon threads over a socket pair
     with no socket timeout, so only a closed link can end a side whose peer
     failed.  The application tick raises at window start `tick_fault_at`,
-    if given.  Each side must end within 5 s; returns the exception each
-    side raised."""
+    if given; `netsim`, if given, stands in for the reference netsim.  Each
+    side must end within 5 s; returns the exception each side raised."""
     phys_sock, net_sock = socket.socketpair()
     phys_link, net_link = SocketLink(phys_sock, None), SocketLink(net_sock, None)
     phys_cfg = PhysCoordConfig(config.window_ns, config.fidelity)
     net_cfg = NetCoordConfig(config.window_ns, config.agent_address_map, seed=config.seed)
-    netsim = ReferenceNetSim(config.radio, dict(config.agent_address_map))
+    if netsim is None:
+        netsim = ReferenceNetSim(config.radio, dict(config.agent_address_map))
     backend = InProcessBackend(net_cfg.addresses)
     host = FlowHost(backend)
     for flow_cfg in config.flows:
@@ -434,6 +439,38 @@ def test_network_fault_ends_the_physics_side():
     outcome = split_with_fault(config, sim, tick_fault_at=50 * config.window_ns)
 
     assert isinstance(outcome.get("network"), ApplicationFault)
+    summary = outcome["network"].partial_summary
+    assert summary.windows_completed == 50
+    assert_counters_balance(summary)
+    assert isinstance(outcome.get("physics"), TransportError)
+    assert outcome["physics"].partial_summary.windows_completed == 50
+
+
+def test_netsim_fault_ends_the_physics_side():
+    """The netsim's `advance` raises in window 51 of 400: the network side
+    raises that error with the partial run of 50 windows and closes its
+    link, and the physics side, waiting for that window's END, fails with
+    `TransportError` and the same 50 windows."""
+    config = CORPUS["static"]()
+    n = config.duration_ns // config.window_ns
+
+    class FailingNetSim(ReferenceNetSim):
+        advances = 0
+
+        def advance(self, window_start, window_ns, packets):
+            self.advances += 1
+            if self.advances == 51:
+                raise NetSimFault(f"advance at {window_start}")
+            return super().advance(window_start, window_ns, packets)
+
+    netsim = FailingNetSim(config.radio, dict(config.agent_address_map))
+    sim = ReferencePhysicsSim(config.world, config.tracks)
+
+    outcome = split_with_fault(config, sim, netsim=netsim)
+
+    assert n == 400 and netsim.advances == 51
+    assert isinstance(outcome.get("network"), NetSimFault)
+    assert str(outcome["network"]) == f"advance at {50 * config.window_ns}"
     summary = outcome["network"].partial_summary
     assert summary.windows_completed == 50
     assert_counters_balance(summary)

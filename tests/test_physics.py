@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import struct
 import warnings
 from fractions import Fraction
 
@@ -13,21 +14,23 @@ import pytest
 
 from cosimnet import physics, wire
 from cosimnet.physics import (
-    AgentState,
     AgentTrack,
     Box,
     ChannelFidelity,
     ReferencePhysicsSim,
     WorldModel,
-    extract_channel_data,
-    initial_agent_states,
-    step_world,
     track_length,
-    track_pose,
 )
 from cosimnet.wire import Pose
 from tests import physics_oracles
-from tests.physics_oracles import segment_box_crossings
+from tests.physics_oracles import (
+    AgentState,
+    extract_channel_data,
+    initial_agent_states,
+    segment_box_crossings,
+    step_world,
+    track_pose,
+)
 
 BOUNDS = Box((-500.0, -500.0, -500.0), (500.0, 500.0, 500.0))
 WIDE = Box((-1e12, -1e12, -1e12), (1e12, 1e12, 1e12))
@@ -627,6 +630,71 @@ def test_reference_sim_walks_its_tracks_as_step_world_does():
         wraps += sum(a < b for a, b in zip(arcs, before))
         clamped += sum(a == end for a, end in zip(arcs, ends))
     assert wraps > 20 and clamped > 1000
+
+
+def row_bytes(rows) -> list[bytes]:
+    """Pose rows as packed doubles, which tell -0.0 from 0.0."""
+    return [struct.pack("<7d", *row) for row in rows]
+
+
+def assert_first_rows_are_track_poses_at_arc_zero(world, tracks):
+    sim = ReferencePhysicsSim(world, tracks)
+    by_id = {t.agent_id: t for t in tracks}
+    poses = [track_pose(by_id[k], 0.0) for k in sorted(by_id)]
+    assert row_bytes(sim._rows) == row_bytes(p.position + p.orientation for p in poses)
+    return sim._rows
+
+
+def test_first_rows_are_track_poses_at_arc_zero_on_random_worlds():
+    """The first rows `ReferencePhysicsSim` writes itself are
+    `track_pose(track, 0.0)`'s byte for byte, on random tracks and on the
+    corpus worlds."""
+    from cosimnet.scenario import parse_scenario
+    from tests.test_lockstep_oracle import CORPUS, swarm_document
+
+    rng = random.Random(2121)
+    world = WorldModel(Box((-100.0, -100.0, -100.0), (100.0, 100.0, 100.0)))
+    for _ in range(200):
+        tracks = [random_track(rng, k) for k in range(rng.randint(1, 8))]
+        assert_first_rows_are_track_poses_at_arc_zero(world, tracks)
+    configs = [CORPUS[name]() for name in sorted(CORPUS)] + [
+        parse_scenario(swarm_document(agents=agents, boxes=boxes))
+        for agents, boxes in ((2, 3), (6, 8), (16, 50))
+    ]
+    for config in configs:
+        assert_first_rows_are_track_poses_at_arc_zero(config.world, config.tracks)
+
+
+def sign(value: float) -> float:
+    return math.copysign(1.0, value)
+
+
+def test_first_rows_are_track_poses_at_arc_zero_on_edge_tracks():
+    """Open, loop and single-waypoint tracks, and a -0.0 waypoint
+    coordinate: a moving track's first row holds `a + 0.0 * d`, which is
+    +0.0 where that axis's delta is positive or zero and keeps -0.0 where
+    it is negative; a parked track's row is its waypoint as it is."""
+    world = WorldModel(BOUNDS)
+    path = ((1.5, -2.0, 0.25), (4.0, 0.0, 0.0), (4.0, 4.0, 1.0))
+    tracks = [
+        AgentTrack(0, path, speed=1.0),
+        AgentTrack(1, path, speed=2.0, loop=True),
+        AgentTrack(2, ((3.0, -1.0, 7.0),), speed=1.0),
+        AgentTrack(3, ((-0.0, 1.0, -0.0), (3.0, 1.0, 2.0)), speed=1.0),
+        AgentTrack(4, ((-0.0, 1.0, -0.0), (-3.0, 1.0, -2.0)), speed=1.0),
+        AgentTrack(5, ((-0.0, -0.0, 2.0), (-0.0, 5.0, 2.0)), speed=1.0),
+        AgentTrack(6, ((-0.0, 0.0, -0.0),), speed=1.0),
+    ]
+    rows = assert_first_rows_are_track_poses_at_arc_zero(world, tracks)
+    assert rows[2] == (3.0, -1.0, 7.0, 0.0, 0.0, 0.0, 1.0)
+    # positive deltas on x and z: both turn +0.0
+    assert [sign(v) for v in rows[3][:3]] == [1.0, 1.0, 1.0]
+    # negative deltas: both keep -0.0
+    assert [sign(v) for v in rows[4][:3]] == [-1.0, 1.0, -1.0]
+    # a zero delta on x, a positive one on y: both turn +0.0
+    assert [sign(v) for v in rows[5][:3]] == [1.0, 1.0, 1.0]
+    # parked: the waypoint as it is
+    assert [sign(v) for v in rows[6][:3]] == [-1.0, 1.0, -1.0]
 
 
 def test_kernel_snapshots_share_a_read_only_pair_index():

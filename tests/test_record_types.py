@@ -125,9 +125,9 @@ class RecordingNetSim(ReferenceNetSim):
 
 @pytest.mark.parametrize("name", sorted(WORLDS))
 def test_in_process_producers_build_exact_types(tmp_path, monkeypatch, name):
-    """`track_pose` and `extract_channel_data` (through the snapshots
-    `apply_channel` receives), `capture`'s rows as the netsim takes and
-    clears them, and `channel_update` on each snapshot."""
+    """`ReferencePhysicsSim`'s pose rows and snapshot kernels (through the
+    snapshots `apply_channel` receives), `capture`'s rows as the netsim
+    takes and clears them, and `channel_update` on each snapshot."""
     config = WORLDS[name]()
     assert takes_vector_path(config) == (name == "vector")
     assert (config.fidelity.kind is FidelityKind.DISK) == (name == "disk")
