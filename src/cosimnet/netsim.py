@@ -70,10 +70,6 @@ class NetSimError(Exception):
     """Base for simulator rejections."""
 
 
-class MalformedChannelError(NetSimError):
-    """Channel update references missing nodes or violates wire invariants."""
-
-
 class MalformedManifestError(NetSimError):
     """A window's packets came for a window behind the simulator's clock,
     or of negative length."""
@@ -282,15 +278,11 @@ class ReferenceNetSim:
     # -- channel ---------------------------------------------------------
 
     def apply_channel(self, cd: ChannelData) -> None:
-        """Take `cd` as the channel from now on.  Only its check runs here,
-        and only if `cd` has not passed it (a decoded snapshot and a physics
-        simulator's have): a pair's link is computed the first time it is
-        asked for.  When `cd` is the last update's snapshot, as a parked
-        world hands back, the rows computed for it are kept."""
-        try:
-            wire.validate_channel_data(cd)
-        except wire.InvariantViolation as exc:
-            raise MalformedChannelError(str(exc)) from exc
+        """Take `cd` as the channel from now on.  Nothing is checked here
+        (a snapshot that crossed the wire was checked by its decoder), and a
+        pair's link is computed the first time it is asked for.  When `cd`
+        is the last update's snapshot, as a parked world hands back, the
+        rows computed for it are kept."""
         if cd is self._channel:
             return
         self._channel = cd
@@ -320,10 +312,9 @@ class ReferenceNetSim:
     def link_table(self) -> Mapping[tuple[int, int], tuple]:
         """The last channel update's links, in the order it listed them:
         ordered pair (i < j) -> ``(phy_rate, ber, distance, wall_loss,
-        path_loss, snr)``.  The update rejects a pair listed twice, so the
-        table has one row per listed pair.  Reading it computes every row
-        not yet asked for; a row computed before, for this update or for
-        an earlier one of the same snapshot, is the same object."""
+        path_loss, snr)``.  Reading it computes every row not yet asked
+        for; a row computed before, for this update or for an earlier one
+        of the same snapshot, is the same object."""
         self._links = {pair: self._link(pair) for pair in self._rows}
         return self._links
 

@@ -38,14 +38,6 @@ are reused until some agent has moved further than the skin along an
 axis.  They stay a superset of what an unwidened test would pass, so the
 exact narrow phase gives the same hops.
 
-Who checks a snapshot: the kernels build well-formed columns from finite
-poses, and `ReferencePhysicsSim` poses come from tracks it checked at
-construction (inside world bounds of finite extent), so its snapshots
-come marked checked, unless those bounds lie near the float limit, and
-`wire.validate_channel_data` passes them without a scan.  The oracle
-`extract_channel_data` in `tests/physics_oracles.py`, whose agents may
-hold any pose, leaves its snapshots to that check.
-
 The simulator contract is two methods, `step(dt_ns)` and
 `channel_snapshot(fidelity)`.  `ReferencePhysicsSim` implements it
 in-process.
@@ -605,14 +597,10 @@ def _walk(track: AgentTrack) -> tuple:
 class _Extraction:
     """Source of `ReferencePhysicsSim`'s deferred snapshots at one
     fidelity: all pair columns through `_snapshot`, or one pair's
-    first-path losses from `_pair_hits`.  `checked` is the simulator's
-    construction-time verdict that its snapshots need no check."""
+    first-path losses from `_pair_hits`."""
 
-    def __init__(
-        self, world: WorldModel, fidelity: ChannelFidelity, broad_phase: BroadPhase, checked: bool
-    ):
+    def __init__(self, world: WorldModel, fidelity: ChannelFidelity, broad_phase: BroadPhase):
         self.fidelity = fidelity
-        self.checked = checked
         self._world = world
         self._broad_phase = broad_phase
         self._radius = fidelity.radius if fidelity.kind is FidelityKind.DISK else None
@@ -641,17 +629,7 @@ class ReferencePhysicsSim:
     in their order, so the poses are bit-identical to theirs; those two,
     and `extract_channel_data` over their states, are its reference.  When
     every agent is parked, each snapshot at one fidelity is the same object.
-
-    Its snapshots are `wire.ChannelData.deferred`, and come checked: its
-    tracks lie inside the world bounds, checked here, and the kernels
-    build well-formed columns from finite poses.  A pose lies on its
-    track's segment up to rounding, which puts it no more than three
-    segment lengths past the segment's end.  So with R the largest bound
-    coordinate plus the longest track, every pose is within 4R of the
-    origin, every pair's segment shorter than 8R, and every hop, which
-    lies between a segment's start and a midpoint inside a box, within
-    12R: all finite while 16R is.  Where 16R overflows, the snapshots are
-    left to be checked downstream instead.
+    Its snapshots are `wire.ChannelData.deferred`.
     """
 
     def __init__(self, world: WorldModel, tracks: Iterable[AgentTrack]):
@@ -670,11 +648,6 @@ class ReferencePhysicsSim:
         ids = sorted(by_id)
         if ids != list(range(len(ids))):
             raise ValueError(f"agent ids must be dense 0..n-1, got {ids}")
-        bounds = world.bounds
-        reach = max(map(abs, bounds.min_corner + bounds.max_corner)) + max(
-            (track_length(t) for t in by_id.values()), default=0.0
-        )
-        self._checked = math.isfinite(16.0 * reach)
         self._arcs = [0.0] * len(ids)
         # a parked agent (one waypoint) keeps this row; a moving one's follows
         self._rows = [by_id[k].waypoints[0] + (0.0, 0.0, 0.0, 1.0) for k in ids]
@@ -718,9 +691,7 @@ class ReferencePhysicsSim:
             return still[1]
         source = self._extraction
         if source is None or source.fidelity is not fidelity:
-            source = self._extraction = _Extraction(
-                self.world, fidelity, self._broad_phase, self._checked
-            )
+            source = self._extraction = _Extraction(self.world, fidelity, self._broad_phase)
         snapshot = ChannelData.deferred(tuple(self._rows), source)
         if not self._walks:
             self._still = (fidelity, snapshot)

@@ -147,7 +147,7 @@ class _Fields:
 
     __slots__ = (
         "poses", "ids", "los", "path_start", "num_hops", "hop_start", "hops",
-        "_node_list", "_path_details", "_rows", "_checked", "_source",
+        "_node_list", "_path_details", "_rows", "_source",
     )
 
 
@@ -173,8 +173,8 @@ class ChannelData(_Fields):
     built from them when first read, with the field types `Pose` and
     `PathDetails` document.  Equality, hashing and `repr` go by the
     records.  A snapshot is immutable, like the frozen records: assigning
-    a field raises `dataclasses.FrozenInstanceError`, so the records, pair
-    index and check verdict kept for it cannot go stale.
+    a field raises `dataclasses.FrozenInstanceError`, so the records and
+    pair index kept for it cannot go stale.
     """
 
     __slots__ = ()
@@ -194,7 +194,7 @@ class ChannelData(_Fields):
     def from_columns(cls, poses, ids, los, path_start, num_hops, hop_start, hops):
         """A snapshot over the given column tuples, shaped as the class
         documents."""
-        return cls._filled(poses, ids, None, False, los, path_start, num_hops, hop_start, hops)
+        return cls._filled(poses, ids, None, los, path_start, num_hops, hop_start, hops)
 
     @classmethod
     def of_all_pairs(cls, poses, los, path_start, num_hops, hop_start, hops):
@@ -202,8 +202,7 @@ class ChannelData(_Fields):
         with that list's cached, read-only pair index."""
         n = len(poses)
         return cls._filled(
-            poses, all_pairs(n), _all_pairs_rows(n), False,
-            los, path_start, num_hops, hop_start, hops,
+            poses, all_pairs(n), _all_pairs_rows(n), los, path_start, num_hops, hop_start, hops
         )
 
     @classmethod
@@ -211,16 +210,14 @@ class ChannelData(_Fields):
         """The snapshot over `poses` and all pairs whose five pair columns
         are taken from ``source.columns(poses)`` when one is first read;
         until then ``source.first_path_losses(poses, i, j)`` answers
-        `first_path_losses`.  ``source.checked`` is the source's word that
-        the columns it builds are well formed: such a snapshot passes
-        `validate_channel_data` without a scan."""
+        `first_path_losses`."""
         n = len(poses)
-        cd = _Deferred._filled(poses, all_pairs(n), _all_pairs_rows(n), source.checked)
+        cd = _Deferred._filled(poses, all_pairs(n), _all_pairs_rows(n))
         object.__setattr__(cd, "_source", source)
         return cd
 
     @classmethod
-    def _filled(cls, poses, ids, rows, checked, *columns):
+    def _filled(cls, poses, ids, rows, *columns):
         # Filled as plain slots, then given this class, whose fields cannot
         # be assigned.  Filling through object.__setattr__, as frozen
         # dataclasses do, took 1.9 us a snapshot against 0.45 us, which
@@ -232,7 +229,6 @@ class ChannelData(_Fields):
             cd.los, cd.path_start, cd.num_hops, cd.hop_start, cd.hops = columns
         cd._node_list = cd._path_details = None
         cd._rows = rows
-        cd._checked = checked
         cd.__class__ = cls
         return cd
 
@@ -413,15 +409,8 @@ def validate_pose(pose: Pose, what: str = "Pose") -> None:
 
 def validate_channel_data(cd: ChannelData) -> None:
     """Raise InvariantViolation, naming the first bad field, unless `cd` is
-    well formed.  A snapshot that passes is not checked again.
-
-    Who checks what: the channel decoder checks every snapshot it decodes,
-    the trust boundary between the two sides.  A simulator's deferred
-    snapshots come checked (`ChannelData.deferred`) when the simulator
-    checked their inputs, its tracks and world, once at construction; in
-    process and in the encoder this call then returns at once.  Any other
-    snapshot is checked by the first call, from `apply_channel` or the
-    encoder.
+    well formed.  `decode_channel_data` calls it on every snapshot it
+    decodes, at the trust boundary between the two sides.
 
     The columns are checked one pass each, with no string work, in time
     linear in their size.  Only when a quick test fails are the records
@@ -429,11 +418,8 @@ def validate_channel_data(cd: ChannelData) -> None:
     a pose near the quaternion norm tolerance goes to that scan for the
     exact verdict.
     """
-    if cd._checked:
-        return
     if not _columns_pass(cd):
         _scan_channel_data(cd)
-    object.__setattr__(cd, "_checked", True)
 
 
 def _columns_pass(cd: ChannelData) -> bool:
@@ -628,7 +614,6 @@ class _Reader:
 # channel data codec
 
 def encode_channel_data(cd: ChannelData) -> bytes:
-    validate_channel_data(cd)
     num_hops = cd.num_hops
     hops = b"".join(starmap(_HOP.pack, cd.hops))
     parts = [
@@ -682,9 +667,9 @@ def decode_channel_data(data: bytes) -> ChannelData:
 
 
 def channel_update(t: int, cd: ChannelData) -> PhysicsUpdate:
-    """The END message for window `t` carrying `cd`, encoded (which
-    validates it) and compressed once.  The message keeps `cd` as its
-    decoded channel for `channel_of`."""
+    """The END message for window `t` carrying `cd`, encoded and
+    compressed once.  The message keeps `cd` as its decoded channel for
+    `channel_of`."""
     msg = PhysicsUpdate(MsgType.END, t, compress_channel_blob(encode_channel_data(cd)))
     object.__setattr__(msg, "_channel", cd)
     return msg

@@ -17,14 +17,8 @@ import bisect
 from collections import deque
 from dataclasses import dataclass
 
-from cosimnet import wire
 from cosimnet.net_coord import DeliveryRecord, NetworkCoordinator, apply_ber
-from cosimnet.netsim import (
-    MalformedChannelError,
-    MediumEvent,
-    MediumEventKind,
-    ReferenceNetSim,
-)
+from cosimnet.netsim import MediumEvent, MediumEventKind, ReferenceNetSim
 from cosimnet.sync import ProtocolError
 
 
@@ -66,10 +60,6 @@ class ObjectNetSim(ReferenceNetSim):
     fresh link rows on every update."""
 
     def apply_channel(self, cd):
-        try:
-            wire.validate_channel_data(cd)
-        except wire.InvariantViolation as exc:
-            raise MalformedChannelError(str(exc)) from exc
         self._channel = cd
         self._rows = cd.pair_rows
         self._links = {}

@@ -8,8 +8,7 @@ agents as records, one `wire.Pose` each; they are the oracle of
 make the same float operations in the same order.  `extract_channel_data`
 gives the snapshot of a list of such records through `physics._snapshot`
 with a fresh `BroadPhase`: the oracle of `ReferencePhysicsSim`'s deferred
-snapshots and of the kept broad phase.  Its agents may hold any pose, so
-its snapshots are left for `wire.validate_channel_data` to check.
+snapshots and of the kept broad phase.
 
 `los_paths_vector` is the vector kernel as it was before the kernels
 wrote columns: an AABB broad phase rebuilt on every call, the slab test on
@@ -132,11 +131,9 @@ def extract_channel_data(
     fidelity: ChannelFidelity,
 ) -> ChannelData:
     """Reduce world geometry to ChannelData for the current agent set, as
-    `ReferencePhysicsSim.channel_snapshot` describes.
-
-    The agents may hold any pose, so the snapshot is left for
-    `wire.validate_channel_data` to check; `ReferencePhysicsSim`, whose
-    poses come from checked tracks, hands out the same snapshot checked.
+    `ReferencePhysicsSim.channel_snapshot` describes.  Nothing checks it
+    here, as nothing checks `ReferencePhysicsSim`'s: the channel decoder is
+    the one check.
     """
     states = sorted(agents, key=lambda s: s.agent_id)
     ids = [s.agent_id for s in states]

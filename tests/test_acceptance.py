@@ -243,22 +243,20 @@ def test_02_wire_roundtrip_and_malformed_frames():
     with pytest.raises(wire.FrameError, match="time_val"):
         wire.decode_frame(b"RNS1" + b"\x01" + struct.pack("<I", len(cut)) + cut)
 
+    # the encoder writes a malformed snapshot as it is; its decoder names the fault
+    unnormalized = wire.ChannelData(node_list=(Pose((0, 0, 0), (2, 0, 0, 0)),))
     with pytest.raises(wire.InvariantViolation, match="orientation"):
-        wire.encode_channel_data(
-            wire.ChannelData(node_list=(Pose((0, 0, 0), (2, 0, 0, 0)),))
-        )
+        wire.decode_channel_data(wire.encode_channel_data(unnormalized))
     two = (Pose((0, 0, 0)), Pose((1, 0, 0)))
+    self_pair = wire.ChannelData(two, (wire.PathDetails((0, 0), True, (0,), ()),))
     with pytest.raises(wire.InvariantViolation, match="distinct"):
-        wire.encode_channel_data(
-            wire.ChannelData(two, (wire.PathDetails((0, 0), True, (0,), ()),))
-        )
+        wire.decode_channel_data(wire.encode_channel_data(self_pair))
+    # a hop count the hop rows do not match cannot be written: the check says so
+    short = wire.ChannelData(
+        two, (wire.PathDetails((0, 1), False, (2,), ((0.5, 0.0, 0.0, 3.0),)),)
+    )
     with pytest.raises(wire.InvariantViolation, match="hop points"):
-        wire.encode_channel_data(
-            wire.ChannelData(
-                two,
-                (wire.PathDetails((0, 1), False, (2,), ((0.5, 0.0, 0.0, 3.0),)),),
-            )
-        )
+        wire.validate_channel_data(short)
     with pytest.raises(wire.InvariantViolation, match="time_val"):
         wire.encode_frame(NetworkUpdate(MsgType.END, 2**64))
 

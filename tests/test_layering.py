@@ -2,6 +2,7 @@
 the channel-blob format, one parser of IPv4 addresses, one way to run
 each side (a loop on the calling thread), packets that stay rows on the
 network side, pose rows without per-agent records on the physics side,
+one check of a channel snapshot, where its decoder reads it off the wire,
 bit errors without numpy, no device I/O, no imports from the tests, and
 one public surface."""
 
@@ -91,6 +92,44 @@ def test_physics_builds_no_per_agent_records():
     used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= {name.rsplit(".", 1)[-1] for name in imported_names(tree)}
     assert not used & {"Pose", "PathDetails"}, sorted(used & {"Pose", "PathDetails"})
+
+
+def calls_by_function(tree: ast.Module, callee: str):
+    """The name of the innermost function around each call of `callee`,
+    by plain or attribute name, in `tree` (None at module level)."""
+
+    def walk(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == callee:
+                yield function
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function)
+
+    yield from walk(tree, None)
+
+
+def test_only_the_decoder_checks_a_channel_snapshot():
+    callers = [
+        (path.stem, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in calls_by_function(parse(path.stem), "validate_channel_data")
+    ]
+    assert callers == [("wire", "decode_channel_data")]
+    # and no snapshot carries a mark that lets a check be skipped: neither
+    # an attribute nor a name handed to setattr, getattr or __slots__
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path.stem)
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        found = names & {"_checked", "checked"}
+        assert not found, (path.stem, sorted(found))
 
 
 def test_no_module_imports_from_tests():

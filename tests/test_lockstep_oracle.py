@@ -211,10 +211,9 @@ def test_an_old_format_network_frame_is_refused():
 
 
 def test_socket_split_decodes_each_channel_blob_once(tmp_path, monkeypatch):
-    """The physics side validates each snapshot once, as it encodes it, and
-    decodes nothing.  The network side decodes each END once, in
-    `decode_frame`, and validates it there and once more in `apply_channel`,
-    which sees every END but the last."""
+    """The physics side validates and decodes nothing.  The network side
+    decodes each END once, in `decode_frame`, and validates it there, its
+    one check."""
     config = CORPUS["static"]()
     n = config.duration_ns // config.window_ns
     expected = facts(run_scenario(config, tmp_path / "loop", timeline=True))
@@ -241,18 +240,18 @@ def test_socket_split_decodes_each_channel_blob_once(tmp_path, monkeypatch):
         for name in ("decode_channel_data", "validate_channel_data")
     } == {
         ("physics", "decode_channel_data"): 0,
-        ("physics", "validate_channel_data"): n,
+        ("physics", "validate_channel_data"): 0,
         ("network", "decode_channel_data"): n,
-        ("network", "validate_channel_data"): 2 * n - 1,
+        ("network", "validate_channel_data"): n,
     }
     assert (phys_link.sent_frames, net_link.sent_frames) == (2 * n + 1, 2 * n + 1)
     assert got == expected
 
 
 def test_kernel_snapshots_are_scanned_only_after_decoding(tmp_path, monkeypatch):
-    """The physics kernels' snapshots arrive checked: in process nothing
-    scans a column of them, and over the socket pair only the network side
-    does, once per decoded blob."""
+    """In process nothing scans a column of the physics kernels' snapshots;
+    over the socket pair only the network side does, once per decoded
+    blob."""
     calls = collections.Counter()
     network_thread = threading.get_ident()
     check = wire._columns_pass
@@ -427,6 +426,40 @@ def test_physics_fault_ends_the_network_side():
     summary = outcome["network"].partial_summary
     assert summary.windows_completed == 50
     assert_counters_balance(summary)
+
+
+def test_malformed_snapshot_fails_the_network_side():
+    """The physics side's snapshot in window 51 of 400 holds a NaN pose.  Its
+    encoder writes it unchecked; the network side's decoder, the one check,
+    rejects it, naming the field, with the partial run of 50 windows, and
+    closes its link, so the physics side fails with `TransportError`."""
+    config = CORPUS["static"]()
+
+    class NaNSim(ReferencePhysicsSim):
+        snapshots = 0
+
+        def channel_snapshot(self, fidelity):
+            cd = super().channel_snapshot(fidelity)
+            self.snapshots += 1
+            if self.snapshots != 51:
+                return cd
+            poses = ((float("nan"), *cd.poses[0][1:]), *cd.poses[1:])
+            return wire.ChannelData.from_columns(
+                poses, cd.ids, cd.los, cd.path_start, cd.num_hops, cd.hop_start, cd.hops
+            )
+
+    sim = NaNSim(config.world, config.tracks)
+    outcome = split_with_fault(config, sim)
+
+    assert sim.snapshots >= 51  # the physics side may take the next one first
+    assert isinstance(outcome.get("network"), wire.InvariantViolation)
+    assert "ChannelData.node_list[0].position: component nan not finite" in str(
+        outcome["network"]
+    )
+    summary = outcome["network"].partial_summary
+    assert summary.windows_completed == 50
+    assert_counters_balance(summary)
+    assert isinstance(outcome.get("physics"), TransportError)
 
 
 def test_network_fault_ends_the_physics_side():

@@ -392,26 +392,34 @@ def test_timeline_records_one_sample_per_window_after_the_first(tmp_path):
 
 
 def test_each_snapshot_is_validated_once(tmp_path, monkeypatch):
-    calls = []
+    """In process nothing checks a snapshot: the one check is the channel
+    decoder's, and no snapshot crosses a wire here.  The netsim is handed
+    one per window but the first."""
+    checks, applied = [], []
     check = wire.validate_channel_data
-    monkeypatch.setattr(wire, "validate_channel_data", lambda cd: calls.append(cd) or check(cd))
+    monkeypatch.setattr(wire, "validate_channel_data", lambda cd: checks.append(cd) or check(cd))
+    apply = ReferenceNetSim.apply_channel
+    monkeypatch.setattr(
+        ReferenceNetSim, "apply_channel", lambda sim, cd: applied.append(cd) or apply(sim, cd)
+    )
     config = load_scenario(
         Path(scenario.__file__).parent / "scenarios" / "static_los_30m.json",
         duration_ns=400 * DEFAULT_WINDOW_NS,
     )
     run_scenario(config, tmp_path / "out")
-    assert len(calls) == 399  # window 0 applies no snapshot
+    assert len(applied) == 399  # window 0 applies no snapshot
     # both agents are parked, so every window hands over the one snapshot
-    assert len({id(cd) for cd in calls}) == 1
+    assert len({id(cd) for cd in applied}) == 1
     # where an agent moves, each window's snapshot is a new one
-    calls.clear()
+    applied.clear()
     config = load_scenario(
         Path(scenario.__file__).parent / "scenarios" / "patrol.json",
         duration_ns=400 * DEFAULT_WINDOW_NS,
     )
     run_scenario(config, tmp_path / "moving")
-    assert len(calls) == 399
-    assert len({id(cd) for cd in calls}) == 399
+    assert len(applied) == 399
+    assert len({id(cd) for cd in applied}) == 399
+    assert checks == []
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path):
