@@ -28,9 +28,10 @@ plus one, so this module needs no numpy, and a run that imports nothing
 else from `numpy.random` never loads it.
 
 In process, `scenario.run_scenario` passes each snapshot to `simulate` by
-reference.  Across processes, `run_network_coordinator` decodes it once
-from the peer's END message of the sync handshake, and its own END is a
-bare marker.
+reference.  Across processes, the peer's END message of the sync
+handshake carries it as an opaque blob, and `run_network_coordinator`
+decodes it once, in the window that applies it; its own END is a bare
+marker.
 """
 
 from __future__ import annotations
@@ -432,8 +433,9 @@ def run_network_coordinator(
     """Drive the NETWORK_SIDE of the sync protocol for a fixed duration.
 
     Each window runs on the channel in the peer's previous END, which
-    `wire.channel_of` decodes at most once; this side's END is a bare
-    marker.  Any failure, of the sync protocol, the simulator or the
+    `wire.channel_of` decodes and checks in that window; the last END's
+    blob, which no window applies, is never decoded.  This side's END is a
+    bare marker.  Any failure, of the sync protocol, the simulator or the
     application, closes the link and propagates with the partial run
     attached as `exc.partial_summary`.
     """

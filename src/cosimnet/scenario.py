@@ -325,6 +325,8 @@ def parse_scenario(
             f"duration {duration_ns} ns must be a positive multiple of the "
             f"{window_ns} ns window",
         )
+    if duration_ns >= 2**64:  # the last BEGIN frame carries it as a u64
+        raise ConfigError("duration_ns", "must fit in an unsigned 64-bit integer")
     radio = _parse_radio(obj.get("radio", {}), "radio")
     fidelity = _parse_fidelity(obj.get("fidelity", {"kind": "los_nlos"}), "fidelity")
     addresses = {ip for _, ip in address_map}

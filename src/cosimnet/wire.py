@@ -19,7 +19,8 @@ The message records store their fields as given, with one constructor
 each and no conversion.  Their producers pass the declared types (ints,
 floats, a bool, `MsgType` members): the physics side computes from what
 the scenario parser typed, and the decoders build records from `struct`
-values.  The one conversion left is `PhysicsUpdate.channel_data` to bytes.
+values.  The frame codec carries `PhysicsUpdate.channel_data` as opaque
+bytes; only `channel_of` reads them.
 
 A channel snapshot (ChannelData) is held as columns: a tuple of pose rows,
 the listed pairs, their LOS flags, and their paths' hop counts and hop rows
@@ -76,9 +77,6 @@ _HOP_LOSS = itemgetter(3)  # penetration loss of an (x, y, z, loss) hop
 class MsgType(IntEnum):
     BEGIN = 0x00
     END = 0x01
-
-
-_MSG_TYPES = (MsgType.BEGIN, MsgType.END)
 
 
 class WireError(Exception):
@@ -336,18 +334,13 @@ class _Deferred(ChannelData):
 class PhysicsUpdate:
     """Window marker from the physics side; END frames carry channel data.
 
-    `channel_data` is always `bytes`: `channel_of` keeps the decoded
-    channel on the message, which is sound only while the blob cannot
-    change, and a frame decoded from a `bytearray` buffer would otherwise
-    hold a mutable slice of it.
+    `channel_data` is the compressed channel blob as the frame carried it,
+    unread; `channel_of` decodes it.
     """
 
     msg_type: MsgType
     time_val: int
     channel_data: bytes = b""
-
-    def __post_init__(self):
-        object.__setattr__(self, "channel_data", bytes(self.channel_data))
 
 
 @dataclass(frozen=True)
@@ -367,11 +360,6 @@ class NetworkUpdate:
 def _check_u32(value: int, what: str) -> None:
     if not 0 <= value < 2**32:
         raise InvariantViolation(f"{what}: {value} out of u32 range")
-
-
-def _check_u64(value: int, what: str) -> None:
-    if not 0 <= value < 2**64:
-        raise InvariantViolation(f"{what}: {value} out of u64 range")
 
 
 def checked_address_map(entries) -> tuple[tuple[int, str], ...]:
@@ -520,26 +508,6 @@ def _check_hops(hops, what: str) -> None:
             )
 
 
-def validate_physics_update(msg: PhysicsUpdate) -> None:
-    if msg.msg_type not in _MSG_TYPES:
-        raise InvariantViolation(f"PhysicsUpdate.msg_type: unknown value {msg.msg_type}")
-    _check_u64(msg.time_val, "PhysicsUpdate.time_val")
-    if msg.channel_data:
-        try:
-            channel_of(msg)
-        except WireError as exc:
-            raise InvariantViolation(
-                f"PhysicsUpdate.channel_data: does not hold a valid compressed "
-                f"channel description ({exc})"
-            ) from exc
-
-
-def validate_network_update(msg: NetworkUpdate) -> None:
-    if msg.msg_type not in _MSG_TYPES:
-        raise InvariantViolation(f"NetworkUpdate.msg_type: unknown value {msg.msg_type}")
-    _check_u64(msg.time_val, "NetworkUpdate.time_val")
-
-
 # ---------------------------------------------------------------------------
 # compression (raw DEFLATE, RFC 1951)
 
@@ -668,26 +636,17 @@ def decode_channel_data(data: bytes) -> ChannelData:
 
 def channel_update(t: int, cd: ChannelData) -> PhysicsUpdate:
     """The END message for window `t` carrying `cd`, encoded and
-    compressed once.  The message keeps `cd` as its decoded channel for
-    `channel_of`."""
-    msg = PhysicsUpdate(MsgType.END, t, compress_channel_blob(encode_channel_data(cd)))
-    object.__setattr__(msg, "_channel", cd)
-    return msg
+    compressed once."""
+    return PhysicsUpdate(MsgType.END, t, compress_channel_blob(encode_channel_data(cd)))
 
 
 def channel_of(msg: PhysicsUpdate) -> ChannelData | None:
-    """The channel that `msg` carries, or None if it carries no blob.
-
-    The blob is decompressed and decoded at most once per message, and the
-    result kept on it; the message and its bytes are immutable, so the
-    kept value cannot go stale.  Raises WireError for a blob that does not
-    hold a valid compressed channel description.
-    """
-    cd = msg.__dict__.get("_channel")
-    if cd is None and msg.channel_data:
-        cd = decode_channel_data(decompress_channel_blob(msg.channel_data))
-        object.__setattr__(msg, "_channel", cd)
-    return cd
+    """The channel in `msg`'s blob, decompressed, decoded and checked on
+    each call, or None if it carries no blob.  A bad blob raises the
+    codec's `CompressionError`, `FrameError` or `InvariantViolation`."""
+    if not msg.channel_data:
+        return None
+    return decode_channel_data(decompress_channel_blob(msg.channel_data))
 
 
 # ---------------------------------------------------------------------------
@@ -710,11 +669,9 @@ def _encode_network_payload(msg: NetworkUpdate) -> bytes:
 
 def encode_frame(msg: PhysicsUpdate | NetworkUpdate) -> bytes:
     if isinstance(msg, PhysicsUpdate):
-        validate_physics_update(msg)
         tag = TAG_PHYSICS_UPDATE
         payload = _encode_physics_payload(msg)
     elif isinstance(msg, NetworkUpdate):
-        validate_network_update(msg)
         tag = TAG_NETWORK_UPDATE
         payload = _encode_network_payload(msg)
     else:
@@ -740,9 +697,7 @@ def _decode_physics_payload(payload: bytes) -> PhysicsUpdate:
     blob_len = r.u32("channel_data.length")
     blob = r.raw(blob_len, "channel_data")
     r.finish()
-    msg = PhysicsUpdate(msg_type=msg_type, time_val=time_val, channel_data=blob)
-    validate_physics_update(msg)
-    return msg
+    return PhysicsUpdate(msg_type=msg_type, time_val=time_val, channel_data=blob)
 
 
 def _decode_network_payload(payload: bytes) -> NetworkUpdate:
@@ -781,8 +736,8 @@ def decode_frame(buf: bytes) -> tuple[PhysicsUpdate | NetworkUpdate | None, byte
 
     Returns ``(message, remaining_bytes)``.  When the buffer does not yet
     hold a complete frame the result is ``(None, buf)`` so the caller can
-    read more input and retry; structural problems raise FrameError and
-    content problems raise InvariantViolation.
+    read more input and retry; a malformed frame raises FrameError.  The
+    channel blob is returned unread.
     """
     end = frame_size(buf)
     if end is None or len(buf) < end:

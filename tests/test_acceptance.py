@@ -257,8 +257,11 @@ def test_02_wire_roundtrip_and_malformed_frames():
     )
     with pytest.raises(wire.InvariantViolation, match="hop points"):
         wire.validate_channel_data(short)
-    with pytest.raises(wire.InvariantViolation, match="time_val"):
-        wire.encode_frame(NetworkUpdate(MsgType.END, 2**64))
+    # the largest time a frame carries, the last BEGIN's, is checked once,
+    # where the scenario is parsed
+    with pytest.raises(scenario_mod.ConfigError, match="64-bit") as err:
+        load_scenario(SCENARIO_DIR / "static_los_30m.json", duration_ns=2**64 * 10**9)
+    assert err.value.path == "duration_ns"
 
     cd = wire.ChannelData(two, (wire.PathDetails((0, 1), True, (0,), ()),))
     enc = bytearray(wire.encode_channel_data(cd))

@@ -3,8 +3,9 @@ the channel-blob format, one parser of IPv4 addresses, one way to run
 each side (a loop on the calling thread), packets that stay rows on the
 network side, pose rows without per-agent records on the physics side,
 one check of a channel snapshot, where its decoder reads it off the wire,
-bit errors without numpy, no device I/O, no imports from the tests, and
-one public surface."""
+a frame codec that carries the channel blob unread, one decode of it,
+where the network side applies it, bit errors without numpy, no device
+I/O, no imports from the tests, and one public surface."""
 
 from __future__ import annotations
 
@@ -130,6 +131,63 @@ def test_only_the_decoder_checks_a_channel_snapshot():
         }
         found = names & {"_checked", "checked"}
         assert not found, (path.stem, sorted(found))
+
+
+def called_names(node: ast.AST) -> set[str]:
+    """The plain or attribute name of every call inside `node`."""
+    return {
+        call.func.attr if isinstance(call.func, ast.Attribute) else call.func.id
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, (ast.Attribute, ast.Name))
+    }
+
+
+def callers_of(callee: str) -> list[tuple[str, str]]:
+    """(module, top-level definition) around each call of `callee` in the
+    package, nested functions counted in the definition they are in."""
+    return [
+        (path.stem, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in parse(path.stem).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and callee in called_names(node)
+    ]
+
+
+def test_the_frame_codec_carries_the_channel_blob_unread():
+    blob_readers = {"channel_of", "decode_channel_data", "decompress_channel_blob"}
+    functions = {
+        node.name: called_names(node)
+        for node in parse("wire").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    # everything the frame codec calls, directly or through wire's functions
+    reached = set()
+    todo = [
+        name for name in functions
+        if name in ("encode_frame", "decode_frame") or name.startswith(("_encode_", "_decode_"))
+    ]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(functions.get(name, ()))
+    assert not reached & blob_readers, sorted(reached & blob_readers)
+    # one decoder of a blob, and one caller of it: the window that applies it
+    assert callers_of("decode_channel_data") == [("wire", "channel_of")]
+    assert callers_of("channel_of") == [("net_coord", "run_network_coordinator")]
+    # and no message keeps a decoded channel: no module names a `_channel`
+    # as a string (for setattr or a __dict__ lookup), and wire not at all.
+    # The netsim's own `_channel`, its last applied snapshot, is no message's.
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = set()
+        for node in ast.walk(parse(path.stem)):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+            elif path.stem == "wire" and isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif path.stem == "wire" and isinstance(node, ast.Name):
+                names.add(node.id)
+        assert "_channel" not in names, path.stem
 
 
 def test_no_module_imports_from_tests():

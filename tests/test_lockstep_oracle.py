@@ -212,8 +212,9 @@ def test_an_old_format_network_frame_is_refused():
 
 def test_socket_split_decodes_each_channel_blob_once(tmp_path, monkeypatch):
     """The physics side validates and decodes nothing.  The network side
-    decodes each END once, in `decode_frame`, and validates it there, its
-    one check."""
+    decodes each END it applies once, in `channel_of`, and validates it
+    there, its one check; the last END, which no window applies, stays
+    unread."""
     config = CORPUS["static"]()
     n = config.duration_ns // config.window_ns
     expected = facts(run_scenario(config, tmp_path / "loop", timeline=True))
@@ -241,8 +242,8 @@ def test_socket_split_decodes_each_channel_blob_once(tmp_path, monkeypatch):
     } == {
         ("physics", "decode_channel_data"): 0,
         ("physics", "validate_channel_data"): 0,
-        ("network", "decode_channel_data"): n,
-        ("network", "validate_channel_data"): n,
+        ("network", "decode_channel_data"): n - 1,
+        ("network", "validate_channel_data"): n - 1,
     }
     assert (phys_link.sent_frames, net_link.sent_frames) == (2 * n + 1, 2 * n + 1)
     assert got == expected
@@ -250,7 +251,7 @@ def test_socket_split_decodes_each_channel_blob_once(tmp_path, monkeypatch):
 
 def test_kernel_snapshots_are_scanned_only_after_decoding(tmp_path, monkeypatch):
     """In process nothing scans a column of the physics kernels' snapshots;
-    over the socket pair only the network side does, once per decoded
+    over the socket pair only the network side does, once per applied
     blob."""
     calls = collections.Counter()
     network_thread = threading.get_ident()
@@ -269,7 +270,7 @@ def test_kernel_snapshots_are_scanned_only_after_decoding(tmp_path, monkeypatch)
     config = CORPUS["static"]()
     n = config.duration_ns // config.window_ns
     two_peer_run(config, *socket_link_pair(), tmp_path)
-    assert calls == {"network": n}
+    assert calls == {"network": n - 1}
 
 
 def assert_counters_balance(summary):
@@ -431,8 +432,9 @@ def test_physics_fault_ends_the_network_side():
 def test_malformed_snapshot_fails_the_network_side():
     """The physics side's snapshot in window 51 of 400 holds a NaN pose.  Its
     encoder writes it unchecked; the network side's decoder, the one check,
-    rejects it, naming the field, with the partial run of 50 windows, and
-    closes its link, so the physics side fails with `TransportError`."""
+    rejects it in window 52, which applies it, naming the field, with the
+    partial run of 51 windows, and closes its link, so the physics side
+    fails with `TransportError`."""
     config = CORPUS["static"]()
 
     class NaNSim(ReferencePhysicsSim):
@@ -457,7 +459,7 @@ def test_malformed_snapshot_fails_the_network_side():
         outcome["network"]
     )
     summary = outcome["network"].partial_summary
-    assert summary.windows_completed == 50
+    assert summary.windows_completed == 51
     assert_counters_balance(summary)
     assert isinstance(outcome.get("physics"), TransportError)
 

@@ -205,8 +205,8 @@ def test_physics_update_decoded_from_a_bytearray_holds_bytes():
     frame = wire.encode_frame(wire.channel_update(3 * W, cd))
     msg, rest = wire.decode_frame(bytearray(frame))
     assert rest == bytearray()
-    assert type(msg.channel_data) is bytes
-    assert_update_types(msg)
+    assert (msg.msg_type, msg.time_val) == (wire.MsgType.END, 3 * W)
+    assert_channel_types(wire.channel_of(msg))
     assert wire.channel_of(msg) == cd
 
 

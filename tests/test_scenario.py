@@ -294,6 +294,8 @@ def test_keyword_overrides_win():
     [
         ("window_ns", True), ("window_ns", 1e6), ("window_ns", "1000000"),
         ("duration_ns", True), ("duration_ns", 4e8),
+        # the last BEGIN frame's time: a multiple of the window past u64
+        ("duration_ns", (2**64 // 10**9 + 1) * 10**9),
         ("seed", True), ("seed", 1.5),
     ],
 )

@@ -229,21 +229,15 @@ def test_end_when_begin_expected_is_protocol_error(scripted_peer):
         run_physics_side(link, W)
 
 
-def test_driver_end_message_validated(scripted_peer):
-    link, _ = scripted_peer(NetworkUpdate(MsgType.BEGIN, 0))
-
-    def bad_simulate(t, peer_end):
-        return PhysicsUpdate(MsgType.END, t + 1)
-
-    with pytest.raises(ProtocolError, match="END at t=0"):
-        run_physics_side(link, W, bad_simulate)
-
-
 def test_window_ns_must_be_positive(scripted_peer):
-    link, peer = scripted_peer()
-    with pytest.raises(ValueError, match="window_ns"):
-        run_physics_side(link, W, window_ns=0)
-    sent_by(peer, 0)
+    # a duration past u64 would be the last BEGIN's time: refused before
+    # the first frame, like a bad window
+    too_long = (2**64 // W + 1) * W
+    for duration_ns, window_ns, match in ((W, 0, "window_ns"), (too_long, W, "u64")):
+        link, peer = scripted_peer()
+        with pytest.raises(ValueError, match=match):
+            run_physics_side(link, duration_ns, window_ns=window_ns)
+        sent_by(peer, 0)
 
 
 def test_socket_links_run_the_same_protocol():
