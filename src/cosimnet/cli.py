@@ -11,6 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .metrics import mean
 from .scenario import ConfigError, load_scenario, run_scenario
 
 
@@ -76,7 +77,7 @@ def main(argv=None) -> int:
             print(f"partial summary left in {summary}", file=sys.stderr)
         return 2
 
-    mean_goodput = float(result.goodput_bps.mean()) if result.goodput_bps.size else 0.0
+    mean_goodput = mean(result.goodput_bps) if result.goodput_bps else 0.0
     print(
         f"completed {result.net_summary.windows_completed} windows, "
         f"{len(result.deliveries)} deliveries, "

@@ -24,8 +24,7 @@ coordinator and its netsim share a process in both deployments.
 
 Bit errors come from a stdlib `random.Random` seeded with the run's seed:
 `apply_ber` walks the flipped bits as geometric gaps, one uniform per flip
-plus one, so this module needs no numpy, and a run that imports nothing
-else from `numpy.random` never loads it.
+plus one, so this module needs no numpy.
 
 In process, `scenario.run_scenario` passes each snapshot to `simulate` by
 reference.  Across processes, the peer's END message of the sync

@@ -23,13 +23,15 @@ straight-line float code, on each box that the pair's segment's bounds
 overlap, found among the boxes the segment's x range can reach in a list
 sorted by min x (its loop over axes is the oracle in tests).  The vector
 path culls (pair, box) candidates with a broad phase and runs the slab
-test on the survivors as numpy array operations.  The choice depends
-only on the input size: the vector path runs from `VECTOR_MIN_TESTS`
-pair-box tests (pairs x obstacles) per extraction.  The scalar path stays
-for two reasons: below that size the vector path's fixed cost of a few
-dozen array operations outweighs what it saves, as in worlds of two
-agents and a handful of boxes; and it is the reference the vector path is
-tested against.  Disk fidelity takes neither path.
+test on the survivors as numpy array operations; numpy is imported by the
+first extraction that takes this path, so a run that never does never
+loads it.  The choice depends only on the input size: the vector path
+runs from `VECTOR_MIN_TESTS` pair-box tests (pairs x obstacles) per
+extraction.  The scalar path stays for two reasons: below that size the
+vector path's fixed cost of a few dozen array operations outweighs what
+it saves, as in worlds of two agents and a handful of boxes; and it is
+the reference the vector path is tested against.  Disk fidelity takes
+neither path.
 
 The vector path's broad phase is kept across extractions by a
 `BroadPhase`, one per simulator: its candidates are the (pair, box) whose
@@ -52,8 +54,6 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import not_
 from typing import Iterable, Protocol, Sequence
-
-import numpy as np
 
 from .wire import ChannelData, all_pairs
 
@@ -124,10 +124,12 @@ class WorldModel:
                 raise ValueError(f"obstacle {idx} extends outside the world bounds")
 
     @cached_property
-    def _slabs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _slabs(self) -> tuple:
         """Obstacle min corners and max corners, axis-major (3, boxes), and
-        losses as read-only arrays, built on first use and kept for the life
-        of the world."""
+        losses as read-only numpy arrays, built on first use and kept for
+        the life of the world."""
+        import numpy as np
+
         def axis_major(corners):
             return np.array(corners, dtype=np.float64).reshape(-1, 3).T.copy()
 
@@ -421,8 +423,11 @@ def _los_paths_scalar(world: WorldModel, positions: Sequence[Vec3]):
 
 
 @lru_cache(maxsize=8)
-def _pair_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two ends of every pair of `wire.all_pairs(n)`, as two arrays."""
+def _pair_ends(n: int) -> tuple:
+    """The two ends of every pair of `wire.all_pairs(n)`, as two numpy
+    arrays."""
+    import numpy as np
+
     ends = np.array(all_pairs(n), dtype=np.intp).reshape(-1, 2).T.copy()
     ends.setflags(write=False)
     return ends[0], ends[1]
@@ -462,22 +467,24 @@ class BroadPhase:
         self._anchor = None  # (3, n) positions the candidates were built for
         self._candidates = None
 
-    def candidates(self, world: WorldModel, pos: np.ndarray) -> tuple[np.ndarray, ...]:
+    def candidates(self, world: WorldModel, pos) -> tuple:
         """(pair, box, pair's first end, pair's second end, box min
         corners, box max corners) per candidate for axis-major positions
-        `pos`, (3, n), listed by pair, then box index; the corners are
-        (3, candidates)."""
+        `pos`, a (3, n) numpy array, listed by pair, then box index; the
+        corners are (3, candidates)."""
         anchor = self._anchor
         if (
             world is not self._world
             or anchor is None
             or anchor.shape != pos.shape
-            or not np.abs(pos - anchor).max(initial=0.0) <= BROAD_PHASE_SKIN
+            or not abs(pos - anchor).max(initial=0.0) <= BROAD_PHASE_SKIN
         ):
             self._build(world, pos)
         return self._candidates
 
-    def _build(self, world: WorldModel, pos: np.ndarray) -> None:
+    def _build(self, world: WorldModel, pos) -> None:
+        import numpy as np
+
         mins, maxs, _ = world._slabs
         first, second = _pair_ends(pos.shape[1])
         p0 = pos.take(first, axis=1)
@@ -526,6 +533,8 @@ def _los_paths_vector(world: WorldModel, positions: Sequence[Vec3], broad_phase:
     +0.0 as the scalar path's `if ta > t0` keeps it.  Arrays are axis-major,
     (3, ...), so that every step is an elementwise operation on whole rows.
     """
+    import numpy as np
+
     losses = world._slabs[2]
     pos = np.array(positions, dtype=np.float64).reshape(-1, 3).T
     pair, box, first, second, lo, hi = broad_phase.candidates(world, pos)

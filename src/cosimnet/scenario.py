@@ -8,6 +8,11 @@ channel snapshot, then runs the network side's window on the snapshot
 of the previous window, passed by reference.  It then reduces the flow
 ledger to the CSV and JSON artifacts.  Every output byte is a function
 of (config, seed).
+
+The reduction (`metrics`) runs over Python lists, and `RunResult` holds
+its series and histograms as lists, so a run loads numpy only where
+arrays are asked for: a timeline's columns are numpy views, and numpy is
+imported when one is first read.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
 
-import numpy as np
-
 from . import wire
 from .flows import MAX_FLOWS, FlowConfig, FlowHost
 from .metrics import (
@@ -31,6 +34,7 @@ from .metrics import (
     goodput_series,
     histogram,
     kde,  # unused here; the benchmark's tracer wraps `scenario.kde`
+    mean,
     smooth,
 )
 from .net_coord import InProcessBackend, NetCoordConfig, NetRunSummary, NetworkCoordinator
@@ -431,15 +435,27 @@ class PairSample:
     wall_loss: float
 
 
+def _column(name: str, dtype: str) -> property:
+    """A read-only property: the numpy view of array `name` as `dtype`."""
+
+    def view(self):
+        import numpy as np
+
+        return np.frombuffer(getattr(self, name), dtype=dtype)
+
+    return property(view)
+
+
 class Timeline:
     """Channel state of every listed agent pair at every window after the
     first, as the netsim saw it, one typed column per field.
 
-    The columns are numpy views: ``t`` (ns, the window that applied the
-    snapshot), ``a`` and ``b`` (the pair as the snapshot listed it),
-    ``los``, ``distance`` (m), ``wall_count`` (walls on the first path)
-    and ``wall_loss`` (dB over those walls).  ``len()`` counts samples;
-    indexing and iteration build `PairSample`s on demand.
+    The columns are numpy views, and numpy is imported when one is first
+    read: ``t`` (ns, the window that applied the snapshot), ``a`` and ``b``
+    (the pair as the snapshot listed it), ``los``, ``distance`` (m),
+    ``wall_count`` (walls on the first path) and ``wall_loss`` (dB over
+    those walls).  ``len()`` counts samples; indexing, slicing and
+    iteration build `PairSample`s on demand.
     """
 
     def __init__(self):
@@ -454,7 +470,9 @@ class Timeline:
     def __len__(self) -> int:
         return len(self._t)
 
-    def __getitem__(self, i: int) -> PairSample:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
         los = bool(self._los[i])
         walls = self._wall_count[i]
         # an NLOS pair with no hops sums no losses: the int 0, as `sum` gives
@@ -466,13 +484,13 @@ class Timeline:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    t = property(lambda self: np.frombuffer(self._t, dtype=np.int64))
-    a = property(lambda self: np.frombuffer(self._a, dtype=np.int64))
-    b = property(lambda self: np.frombuffer(self._b, dtype=np.int64))
-    los = property(lambda self: np.frombuffer(self._los, dtype=np.bool_))
-    distance = property(lambda self: np.frombuffer(self._distance, dtype=np.float64))
-    wall_count = property(lambda self: np.frombuffer(self._wall_count, dtype=np.int64))
-    wall_loss = property(lambda self: np.frombuffer(self._wall_loss, dtype=np.float64))
+    t = _column("_t", "int64")
+    a = _column("_a", "int64")
+    b = _column("_b", "int64")
+    los = _column("_los", "bool")
+    distance = _column("_distance", "float64")
+    wall_count = _column("_wall_count", "int64")
+    wall_loss = _column("_wall_loss", "float64")
 
 
 class _TimelineRecorder:
@@ -506,11 +524,11 @@ class _TimelineRecorder:
 class RunResult:
     config: ScenarioConfig
     out_dir: Path
-    sample_times_ns: np.ndarray
-    goodput_bps: np.ndarray
-    goodput_smoothed: np.ndarray
-    delay_ns: np.ndarray
-    delay_smoothed: np.ndarray
+    sample_times_ns: list[int]
+    goodput_bps: list[float]
+    goodput_smoothed: list[float]
+    delay_ns: list[float]
+    delay_smoothed: list[float]
     rate_hist: Histogram
     delay_hist: Histogram
     deliveries: list
@@ -583,29 +601,20 @@ def _collect(config, out, host, recorder, net_summary, phys_summary, netsim) -> 
     period = config.metrics.sample_period_ns
     width = config.metrics.smoothing_window_ns // period
     n = config.duration_ns // period
-    times = np.arange(n, dtype=np.int64) * period
+    times = [k * period for k in range(n)]
 
-    # binning is order-independent, so flat per-flow concatenation is fine
-    delivered_at = np.array(
-        [d.delivered_at for f in host.flows for d in f.deliveries], dtype=np.int64
-    )
-    first_sent = np.array(
-        [d.first_sent_at for f in host.flows for d in f.deliveries], dtype=np.int64
-    )
-    bits = np.array(
-        [f.config.payload_bits for f in host.flows for _ in f.deliveries],
-        dtype=np.int64,
-    )
+    # deliveries flow by flow: each sample's sums take them in this order
+    delivered_at = [d.delivered_at for f in host.flows for d in f.deliveries]
+    per_delivery_delay = [
+        float(d.delivered_at - d.first_sent_at) for f in host.flows for d in f.deliveries
+    ]
+    bits = [f.config.payload_bits for f in host.flows for _ in f.deliveries]
 
     goodput = goodput_series(delivered_at, bits, config.duration_ns, period)
-    delays = delay_series(
-        delivered_at, (delivered_at - first_sent).astype(np.float64),
-        config.duration_ns, period,
-    )
+    delays = delay_series(delivered_at, per_delivery_delay, config.duration_ns, period)
     goodput_sm = smooth(goodput, width)
     delay_sm = smooth(delays, width)
 
-    per_delivery_delay = (delivered_at - first_sent).astype(np.float64)
     bins = config.metrics.histogram_bins
     flow_stats = [
         {
@@ -674,11 +683,8 @@ def _counters(net: NetRunSummary, phys: PhysRunSummary, netsim_stats: dict) -> d
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):  # includes numpy scalars, which repr oddly
-        value = float(value)
-        if math.isnan(value):
-            return ""
-        return repr(value)
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(value)
     return str(value)
 
 
@@ -691,13 +697,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _hist_rows(hist: Histogram):
-    total = hist.counts.sum()
-    for i in range(hist.counts.size):
-        mass = hist.counts[i] / total if total else 0.0
-        yield (
-            float(hist.edges[i]), float(hist.edges[i + 1]),
-            int(hist.counts[i]), float(mass), float(hist.density[i]),
-        )
+    total = sum(hist.counts)
+    for lo, hi, count, density in zip(hist.edges, hist.edges[1:], hist.counts, hist.density):
+        yield lo, hi, int(count), count / total if total else 0.0, density
 
 
 def _write_partial_summary(
@@ -720,9 +722,9 @@ def _write_partial_summary(
 
 def _write_artifacts(result: RunResult, *, plots: bool) -> None:
     out = result.out_dir
-    times_s = result.sample_times_ns / 1e9
-    delay_s = result.delay_ns / 1e9
-    delay_sm_s = result.delay_smoothed / 1e9
+    times_s = [t / 1e9 for t in result.sample_times_ns]
+    delay_s = [d / 1e9 for d in result.delay_ns]
+    delay_sm_s = [d / 1e9 for d in result.delay_smoothed]
 
     _write_csv(
         out / "rate.csv",
@@ -766,14 +768,10 @@ def _write_artifacts(result: RunResult, *, plots: bool) -> None:
         ),
         "flows": result.flow_stats,
         "metrics": {
-            "samples": int(result.goodput_bps.size),
-            "delivered_bits_total": int(
-                sum(f["delivered_bits"] for f in result.flow_stats)
-            ),
-            "mean_goodput_bps": float(result.goodput_bps.mean())
-            if result.goodput_bps.size
-            else 0.0,
-            "delay_defined_samples": int(np.count_nonzero(~np.isnan(result.delay_ns))),
+            "samples": len(result.goodput_bps),
+            "delivered_bits_total": sum(f["delivered_bits"] for f in result.flow_stats),
+            "mean_goodput_bps": mean(result.goodput_bps) if result.goodput_bps else 0.0,
+            "delay_defined_samples": sum(not math.isnan(d) for d in result.delay_ns),
         },
     }
     path = out / "run_summary.json"
@@ -880,26 +878,26 @@ def _svg_scatter(path: Path, title: str, xs, ys) -> None:
 
 def _write_plots(result: RunResult) -> dict[str, Path]:
     out = result.out_dir
-    times_s = list(result.sample_times_ns / 1e9)
+    times_s = [t / 1e9 for t in result.sample_times_ns]
     rate_svg = out / "rate.svg"
     delay_svg = out / "delay.svg"
     scatter_svg = out / "scatter.svg"
     _svg_plot(
         rate_svg, "goodput (bits/s)", times_s,
         [
-            ("per sample", list(result.goodput_bps), "lightsteelblue"),
-            ("smoothed", list(result.goodput_smoothed), "crimson"),
+            ("per sample", result.goodput_bps, "lightsteelblue"),
+            ("smoothed", result.goodput_smoothed, "crimson"),
         ],
     )
     _svg_plot(
         delay_svg, "delivery delay (s)", times_s,
         [
-            ("per sample", list(result.delay_ns / 1e9), "lightsteelblue"),
-            ("smoothed", list(result.delay_smoothed / 1e9), "crimson"),
+            ("per sample", [d / 1e9 for d in result.delay_ns], "lightsteelblue"),
+            ("smoothed", [d / 1e9 for d in result.delay_smoothed], "crimson"),
         ],
     )
     _svg_scatter(
         scatter_svg, "goodput vs smoothed delay",
-        list(result.goodput_bps), list(result.delay_smoothed / 1e9),
+        result.goodput_bps, [d / 1e9 for d in result.delay_smoothed],
     )
     return {p.name: p for p in (rate_svg, delay_svg, scatter_svg)}

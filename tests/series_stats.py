@@ -1,5 +1,8 @@
 """Distribution summaries that only the tests read: the mode of a kernel
-density, its number of distinct modes, and Spearman's rank correlation."""
+density, its number of distinct modes, and Spearman's rank correlation;
+and the numpy reduction that `cosimnet.metrics` replaced with plain Python,
+kept as its oracle: the goodput and delay series, the smoothing, the
+histogram and `ndarray.mean`."""
 
 from __future__ import annotations
 
@@ -7,7 +10,67 @@ import math
 
 import numpy as np
 
-from cosimnet.metrics import kde
+from cosimnet.metrics import _sample_count, kde
+
+
+def goodput_series(times_ns, bits, duration_ns: int, period_ns: int) -> np.ndarray:
+    n = _sample_count(duration_ns, period_ns)
+    times = np.asarray(times_ns, dtype=np.int64)
+    if times.size and (times.min() < 0 or times.max() >= duration_ns):
+        raise ValueError("delivery time outside the run")
+    weights = np.broadcast_to(np.asarray(bits, dtype=np.float64), times.shape)
+    binned = np.bincount(times // period_ns, weights=weights, minlength=n)
+    return binned * (1e9 / period_ns)
+
+
+def delay_series(times_ns, delays_ns, duration_ns: int, period_ns: int) -> np.ndarray:
+    n = _sample_count(duration_ns, period_ns)
+    times = np.asarray(times_ns, dtype=np.int64)
+    delays = np.asarray(delays_ns, dtype=np.float64)
+    if times.shape != delays.shape:
+        raise ValueError("times and delays must pair up")
+    if times.size and (times.min() < 0 or times.max() >= duration_ns):
+        raise ValueError("delivery time outside the run")
+    bins = times // period_ns
+    total = np.bincount(bins, weights=delays, minlength=n)
+    count = np.bincount(bins, minlength=n)
+    out = np.full(n, np.nan)
+    hit = count > 0
+    out[hit] = total[hit] / count[hit]
+    return out
+
+
+def smooth(values, width: int) -> np.ndarray:
+    x = np.asarray(values, dtype=np.float64)
+    ok = ~np.isnan(x)
+    filled = np.where(ok, x, 0.0)
+    csum = np.concatenate(([0.0], np.cumsum(filled)))
+    ccnt = np.concatenate(([0], np.cumsum(ok)))
+    idx = np.arange(x.size)
+    lo = np.maximum(idx - width // 2, 0)
+    hi = np.minimum(idx + (width - width // 2), x.size)
+    sums = csum[hi] - csum[lo]
+    counts = ccnt[hi] - ccnt[lo]
+    out = np.full(x.size, np.nan)
+    hit = counts > 0
+    out[hit] = sums[hit] / counts[hit]
+    return out
+
+
+def histogram(values, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edges, counts, density), as `metrics.histogram` gives them."""
+    x = np.asarray(values, dtype=np.float64)
+    x = x[~np.isnan(x)]
+    if x.size == 0:
+        return np.linspace(0.0, 1.0, bins + 1), np.zeros(bins), np.zeros(bins)
+    counts, edges = np.histogram(x, bins=bins)
+    widths = np.diff(edges)
+    density = counts / (counts.sum() * np.where(widths > 0, widths, 1.0))
+    return edges, counts.astype(np.float64), density
+
+
+def mean(values) -> float:
+    return float(np.asarray(values, dtype=np.float64).mean())
 
 
 def kde_mode(values) -> float:

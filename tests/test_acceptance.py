@@ -54,7 +54,7 @@ CSV_ARTIFACTS = ("rate.csv", "delay.csv", "rate_hist.csv", "delay_hist.csv", "sc
 def _classify_bins(result):
     """Per sample bin: every-pair-LOS, any-wall, and deep-occlusion flags."""
     period = result.config.metrics.sample_period_ns
-    n = result.goodput_bps.size
+    n = np.asarray(result.goodput_bps).size
     seen = np.zeros(n, dtype=bool)
     all_los = np.ones(n, dtype=bool)
     nlos_any = np.zeros(n, dtype=bool)
@@ -91,13 +91,14 @@ def _trough_runs(smoothed, threshold, nlos_any):
 
 def _patrol_phenomenology(result):
     los_bins, nlos_any, deep_any = _classify_bins(result)
-    rate = result.goodput_bps
+    rate = np.asarray(result.goodput_bps)
     los_mean = float(rate[los_bins].mean())
     troughs = _trough_runs(result.goodput_smoothed, 0.5 * los_mean, nlos_any)
     deep_mean = float(rate[deep_any].mean())
 
-    keep = ~np.isnan(result.delay_smoothed)
-    rho = float(scipy.stats.spearmanr(rate[keep], result.delay_smoothed[keep]).statistic)
+    delay_smoothed = np.asarray(result.delay_smoothed)
+    keep = ~np.isnan(delay_smoothed)
+    rho = float(scipy.stats.spearmanr(rate[keep], delay_smoothed[keep]).statistic)
 
     delays = np.array(
         [d.delivered_at - d.first_sent_at for d in result.deliveries], dtype=float
@@ -553,7 +554,7 @@ def test_07_patrol_phenomenology(patrol_runs):
 def test_08_static_los_calibration_band(tmp_path):
     config = load_scenario(SCENARIO_DIR / "static_los_30m.json")
     result = run_scenario(config, tmp_path / "calibration")
-    steady = result.goodput_bps[result.sample_times_ns >= 2_000_000_000]
+    steady = np.asarray(result.goodput_bps)[np.asarray(result.sample_times_ns) >= 2_000_000_000]
     mean_bps = float(steady.mean())
     assert 4e6 <= mean_bps <= 16e6, mean_bps
 

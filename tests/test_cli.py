@@ -97,6 +97,10 @@ def test_run_writes_artifacts_and_reports(scenario_file, tmp_path, capsys):
     assert (out / "rate.csv").is_file()
     summary = json.loads((out / "run_summary.json").read_text())
     assert summary["seed"] == 3
+    # the printed goodput is the summary's mean, from the same `metrics.mean`
+    mean_bps = summary["metrics"]["mean_goodput_bps"]
+    assert mean_bps > 0
+    assert f"mean goodput {mean_bps / 1e6:.3f} Mb/s" in stdout
 
 
 def test_run_overrides_take_effect(scenario_file, tmp_path):

@@ -563,7 +563,7 @@ def test_app_tick_fault_ends_the_run_with_its_own_error(tmp_path, monkeypatch):
 def test_run_without_flows_is_quiet(tmp_path):
     result = run(tmp_path, doc(flows=[], duration_ns=100_000_000))
     assert result.deliveries == []
-    assert not result.goodput_bps.any()
+    assert not np.asarray(result.goodput_bps).any()
     assert np.isnan(result.delay_ns).all()
     header, rows = read_csv(result.artifacts["delay.csv"])
     assert all(r[1] == "" for r in rows)

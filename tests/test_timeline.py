@@ -84,6 +84,8 @@ def test_columnar_timeline_matches_the_row_recorder(tmp_path, monkeypatch, name)
     assert len(timeline) == len(oracle.samples) == (n - 1) * agents * (agents - 1) // 2
     assert [repr(s) for s in timeline] == [repr(s) for s in oracle.samples]
     assert repr(timeline[-1]) == repr(oracle.samples[-1])
+    assert repr(timeline[0:2]) == repr(oracle.samples[0:2])
+    assert repr(timeline[-7::3]) == repr(oracle.samples[-7::3])
     if name == "swarm6_disk":
         kinds = {(s.los, type(s.wall_loss)) for s in oracle.samples}
         assert kinds == {(True, float), (False, int)}
