@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from .wire import Record
 
 DATA_KIND = 1
 ACK_KIND = 2
@@ -73,17 +75,20 @@ def decode_packet(raw: bytes) -> tuple[int, int, int] | None:
     return kind, flow_id, seq
 
 
-@dataclass(frozen=True)
-class FlowConfig:
-    src: str
-    dst: str
-    payload_size: int = 1000
-    arq_window: int = 16
-    retransmit_timeout_ns: int = 200_000_000
+class FlowConfig(Record):
+    __slots__ = _fields = ("src", "dst", "payload_size", "arq_window", "retransmit_timeout_ns")
 
-    def __post_init__(self):
-        if self.src == self.dst:
+    def __init__(
+        self, src: str, dst: str, payload_size: int = 1000, arq_window: int = 16,
+        retransmit_timeout_ns: int = 200_000_000,
+    ):
+        self._fill(src, dst, payload_size, arq_window, retransmit_timeout_ns)
+        if src == dst:
             raise ValueError("flow source and destination must differ")
+        for name in self._fields[2:]:  # a float size would fail in the run
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not DATA_HEADER <= self.payload_size <= 8192:
             raise ValueError(
                 f"payload_size must be in [{DATA_HEADER}, 8192] bytes"
@@ -99,40 +104,39 @@ class FlowConfig:
         return self.payload_size * 8
 
 
-@dataclass(frozen=True)
-class FlowDelivery:
+class FlowDelivery(NamedTuple):
     seq: int
     first_sent_at: int
     delivered_at: int
 
 
-@dataclass
 class DataFlow:
     """Sender and receiver state for one unidirectional flow."""
 
-    flow_id: int
-    config: FlowConfig
-    _src_ep: object
-    _dst_ep: object
-    next_seq: int = 0
-    unacked: dict = field(default_factory=dict)  # seq -> last sent, ns
-    first_sent: dict = field(default_factory=dict)
-    rcv_next: int = 0  # receiver's next in-order seq
-    seen: set = field(default_factory=set)  # out-of-order seqs above rcv_next
-    deliveries: list[FlowDelivery] = field(default_factory=list)
-    sent_total: int = 0
-    retransmit_total: int = 0
-    delivered_total: int = 0
-    duplicate_total: int = 0
-    acked_total: int = 0
-    acks_sent: int = 0
-    # a lower bound on the earliest retransmit deadline, min(last sent) +
-    # timeout: an ack only raises the minimum, and a send at t, the latest
-    # time yet, never lowers it below the bound
-    _due: int = field(default=0, repr=False, compare=False)
-    # seq -> the packet as first sent, for each unacked seq: a retransmit
-    # sends these bytes again rather than encoding them anew
-    _packets: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, flow_id: int, config: FlowConfig, src_ep, dst_ep):
+        self.flow_id = flow_id
+        self.config = config
+        self._src_ep = src_ep
+        self._dst_ep = dst_ep
+        self.next_seq = 0
+        self.unacked: dict[int, int] = {}  # seq -> last sent, ns
+        self.first_sent: dict[int, int] = {}
+        self.rcv_next = 0  # receiver's next in-order seq
+        self.seen: set[int] = set()  # out-of-order seqs above rcv_next
+        self.deliveries: list[FlowDelivery] = []
+        self.sent_total = 0
+        self.retransmit_total = 0
+        self.delivered_total = 0
+        self.duplicate_total = 0
+        self.acked_total = 0
+        self.acks_sent = 0
+        # a lower bound on the earliest retransmit deadline, min(last sent) +
+        # timeout: an ack only raises the minimum, and a send at t, the latest
+        # time yet, never lowers it below the bound
+        self._due = 0
+        # seq -> the packet as first sent, for each unacked seq: a retransmit
+        # sends these bytes again rather than encoding them anew
+        self._packets: dict[int, bytes] = {}
 
     def on_data(self, seq: int, t: int) -> None:
         # everything below rcv_next has arrived, so `seen` keeps only the

@@ -17,8 +17,8 @@ they are called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 SMOOTH_WIDTH = 20
 
@@ -130,8 +130,7 @@ def mean(values) -> float:
     return (0.0 + _pairwise_sum(x, 0, len(x))) / len(x)
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     edges: list[float]  # len(counts) + 1
     counts: list[float]
     density: list[float]

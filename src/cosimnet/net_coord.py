@@ -38,10 +38,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import starmap
 from math import log, log1p
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, NamedTuple, Protocol
 
 from . import wire
 from .netsim import NetSim
@@ -58,8 +57,7 @@ DEFAULT_EXPIRY_WINDOWS = 30_000
 CAPTURED_AT = 6
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
+class DeliveryRecord(NamedTuple):
     """Ledger record: one physical packet's trip through the simulator."""
 
     pkt_id: int
@@ -105,25 +103,22 @@ class Ledger(Sequence):
         return f"Ledger({list(self)!r})"
 
 
-@dataclass(frozen=True)
-class NetCoordConfig:
+class NetCoordConfig(wire.Record):
     """The network side's settings.  `seed` seeds the `random.Random` that
     `apply_ber` draws every bit error from, so a seed fixes which released
     packets are corrupted and where."""
 
-    window_ns: int
-    agent_address_map: tuple[tuple[int, str], ...]
-    expiry_windows: int = DEFAULT_EXPIRY_WINDOWS
-    seed: int = 0
+    __slots__ = _fields = ("window_ns", "agent_address_map", "expiry_windows", "seed")
 
-    def __post_init__(self):
-        if self.window_ns <= 0:
-            raise ValueError(f"window must be > 0 ns, got {self.window_ns}")
-        if self.expiry_windows < 1:
+    def __init__(
+        self, window_ns: int, agent_address_map: tuple[tuple[int, str], ...],
+        expiry_windows: int = DEFAULT_EXPIRY_WINDOWS, seed: int = 0,
+    ):
+        if window_ns <= 0:
+            raise ValueError(f"window must be > 0 ns, got {window_ns}")
+        if expiry_windows < 1:
             raise ValueError("expiry_windows must be >= 1")
-        object.__setattr__(
-            self, "agent_address_map", wire.checked_address_map(self.agent_address_map)
-        )
+        self._fill(window_ns, wire.checked_address_map(agent_address_map), expiry_windows, seed)
 
     @property
     def addresses(self) -> tuple[str, ...]:
@@ -236,19 +231,24 @@ def apply_ber(payload: bytes, ber: float, rng: UniformSource) -> bytes:
         pos += 1 + int(gap)
 
 
-@dataclass
 class NetRunSummary:
-    windows_completed: int = 0
-    captured_total: int = 0
-    released_total: int = 0
-    released_bytes: int = 0
-    expired_total: int = 0
-    rejected_total: int = 0
-    late_cleared_total: int = 0
-    held_at_end: int = 0
-    pending_at_end: int = 0
-    ledger: Ledger = field(default_factory=Ledger)
-    stats: RunStats = field(default_factory=RunStats)
+    def __init__(
+        self, windows_completed: int = 0, captured_total: int = 0, released_total: int = 0,
+        released_bytes: int = 0, expired_total: int = 0, rejected_total: int = 0,
+        late_cleared_total: int = 0, held_at_end: int = 0, pending_at_end: int = 0,
+        ledger: Ledger | None = None, stats: RunStats | None = None,
+    ):
+        self.windows_completed = windows_completed
+        self.captured_total = captured_total
+        self.released_total = released_total
+        self.released_bytes = released_bytes
+        self.expired_total = expired_total
+        self.rejected_total = rejected_total
+        self.late_cleared_total = late_cleared_total
+        self.held_at_end = held_at_end
+        self.pending_at_end = pending_at_end
+        self.ledger = Ledger() if ledger is None else ledger
+        self.stats = RunStats() if stats is None else stats
 
 
 class NetworkCoordinator:

@@ -41,12 +41,11 @@ import bisect
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, NamedTuple, Protocol, Sequence
 
 from . import wire
-from .wire import ChannelData
+from .wire import ChannelData, Record
 
 # Clamp floor for the BER model.  An exactly-zero base rate stays zero so
 # corruption-free runs are expressible; otherwise the floor keeps the
@@ -75,31 +74,37 @@ class MalformedManifestError(NetSimError):
     or of negative length."""
 
 
-@dataclass(frozen=True)
-class RadioParams:
+class RadioParams(Record):
     """Radio stack configuration; defaults sketch an 802.11n-like link."""
 
-    tx_power: float = 20.0            # dBm
-    noise_floor: float = -90.0        # dBm
-    pl0: float = 40.0                 # dB at ref_distance
-    ref_distance: float = 1.0         # m
-    path_loss_exponent: float = 2.4
-    per_packet_overhead: int = 200_000  # ns
-    mcs_table: tuple[tuple[float, float], ...] = DEFAULT_MCS_TABLE
-    ber_at_threshold: float = 1e-2
-    ber_decade_per_db: float = 3.0
-    queue_capacity: int = 100
+    __slots__ = _fields = (
+        "tx_power", "noise_floor", "pl0", "ref_distance", "path_loss_exponent",
+        "per_packet_overhead", "mcs_table", "ber_at_threshold", "ber_decade_per_db",
+        "queue_capacity",
+    )
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "mcs_table",
-            tuple((float(t), float(r)) for t, r in self.mcs_table),
+    def __init__(
+        self,
+        tx_power: float = 20.0,            # dBm
+        noise_floor: float = -90.0,        # dBm
+        pl0: float = 40.0,                 # dB at ref_distance
+        ref_distance: float = 1.0,         # m
+        path_loss_exponent: float = 2.4,
+        per_packet_overhead: int = 200_000,  # ns
+        mcs_table: tuple[tuple[float, float], ...] = DEFAULT_MCS_TABLE,
+        ber_at_threshold: float = 1e-2,
+        ber_decade_per_db: float = 3.0,
+        queue_capacity: int = 100,
+    ):
+        self._fill(
+            tx_power, noise_floor, pl0, ref_distance, path_loss_exponent,
+            per_packet_overhead, tuple((float(t), float(r)) for t, r in mcs_table),
+            ber_at_threshold, ber_decade_per_db, queue_capacity,
         )
         if not self.mcs_table:
             raise ValueError("mcs_table must not be empty")
         # json.loads reads NaN and Infinity, and no later check catches them all
-        named = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "mcs_table"]
+        named = [(name, getattr(self, name)) for name in self._fields if name != "mcs_table"]
         named += [(f"mcs_table[{i}]", v) for i, row in enumerate(self.mcs_table) for v in row]
         for name, value in named:
             if isinstance(value, float) and not math.isfinite(value):
@@ -127,8 +132,7 @@ class RadioParams:
             raise ValueError("queue_capacity must be >= 1")
 
 
-@dataclass(frozen=True)
-class LinkState:
+class LinkState(NamedTuple):
     """Radio state of one unordered agent pair.  phy_rate None means the
     link is down (SNR below the lowest MCS threshold)."""
 
@@ -154,8 +158,7 @@ _TX_START = MediumEventKind.TX_START
 _TX_END = MediumEventKind.TX_END
 
 
-@dataclass(frozen=True)
-class MediumEvent:
+class MediumEvent(NamedTuple):
     time: int
     kind: MediumEventKind
     pkt_id: int

@@ -14,33 +14,29 @@ documented here once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import wire
 from .physics import ChannelFidelity, PhysicsSim
 from .sync import Role, RunStats, SocketLink, run_lockstep
 from .wire import ChannelData
 
 
-@dataclass(frozen=True)
-class PhysCoordConfig:
-    window_ns: int
-    fidelity: ChannelFidelity
-    agent_address_map: tuple[tuple[int, str], ...] = ()
+class PhysCoordConfig(wire.Record):
+    __slots__ = _fields = ("window_ns", "fidelity", "agent_address_map")
 
-    def __post_init__(self):
-        if self.window_ns <= 0:
-            raise ValueError(f"window must be > 0 ns, got {self.window_ns}")
-        object.__setattr__(
-            self, "agent_address_map", wire.checked_address_map(self.agent_address_map)
-        )
+    def __init__(
+        self, window_ns: int, fidelity: ChannelFidelity,
+        agent_address_map: tuple[tuple[int, str], ...] = (),
+    ):
+        if window_ns <= 0:
+            raise ValueError(f"window must be > 0 ns, got {window_ns}")
+        self._fill(window_ns, fidelity, wire.checked_address_map(agent_address_map))
 
 
-@dataclass
 class PhysRunSummary:
-    windows_completed: int
-    extractions: int
-    stats: RunStats = field(default_factory=RunStats)
+    def __init__(self, windows_completed: int, extractions: int, stats: RunStats | None = None):
+        self.windows_completed = windows_completed
+        self.extractions = extractions
+        self.stats = RunStats() if stats is None else stats
 
 
 class PhysicsStepper:

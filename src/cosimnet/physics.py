@@ -48,14 +48,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import not_
 from typing import Iterable, Protocol, Sequence
 
-from .wire import ChannelData, all_pairs
+from .wire import ChannelData, Record, all_pairs
 
 Vec3 = tuple[float, float, float]
 
@@ -71,30 +70,28 @@ def _vec3(value, what: str) -> Vec3:
     return out
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Axis-aligned box; `penetration_loss` is the dB cost of one crossing."""
 
-    min_corner: Vec3
-    max_corner: Vec3
-    penetration_loss: float = 0.0
+    __slots__ = _fields = ("min_corner", "max_corner", "penetration_loss")
 
-    def __post_init__(self):
-        object.__setattr__(self, "min_corner", _vec3(self.min_corner, "min_corner"))
-        object.__setattr__(self, "max_corner", _vec3(self.max_corner, "max_corner"))
-        object.__setattr__(self, "penetration_loss", float(self.penetration_loss))
-        for axis, (lo, hi) in enumerate(zip(self.min_corner, self.max_corner)):
+    def __init__(self, min_corner: Vec3, max_corner: Vec3, penetration_loss: float = 0.0):
+        min_corner = _vec3(min_corner, "min_corner")
+        max_corner = _vec3(max_corner, "max_corner")
+        penetration_loss = float(penetration_loss)
+        for axis, (lo, hi) in enumerate(zip(min_corner, max_corner)):
             if not lo < hi:
                 raise ValueError(
                     f"box corners must satisfy min < max componentwise, "
-                    f"got {self.min_corner} / {self.max_corner}"
+                    f"got {min_corner} / {max_corner}"
                 )
             if not math.isfinite(hi - lo):
                 raise ValueError(
                     f"box extent along axis {axis} overflows: {hi!r} - {lo!r}"
                 )
-        if not (math.isfinite(self.penetration_loss) and self.penetration_loss >= 0):
-            raise ValueError(f"penetration_loss must be >= 0, got {self.penetration_loss}")
+        if not (math.isfinite(penetration_loss) and penetration_loss >= 0):
+            raise ValueError(f"penetration_loss must be >= 0, got {penetration_loss}")
+        self._fill(min_corner, max_corner, penetration_loss)
 
     def contains(self, point: Vec3) -> bool:
         return all(
@@ -103,25 +100,24 @@ class Box:
         )
 
 
-@dataclass(frozen=True)
-class WorldModel:
-    """Static world: outer bounds plus zero or more obstacle boxes."""
+class WorldModel(Record):
+    """Static world: outer bounds plus zero or more obstacle boxes.  It
+    keeps an instance dict, where its cached properties live."""
 
-    bounds: Box
-    obstacles: tuple[Box, ...] = ()
+    _fields = ("bounds", "obstacles")
 
-    def __post_init__(self):
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        for idx, box in enumerate(self.obstacles):
+    def __init__(self, bounds: Box, obstacles: tuple[Box, ...] = ()):
+        obstacles = tuple(obstacles)
+        for idx, box in enumerate(obstacles):
             inside = all(
                 blo <= lo and hi <= bhi
                 for lo, hi, blo, bhi in zip(
-                    box.min_corner, box.max_corner,
-                    self.bounds.min_corner, self.bounds.max_corner,
+                    box.min_corner, box.max_corner, bounds.min_corner, bounds.max_corner
                 )
             )
             if not inside:
                 raise ValueError(f"obstacle {idx} extends outside the world bounds")
+        self._fill(bounds, obstacles)
 
     @cached_property
     def _slabs(self) -> tuple:
@@ -162,8 +158,7 @@ class WorldModel:
         return tuple(rows), tuple(row[1] for row in rows), widest
 
 
-@dataclass(frozen=True)
-class AgentTrack:
+class AgentTrack(Record):
     """Polyline path for one agent, walked at constant speed.
 
     Loop tracks close implicitly (last waypoint back to the first), so a
@@ -171,26 +166,25 @@ class AgentTrack:
     explicitly would create a zero-length segment at the wrap.
     """
 
-    agent_id: int
-    waypoints: tuple[Vec3, ...]
-    speed: float
-    loop: bool = False
+    __slots__ = _fields = ("agent_id", "waypoints", "speed", "loop")
 
-    def __post_init__(self):
-        if not isinstance(self.agent_id, int) or self.agent_id < 0:
-            raise ValueError(f"agent_id must be a non-negative int, got {self.agent_id}")
-        pts = tuple(_vec3(p, f"waypoint {i}") for i, p in enumerate(self.waypoints))
+    def __init__(
+        self, agent_id: int, waypoints: tuple[Vec3, ...], speed: float, loop: bool = False
+    ):
+        if isinstance(agent_id, bool) or not isinstance(agent_id, int) or agent_id < 0:
+            raise ValueError(f"agent_id must be a non-negative int, got {agent_id}")
+        pts = tuple(_vec3(p, f"waypoint {i}") for i, p in enumerate(waypoints))
         if not pts:
             raise ValueError("track needs at least one waypoint")
         for a, b in zip(pts, pts[1:]):
             if a == b:
                 raise ValueError(f"consecutive duplicate waypoint {a}")
-        if self.loop and len(pts) >= 2 and pts[0] == pts[-1]:
+        if loop and len(pts) >= 2 and pts[0] == pts[-1]:
             raise ValueError("loop closure is implicit; drop the repeated final waypoint")
-        object.__setattr__(self, "waypoints", pts)
-        object.__setattr__(self, "speed", float(self.speed))
-        if not (math.isfinite(self.speed) and self.speed > 0):
-            raise ValueError(f"speed must be > 0, got {self.speed}")
+        speed = float(speed)
+        if not (math.isfinite(speed) and speed > 0):
+            raise ValueError(f"speed must be > 0, got {speed}")
+        self._fill(agent_id, pts, speed, loop)
 
 
 class FidelityKind(Enum):
@@ -198,23 +192,24 @@ class FidelityKind(Enum):
     LOS_NLOS = "los_nlos"
 
 
-@dataclass(frozen=True)
-class ChannelFidelity:
+class ChannelFidelity(Record):
     """Channel extraction tier: binary disk connectivity or geometric
     LOS/NLOS with per-obstacle penetration losses."""
 
-    kind: FidelityKind
-    radius: float | None = None
+    __slots__ = _fields = ("kind", "radius")
 
-    def __post_init__(self):
-        if self.kind is FidelityKind.DISK:
-            if self.radius is None:
+    def __init__(self, kind: FidelityKind, radius: float | None = None):
+        if not isinstance(kind, FidelityKind):
+            raise ValueError(f"fidelity kind must be a FidelityKind, got {kind!r}")
+        if kind is FidelityKind.DISK:
+            if radius is None:
                 raise ValueError("disk fidelity needs a radius")
-            object.__setattr__(self, "radius", float(self.radius))
-            if not (math.isfinite(self.radius) and self.radius > 0):
-                raise ValueError(f"disk radius must be > 0, got {self.radius}")
-        elif self.radius is not None:
+            radius = float(radius)
+            if not (math.isfinite(radius) and radius > 0):
+                raise ValueError(f"disk radius must be > 0, got {radius}")
+        elif radius is not None:
             raise ValueError("radius only applies to disk fidelity")
+        self._fill(kind, radius)
 
     @classmethod
     def disk(cls, radius: float) -> "ChannelFidelity":

@@ -22,9 +22,9 @@ import json
 import math
 import time
 from array import array
-from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 from . import wire
 from .flows import MAX_FLOWS, FlowConfig, FlowHost
@@ -68,15 +68,13 @@ class ConfigError(Exception):
         self.path = path
 
 
-@dataclass(frozen=True)
-class MetricsConfig:
+class MetricsConfig(NamedTuple):
     sample_period_ns: int = 10_000_000
     smoothing_window_ns: int = 200_000_000
     histogram_bins: int = 40
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     world: WorldModel
     tracks: tuple[AgentTrack, ...]
     agent_address_map: tuple[tuple[int, str], ...]
@@ -414,17 +412,16 @@ def config_as_dict(config: ScenarioConfig) -> dict:
             if config.fidelity.kind is FidelityKind.DISK
             else {"kind": "los_nlos"}
         ),
-        "flows": [asdict(flow) for flow in config.flows],
+        "flows": [{name: getattr(flow, name) for name in flow._fields} for flow in config.flows],
         "seed": config.seed,
-        "metrics": asdict(config.metrics),
+        "metrics": config.metrics._asdict(),
     }
 
 
 # -- the run ---------------------------------------------------------------------
 
 
-@dataclass
-class PairSample:
+class PairSample(NamedTuple):
     """Channel state of one agent pair at one window, as the netsim saw it."""
 
     t: int
@@ -520,24 +517,31 @@ class _TimelineRecorder:
         tl._wall_loss.extend([row[3] for row in rows])
 
 
-@dataclass
 class RunResult:
-    config: ScenarioConfig
-    out_dir: Path
-    sample_times_ns: list[int]
-    goodput_bps: list[float]
-    goodput_smoothed: list[float]
-    delay_ns: list[float]
-    delay_smoothed: list[float]
-    rate_hist: Histogram
-    delay_hist: Histogram
-    deliveries: list
-    timeline: Timeline
-    net_summary: NetRunSummary
-    phys_summary: PhysRunSummary
-    flow_stats: list[dict]
-    netsim_stats: dict
-    artifacts: dict[str, Path] = field(default_factory=dict)
+    def __init__(
+        self, config: ScenarioConfig, out_dir: Path, sample_times_ns: list[int],
+        goodput_bps: list[float], goodput_smoothed: list[float],
+        delay_ns: list[float], delay_smoothed: list[float],
+        rate_hist: Histogram, delay_hist: Histogram, deliveries: list, timeline: Timeline,
+        net_summary: NetRunSummary, phys_summary: PhysRunSummary,
+        flow_stats: list[dict], netsim_stats: dict,
+    ):
+        self.config = config
+        self.out_dir = out_dir
+        self.sample_times_ns = sample_times_ns
+        self.goodput_bps = goodput_bps
+        self.goodput_smoothed = goodput_smoothed
+        self.delay_ns = delay_ns
+        self.delay_smoothed = delay_smoothed
+        self.rate_hist = rate_hist
+        self.delay_hist = delay_hist
+        self.deliveries = deliveries
+        self.timeline = timeline
+        self.net_summary = net_summary
+        self.phys_summary = phys_summary
+        self.flow_stats = flow_stats
+        self.netsim_stats = netsim_stats
+        self.artifacts: dict[str, Path] = {}
 
 
 def run_scenario(

@@ -35,7 +35,6 @@ from __future__ import annotations
 import enum
 import socket
 import time
-from dataclasses import dataclass, field
 from typing import Callable
 
 from . import wire
@@ -138,10 +137,10 @@ class SocketLink:
         self._sock.close()
 
 
-@dataclass
 class RunStats:
-    windows_completed: int = 0
-    window_wall_seconds: list[float] = field(default_factory=list)
+    def __init__(self):
+        self.windows_completed = 0
+        self.window_wall_seconds: list[float] = []
 
 
 DEFAULT_WINDOW_NS = 1_000_000

@@ -49,13 +49,12 @@ import ipaddress
 import math
 import struct
 import zlib
-from dataclasses import FrozenInstanceError, dataclass
 from enum import IntEnum
 from functools import lru_cache
 from itertools import accumulate, starmap
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 MAGIC = b"RNS1"
 TAG_PHYSICS_UPDATE = 0x00
@@ -95,8 +94,51 @@ class CompressionError(WireError):
     """Corrupt DEFLATE stream or decompressed size over the cap."""
 
 
-@dataclass(frozen=True)
-class Pose:
+class Record:
+    """Base of the immutable records that check their input.  `_fields`
+    names a record's fields in order, and its `__init__` fills them once
+    through `_fill`.  Equality, `hash`, `repr` and pickling go by the
+    fields, as for a frozen dataclass, and assigning or deleting an
+    attribute raises `dataclasses.FrozenInstanceError`.  Unlike a
+    NamedTuple's `_replace`, nothing builds one without its checks."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Pose(NamedTuple):
     """Agent position (meters) and orientation as a unit quaternion, as
     tuples of floats."""
 
@@ -104,8 +146,7 @@ class Pose:
     orientation: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class PathDetails:
+class PathDetails(NamedTuple):
     """Propagation summary for one unordered agent pair.
 
     ``num_hops`` holds one entry per reported path; ``hop_points`` holds the
@@ -149,7 +190,7 @@ class _Fields:
     )
 
 
-class ChannelData(_Fields):
+class ChannelData(_Fields, Record):
     """Poses of all agents plus per-pair propagation paths, held as columns.
 
     The columns are tuples, each of one kind of field:
@@ -170,9 +211,9 @@ class ChannelData(_Fields):
     one source of truth: ``node_list`` and ``path_details`` are records
     built from them when first read, with the field types `Pose` and
     `PathDetails` document.  Equality, hashing and `repr` go by the
-    records.  A snapshot is immutable, like the frozen records: assigning
-    a field raises `dataclasses.FrozenInstanceError`, so the records and
-    pair index kept for it cannot go stale.
+    records.  A snapshot is immutable, like a `Record`, whose refusal of
+    assignment it takes, so the records and pair index kept for it cannot
+    go stale.
     """
 
     __slots__ = ()
@@ -217,8 +258,8 @@ class ChannelData(_Fields):
     @classmethod
     def _filled(cls, poses, ids, rows, *columns):
         # Filled as plain slots, then given this class, whose fields cannot
-        # be assigned.  Filling through object.__setattr__, as frozen
-        # dataclasses do, took 1.9 us a snapshot against 0.45 us, which
+        # be assigned.  Filling through object.__setattr__, as
+        # `Record._fill` does, took 1.9 us a snapshot against 0.45 us, which
         # slowed the two-agent workloads' windows.
         cd = _Fields()
         cd.poses = poses
@@ -239,12 +280,6 @@ class ChannelData(_Fields):
         walls = self.num_hops[p0] if self.path_start[k + 1] > p0 else 0
         h0 = self.hop_start[k]
         return tuple(map(_HOP_LOSS, self.hops[h0:h0 + walls]))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return ChannelData.from_columns, (
@@ -330,8 +365,7 @@ class _Deferred(ChannelData):
         return self._source.first_path_losses(self.poses, i, j)
 
 
-@dataclass(frozen=True)
-class PhysicsUpdate:
+class PhysicsUpdate(NamedTuple):
     """Window marker from the physics side; END frames carry channel data.
 
     `channel_data` is the compressed channel blob as the frame carried it,
@@ -343,8 +377,7 @@ class PhysicsUpdate:
     channel_data: bytes = b""
 
 
-@dataclass(frozen=True)
-class NetworkUpdate:
+class NetworkUpdate(NamedTuple):
     """Window marker from the network side: a BEGIN or an END and the
     window's start time, nothing more.  Its packets stay in the network
     side's process, as rows passed between the coordinator and its netsim.

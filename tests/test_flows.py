@@ -104,6 +104,15 @@ def test_flow_config_validation():
         FlowConfig(IPS[0], IPS[1], arq_window=0)
 
 
+def test_flow_config_rejects_sizes_that_are_not_ints():
+    # a float payload_size would construct, then fail the run in window 0
+    # when `encode_data` slices the packet body with it
+    for name in ("payload_size", "arq_window", "retransmit_timeout_ns"):
+        for value in (1000.0, True):
+            with pytest.raises(ValueError, match=name):
+                FlowConfig(IPS[0], IPS[1], **{name: value})
+
+
 # -- sender / receiver state ----------------------------------------------------
 
 

@@ -5,8 +5,8 @@ network side, pose rows without per-agent records on the physics side,
 one check of a channel snapshot, where its decoder reads it off the wire,
 a frame codec that carries the channel blob unread, one decode of it,
 where the network side applies it, numpy loaded only where arrays are
-asked for, no device I/O, no imports from the tests, and one public
-surface."""
+asked for, records built without `dataclasses`, no device I/O, no
+imports from the tests, and one public surface."""
 
 from __future__ import annotations
 
@@ -216,13 +216,13 @@ def test_an_in_process_run_builds_no_network_update(tmp_path, monkeypatch):
     """In process the coordinator hands the netsim its rows and takes rows
     back: a whole patrol run constructs no `NetworkUpdate`."""
     built = []
-    init = wire.NetworkUpdate.__init__
+    new = wire.NetworkUpdate.__new__
 
-    def counted_init(self, *args, **kwargs):
+    def counted_new(cls, *args, **kwargs):
         built.append(args)
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(wire.NetworkUpdate, "__init__", counted_init)
+    monkeypatch.setattr(wire.NetworkUpdate, "__new__", counted_new)
     wire.NetworkUpdate(wire.MsgType.END, 0)  # the counter counts
     assert len(built) == 1
     config = scenario.load_scenario(Path(scenario.__file__).parent / "scenarios" / "patrol.json")
@@ -233,9 +233,13 @@ def test_an_in_process_run_builds_no_network_update(tmp_path, monkeypatch):
 
 def test_no_module_imports_numpy_at_top_level():
     # bit errors come from the stdlib generator, the post-run reduction is
-    # plain Python, and the array code imports numpy where it runs
+    # plain Python, and the array code imports numpy where it runs.  No
+    # module imports `dataclasses` there either: its decorator compiles each
+    # generated method at every import, and a frozen record imports its
+    # `FrozenInstanceError` only where it raises it
     for path in sorted(PACKAGE.rglob("*.py")):
-        assert "numpy" not in module_level_imports(path), path.relative_to(PACKAGE)
+        imported = module_level_imports(path)
+        assert not imported & {"numpy", "dataclasses"}, path.relative_to(PACKAGE)
 
 
 _RUN = (
@@ -274,7 +278,8 @@ NUMPY_FREE = {
 @pytest.mark.parametrize("case", sorted(NUMPY_FREE))
 def test_an_in_process_run_leaves_numpy_unloaded(case):
     """`cosimnet validate`, and whole in-process runs with plots, in a fresh
-    interpreter, import no `numpy` module."""
+    interpreter, import no `numpy` module, nor `dataclasses` or the
+    `inspect` it brings."""
     before, after = NUMPY_FREE[case]
     path = os.environ.get("PYTHONPATH")
     src = os.pathsep.join([str(PACKAGE.parent), str(PACKAGE.parent.parent)])
@@ -286,6 +291,8 @@ def test_an_in_process_run_leaves_numpy_unloaded(case):
         "from cosimnet import cli, scenario\n"
         "bundled = Path(scenario.__file__).parent / 'scenarios'\n"
         + before
+        + "assert not {'dataclasses', 'inspect'} & set(sys.modules), "
+        "sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
         + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
         + after
     )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import math
 import random
 
@@ -871,8 +870,8 @@ def world_snapshots(name):
     from tests.test_lockstep_oracle import SCENARIOS, swarm_document
 
     if name == "disk":  # 40 m disks: NLOS pairs that report no paths
-        config = dataclasses.replace(
-            parse_scenario(swarm_document()), fidelity=ChannelFidelity.disk(40.0)
+        config = parse_scenario(swarm_document())._replace(
+            fidelity=ChannelFidelity.disk(40.0)
         )
         stride, count = 5, 40
     elif name == "swarm16":

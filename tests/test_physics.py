@@ -110,6 +110,19 @@ def test_fidelity_validation():
     assert ChannelFidelity.disk(30.0).radius == 30.0
 
 
+def test_fidelity_kind_must_be_a_fidelity_kind():
+    # else a plain string would run as LOS/NLOS, or fail on its radius
+    # with a message about the wrong field
+    for args in (("disk",), ("disk", 5.0), ("los_nlos",), ("garbage",)):
+        with pytest.raises(ValueError, match="FidelityKind"):
+            ChannelFidelity(*args)
+
+
+def test_track_rejects_a_bool_agent_id():
+    with pytest.raises(ValueError, match="agent_id"):
+        AgentTrack(True, ((0, 0, 0), (1, 0, 0)), speed=1.0)
+
+
 # -- track walking ----------------------------------------------------------
 
 

@@ -10,25 +10,52 @@ hashing, while `==` might still hold.  These tests run each producer in
 coordinator hands the netsim, and those it hands back, hold exact types
 too, and the ledger's rows read back as `DeliveryRecord`s of the same
 exact types.
+
+The last tests pin the contract of every record class in the package:
+its fields in order with their defaults, and how it compares, hashes,
+prints, pickles and refuses assignment.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
+import pickle
 from pathlib import Path
 
 import pytest
 
 from cosimnet import scenario, wire
-from cosimnet.net_coord import DeliveryRecord
-from cosimnet.netsim import ReferenceNetSim
+from cosimnet.flows import DataFlow, FlowConfig, FlowDelivery
+from cosimnet.metrics import Histogram
+from cosimnet.net_coord import DeliveryRecord, Ledger, NetCoordConfig, NetRunSummary
+from cosimnet.netsim import (
+    DEFAULT_MCS_TABLE,
+    LinkState,
+    MediumEvent,
+    MediumEventKind,
+    RadioParams,
+    ReferenceNetSim,
+)
+from cosimnet.phys_coord import PhysCoordConfig, PhysRunSummary
 from cosimnet.physics import (
     VECTOR_MIN_TESTS,
+    AgentTrack,
+    Box,
     ChannelFidelity,
     FidelityKind,
     ReferencePhysicsSim,
+    WorldModel,
 )
-from cosimnet.scenario import load_scenario, parse_scenario, run_scenario
+from cosimnet.scenario import (
+    MetricsConfig,
+    PairSample,
+    RunResult,
+    ScenarioConfig,
+    load_scenario,
+    parse_scenario,
+    run_scenario,
+)
+from cosimnet.sync import RunStats
 
 from tests.test_lockstep_oracle import socket_link_pair, swarm_document, two_peer_run
 
@@ -73,7 +100,7 @@ def assert_update_types(msg):
             assert_channel_types(wire.channel_of(msg))
         return
     assert type(msg) is wire.NetworkUpdate
-    assert [f.name for f in dataclasses.fields(msg)] == ["msg_type", "time_val"]
+    assert list(msg._fields) == ["msg_type", "time_val"]
 
 
 ROW_TYPES = (int, int, str, str, int, int, int, bytes)
@@ -232,3 +259,231 @@ def test_ledger_rows_read_back_as_exact_records(tmp_path, name):
     assert_ledger_types(run_scenario(config, tmp_path / "loop").net_summary.ledger)
     result = two_peer_run(config, *socket_link_pair(), tmp_path / "split")
     assert_ledger_types(result.net_summary.ledger)
+
+
+# -- the records' contract ----------------------------------------------------
+
+_A, _B = "10.0.0.1", "10.0.0.2"
+_BOUNDS = Box((0, 0, 0), (10, 10, 10))
+_WALL = Box((4, 0, 0), (5, 10, 10), 3)
+_TRACK = AgentTrack(0, [(1, 1, 1), (2, 1, 1)], 1)
+_LOS = ChannelFidelity.los_nlos()
+
+
+def _scenario_args(seed):
+    return (
+        WorldModel(_BOUNDS), (_TRACK,), ((0, _A),), RadioParams(), W, 10 * W, _LOS,
+        (FlowConfig(_A, _B),), seed, MetricsConfig(),
+    )
+
+
+# name: (class, positional arguments, arguments of an unequal instance, the
+# fields of `class(*arguments)` in order with their values, whether it is
+# immutable).  Values show the records' normalisation: given ints and lists,
+# they hold floats and tuples.  An unequal instance of mutable run state is
+# one whose first field is then assigned another value.
+RECORDS = {
+    "FlowConfig": (
+        FlowConfig, (_A, _B), (_B, _A),
+        (("src", _A), ("dst", _B), ("payload_size", 1000), ("arq_window", 16),
+         ("retransmit_timeout_ns", 200_000_000)),
+        True,
+    ),
+    "FlowDelivery": (
+        FlowDelivery, (3, 10, 20), (3, 10, 21),
+        (("seq", 3), ("first_sent_at", 10), ("delivered_at", 20)),
+        True,
+    ),
+    "DataFlow": (
+        DataFlow, (0, FlowConfig(_A, _B), "src-ep", "dst-ep"), None,
+        (("flow_id", 0), ("config", FlowConfig(_A, _B)), ("_src_ep", "src-ep"),
+         ("_dst_ep", "dst-ep"), ("next_seq", 0), ("unacked", {}), ("first_sent", {}),
+         ("rcv_next", 0), ("seen", set()), ("deliveries", []), ("sent_total", 0),
+         ("retransmit_total", 0), ("delivered_total", 0), ("duplicate_total", 0),
+         ("acked_total", 0), ("acks_sent", 0), ("_due", 0), ("_packets", {})),
+        False,
+    ),
+    "Histogram": (
+        Histogram, ((0.0, 1.0), (2.0,), (2.0,)), ((0.0, 1.0), (2.0,), (1.0,)),
+        (("edges", (0.0, 1.0)), ("counts", (2.0,)), ("density", (2.0,))),
+        True,
+    ),
+    "DeliveryRecord": (
+        DeliveryRecord, (7, _A, _B, 420, 1000, 2000, 0.0), (7, _A, _B, 420, 1000, 2000, 1e-6),
+        (("pkt_id", 7), ("src", _A), ("dst", _B), ("length", 420), ("captured_at", 1000),
+         ("released_at", 2000), ("ber", 0.0)),
+        True,
+    ),
+    "NetCoordConfig": (
+        NetCoordConfig, (W, [[0, _A], (1, _B)]), (W, [(0, _A)]),
+        (("window_ns", W), ("agent_address_map", ((0, _A), (1, _B))),
+         ("expiry_windows", 30_000), ("seed", 0)),
+        True,
+    ),
+    "NetRunSummary": (
+        NetRunSummary, (), None,
+        (("windows_completed", 0), ("captured_total", 0), ("released_total", 0),
+         ("released_bytes", 0), ("expired_total", 0), ("rejected_total", 0),
+         ("late_cleared_total", 0), ("held_at_end", 0), ("pending_at_end", 0),
+         ("ledger", Ledger()), ("stats", RunStats())),
+        False,
+    ),
+    "RadioParams": (
+        RadioParams, (), (25,),
+        (("tx_power", 20.0), ("noise_floor", -90.0), ("pl0", 40.0), ("ref_distance", 1.0),
+         ("path_loss_exponent", 2.4), ("per_packet_overhead", 200_000),
+         ("mcs_table", DEFAULT_MCS_TABLE), ("ber_at_threshold", 1e-2),
+         ("ber_decade_per_db", 3.0), ("queue_capacity", 100)),
+        True,
+    ),
+    "LinkState": (
+        LinkState, ((0, 1), 10.0, 0.0, 64.0, 46.0, 65e6, 1e-9),
+        ((0, 1), 10.0, 0.0, 64.0, 46.0, None, 0.5),
+        (("pair", (0, 1)), ("distance", 10.0), ("wall_loss", 0.0), ("path_loss", 64.0),
+         ("snr", 46.0), ("phy_rate", 65e6), ("ber", 1e-9)),
+        True,
+    ),
+    "MediumEvent": (
+        MediumEvent, (5, MediumEventKind.TX_START, 1, _A, _B),
+        (5, MediumEventKind.TX_END, 1, _A, _B),
+        (("time", 5), ("kind", MediumEventKind.TX_START), ("pkt_id", 1), ("src", _A),
+         ("dst", _B)),
+        True,
+    ),
+    "PhysCoordConfig": (
+        PhysCoordConfig, (W, _LOS), (2 * W, _LOS),
+        (("window_ns", W), ("fidelity", _LOS), ("agent_address_map", ())),
+        True,
+    ),
+    "PhysRunSummary": (
+        PhysRunSummary, (3, 2), None,
+        (("windows_completed", 3), ("extractions", 2), ("stats", RunStats())),
+        False,
+    ),
+    "Box": (
+        Box, ((0, 0, 0), [1, 2, 3]), ((0, 0, 0), (1, 2, 4)),
+        (("min_corner", (0.0, 0.0, 0.0)), ("max_corner", (1.0, 2.0, 3.0)),
+         ("penetration_loss", 0.0)),
+        True,
+    ),
+    "WorldModel": (
+        WorldModel, (_BOUNDS, [_WALL]), (_BOUNDS,),
+        (("bounds", _BOUNDS), ("obstacles", (_WALL,))),
+        True,
+    ),
+    "AgentTrack": (
+        AgentTrack, (0, [(0, 0, 0), [1, 0, 0]], 2), (1, [(0, 0, 0), [1, 0, 0]], 2),
+        (("agent_id", 0), ("waypoints", ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))),
+         ("speed", 2.0), ("loop", False)),
+        True,
+    ),
+    "ChannelFidelity": (
+        ChannelFidelity, (FidelityKind.DISK, 5), (FidelityKind.DISK, 6),
+        (("kind", FidelityKind.DISK), ("radius", 5.0)),
+        True,
+    ),
+    "MetricsConfig": (
+        MetricsConfig, (), (W,),
+        (("sample_period_ns", 10_000_000), ("smoothing_window_ns", 200_000_000),
+         ("histogram_bins", 40)),
+        True,
+    ),
+    "ScenarioConfig": (
+        ScenarioConfig, _scenario_args(0), _scenario_args(1),
+        tuple(zip(
+            ("world", "tracks", "agent_address_map", "radio", "window_ns", "duration_ns",
+             "fidelity", "flows", "seed", "metrics"),
+            _scenario_args(0),
+        )),
+        True,
+    ),
+    "PairSample": (
+        PairSample, (W, (0, 1), True, 3.0, 0, 0.0), (W, (0, 1), False, 3.0, 1, 2.0),
+        (("t", W), ("pair", (0, 1)), ("los", True), ("distance", 3.0), ("wall_count", 0),
+         ("wall_loss", 0.0)),
+        None,  # compared and shown by field, never hashed or assigned
+    ),
+    "RunResult": (
+        RunResult, tuple(f"value {k}" for k in range(15)), None,
+        (*zip(
+            ("config", "out_dir", "sample_times_ns", "goodput_bps", "goodput_smoothed",
+             "delay_ns", "delay_smoothed", "rate_hist", "delay_hist", "deliveries",
+             "timeline", "net_summary", "phys_summary", "flow_stats", "netsim_stats"),
+            (f"value {k}" for k in range(15)),
+        ), ("artifacts", {})),
+        False,
+    ),
+    "RunStats": (
+        RunStats, (), None,
+        (("windows_completed", 0), ("window_wall_seconds", [])),
+        False,
+    ),
+    "Pose": (
+        wire.Pose, ((1.0, 2.0, 3.0),), ((1.0, 2.0, 4.0),),
+        (("position", (1.0, 2.0, 3.0)), ("orientation", (0.0, 0.0, 0.0, 1.0))),
+        True,
+    ),
+    "PathDetails": (
+        wire.PathDetails, ((0, 1), True), ((0, 1), False),
+        (("ids", (0, 1)), ("los", True), ("num_hops", ()), ("hop_points", ())),
+        True,
+    ),
+    "PhysicsUpdate": (
+        wire.PhysicsUpdate, (wire.MsgType.END, 5), (wire.MsgType.BEGIN, 5),
+        (("msg_type", wire.MsgType.END), ("time_val", 5), ("channel_data", b"")),
+        True,
+    ),
+    "NetworkUpdate": (
+        wire.NetworkUpdate, (wire.MsgType.BEGIN, 0), (wire.MsgType.END, 0),
+        (("msg_type", wire.MsgType.BEGIN), ("time_val", 0)),
+        True,
+    ),
+}
+STATE = (DataFlow, NetRunSummary, PhysRunSummary, RunResult, RunStats)
+
+
+def comparable(value):
+    """`value`, or for mutable run state, which compares by identity, its
+    class and attributes."""
+    return (type(value), vars(value)) if isinstance(value, STATE) else value
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_keep_their_fields_equality_hash_and_repr(name):
+    """Each record's fields in order with their defaults and normalised
+    values; equality by value, pickling, `hash` and `repr` by field, and
+    assignment refused, for the immutable ones.  Mutable run state
+    promises no field-wise equality: it equals itself and not an unequal
+    instance."""
+    cls, args, other_args, fields, immutable = RECORDS[name]
+    record, twin = cls(*args), cls(*args)
+    assert cls.__name__ == name
+    names = [field for field, _ in fields]
+    if cls in STATE:
+        assert list(vars(record)) == names
+        other = cls(*args)
+        setattr(other, names[0], "another value")
+    else:
+        assert list(inspect.signature(cls).parameters) == names
+        other = cls(*other_args)
+    for field, value in fields:
+        held = getattr(record, field)
+        assert type(held) is type(value) and comparable(held) == comparable(value), field
+        if isinstance(value, (list, dict, set)):  # a container of its own
+            assert held is not getattr(twin, field), field
+    assert record == record and not record != record
+    assert record != other and not record == other
+    if cls in STATE:
+        return
+    assert record == twin and not record != twin
+    assert pickle.loads(pickle.dumps(record)) == record
+    body = ", ".join(f"{field}={value!r}" for field, value in fields)
+    assert repr(record) == f"{name}({body})"
+    if not immutable:
+        return
+    values = tuple(value for _, value in fields)
+    assert hash(record) == hash(twin) == hash(values)
+    for field, value in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+    assert tuple(getattr(record, field) for field in names) == values

@@ -9,7 +9,6 @@ must give `repr`-equal samples (`repr` tells -0.0 from 0.0 and True from 1).
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import math
 import random
@@ -60,8 +59,8 @@ ORACLE_CORPUS = {
     "swarm6": CORPUS["swarm6"],
     "swarm16": swarm16,
     # 40 m disks: NLOS pairs with no hops, whose wall loss is the int 0
-    "swarm6_disk": lambda: dataclasses.replace(
-        parse_scenario(swarm_document()), fidelity=ChannelFidelity.disk(40.0)
+    "swarm6_disk": lambda: parse_scenario(swarm_document())._replace(
+        fidelity=ChannelFidelity.disk(40.0)
     ),
 }
 
