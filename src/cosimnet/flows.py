@@ -85,10 +85,10 @@ class FlowConfig(Record):
         self._fill(src, dst, payload_size, arq_window, retransmit_timeout_ns)
         if src == dst:
             raise ValueError("flow source and destination must differ")
-        for name in self._fields[2:]:  # a float size would fail in the run
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        self._require_ints(
+            payload_size=payload_size, arq_window=arq_window,
+            retransmit_timeout_ns=retransmit_timeout_ns,
+        )
         if not DATA_HEADER <= self.payload_size <= 8192:
             raise ValueError(
                 f"payload_size must be in [{DATA_HEADER}, 8192] bytes"

@@ -155,6 +155,8 @@ def histogram(values, bins: int = 40) -> Histogram:
     held with both signs, its edge takes the sign Python's `min` or `max`
     gives, while numpy's vectorised reduction may return either.  A run's
     goodput and delay samples never hold -0.0."""
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     x = [v for v in map(float, values) if not math.isnan(v)]
     if not x:
         return Histogram(_edges(0.0, 1.0, bins), [0.0] * bins, [0.0] * bins)

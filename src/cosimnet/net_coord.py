@@ -114,6 +114,7 @@ class NetCoordConfig(wire.Record):
         self, window_ns: int, agent_address_map: tuple[tuple[int, str], ...],
         expiry_windows: int = DEFAULT_EXPIRY_WINDOWS, seed: int = 0,
     ):
+        self._require_ints(window_ns=window_ns, expiry_windows=expiry_windows, seed=seed)
         if window_ns <= 0:
             raise ValueError(f"window must be > 0 ns, got {window_ns}")
         if expiry_windows < 1:

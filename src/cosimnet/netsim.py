@@ -101,6 +101,7 @@ class RadioParams(Record):
             per_packet_overhead, tuple((float(t), float(r)) for t, r in mcs_table),
             ber_at_threshold, ber_decade_per_db, queue_capacity,
         )
+        self._require_ints(per_packet_overhead=per_packet_overhead, queue_capacity=queue_capacity)
         if not self.mcs_table:
             raise ValueError("mcs_table must not be empty")
         # json.loads reads NaN and Infinity, and no later check catches them all

@@ -27,6 +27,7 @@ class PhysCoordConfig(wire.Record):
         self, window_ns: int, fidelity: ChannelFidelity,
         agent_address_map: tuple[tuple[int, str], ...] = (),
     ):
+        self._require_ints(window_ns=window_ns)
         if window_ns <= 0:
             raise ValueError(f"window must be > 0 ns, got {window_ns}")
         self._fill(window_ns, fidelity, wire.checked_address_map(agent_address_map))

@@ -22,12 +22,13 @@ the scenario parser typed, and the decoders build records from `struct`
 values.  The frame codec carries `PhysicsUpdate.channel_data` as opaque
 bytes; only `channel_of` reads them.
 
-A channel snapshot (ChannelData) is held as columns: a tuple of pose rows,
-the listed pairs, their LOS flags, and their paths' hop counts and hop rows
-in CSR form.  The physics kernels, the channel decoder and the netsim work
-on the columns; the `Pose` and `PathDetails` records are built from them
-only when read, and a simulator's snapshot may defer its pair columns
-until then.  Snapshots have their own flat encoding and are carried
+A channel snapshot (the paper's ChannelData: ``node_list``,
+``path_details``) is held as columns only: a tuple of pose rows, the
+listed pairs, their LOS flags, and their paths' hop counts and hop rows in
+CSR form.  The physics kernels, the channel codec and the netsim read and
+write the columns, and a simulator's snapshot may defer its pair columns
+until one is read.  The message's field names survive in the check's
+error messages.  Snapshots have their own flat encoding and are carried
 inside PhysicsUpdate frames as a raw-DEFLATE-compressed byte string:
 
     u32 agent count
@@ -112,6 +113,15 @@ class Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
+    @staticmethod
+    def _require_ints(**values) -> None:
+        """Raise ValueError naming the first of `values` that is not an
+        int: a float ns or count would reach the run, and a bool is no
+        count."""
+        for name, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -138,32 +148,6 @@ class Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-class Pose(NamedTuple):
-    """Agent position (meters) and orientation as a unit quaternion, as
-    tuples of floats."""
-
-    position: tuple[float, float, float]
-    orientation: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 1.0)
-
-
-class PathDetails(NamedTuple):
-    """Propagation summary for one unordered agent pair.
-
-    ``num_hops`` holds one entry per reported path; ``hop_points`` holds the
-    concatenated hop tuples (x, y, z, penetration loss in dB) for all paths
-    in order.  A direct line-of-sight path is a single entry with zero hops.
-
-    The fields are stored as given, so producers pass Python ints, a bool
-    and 4-tuples of floats: a record of ints compares equal to one of
-    floats but has a different `repr`, which the timeline oracle compares.
-    """
-
-    ids: tuple[int, int]
-    los: bool
-    num_hops: tuple[int, ...] = ()
-    hop_points: tuple[tuple[float, float, float, float], ...] = ()
-
-
 @lru_cache(maxsize=4)
 def all_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Every unordered pair i < j of `n` agents in row-major order: the
@@ -185,18 +169,18 @@ class _Fields:
     pair columns."""
 
     __slots__ = (
-        "poses", "ids", "los", "path_start", "num_hops", "hop_start", "hops",
-        "_node_list", "_path_details", "_rows", "_source",
+        "poses", "ids", "los", "path_start", "num_hops", "hop_start", "hops", "_rows", "_source",
     )
 
 
 class ChannelData(_Fields, Record):
-    """Poses of all agents plus per-pair propagation paths, held as columns.
+    """The paper's ChannelData message (``node_list``, ``path_details``):
+    poses of all agents plus per-pair propagation paths, held as columns.
 
     The columns are tuples, each of one kind of field:
 
     - ``poses``: one (x, y, z, qx, qy, qz, qw) row per agent, the position
-      and the orientation quaternion;
+      and the orientation quaternion (the message's ``node_list``);
     - ``ids``: each listed pair, in the order listed;
     - ``los``: each pair's line-of-sight flag;
     - ``path_start`` (m + 1 offsets): pair k's paths are
@@ -206,33 +190,18 @@ class ChannelData(_Fields, Record):
       ``hops[hop_start[k]:hop_start[k + 1]]``;
     - ``hops``: one (x, y, z, penetration loss in dB) row per hop.
 
-    `ChannelData(node_list, path_details)` builds the columns from records;
-    `ChannelData.from_columns` takes them as they are.  The columns are the
-    one source of truth: ``node_list`` and ``path_details`` are records
-    built from them when first read, with the field types `Pose` and
-    `PathDetails` document.  Equality, hashing and `repr` go by the
-    records.  A snapshot is immutable, like a `Record`, whose refusal of
-    assignment it takes, so the records and pair index kept for it cannot
-    go stale.
+    The producers pass Python ints, bools and floats, as the codec reads
+    them: a column of ints compares equal to one of floats but has a
+    different `repr`, which the timeline oracle compares.  Equality,
+    hashing, `repr` and pickling go by the seven columns.  A snapshot is
+    immutable, like a `Record`, whose refusal of assignment it takes, so the
+    pair index kept for it cannot go stale.
     """
 
     __slots__ = ()
+    _fields = ("poses", "ids", "los", "path_start", "num_hops", "hop_start", "hops")
 
-    def __new__(cls, node_list: tuple = (), path_details: tuple = ()):
-        return cls.from_columns(
-            tuple((*pose.position, *pose.orientation) for pose in node_list),
-            tuple(tuple(pd.ids) for pd in path_details),
-            tuple(pd.los for pd in path_details),
-            tuple(accumulate((len(pd.num_hops) for pd in path_details), initial=0)),
-            tuple(h for pd in path_details for h in pd.num_hops),
-            tuple(accumulate((len(pd.hop_points) for pd in path_details), initial=0)),
-            tuple(tuple(hop) for pd in path_details for hop in pd.hop_points),
-        )
-
-    @classmethod
-    def from_columns(cls, poses, ids, los, path_start, num_hops, hop_start, hops):
-        """A snapshot over the given column tuples, shaped as the class
-        documents."""
+    def __new__(cls, poses, ids, los, path_start, num_hops, hop_start, hops):
         return cls._filled(poses, ids, None, los, path_start, num_hops, hop_start, hops)
 
     @classmethod
@@ -266,7 +235,6 @@ class ChannelData(_Fields, Record):
         cd.ids = ids
         if columns:
             cd.los, cd.path_start, cd.num_hops, cd.hop_start, cd.hops = columns
-        cd._node_list = cd._path_details = None
         cd._rows = rows
         cd.__class__ = cls
         return cd
@@ -281,36 +249,6 @@ class ChannelData(_Fields, Record):
         h0 = self.hop_start[k]
         return tuple(map(_HOP_LOSS, self.hops[h0:h0 + walls]))
 
-    def __reduce__(self):
-        return ChannelData.from_columns, (
-            self.poses, self.ids, self.los, self.path_start, self.num_hops,
-            self.hop_start, self.hops,
-        )
-
-    @property
-    def node_list(self) -> tuple[Pose, ...]:
-        nodes = self._node_list
-        if nodes is None:
-            nodes = tuple(Pose(row[:3], row[3:]) for row in self.poses)
-            object.__setattr__(self, "_node_list", nodes)
-        return nodes
-
-    @property
-    def path_details(self) -> tuple[PathDetails, ...]:
-        paths = self._path_details
-        if paths is None:
-            num_hops, hops = self.num_hops, self.hops
-            paths = tuple(
-                PathDetails(pair, los, num_hops[p0:p1], hops[h0:h1])
-                for pair, los, p0, p1, h0, h1 in zip(
-                    self.ids, self.los,
-                    self.path_start, self.path_start[1:],
-                    self.hop_start, self.hop_start[1:],
-                )
-            )
-            object.__setattr__(self, "_path_details", paths)
-        return paths
-
     @property
     def pair_rows(self) -> Mapping[tuple[int, int], int]:
         """Each listed pair, smaller id first, -> its row, in listed order;
@@ -323,16 +261,16 @@ class ChannelData(_Fields, Record):
             object.__setattr__(self, "_rows", rows)
         return rows
 
+    # a deferred snapshot equals, and pickles as, the plain one it builds
     def __eq__(self, other):
         if not isinstance(other, ChannelData):
             return NotImplemented
-        return (self.node_list, self.path_details) == (other.node_list, other.path_details)
+        return self._values() == other._values()
 
-    def __hash__(self):
-        return hash((self.node_list, self.path_details))
+    __hash__ = Record.__hash__
 
-    def __repr__(self):
-        return f"ChannelData(node_list={self.node_list!r}, path_details={self.path_details!r})"
+    def __reduce__(self):
+        return ChannelData, self._values()
 
 
 # the columns a deferred snapshot builds when one of them is first read
@@ -390,11 +328,6 @@ class NetworkUpdate(NamedTuple):
 # ---------------------------------------------------------------------------
 # validation
 
-def _check_u32(value: int, what: str) -> None:
-    if not 0 <= value < 2**32:
-        raise InvariantViolation(f"{what}: {value} out of u32 range")
-
-
 def checked_address_map(entries) -> tuple[tuple[int, str], ...]:
     """`(agent id, IPv4 address)` pairs as ints and strings; raises
     ValueError on a repeated id or address or a malformed address."""
@@ -413,29 +346,14 @@ def checked_address_map(entries) -> tuple[tuple[int, str], ...]:
     return amap
 
 
-def validate_pose(pose: Pose, what: str = "Pose") -> None:
-    for v in pose.position:
-        if not math.isfinite(v):
-            raise InvariantViolation(f"{what}.position: component {v!r} not finite")
-    for v in pose.orientation:
-        if not math.isfinite(v):
-            raise InvariantViolation(f"{what}.orientation: component {v!r} not finite")
-    norm = math.sqrt(sum(v * v for v in pose.orientation))
-    if abs(norm - 1.0) > QUATERNION_NORM_TOL:
-        raise InvariantViolation(
-            f"{what}.orientation: quaternion norm {norm!r} not within "
-            f"{QUATERNION_NORM_TOL} of 1"
-        )
-
-
 def validate_channel_data(cd: ChannelData) -> None:
     """Raise InvariantViolation, naming the first bad field, unless `cd` is
     well formed.  `decode_channel_data` calls it on every snapshot it
     decodes, at the trust boundary between the two sides.
 
     The columns are checked one pass each, with no string work, in time
-    linear in their size.  Only when a quick test fails are the records
-    scanned one by one (`_scan_channel_data`), to name the first bad field;
+    linear in their size.  Only when a quick test fails are the fields
+    scanned one by one (`_scan_channel_data`), to name the first bad one;
     a pose near the quaternion norm tolerance goes to that scan for the
     exact verdict.
     """
@@ -486,59 +404,65 @@ _NORM2_SURE = (1.0 - QUATERNION_NORM_TOL, 1.0 + QUATERNION_NORM_TOL)
 
 
 def _scan_channel_data(cd: ChannelData) -> None:
-    """The record-by-record check: raise InvariantViolation for the first
-    bad field, in the order poses, then per path entry its ids, counts and
-    hops."""
-    for i, pose in enumerate(cd.node_list):
-        validate_pose(pose, f"ChannelData.node_list[{i}]")
-    n = len(cd.node_list)
-    if n < 2 and cd.path_details:
+    """The field-by-field check: raise InvariantViolation for the first bad
+    field, in the order poses, then per path entry its ids, counts and
+    hops, named as the paper's ChannelData fields."""
+    isfinite = math.isfinite
+    for i, row in enumerate(cd.poses):
+        for name, values in (("position", row[:3]), ("orientation", row[3:])):
+            for v in values:
+                if not isfinite(v):
+                    raise InvariantViolation(
+                        f"ChannelData.node_list[{i}].{name}: component {v!r} not finite"
+                    )
+        norm = math.sqrt(sum(v * v for v in row[3:]))
+        if abs(norm - 1.0) > QUATERNION_NORM_TOL:
+            raise InvariantViolation(
+                f"ChannelData.node_list[{i}].orientation: quaternion norm {norm!r} not "
+                f"within {QUATERNION_NORM_TOL} of 1"
+            )
+    n = len(cd.poses)
+    if n < 2 and cd.ids:
         raise InvariantViolation(
             "ChannelData.path_details: must be empty with fewer than two agents"
         )
     seen_pairs = set()
-    for k, pd in enumerate(cd.path_details):
-        a, b = pd.ids
+    for k, ((a, b), p0, p1, h0, h1) in enumerate(zip(
+        cd.ids, cd.path_start, cd.path_start[1:], cd.hop_start, cd.hop_start[1:]
+    )):
+        what = f"ChannelData.path_details[{k}]"
         if a == b:
-            raise InvariantViolation(
-                f"ChannelData.path_details[{k}].ids: pair ({a}, {b}) must be distinct"
-            )
+            raise InvariantViolation(f"{what}.ids: pair ({a}, {b}) must be distinct")
         if not (0 <= a < n and 0 <= b < n):
             raise InvariantViolation(
-                f"ChannelData.path_details[{k}].ids: {a if not 0 <= a < n else b} "
-                f"does not index the node_list (size {n})"
+                f"{what}.ids: {a if not 0 <= a < n else b} does not index the node_list "
+                f"(size {n})"
             )
         pair = (a, b) if a < b else (b, a)
         if pair in seen_pairs:
-            raise InvariantViolation(
-                f"ChannelData.path_details[{k}].ids: duplicate entry for pair {pair}"
-            )
+            raise InvariantViolation(f"{what}.ids: duplicate entry for pair {pair}")
         seen_pairs.add(pair)
-        for h in pd.num_hops:
+        counts = cd.num_hops[p0:p1]
+        for h in counts:
             if h < 0:
+                raise InvariantViolation(f"{what}.num_hops: negative count {h}")
+            if h >= 2**32:
+                raise InvariantViolation(f"{what}.num_hops: {h} out of u32 range")
+        hops = cd.hops[h0:h1]
+        if sum(counts) != len(hops):
+            raise InvariantViolation(
+                f"{what}: sum(num_hops)={sum(counts)} does not match {len(hops)} hop points"
+            )
+        for j, (x, y, z, loss) in enumerate(hops):
+            for v in (x, y, z, loss):
+                if not isfinite(v):
+                    raise InvariantViolation(
+                        f"{what}.hop_points[{j}]: component {v!r} not finite"
+                    )
+            if loss < 0:
                 raise InvariantViolation(
-                    f"ChannelData.path_details[{k}].num_hops: negative count {h}"
+                    f"{what}.hop_points[{j}]: penetration loss {loss!r} negative"
                 )
-            _check_u32(h, f"ChannelData.path_details[{k}].num_hops")
-        total = sum(pd.num_hops)
-        if total != len(pd.hop_points):
-            raise InvariantViolation(
-                f"ChannelData.path_details[{k}]: sum(num_hops)={total} does not match "
-                f"{len(pd.hop_points)} hop points"
-            )
-        _check_hops(pd.hop_points, f"ChannelData.path_details[{k}]")
-
-
-def _check_hops(hops, what: str) -> None:
-    """Raise for the first hop that is not finite or has a negative loss."""
-    for j, (x, y, z, loss) in enumerate(hops):
-        for v in (x, y, z, loss):
-            if not math.isfinite(v):
-                raise InvariantViolation(f"{what}.hop_points[{j}]: component {v!r} not finite")
-        if loss < 0:
-            raise InvariantViolation(
-                f"{what}.hop_points[{j}]: penetration loss {loss!r} negative"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +578,7 @@ def decode_channel_data(data: bytes) -> ChannelData:
         hops.append(r.rows(sum(counts), _HOP.size, f"{what}.hop_points"))
         hop_start.append(hop_start[-1] + sum(counts))
     r.finish()
-    cd = ChannelData.from_columns(
+    cd = ChannelData(
         poses,
         tuple(ids),
         tuple(los),

@@ -10,6 +10,7 @@ import math
 import random
 
 from cosimnet import wire
+from tests.wire_oracles import PathDetails, Pose, channel_data
 
 
 def random_quaternion(rng: random.Random) -> tuple[float, float, float, float]:
@@ -20,13 +21,13 @@ def random_quaternion(rng: random.Random) -> tuple[float, float, float, float]:
             return tuple(v / norm for v in q)
 
 
-def random_pose(rng: random.Random) -> wire.Pose:
+def random_pose(rng: random.Random) -> Pose:
     pos = tuple(rng.uniform(-500.0, 500.0) for _ in range(3))
     if rng.random() < 0.25:
         quat = (0.0, 0.0, 0.0, 1.0)
     else:
         quat = random_quaternion(rng)
-    return wire.Pose(position=pos, orientation=quat)
+    return Pose(position=pos, orientation=quat)
 
 
 def random_channel_data(rng: random.Random, max_agents: int = 16) -> wire.ChannelData:
@@ -55,9 +56,9 @@ def random_channel_data(rng: random.Random, max_agents: int = 16) -> wire.Channe
                 )
             a, b = pair if rng.random() < 0.5 else (pair[1], pair[0])
             paths.append(
-                wire.PathDetails(ids=(a, b), los=los, num_hops=num_hops, hop_points=hops)
+                PathDetails(ids=(a, b), los=los, num_hops=num_hops, hop_points=hops)
             )
-    return wire.ChannelData(node_list=nodes, path_details=tuple(paths))
+    return channel_data(nodes, paths)
 
 
 def random_physics_update(rng: random.Random, max_agents: int = 16) -> wire.PhysicsUpdate:

@@ -3,7 +3,7 @@ record-based world path `ReferencePhysicsSim` replaced, and the LOS
 kernels as they were before they shared their per-pair work.
 
 `AgentState`, `initial_agent_states`, `step_world` and `track_pose` walk
-agents as records, one `wire.Pose` each; they are the oracle of
+agents as records, one `wire_oracles.Pose` each; they are the oracle of
 `ReferencePhysicsSim`'s arcs and pose rows, its first rows included, and
 make the same float operations in the same order.  `extract_channel_data`
 gives the snapshot of a list of such records through `physics._snapshot`
@@ -45,7 +45,8 @@ from cosimnet.physics import (
     _vec3,
     track_length,
 )
-from cosimnet.wire import ChannelData, PathDetails, Pose
+from cosimnet.wire import ChannelData
+from tests.wire_oracles import PathDetails, Pose
 
 _ENTRY_ORDER = itemgetter(0, 1)  # a hit's entry t, then its box index
 

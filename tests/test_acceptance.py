@@ -36,9 +36,10 @@ from cosimnet.physics import (
 )
 from cosimnet.scenario import load_scenario, parse_scenario, run_scenario
 from cosimnet.sync import DEFAULT_WINDOW_NS, Role, RunStats, SocketLink, run_lockstep
-from cosimnet.wire import MsgType, NetworkUpdate, PhysicsUpdate, Pose
+from cosimnet.wire import MsgType, NetworkUpdate, PhysicsUpdate
 from tests import msggen
 from tests.series_stats import mode_count
+from tests.wire_oracles import PathDetails, Pose, channel_data, path_details
 
 SCENARIO_DIR = Path(cosimnet.__file__).parent / "scenarios"
 
@@ -218,7 +219,7 @@ def test_02_wire_roundtrip_and_malformed_frames():
             cd = wire.decode_channel_data(
                 wire.decompress_channel_blob(msg.channel_data)
             )
-            node_counts.append(len(cd.node_list))
+            node_counts.append(len(cd.poses))
     # the corpus really does reach the compressed 16-agent case
     assert max(node_counts) == 16
 
@@ -245,17 +246,15 @@ def test_02_wire_roundtrip_and_malformed_frames():
         wire.decode_frame(b"RNS1" + b"\x01" + struct.pack("<I", len(cut)) + cut)
 
     # the encoder writes a malformed snapshot as it is; its decoder names the fault
-    unnormalized = wire.ChannelData(node_list=(Pose((0, 0, 0), (2, 0, 0, 0)),))
+    unnormalized = channel_data((Pose((0, 0, 0), (2, 0, 0, 0)),))
     with pytest.raises(wire.InvariantViolation, match="orientation"):
         wire.decode_channel_data(wire.encode_channel_data(unnormalized))
     two = (Pose((0, 0, 0)), Pose((1, 0, 0)))
-    self_pair = wire.ChannelData(two, (wire.PathDetails((0, 0), True, (0,), ()),))
+    self_pair = channel_data(two, (PathDetails((0, 0), True, (0,), ()),))
     with pytest.raises(wire.InvariantViolation, match="distinct"):
         wire.decode_channel_data(wire.encode_channel_data(self_pair))
     # a hop count the hop rows do not match cannot be written: the check says so
-    short = wire.ChannelData(
-        two, (wire.PathDetails((0, 1), False, (2,), ((0.5, 0.0, 0.0, 3.0),)),)
-    )
+    short = channel_data(two, (PathDetails((0, 1), False, (2,), ((0.5, 0.0, 0.0, 3.0),)),))
     with pytest.raises(wire.InvariantViolation, match="hop points"):
         wire.validate_channel_data(short)
     # the largest time a frame carries, the last BEGIN's, is checked once,
@@ -264,7 +263,7 @@ def test_02_wire_roundtrip_and_malformed_frames():
         load_scenario(SCENARIO_DIR / "static_los_30m.json", duration_ns=2**64 * 10**9)
     assert err.value.path == "duration_ns"
 
-    cd = wire.ChannelData(two, (wire.PathDetails((0, 1), True, (0,), ()),))
+    cd = channel_data(two, (PathDetails((0, 1), True, (0,), ()),))
     enc = bytearray(wire.encode_channel_data(cd))
     enc[4 + 112 + 4 + 8] = 2  # the los byte of the only path entry
     with pytest.raises(wire.FrameError, match="los"):
@@ -330,10 +329,9 @@ def test_03_los_verdicts_match_sampling_oracle():
             wire.decompress_channel_blob(emitted.channel_data)
         )
 
-        positions = [pose.position for pose in sent.node_list]
-        pairs = [pd.ids for pd in sent.path_details]
-        blocked = _sampled_nlos(positions, pairs, boxes)
-        for pd, oracle_nlos in zip(sent.path_details, blocked):
+        positions = [row[:3] for row in sent.poses]
+        blocked = _sampled_nlos(positions, sent.ids, boxes)
+        for pd, oracle_nlos in zip(path_details(sent), blocked):
             assert pd.los == (not oracle_nlos), f"trial {trial} pair {pd.ids}"
             assert sum(pd.num_hops) == len(pd.hop_points), f"trial {trial} {pd.ids}"
             pairs_checked += 1
@@ -382,9 +380,8 @@ def test_04_radio_attenuation_monotonicity(tmp_path):
     for k in range(5):
         hop = ((25.0, 0.0, 0.0, 10.0 * k),)
         sim.apply_channel(
-            wire.ChannelData(
-                (Pose((0, 0, 0)), Pose((50.0, 0, 0))),
-                (wire.PathDetails((0, 1), False, (1,), hop),),
+            channel_data(
+                (Pose((0, 0, 0)), Pose((50.0, 0, 0))), (PathDetails((0, 1), False, (1,), hop),)
             )
         )
         states.append(sim.link_state(0, 1))
@@ -420,9 +417,9 @@ def test_05_fifo_clearances_match_closed_form():
     sim = ReferenceNetSim(RadioParams(), addresses, trace_events=True)
     # 450 m open air puts the default radio on its lowest rung: 6.5 Mb/s
     sim.apply_channel(
-        wire.ChannelData(
-            node_list=(Pose((0.0, 0.0, 0.0)), Pose((450.0, 0.0, 0.0))),
-            path_details=(wire.PathDetails((0, 1), True, (0,), ()),),
+        channel_data(
+            (Pose((0.0, 0.0, 0.0)), Pose((450.0, 0.0, 0.0))),
+            (PathDetails((0, 1), True, (0,), ()),),
         )
     )
     link = sim.link_state(0, 1)

@@ -23,12 +23,12 @@ from cosimnet.physics import (
     WorldModel,
 )
 from cosimnet.scenario import load_scenario, parse_scenario, run_scenario
-from cosimnet.wire import ChannelData, PathDetails, Pose
-
+from cosimnet.wire import ChannelData
 from tests import physics_oracles
 from tests.physics_oracles import extract_channel_data, initial_agent_states
 from tests.test_lockstep_oracle import SCENARIOS, socket_link_pair, two_peer_run
 from tests.test_physics import UNIT, random_kernel_cases
+from tests.wire_oracles import PathDetails, Pose, channel_data
 
 # wide enough for every corpus case, the rounded-past-the-end one included
 BOUNDS = Box((-1e7, -1e7, -1e7), (1e7, 1e7, 1e7))
@@ -161,7 +161,7 @@ def test_first_path_losses_of_built_columns():
         PathDetails((0, 5), False, (1, 1), ((*hop, 2.5), (*hop, 9.0))),
         PathDetails((1, 2), False, (2,), ((*hop, 1.5), (*hop, 2))),
     )
-    cd = ChannelData(poses, paths)
+    cd = channel_data(poses, paths)
     got = [cd.first_path_losses(k) for k in range(len(paths))]
     assert repr(got) == repr([None, (), (), (3, 4), (2.5,), (1.5, 2)])
     netsim = ReferenceNetSim(RadioParams(), {})

@@ -25,8 +25,7 @@ from cosimnet.flows import (
 from cosimnet.net_coord import InProcessBackend, NetCoordConfig, NetworkCoordinator
 from cosimnet.netsim import RadioParams, ReferenceNetSim
 from cosimnet.scenario import load_scenario, run_scenario
-from cosimnet.wire import PathDetails, Pose
-from cosimnet import wire
+from tests.wire_oracles import PathDetails, Pose, channel_data
 
 W = 10_000_000
 IPS = ("10.0.0.1", "10.0.0.2")
@@ -39,7 +38,7 @@ def channel(wall_loss=None):
         pd = PathDetails((0, 1), True, (0,), ())
     else:
         pd = PathDetails((0, 1), False, (1,), ((0.5, 0.0, 0.0, wall_loss),))
-    return wire.ChannelData((Pose((0, 0, 0)), Pose((1.0, 0, 0))), (pd,))
+    return channel_data((Pose((0, 0, 0)), Pose((1.0, 0, 0))), (pd,))
 
 
 # -- framing -------------------------------------------------------------------

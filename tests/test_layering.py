@@ -1,7 +1,7 @@
 """Module boundaries that keep one cross-process protocol, one owner of
 the channel-blob format, one parser of IPv4 addresses, one way to run
 each side (a loop on the calling thread), packets that stay rows on the
-network side, pose rows without per-agent records on the physics side,
+network side, snapshots held as columns with no record view in any module,
 one check of a channel snapshot, where its decoder reads it off the wire,
 a frame codec that carries the channel blob unread, one decode of it,
 where the network side applies it, numpy loaded only where arrays are
@@ -42,6 +42,22 @@ def imported_names(tree: ast.Module):
             yield from (alias.name for alias in node.names)
 
 
+def names_used(tree: ast.Module) -> set[str]:
+    """Every name `tree` reads, assigns, imports, defines or passes by
+    keyword, and every attribute it names; not the text of its strings."""
+    used = {name.rsplit(".", 1)[-1] for name in imported_names(tree)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            used.add(node.name)
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            used.add(node.arg)
+    return used
+
+
 def top_level_imports(path: Path) -> set[str]:
     """The top-level module of every import in the file at `path`."""
     tree = ast.parse(path.read_text(), str(path))
@@ -72,10 +88,7 @@ def test_only_wire_knows_the_channel_blob_format():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "wire":
             continue
-        tree = parse(path.stem)
-        used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        used |= {name.rsplit(".", 1)[-1] for name in imported_names(tree)}
+        used = names_used(parse(path.stem))
         assert not used & BLOB_FORMAT, (path.stem, sorted(used & BLOB_FORMAT))
 
 
@@ -95,21 +108,20 @@ def test_only_sync_and_wire_import_socket():
 
 
 def test_netsim_builds_no_network_messages():
-    tree = parse("netsim")
-    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used |= {name.rsplit(".", 1)[-1] for name in imported_names(tree)}
+    used = names_used(parse("netsim"))
     assert not used & {"MsgType", "NetworkUpdate"}, sorted(used & {"MsgType", "NetworkUpdate"})
 
 
+RECORD_VIEWS = {"Pose", "PathDetails", "node_list", "path_details", "from_columns"}
+
+
 def test_physics_builds_no_per_agent_records():
-    # the shipped simulator keeps pose rows; the record-based path it is
-    # checked against lives in tests/physics_oracles.py
-    tree = parse("physics")
-    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used |= {name.rsplit(".", 1)[-1] for name in imported_names(tree)}
-    assert not used & {"Pose", "PathDetails"}, sorted(used & {"Pose", "PathDetails"})
+    # a snapshot is its columns in every module: the paper's record view of
+    # it (`Pose`, `PathDetails`) lives in tests/wire_oracles.py, and only
+    # error messages name its fields
+    for path in sorted(PACKAGE.glob("*.py")):
+        used = names_used(parse(path.stem))
+        assert not used & RECORD_VIEWS, (path.stem, sorted(used & RECORD_VIEWS))
 
 
 def calls_by_function(tree: ast.Module, callee: str):

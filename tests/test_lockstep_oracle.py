@@ -446,7 +446,7 @@ def test_malformed_snapshot_fails_the_network_side():
             if self.snapshots != 51:
                 return cd
             poses = ((float("nan"), *cd.poses[0][1:]), *cd.poses[1:])
-            return wire.ChannelData.from_columns(
+            return wire.ChannelData(
                 poses, cd.ids, cd.los, cd.path_start, cd.num_hops, cd.hop_start, cd.hops
             )
 

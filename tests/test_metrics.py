@@ -102,6 +102,15 @@ def test_histogram_of_nothing_is_flagged_empty():
     assert (np.asarray(h.counts) == 0).all()
 
 
+@pytest.mark.parametrize("bins", [0, -1])
+def test_histogram_refuses_fewer_than_one_bin(bins):
+    with pytest.raises(ValueError):  # as its oracle does
+        np.histogram([1.0, 2.0], bins=bins)
+    for values in ([1.0, 2.0], [3.0], [], [np.nan]):
+        with pytest.raises(ValueError, match="bins must be >= 1"):
+            histogram(values, bins)
+
+
 def test_silverman_bandwidth_formula():
     rng = np.random.default_rng(8)
     x = rng.normal(size=400)

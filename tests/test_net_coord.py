@@ -23,7 +23,8 @@ from cosimnet.net_coord import (
 )
 from cosimnet.netsim import BER_FLOOR, RadioParams, ReferenceNetSim
 from cosimnet.sync import ProtocolError, Role, RunStats, SocketLink, run_lockstep
-from cosimnet.wire import MsgType, PathDetails, PhysicsUpdate, Pose
+from cosimnet.wire import MsgType, PhysicsUpdate
+from tests.wire_oracles import PathDetails, Pose, channel_data
 
 W = 10_000_000  # 10 ms
 IPS = ("10.0.0.1", "10.0.0.2", "10.0.0.3")
@@ -40,9 +41,7 @@ def two_node_channel(distance, wall_loss=None):
         pd = PathDetails((0, 1), True, (0,), ())
     else:
         pd = PathDetails((0, 1), False, (1,), ((distance / 2, 0.0, 0.0, wall_loss),))
-    return wire.ChannelData(
-        (Pose((0, 0, 0)), Pose((distance, 0, 0))), (pd,)
-    )
+    return channel_data((Pose((0, 0, 0)), Pose((distance, 0, 0))), (pd,))
 
 
 def channel_end(cd, t=0):
@@ -84,6 +83,15 @@ def test_config_validation():
         NetCoordConfig(W, AMAP, expiry_windows=0)
     with pytest.raises(ValueError, match="window"):
         NetCoordConfig(0, AMAP)
+
+
+def test_config_takes_ints_for_its_ns_and_counts():
+    # NetCoordConfig(1.5, ...) constructed, and windows then ran 1.5 ns apart
+    for name in ("window_ns", "expiry_windows", "seed"):
+        for value in (1.5, 2.0, True):
+            kw = {"window_ns": W, "agent_address_map": AMAP, name: value}
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                NetCoordConfig(**kw)
 
 
 # -- capture -----------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import collections
 import json
+import pickle
 import random
 
 import pytest
@@ -22,10 +23,10 @@ from cosimnet.netsim import RadioParams, ReferenceNetSim
 from cosimnet.phys_coord import PhysCoordConfig, PhysicsStepper
 from cosimnet.physics import ReferencePhysicsSim
 from cosimnet.scenario import load_scenario, parse_scenario
-from cosimnet.wire import ChannelData, PathDetails, Pose
 
 from tests.net_oracles import ObjectCoordinator, ObjectNetSim
 from tests.test_lockstep_oracle import SCENARIOS
+from tests.wire_oracles import PathDetails, Pose, channel_data
 
 W = 1_000_000
 COORD_COUNTERS = (
@@ -171,18 +172,12 @@ def random_channel(rng, n):
                     for _ in range(walls)
                 )
                 paths.append(PathDetails((a, b), False, (walls,), hops))
-    return ChannelData(poses, tuple(paths))
+    return channel_data(poses, paths)
 
 
 def equal_copy(cd):
-    """`cd` rebuilt from its records: equal, with new column tuples."""
-    return ChannelData(
-        tuple(Pose(tuple(p.position), tuple(p.orientation)) for p in cd.node_list),
-        tuple(
-            PathDetails(tuple(pd.ids), pd.los, tuple(pd.num_hops), tuple(map(tuple, pd.hop_points)))
-            for pd in cd.path_details
-        ),
-    )
+    """`cd` through a pickle: equal, with new column tuples and rows."""
+    return pickle.loads(pickle.dumps(cd))
 
 
 def next_channel(rng, n, last):

@@ -15,16 +15,17 @@ from cosimnet.netsim import (
     RadioParams,
     ReferenceNetSim,
 )
-from cosimnet.wire import ChannelData, PathDetails, Pose
+from cosimnet.wire import ChannelData
 from tests import msggen, net_oracles
+from tests.wire_oracles import PathDetails, Pose, channel_data, path_details
 
 W = 10_000_000  # 10 ms
 IP = {0: "10.0.0.1", 1: "10.0.0.2", 2: "10.0.0.3"}
 DEFAULTS = RadioParams()
 
 
-def channel(positions, path_details):
-    return ChannelData(tuple(Pose(p) for p in positions), tuple(path_details))
+def channel(positions, paths):
+    return channel_data(tuple(Pose(p) for p in positions), paths)
 
 
 def two_node_channel(distance, wall_loss=None):
@@ -80,6 +81,15 @@ def test_radio_params_validation():
         RadioParams(queue_capacity=0)
     with pytest.raises(ValueError, match="ber_at_threshold"):
         RadioParams(ber_at_threshold=0.6)
+
+
+def test_radio_params_take_ints_for_overhead_and_capacity():
+    # per_packet_overhead=0.5 constructed, and the medium then logged a
+    # TX_END at a fractional ns
+    for name in ("per_packet_overhead", "queue_capacity"):
+        for value in (0.5, 100.0, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                RadioParams(**{name: value})
 
 
 def test_link_at_reference_distance():
@@ -225,9 +235,9 @@ def assert_link_table_matches_oracle(sim, cd):
     """Every listed pair reads the oracle's LinkState (repr tells every float
     bit pattern apart) in both orders; every other pair reads None."""
     sim.apply_channel(cd)
-    positions = [pose.position for pose in cd.node_list]
+    positions = [row[:3] for row in cd.poses]
     listed = set()
-    for pd in cd.path_details:
+    for pd in path_details(cd):
         a, b = pd.ids
         pair = (min(a, b), max(a, b))
         listed.add(pair)
@@ -272,8 +282,8 @@ def test_link_table_matches_the_oracle_on_swarm16_windows():
             physics.step(config.window_ns)
         cd = physics.channel_snapshot(config.fidelity)
         assert_link_table_matches_oracle(sim, cd)
-        down += sum(sim.link_state(*pd.ids).is_down for pd in cd.path_details)
-        nlos += sum(not pd.los for pd in cd.path_details)
+        down += sum(sim.link_state(*pair).is_down for pair in cd.ids)
+        nlos += cd.los.count(False)
     assert down > 0 and nlos > 0
 
 
@@ -319,7 +329,7 @@ def columns_of(cd):
 
 def rebuilt(cd):
     """An equal snapshot with none of `cd`'s column tuples."""
-    return ChannelData.from_columns(*(tuple(list(column)) for column in columns_of(cd)))
+    return ChannelData(*(tuple(list(column)) for column in columns_of(cd)))
 
 
 def assert_table_as_fresh(sim, cd, agents):
@@ -373,7 +383,7 @@ def test_a_changed_snapshot_gets_rows_of_its_own(change):
     sim = new_sim(agents=3)
     sim.apply_channel(THREE_PAIRS)
     sim.link_table
-    changed = ChannelData.from_columns(*changed_one_column(THREE_PAIRS)[change])
+    changed = ChannelData(*changed_one_column(THREE_PAIRS)[change])
     assert changed != THREE_PAIRS or change == "hop type"
     sim.apply_channel(changed)
     assert_table_as_fresh(sim, changed, 3)
@@ -847,9 +857,9 @@ def eager_link_table(params, cd):
     """The link table as `apply_channel` built it before rows were computed
     on demand: one pass over every listed pair, kept as the oracle."""
     budget = netsim._link_budget(params)
-    positions = [pose.position for pose in cd.node_list]
+    positions = [row[:3] for row in cd.poses]
     links = {}
-    for pd in cd.path_details:
+    for pd in path_details(cd):
         i, j = pd.ids
         if pd.los:
             wall_loss = 0.0
@@ -896,7 +906,7 @@ def test_link_table_matches_the_eager_pass(name):
     for cd in snapshots:
         sim.apply_channel(cd)
         expected = eager_link_table(config.radio, cd)
-        a, b = cd.path_details[0].ids
+        a, b = cd.ids[0]
         state = sim.link_state(b, a)  # computed before the table is read
         table = sim.link_table
         assert repr(table) == repr(expected)  # rows, their order and types
@@ -934,39 +944,39 @@ NAN = float("nan")
 TWO_AGENTS = (Pose((0.0, 0.0, 0.0)), Pose((10.0, 0.0, 0.0)))
 MALFORMED_CHANNELS = {
     "non-finite pose": (
-        ChannelData((TWO_AGENTS[0], Pose((NAN, 0.0, 0.0)))),
+        channel_data((TWO_AGENTS[0], Pose((NAN, 0.0, 0.0)))),
         "ChannelData.node_list[1].position: component nan not finite",
     ),
     "quaternion norm": (
-        ChannelData((Pose((0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 2.0)), TWO_AGENTS[1])),
+        channel_data((Pose((0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 2.0)), TWO_AGENTS[1])),
         "ChannelData.node_list[0].orientation: quaternion norm 2.0 not within 1e-06 of 1",
     ),
     "duplicate pair": (
-        ChannelData(
+        channel_data(
             TWO_AGENTS,
             (PathDetails((0, 1), True, (0,), ()), PathDetails((1, 0), True, (0,), ())),
         ),
         "ChannelData.path_details[1].ids: duplicate entry for pair (0, 1)",
     ),
     "out-of-range id": (
-        ChannelData(TWO_AGENTS, (PathDetails((0, 2), True, (0,), ()),)),
+        channel_data(TWO_AGENTS, (PathDetails((0, 2), True, (0,), ()),)),
         "ChannelData.path_details[0].ids: 2 does not index the node_list (size 2)",
     ),
     "hop count": (
-        ChannelData(TWO_AGENTS, (PathDetails((0, 1), False, (2,), ((5.0, 0.0, 0.0, 3.0),)),)),
+        channel_data(TWO_AGENTS, (PathDetails((0, 1), False, (2,), ((5.0, 0.0, 0.0, 3.0),)),)),
         "ChannelData.path_details[0]: sum(num_hops)=2 does not match 1 hop points",
     ),
     "negative loss": (
-        ChannelData(TWO_AGENTS, (PathDetails((0, 1), False, (1,), ((5.0, 0.0, 0.0, -1.0),)),)),
+        channel_data(TWO_AGENTS, (PathDetails((0, 1), False, (1,), ((5.0, 0.0, 0.0, -1.0),)),)),
         "ChannelData.path_details[0].hop_points[0]: penetration loss -1.0 negative",
     ),
     # no hop rows at all: the check's zero-hop shortcut
     "hop count, no hops": (
-        ChannelData(TWO_AGENTS, (PathDetails((0, 1), False, (2,), ()),)),
+        channel_data(TWO_AGENTS, (PathDetails((0, 1), False, (2,), ()),)),
         "ChannelData.path_details[0]: sum(num_hops)=2 does not match 0 hop points",
     ),
     "negative count, no hops": (
-        ChannelData(TWO_AGENTS, (PathDetails((0, 1), False, (-1,), ()),)),
+        channel_data(TWO_AGENTS, (PathDetails((0, 1), False, (-1,), ()),)),
         "ChannelData.path_details[0].num_hops: negative count -1",
     ),
 }
@@ -975,14 +985,11 @@ MALFORMED_CHANNELS = {
 @pytest.mark.parametrize("built", ["records", "columns"])
 @pytest.mark.parametrize("case", sorted(MALFORMED_CHANNELS))
 def test_malformed_channel_is_named_by_field(case, built):
-    """The check names the first bad field, for a snapshot built from
-    records and for one built from columns, whose records it builds to
-    name it."""
+    """The check names the first bad field, by the message's field names,
+    for a snapshot built from records and for one built from its columns."""
     cd, message = MALFORMED_CHANNELS[case]
     if built == "columns":
-        cd = ChannelData.from_columns(
-            cd.poses, cd.ids, cd.los, cd.path_start, cd.num_hops, cd.hop_start, cd.hops
-        )
+        cd = ChannelData(*columns_of(cd))
     with pytest.raises(wire.InvariantViolation) as raised:
         wire.validate_channel_data(cd)
     assert str(raised.value) == message

@@ -29,6 +29,12 @@ def test_config_rejects_a_window_that_is_not_positive(window_ns):
         PhysCoordConfig(window_ns, ChannelFidelity.los_nlos())
 
 
+@pytest.mark.parametrize("window_ns", [1e6, 1_000_000.5, True])
+def test_config_rejects_a_window_that_is_not_an_int(window_ns):
+    with pytest.raises(ValueError, match="window_ns must be an integer"):
+        PhysCoordConfig(window_ns, ChannelFidelity.los_nlos())
+
+
 def test_config_rejects_duplicate_agent_id():
     with pytest.raises(ValueError, match="agent id"):
         PhysCoordConfig(
@@ -167,7 +173,7 @@ def test_static_agents_give_identical_windows():
     _, payloads = run_coordinator(config, 10, ReferencePhysicsSim(world, tracks))
     assert len(set(payloads)) == 1
     decoded = wire.decode_channel_data(wire.decompress_channel_blob(payloads[0]))
-    assert decoded.node_list[1].position == (30.0, 0.0, 1.0)
+    assert decoded.poses[1][:3] == (30.0, 0.0, 1.0)
 
 
 def test_moving_agents_obey_kinematic_bound():
@@ -179,9 +185,9 @@ def test_moving_agents_obey_kinematic_bound():
         wire.decode_channel_data(wire.decompress_channel_blob(p)) for p in payloads
     ]
     for prev, cur in zip(snapshots, snapshots[1:]):
-        for track, a, b in zip(tracks, prev.node_list, cur.node_list):
+        for track, a, b in zip(tracks, prev.poses, cur.poses):
             bound = track.speed * window_ns * 1e-9 + 1e-9
-            assert math.dist(a.position, b.position) <= bound
+            assert math.dist(a[:3], b[:3]) <= bound
 
 
 def test_desync_aborts_with_partial_summary(scripted_network):

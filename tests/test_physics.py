@@ -21,7 +21,6 @@ from cosimnet.physics import (
     WorldModel,
     track_length,
 )
-from cosimnet.wire import Pose
 from tests import physics_oracles
 from tests.physics_oracles import (
     AgentState,
@@ -31,6 +30,7 @@ from tests.physics_oracles import (
     step_world,
     track_pose,
 )
+from tests.wire_oracles import Pose, path_details
 
 BOUNDS = Box((-500.0, -500.0, -500.0), (500.0, 500.0, 500.0))
 WIDE = Box((-1e12, -1e12, -1e12), (1e12, 1e12, 1e12))
@@ -424,11 +424,8 @@ def test_open_pair_is_los_with_zero_hops():
     data = extract_channel_data(
         EMPTY_WORLD, two_agents((0, 0, 0), (30, 0, 0)), ChannelFidelity.los_nlos()
     )
-    (path,) = data.path_details
-    assert path.ids == (0, 1)
-    assert path.los is True
-    assert path.num_hops == (0,)
-    assert path.hop_points == ()
+    assert (data.ids, data.los, data.num_hops, data.hops) == (((0, 1),), (True,), (0,), ())
+    assert data.los[0] is True
 
 
 def test_bisecting_box_blocks_pair():
@@ -436,10 +433,9 @@ def test_bisecting_box_blocks_pair():
     world = WorldModel(BOUNDS, (wall,))
     agents = two_agents((0, 0, 0), (30, 0, 0))
     data = extract_channel_data(world, agents, ChannelFidelity.los_nlos())
-    (path,) = data.path_details
-    assert path.los is False
-    assert path.num_hops == (1,)
-    ((x, y, z, loss),) = path.hop_points
+    assert data.los == (False,)
+    assert data.num_hops == (1,)
+    ((x, y, z, loss),) = data.hops
     assert (x, y, z) == pytest.approx((14, 0, 0), abs=1e-12)
     assert loss == 10.0
     assert sampled_blocked((0, 0, 0), (30, 0, 0), [wall])
@@ -452,16 +448,16 @@ def test_three_agents_make_three_pairs():
         AgentState(2, Pose((0, 10, 0)), 0.0),
     ]
     data = extract_channel_data(EMPTY_WORLD, agents, ChannelFidelity.los_nlos())
-    assert [p.ids for p in data.path_details] == [(0, 1), (0, 2), (1, 2)]
+    assert data.ids == ((0, 1), (0, 2), (1, 2))
 
 
 def test_disk_fidelity_compares_distance_to_radius():
     fid = ChannelFidelity.disk(30.0)
     near = extract_channel_data(EMPTY_WORLD, two_agents((0, 0, 0), (30, 0, 0)), fid)
     far = extract_channel_data(EMPTY_WORLD, two_agents((0, 0, 0), (30.001, 0, 0)), fid)
-    assert near.path_details[0].los is True
-    assert near.path_details[0].num_hops == ()
-    assert far.path_details[0].los is False
+    assert near.los[0] is True
+    assert near.num_hops == ()
+    assert far.los[0] is False
 
 
 def test_hops_ordered_by_entry_along_segment():
@@ -472,18 +468,17 @@ def test_hops_ordered_by_entry_along_segment():
     data = extract_channel_data(
         world, two_agents((0, 0, 0), (30, 0, 0)), ChannelFidelity.los_nlos()
     )
-    (path,) = data.path_details
-    assert path.num_hops == (2,)
-    assert [h[3] for h in path.hop_points] == [3.0, 7.0]
-    assert path.hop_points[0][0] == pytest.approx(5.0, abs=1e-12)
-    assert path.hop_points[1][0] == pytest.approx(15.0, abs=1e-12)
+    assert data.num_hops == (2,)
+    assert [h[3] for h in data.hops] == [3.0, 7.0]
+    assert data.hops[0][0] == pytest.approx(5.0, abs=1e-12)
+    assert data.hops[1][0] == pytest.approx(15.0, abs=1e-12)
 
 
 def test_coincident_agents_are_los():
     data = extract_channel_data(
         EMPTY_WORLD, two_agents((1, 2, 3), (1, 2, 3)), ChannelFidelity.los_nlos()
     )
-    assert data.path_details[0].los is True
+    assert data.los[0] is True
 
 
 def test_agent_ids_must_be_dense():
@@ -501,7 +496,7 @@ def test_extraction_ignores_agent_input_order():
     a = extract_channel_data(EMPTY_WORLD, agents, ChannelFidelity.los_nlos())
     b = extract_channel_data(EMPTY_WORLD, agents[::-1], ChannelFidelity.los_nlos())
     assert a == b
-    assert [p.position for p in a.node_list] == [(0, 0, 0), (10, 0, 0), (0, 10, 0)]
+    assert [row[:3] for row in a.poses] == [(0, 0, 0), (10, 0, 0), (0, 10, 0)]
 
 
 def test_randomized_worlds_match_sampling_oracle():
@@ -523,10 +518,10 @@ def test_randomized_worlds_match_sampling_oracle():
         ]
         data = extract_channel_data(world, agents, ChannelFidelity.los_nlos())
         positions = [a.pose.position for a in agents]
-        assert repr(data.path_details) == repr(
+        assert repr(path_details(data)) == repr(
             tuple(physics_oracles.los_paths_vector(world, positions))
         )
-        for path in data.path_details:
+        for path in path_details(data):
             i, j = path.ids
             oracle = sampled_blocked(
                 agents[i].pose.position, agents[j].pose.position, boxes
@@ -560,7 +555,7 @@ def test_reference_sim_snapshot_tracks_steps():
     sim.step(1_000_000_000)
     after = sim.channel_snapshot(fid)
     assert after != before
-    assert after.node_list[0].position == pytest.approx((4.0, 0.0, 1.0), abs=1e-9)
+    assert after.poses[0][:3] == pytest.approx((4.0, 0.0, 1.0), abs=1e-9)
 
 
 def test_initial_agent_states_sorted_and_parked():
@@ -737,7 +732,7 @@ def test_reference_sim_makes_no_table_lookups_per_window():
 def assert_needs_no_check(cd):
     """The columns of `cd`, which nothing checks in process, pass the check
     rebuilt as a snapshot."""
-    again = wire.ChannelData.from_columns(
+    again = wire.ChannelData(
         cd.poses, cd.ids, cd.los, cd.path_start, cd.num_hops, cd.hop_start, cd.hops
     )
     wire.validate_channel_data(again)
@@ -826,7 +821,7 @@ def kernel_paths(kernel, world, positions, *args):
     """The path records of the snapshot a kernel's columns make, over agents
     at `positions` with the default orientation."""
     poses = tuple((*p, 0.0, 0.0, 0.0, 1.0) for p in positions)
-    return physics._one_path_snapshot(poses, *kernel(world, positions, *args)).path_details
+    return path_details(physics._one_path_snapshot(poses, *kernel(world, positions, *args)))
 
 
 def assert_kernels_agree(boxes, positions):
@@ -976,7 +971,7 @@ def test_extraction_selects_the_path_by_pair_box_tests(monkeypatch):
         calls.clear()
         data = extract_channel_data(WorldModel(BOUNDS, boxes), agents, fid)
         assert calls == [path]
-        assert data.path_details[0].num_hops == (n_boxes,)
+        assert data.num_hops[0] == n_boxes
     calls.clear()
     extract_channel_data(WorldModel(BOUNDS, boxes), agents, ChannelFidelity.disk(50.0))
     assert calls == []

@@ -73,21 +73,21 @@ def assert_tuple_of(value, kind, size=None):
 
 def assert_channel_types(cd):
     assert isinstance(cd, wire.ChannelData)
-    assert_tuple_of(cd.node_list, wire.Pose)
-    for pose in cd.node_list:
-        assert_tuple_of(pose.position, float, 3)
-        assert_tuple_of(pose.orientation, float, 4)
-    assert_tuple_of(cd.path_details, wire.PathDetails)
-    # a simulator's deferred snapshot is a private subclass until its
-    # columns are read, as the records just were
+    assert_tuple_of(cd.poses, tuple)
+    for row in cd.poses:
+        assert_tuple_of(row, float, 7)
+    assert_tuple_of(cd.ids, tuple)
+    for pair in cd.ids:
+        assert_tuple_of(pair, int, 2)
+    assert_tuple_of(cd.los, bool)
+    # a simulator's deferred snapshot is a private subclass until its pair
+    # columns are read, as `los` just was
     assert type(cd) is wire.ChannelData
-    for pd in cd.path_details:
-        assert_tuple_of(pd.ids, int, 2)
-        assert type(pd.los) is bool, repr(pd)
-        assert_tuple_of(pd.num_hops, int)
-        assert_tuple_of(pd.hop_points, tuple)
-        for hop in pd.hop_points:
-            assert_tuple_of(hop, float, 4)
+    for column in (cd.path_start, cd.num_hops, cd.hop_start):
+        assert_tuple_of(column, int)
+    assert_tuple_of(cd.hops, tuple)
+    for hop in cd.hops:
+        assert_tuple_of(hop, float, 4)
 
 
 def assert_update_types(msg):
@@ -178,7 +178,7 @@ def test_in_process_producers_build_exact_types(tmp_path, monkeypatch, name):
     # the checks above saw rows both taken and cleared
     assert any(packets for packets, _ in windows) and any(cleared for _, cleared in windows)
     if name == "vector":
-        assert any(pd.hop_points for cd in channels for pd in cd.path_details)
+        assert any(cd.hops for cd in channels)
 
 
 @pytest.mark.parametrize("name", ["static_los_30m", "vector"])
@@ -218,9 +218,8 @@ def test_socket_split_frames_carry_exact_types(tmp_path, monkeypatch, name):
     }
     if name == "vector":
         assert any(
-            pd.hop_points
+            wire.channel_of(m).hops
             for m in decoded if isinstance(m, wire.PhysicsUpdate) and m.channel_data
-            for pd in wire.channel_of(m).path_details
         )
 
 
@@ -268,6 +267,12 @@ _BOUNDS = Box((0, 0, 0), (10, 10, 10))
 _WALL = Box((4, 0, 0), (5, 10, 10), 3)
 _TRACK = AgentTrack(0, [(1, 1, 1), (2, 1, 1)], 1)
 _LOS = ChannelFidelity.los_nlos()
+
+
+def _channel_columns(los):
+    """Two agents and one pair with one path of one hop."""
+    poses = ((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0), (3.0, 4.0, 0.0, 0.0, 0.0, 0.0, 1.0))
+    return poses, ((0, 1),), (los,), (0, 1), (1,), (0, 1), ((1.5, 2.0, 0.0, 6.0),)
 
 
 def _scenario_args(seed):
@@ -418,14 +423,12 @@ RECORDS = {
         (("windows_completed", 0), ("window_wall_seconds", [])),
         False,
     ),
-    "Pose": (
-        wire.Pose, ((1.0, 2.0, 3.0),), ((1.0, 2.0, 4.0),),
-        (("position", (1.0, 2.0, 3.0)), ("orientation", (0.0, 0.0, 0.0, 1.0))),
-        True,
-    ),
-    "PathDetails": (
-        wire.PathDetails, ((0, 1), True), ((0, 1), False),
-        (("ids", (0, 1)), ("los", True), ("num_hops", ()), ("hop_points", ())),
+    "ChannelData": (
+        wire.ChannelData, _channel_columns(False), _channel_columns(True),
+        tuple(zip(
+            ("poses", "ids", "los", "path_start", "num_hops", "hop_start", "hops"),
+            _channel_columns(False),
+        )),
         True,
     ),
     "PhysicsUpdate": (

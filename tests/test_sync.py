@@ -20,6 +20,7 @@ from cosimnet.sync import (
     run_lockstep,
 )
 from cosimnet.wire import MsgType, NetworkUpdate, PhysicsUpdate
+from tests.wire_oracles import PathDetails, Pose, channel_data
 
 W = 1_000_000
 
@@ -265,7 +266,7 @@ def test_socket_link_surfaces_peer_close(socket_pair):
 
 
 def test_end_payload_reaches_report():
-    blob = wire.compress_channel_blob(wire.encode_channel_data(wire.ChannelData()))
+    blob = wire.compress_channel_blob(wire.encode_channel_data(channel_data()))
 
     class PayloadDriver:
         def simulate(self, t, peer_end):
@@ -330,9 +331,9 @@ def test_socket_link_carries_a_megabyte_physics_update(socket_pair):
          rng.uniform(0, 40))
         for _ in range(40_000)
     )
-    cd = wire.ChannelData(
-        (wire.Pose((0, 0, 0)), wire.Pose((1, 0, 0))),
-        (wire.PathDetails((0, 1), False, (len(hops),), hops),),
+    cd = channel_data(
+        (Pose((0, 0, 0)), Pose((1, 0, 0))),
+        (PathDetails((0, 1), False, (len(hops),), hops),),
     )
     big = PhysicsUpdate(
         MsgType.END, 7 * W, wire.compress_channel_blob(wire.encode_channel_data(cd))

@@ -21,6 +21,7 @@ from cosimnet.netsim import RadioParams, ReferenceNetSim
 from cosimnet.physics import ChannelFidelity
 from cosimnet.scenario import ARTIFACT_NAMES, PairSample, parse_scenario, run_scenario
 from tests import msggen
+from tests.wire_oracles import node_list, path_details
 from tests.test_lockstep_oracle import CORPUS, swarm_document
 
 
@@ -31,8 +32,8 @@ class RowRecorder:
         self.samples: list[PairSample] = []
 
     def __call__(self, t: int, cd) -> None:
-        positions = [pose.position for pose in cd.node_list]
-        for pd in cd.path_details:
+        positions = [pose.position for pose in node_list(cd)]
+        for pd in path_details(cd):
             i, j = pd.ids
             if pd.los:
                 walls, loss = 0, 0.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import random
@@ -13,10 +14,11 @@ import pytest
 
 from cosimnet import wire
 from tests import msggen, wire_oracles
+from tests.wire_oracles import PathDetails, Pose, channel_data, node_list, path_details
 
 
 def _pose(x, y, z):
-    return wire.Pose(position=(x, y, z))
+    return Pose(position=(x, y, z))
 
 
 def test_begin_frame_known_bytes():
@@ -37,13 +39,13 @@ def test_empty_network_update_payload_length():
 
 
 def test_empty_channel_data_is_eight_zero_bytes():
-    assert wire.encode_channel_data(wire.ChannelData()) == b"\x00" * 8
+    assert wire.encode_channel_data(channel_data()) == b"\x00" * 8
 
 
 def test_two_agent_single_path_channel_size():
-    cd = wire.ChannelData(
-        node_list=(_pose(0, 0, 0), _pose(30, 0, 0)),
-        path_details=(wire.PathDetails(ids=(0, 1), los=True, num_hops=(0,)),),
+    cd = channel_data(
+        (_pose(0, 0, 0), _pose(30, 0, 0)),
+        (PathDetails(ids=(0, 1), los=True, num_hops=(0,)),),
     )
     enc = wire.encode_channel_data(cd)
     # u32 agent count + 2 poses of 7 doubles + u32 path count
@@ -158,49 +160,49 @@ def rejected_on_decode(cd, match):
 
 
 def test_encode_rejects_unnormalized_quaternion():
-    cd = wire.ChannelData(
-        node_list=(wire.Pose((0, 0, 0), (0.0, 0.0, 0.0, 1.01)), _pose(1, 1, 1)),
+    cd = channel_data(
+        (Pose((0, 0, 0), (0.0, 0.0, 0.0, 1.01)), _pose(1, 1, 1)),
     )
     rejected_on_decode(cd, "orientation")
 
 
 def test_encode_rejects_nonfinite_position():
-    cd = wire.ChannelData(node_list=(_pose(float("nan"), 0, 0),))
+    cd = channel_data((_pose(float("nan"), 0, 0),))
     rejected_on_decode(cd, "finite")
 
 
 def test_encode_rejects_self_pair():
-    cd = wire.ChannelData(
-        node_list=(_pose(0, 0, 0), _pose(1, 0, 0)),
-        path_details=(wire.PathDetails(ids=(1, 1), los=True, num_hops=(0,)),),
+    cd = channel_data(
+        (_pose(0, 0, 0), _pose(1, 0, 0)),
+        (PathDetails(ids=(1, 1), los=True, num_hops=(0,)),),
     )
     rejected_on_decode(cd, "distinct")
 
 
 def test_encode_rejects_out_of_range_pair():
-    cd = wire.ChannelData(
-        node_list=(_pose(0, 0, 0), _pose(1, 0, 0)),
-        path_details=(wire.PathDetails(ids=(0, 2), los=True, num_hops=(0,)),),
+    cd = channel_data(
+        (_pose(0, 0, 0), _pose(1, 0, 0)),
+        (PathDetails(ids=(0, 2), los=True, num_hops=(0,)),),
     )
     rejected_on_decode(cd, "index")
 
 
 def test_encode_rejects_duplicate_unordered_pair():
-    cd = wire.ChannelData(
-        node_list=(_pose(0, 0, 0), _pose(1, 0, 0)),
-        path_details=(
-            wire.PathDetails(ids=(0, 1), los=True, num_hops=(0,)),
-            wire.PathDetails(ids=(1, 0), los=True, num_hops=(0,)),
+    cd = channel_data(
+        (_pose(0, 0, 0), _pose(1, 0, 0)),
+        (
+            PathDetails(ids=(0, 1), los=True, num_hops=(0,)),
+            PathDetails(ids=(1, 0), los=True, num_hops=(0,)),
         ),
     )
     rejected_on_decode(cd, "duplicate")
 
 
 def test_encode_rejects_hop_count_mismatch():
-    cd = wire.ChannelData(
-        node_list=(_pose(0, 0, 0), _pose(1, 0, 0)),
-        path_details=(
-            wire.PathDetails(ids=(0, 1), los=False, num_hops=(2,), hop_points=((0, 0, 0, 1),)),
+    cd = channel_data(
+        (_pose(0, 0, 0), _pose(1, 0, 0)),
+        (
+            PathDetails(ids=(0, 1), los=False, num_hops=(2,), hop_points=((0, 0, 0, 1),)),
         ),
     )
     # the bytes cannot carry the mismatch: decoding them finds the list truncated
@@ -211,19 +213,19 @@ def test_encode_rejects_hop_count_mismatch():
 
 
 def test_encode_rejects_negative_penetration_loss():
-    cd = wire.ChannelData(
-        node_list=(_pose(0, 0, 0), _pose(1, 0, 0)),
-        path_details=(
-            wire.PathDetails(ids=(0, 1), los=False, num_hops=(1,), hop_points=((0, 0, 0, -1.0),)),
+    cd = channel_data(
+        (_pose(0, 0, 0), _pose(1, 0, 0)),
+        (
+            PathDetails(ids=(0, 1), los=False, num_hops=(1,), hop_points=((0, 0, 0, -1.0),)),
         ),
     )
     rejected_on_decode(cd, "negative")
 
 
 def test_encode_rejects_paths_without_enough_agents():
-    cd = wire.ChannelData(
-        node_list=(_pose(0, 0, 0),),
-        path_details=(wire.PathDetails(ids=(0, 1), los=True, num_hops=(0,)),),
+    cd = channel_data(
+        (_pose(0, 0, 0),),
+        (PathDetails(ids=(0, 1), los=True, num_hops=(0,)),),
     )
     rejected_on_decode(cd, "fewer than two")
 
@@ -247,15 +249,16 @@ def oracle_validate_channel_data(cd):
     """`wire.validate_channel_data` as it was before its single pass: a
     message string built for every agent and pair.  Kept as the oracle of
     what the check accepts and of every message it raises."""
-    for i, pose in enumerate(cd.node_list):
+    nodes, paths = node_list(cd), path_details(cd)
+    for i, pose in enumerate(nodes):
         oracle_validate_pose(pose, f"ChannelData.node_list[{i}]")
-    if len(cd.node_list) < 2 and cd.path_details:
+    if len(nodes) < 2 and paths:
         raise wire.InvariantViolation(
             "ChannelData.path_details: must be empty with fewer than two agents"
         )
     seen_pairs = set()
-    n = len(cd.node_list)
-    for k, pd in enumerate(cd.path_details):
+    n = len(nodes)
+    for k, pd in enumerate(paths):
         what = f"ChannelData.path_details[{k}]"
         a, b = pd.ids
         if a == b:
@@ -303,28 +306,28 @@ def _validator_corpus():
     broken at a time (a few with two), then random valid channels."""
     q = (0.5, -0.5, 0.5, 0.5)
     nodes = (
-        wire.Pose((0.0, 0.0, 1.0), q),
-        wire.Pose((30.0, -4.0, 2.0)),
-        wire.Pose((12.5, 40.0, 0.0), (0.0, 0.0, math.sin(0.3), math.cos(0.3))),
+        Pose((0.0, 0.0, 1.0), q),
+        Pose((30.0, -4.0, 2.0)),
+        Pose((12.5, 40.0, 0.0), (0.0, 0.0, math.sin(0.3), math.cos(0.3))),
     )
     paths = (
-        wire.PathDetails((0, 1), True, (0,), ()),
-        wire.PathDetails((0, 2), False, (2,), ((3.0, 9.0, 0.5, 4.0), (6.0, 18.0, 0.7, 2.5))),
-        wire.PathDetails((2, 1), False, (1, 1), ((20.0, 10.0, 1.0, 6.0), (22.0, 9.0, 1.0, 0.0))),
+        PathDetails((0, 1), True, (0,), ()),
+        PathDetails((0, 2), False, (2,), ((3.0, 9.0, 0.5, 4.0), (6.0, 18.0, 0.7, 2.5))),
+        PathDetails((2, 1), False, (1, 1), ((20.0, 10.0, 1.0, 6.0), (22.0, 9.0, 1.0, 0.0))),
     )
-    base = wire.ChannelData(nodes, paths)
+    base = channel_data(nodes, paths)
     yield base
 
     def with_node(i, pose):
-        return wire.ChannelData(nodes[:i] + (pose,) + nodes[i + 1:], paths)
+        return channel_data(nodes[:i] + (pose,) + nodes[i + 1:], paths)
 
     def with_path(k, pd):
-        return wire.ChannelData(nodes, paths[:k] + (pd,) + paths[k + 1:])
+        return channel_data(nodes, paths[:k] + (pd,) + paths[k + 1:])
 
     def with_hop(k, j, hop):
         pd = paths[k]
         hops = pd.hop_points[:j] + (hop,) + pd.hop_points[j + 1:]
-        return with_path(k, wire.PathDetails(pd.ids, pd.los, pd.num_hops, hops))
+        return with_path(k, PathDetails(pd.ids, pd.los, pd.num_hops, hops))
 
     nan, inf = float("nan"), float("inf")
     for i in range(3):
@@ -332,39 +335,39 @@ def _validator_corpus():
             for v in (nan, inf, -inf):
                 position = list(nodes[i].position)
                 position[axis] = v
-                yield with_node(i, wire.Pose(position, nodes[i].orientation))
+                yield with_node(i, Pose(position, nodes[i].orientation))
         for axis in range(4):
             for v in (nan, inf, -inf):
                 orientation = list(nodes[i].orientation)
                 orientation[axis] = v
-                yield with_node(i, wire.Pose(nodes[i].position, orientation))
+                yield with_node(i, Pose(nodes[i].position, orientation))
     # quaternion norms on both sides of 1 +- tol, down to single ulps
     tol = wire.QUATERNION_NORM_TOL
     for edge in (1.0 + tol, 1.0 - tol):
         for offset in (-1e-12, 1e-12):
             scale = edge + offset
-            yield with_node(0, wire.Pose((0, 0, 1), tuple(scale * v for v in q)))
+            yield with_node(0, Pose((0, 0, 1), tuple(scale * v for v in q)))
         w = edge
         for _ in range(4):
             w = math.nextafter(w, 0.0)
         for _ in range(8):
-            yield with_node(1, wire.Pose((30, -4, 2), (0.0, 0.0, 0.0, w)))
+            yield with_node(1, Pose((30, -4, 2), (0.0, 0.0, 0.0, w)))
             w = math.nextafter(w, 2.0)
-    yield with_node(2, wire.Pose((0, 0, 0), (0.0, 0.0, 0.0, 1.01)))
+    yield with_node(2, Pose((0, 0, 0), (0.0, 0.0, 0.0, 1.01)))
     # finite but large enough that a sum of components overflows
-    yield with_node(1, wire.Pose((1e308, 1e308, -1e308)))
+    yield with_node(1, Pose((1e308, 1e308, -1e308)))
     yield with_hop(1, 0, (1e308, 1e308, 1e308, 1e308))
-    yield with_path(0, wire.PathDetails((1, 1), True, (0,), ()))
+    yield with_path(0, PathDetails((1, 1), True, (0,), ()))
     for ids in ((-1, 1), (0, -1), (0, 3), (3, 0), (-1, 3)):
-        yield with_path(0, wire.PathDetails(ids, True, (0,), ()))
+        yield with_path(0, PathDetails(ids, True, (0,), ()))
     for ids in ((0, 2), (2, 0), (1, 2)):
-        yield with_path(0, wire.PathDetails(ids, True, (0,), ()))  # duplicate pair
-    yield wire.ChannelData(nodes, paths + (wire.PathDetails((1, 0), True, (0,), ()),))
-    yield wire.ChannelData(nodes, paths + (wire.PathDetails((0, 1), True, (0,), ()),))
+        yield with_path(0, PathDetails(ids, True, (0,), ()))  # duplicate pair
+    yield channel_data(nodes, paths + (PathDetails((1, 0), True, (0,), ()),))
+    yield channel_data(nodes, paths + (PathDetails((0, 1), True, (0,), ()),))
     for num_hops in ((-1,), (2**32,), (2**32 - 1,), (1, -1), (3, 2**32), (-5, 2**40)):
-        yield with_path(1, wire.PathDetails((0, 2), False, num_hops, ()))
+        yield with_path(1, PathDetails((0, 2), False, num_hops, ()))
     for num_hops in ((1,), (3,), (1, 0), (0, 0, 1), (0, 3)):
-        yield with_path(1, wire.PathDetails((0, 2), False, num_hops, paths[1].hop_points))
+        yield with_path(1, PathDetails((0, 2), False, num_hops, paths[1].hop_points))
     for loss in (-1.0, -1e-300, -0.0, 0.0, -inf, inf, nan):
         yield with_hop(2, 1, (22.0, 9.0, 1.0, loss))
     for axis in range(3):
@@ -374,13 +377,13 @@ def _validator_corpus():
             yield with_hop(1, 1, tuple(hop))
     yield with_hop(1, 1, (nan, 0.0, 0.0, -1.0))  # non-finite before negative
     for n_nodes in (0, 1):
-        yield wire.ChannelData(nodes[:n_nodes], paths[:1])
-        yield wire.ChannelData(nodes[:n_nodes], ())
+        yield channel_data(nodes[:n_nodes], paths[:1])
+        yield channel_data(nodes[:n_nodes], ())
     # two faults: the first in check order is the one reported
-    yield wire.ChannelData(
-        (wire.Pose((nan, 0, 0)),) + nodes[1:], (wire.PathDetails((1, 1), True, (0,), ()),)
+    yield channel_data(
+        (Pose((nan, 0, 0)),) + nodes[1:], (PathDetails((1, 1), True, (0,), ()),)
     )
-    yield wire.ChannelData(nodes, (paths[0], paths[0], wire.PathDetails((2, 2), True)))
+    yield channel_data(nodes, (paths[0], paths[0], PathDetails((2, 2), True)))
     rng = random.Random(1219)
     for _ in range(300):
         yield msggen.random_channel_data(rng)
@@ -401,12 +404,12 @@ def columns(cd):
 
 
 def test_channel_check_matches_the_oracle_on_columns():
-    """The same corpus built from columns: the check names the same field
-    in records it builds from them."""
+    """The same corpus, each snapshot built again from its columns: the
+    check names the same field."""
     for cd in _validator_corpus():
         expected = _validation_outcome(oracle_validate_channel_data, cd)
-        from_columns = wire.ChannelData.from_columns(*columns(cd))
-        assert _validation_outcome(wire.validate_channel_data, from_columns) == expected, cd
+        again = wire.ChannelData(*columns(cd))
+        assert _validation_outcome(wire.validate_channel_data, again) == expected, cd
 
 
 def snapshot_corpus():
@@ -444,39 +447,26 @@ def test_channel_codec_matches_the_record_codec():
 
 def test_records_and_columns_build_one_snapshot():
     for cd in snapshot_corpus():
-        again = wire.ChannelData.from_columns(*columns(cd))
+        again = wire.ChannelData(*columns(cd))
         assert repr(again) == repr(cd) and again == cd and hash(again) == hash(cd)
-        rebuilt = wire.ChannelData(cd.node_list, cd.path_details)
+        rebuilt = channel_data(node_list(cd), path_details(cd))
         assert columns(rebuilt) == columns(cd)
         # the pair index lists each pair once, in order, smaller id first
         assert list(cd.pair_rows.items()) == [
-            ((min(pd.ids), max(pd.ids)), k) for k, pd in enumerate(cd.path_details)
+            ((min(pair), max(pair)), k) for k, pair in enumerate(cd.ids)
         ]
-
-
-def test_records_are_always_built_from_the_columns():
-    """Records given with list fields come back as the tuples the columns
-    hold: equality, hashing, `repr` and the check read one representation."""
-    cd = wire.ChannelData(
-        [wire.Pose([0.0, 0.0, 0.0]), wire.Pose([3.0, 4.0, 0.0], [0.0, 0.0, 0.0, 1.0])],
-        [wire.PathDetails([1, 0], False, [1], [[1.0, 2.0, 0.0, 6.0]])],
-    )
-    twin = wire.ChannelData.from_columns(*columns(cd))
-    assert repr(cd) == repr(twin) and cd == twin and hash(cd) == hash(twin)
-    assert cd.node_list[1] == wire.Pose((3.0, 4.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-    assert cd.path_details == (wire.PathDetails((1, 0), False, (1,), ((1.0, 2.0, 0.0, 6.0),)),)
 
 
 def test_snapshot_fields_cannot_be_reassigned():
     cd = msggen.random_channel_data(random.Random(11))
-    rows, records = cd.pair_rows, cd.path_details
+    rows = cd.pair_rows
     bad_poses = ((float("nan"),) * 7,) * len(cd.poses)
     for name, value in (("poses", bad_poses), ("ids", ()), ("_rows", {}), ("extra", 1)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cd, name, value)
     with pytest.raises(dataclasses.FrozenInstanceError):
         del cd.hops
-    assert cd.pair_rows is rows and cd.path_details is records
+    assert cd.pair_rows is rows
     # copies and pickles are snapshots over the same columns
     import copy
     import pickle
@@ -574,9 +564,9 @@ def test_channel_of_decodes_a_received_blob_once(monkeypatch):
 
 
 def test_decode_rejects_invalid_los_byte():
-    cd = wire.ChannelData(
-        node_list=(_pose(0, 0, 0), _pose(1, 0, 0)),
-        path_details=(wire.PathDetails(ids=(0, 1), los=True, num_hops=(0,)),),
+    cd = channel_data(
+        (_pose(0, 0, 0), _pose(1, 0, 0)),
+        (PathDetails(ids=(0, 1), los=True, num_hops=(0,)),),
     )
     enc = bytearray(wire.encode_channel_data(cd))
     enc[4 + 112 + 4 + 8] = 2  # the los byte of the only path entry
@@ -620,9 +610,9 @@ def test_identical_messages_encode_identically():
 
 
 def test_truncated_list_names_the_first_missing_item():
-    cd = wire.ChannelData(
+    cd = channel_data(
         (_pose(0, 0, 0), _pose(10, 0, 0), _pose(20, 0, 0)),
-        (wire.PathDetails((0, 2), False, (3,), tuple((5.0 * k, 0.0, 0.0, 1.0) for k in range(3))),),
+        (PathDetails((0, 2), False, (3,), tuple((5.0 * k, 0.0, 0.0, 1.0) for k in range(3))),),
     )
     data = wire.encode_channel_data(cd)
     # 4 + 3 * 56 = 172 bytes end the poses; the path entry's head is 4 + 17
@@ -630,3 +620,95 @@ def test_truncated_list_names_the_first_missing_item():
         message = f"ChannelData.{what}: payload truncated"
         with pytest.raises(wire.FrameError, match=re.escape(message)):
             wire.decode_channel_data(data[:cut])
+
+
+# -- the decoder's trust boundary under mutation -----------------------------
+
+
+def field_offsets(cd):
+    """The byte offsets of every double and every u32 count in `cd`'s
+    encoding, walked as `encode_channel_data` writes it."""
+    doubles = [4 + 8 * k for k in range(7 * len(cd.poses))]
+    counts = [0]
+    pos = 4 + 56 * len(cd.poses)
+    counts.append(pos)
+    pos += 4
+    for p0, p1, h0, h1 in zip(cd.path_start, cd.path_start[1:], cd.hop_start, cd.hop_start[1:]):
+        counts += [pos + 9, *(pos + 13 + 4 * j for j in range(p1 - p0))]  # path, hop counts
+        pos += 13 + 4 * (p1 - p0)
+        doubles += [pos + 8 * k for k in range(4 * (h1 - h0))]
+        pos += 32 * (h1 - h0)
+    return doubles, counts
+
+
+SPECIAL_DOUBLES = (float("nan"), float("inf"), -float("inf"), 1e308, -1e308, -1.0)
+
+
+def mutate(rng, data, doubles, counts):
+    """`data` with one seeded fault: bit flips, a special double or a
+    bad count written over a field, a truncation or an insertion."""
+    out = bytearray(data)
+    kind = rng.randrange(5)
+    if kind == 0:
+        for _ in range(rng.randint(1, 4)):
+            out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+    elif kind == 1:
+        at = rng.choice(doubles)
+        out[at:at + 8] = struct.pack("<d", rng.choice(SPECIAL_DOUBLES))
+    elif kind == 2:
+        at = rng.choice(counts)
+        old = struct.unpack_from("<I", out, at)[0]
+        new = rng.choice((0, 1, old - 1, old + 1, 2**31, 2**32 - 1, rng.randrange(2**32)))
+        out[at:at + 4] = struct.pack("<I", new % 2**32)
+    elif kind == 3:
+        del out[rng.randrange(len(out)):]
+    else:
+        at = rng.randrange(len(out) + 1)
+        out[at:at] = bytes(rng.randrange(256) for _ in range(rng.randint(1, 16)))
+    return bytes(out)
+
+
+def test_seeded_mutants_are_rejected_or_applied():
+    """About 20,000 mutants of a 6-agent, 12-box world's channel blobs, one
+    in ten made in the compressed blob: the decoder raises only its own
+    three errors, and every snapshot it accepts goes through the netsim."""
+    from cosimnet.netsim import RadioParams, ReferenceNetSim
+    from cosimnet.physics import ReferencePhysicsSim
+    from cosimnet.scenario import parse_scenario
+    from tests.test_lockstep_oracle import swarm_document
+
+    config = parse_scenario(swarm_document(agents=6, boxes=12))
+    physics = ReferencePhysicsSim(config.world, config.tracks)
+    sources = []
+    for _ in range(40):
+        physics.step(25 * config.window_ns)
+        cd = physics.channel_snapshot(config.fidelity)
+        data = wire.encode_channel_data(cd)
+        sources.append((data, wire.compress_channel_blob(data), *field_offsets(cd)))
+    rng = random.Random(2026)
+    amap = dict(config.agent_address_map)
+    outcomes = collections.Counter()
+    for _ in range(20_000):
+        data, blob, doubles, counts = rng.choice(sources)
+        if rng.random() < 0.1:
+            blob = mutate(rng, blob, range(len(blob) - 7), range(len(blob) - 3))
+        else:
+            blob = wire.compress_channel_blob(mutate(rng, data, doubles, counts))
+        try:
+            cd = wire.channel_of(wire.PhysicsUpdate(wire.MsgType.END, 0, blob))
+        except (wire.FrameError, wire.CompressionError, wire.InvariantViolation) as exc:
+            outcomes[type(exc).__name__] += 1
+            # a content fault is named by the message's field
+            assert not isinstance(exc, wire.InvariantViolation) or str(exc).startswith(
+                "ChannelData."
+            ), exc
+            continue
+        netsim = ReferenceNetSim(RadioParams(), amap)
+        netsim.apply_channel(cd)
+        assert len(netsim.link_table) == len(cd.ids)
+        outcomes["accepted"] += 1
+    # pinned: a changed count means the decoder accepts or rejects another set
+    assert dict(outcomes) == {
+        "FrameError": 11_734, "InvariantViolation": 3_556, "CompressionError": 1_613,
+        "accepted": 3_097,
+    }
